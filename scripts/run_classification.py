@@ -11,6 +11,7 @@ import json
 import time
 from pathlib import Path
 
+from geodesy.cli import write_certificates
 from geodesy.ladder import verify_theorem
 
 
@@ -30,13 +31,7 @@ def main() -> None:
         with open(args.out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
             json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        cert_dir = args.out / f"certificates_p{p}"
-        cert_dir.mkdir(exist_ok=True)
-        for result in summary.results:
-            path = cert_dir / f"{result.weight_data.digest()}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_certificates(summary.results, args.out / f"certificates_p{p}")
         print(
             f"{p:>3} {summary.enumerated:>7} {summary.feasible:>9} "
             f"{summary.infeasible:>11} {elapsed:>8.2f}"

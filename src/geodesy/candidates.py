@@ -108,6 +108,8 @@ def load_candidate(path) -> EmbeddingCandidate:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise CandidateFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}")
+        except UnicodeDecodeError as err:
+            raise CandidateFormatError(f"byte {err.start}: not UTF-8 text ({err.reason})")
     return candidate_from_json_dict(doc)
 
 

@@ -15,11 +15,10 @@ decomposition.  Total geodesy is the vanishing of both k-parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional
 
 from .algebra import SuPQShape, cartan_decompose, complex_structure, in_su_pp
-from .gaussmat import GaussMatrix, I, NonIntegerSpectrum, bracket, integer_spectrum
+from .gaussmat import GaussMatrix, I, NonIntegerSpectrum, bracket, integer_spectrum, real_rank
 from .weights import WeightData
 
 
@@ -71,39 +70,6 @@ def check_homomorphism(c: EmbeddingCandidate) -> bool:
     return not violated_brackets(c)
 
 
-def _realify(matrices: List[GaussMatrix]) -> List[List[Fraction]]:
-    rows = []
-    for m in matrices:
-        row: List[Fraction] = []
-        for e in m.entries:
-            row.append(e.re)
-            row.append(e.im)
-        rows.append(row)
-    return rows
-
-
-def _rational_rank(rows: List[List[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def check_conditions(c: EmbeddingCandidate) -> CheckReport:
     """Full report: bracket table, conditions (1) and (3), injectivity, geodesy."""
     failures = violated_brackets(c)
@@ -128,7 +94,7 @@ def check_conditions(c: EmbeddingCandidate) -> CheckReport:
     if not report.satisfies_c3:
         report.failures.append("tangent components do not intertwine the complex structures")
 
-    report.injective = _rational_rank(_realify([c.f_u, c.f_v, c.f_w])) == 3
+    report.injective = real_rank([c.f_u, c.f_v, c.f_w]) == 3
     report.totally_geodesic = (
         report.passed and report.fc_u.is_zero() and report.fc_v.is_zero()
     )

@@ -129,6 +129,9 @@ def cmd_check(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.path}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"error: cannot read {args.path}: {err.strerror}", file=sys.stderr)
+        return 2
     except CandidateFormatError as err:
         print(f"error: {args.path}: {err}", file=sys.stderr)
         return 2
@@ -152,6 +155,16 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def write_certificates(results, directory: Path) -> None:
+    """Write one certificate per table into directory, named by the table's digest."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for result in results:
+        path = directory / f"{result.weight_data.digest()}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
 def cmd_classify(args) -> int:
     if not (1 <= args.p <= MAX_P):
         print(f"error: p must be between 1 and {MAX_P}", file=sys.stderr)
@@ -168,13 +181,7 @@ def cmd_classify(args) -> int:
         print(f"error: classification violated: {err}", file=sys.stderr)
         return 1
     if args.emit_certs:
-        directory = Path(args.emit_certs)
-        directory.mkdir(parents=True, exist_ok=True)
-        for result in summary.results:
-            path = directory / f"{result.weight_data.digest()}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_certificates(summary.results, Path(args.emit_certs))
     if args.json:
         _emit(summary.to_json_dict())
     else:

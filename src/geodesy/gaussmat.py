@@ -1,14 +1,27 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Scalars are a + b*i with a, b arbitrary-precision rationals; matrices are
-immutable row-major tuples of scalars.  Nothing in this module rounds:
-every operation is exact, which is what makes the infeasibility
-certificates produced downstream trustworthy.
+Scalars are ``GaussRational`` a + b*i with a, b arbitrary-precision
+rationals.  A ``GaussMatrix`` stores one positive common denominator and
+the real and imaginary integer numerators of its entries, reduced so that
+the denominator and all numerators share no factor; that form is unique,
+so matrix equality is equality of integers.  Products, sums and scalar
+multiples work on plain Python ints and reduce once per matrix, and the
+entries come back as ``GaussRational``s in lowest terms only when asked
+for.
+
+Inverse and rank use one fraction-free Gauss-Jordan elimination over the
+Gaussian integers (Bareiss 1968): every division in it is exact.  The
+characteristic polynomial is the division-free Samuelson-Berkowitz
+recurrence on the numerators.  Nothing in this module rounds: every
+operation is exact, which is what makes the infeasibility certificates
+produced downstream trustworthy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -136,6 +149,8 @@ class GaussRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+
+
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)
@@ -143,10 +158,35 @@ I = GaussRational(0, 1)
 Entry = Union[GaussRational, int, Fraction, complex, tuple]
 
 
-class GaussMatrix:
-    """Immutable dense matrix of Gaussian rationals, row-major."""
+def _pack(entries: Sequence[GaussRational]) -> tuple:
+    """(den, re, im): the reduced integer form of a sequence of GaussRationals.
 
-    __slots__ = ("rows", "cols", "entries")
+    The lcm of denominators of fractions in lowest terms leaves no factor
+    common to it and every numerator, so no further reduction is needed.
+    """
+    den = lcm(*(e.re.denominator for e in entries), *(e.im.denominator for e in entries))
+    re = tuple(e.re.numerator * (den // e.re.denominator) for e in entries)
+    im = tuple(e.im.numerator * (den // e.im.denominator) for e in entries)
+    return den, re, im
+
+
+def _scalar_ints(value) -> tuple:
+    """(den, re, im) with value == (re + im*i) / den in reduced form."""
+    if type(value) is int:
+        return 1, value, 0
+    den, (re,), (im,) = _pack((GaussRational.of(value),))
+    return den, re, im
+
+
+class GaussMatrix:
+    """Immutable dense matrix of Gaussian rationals, row-major.
+
+    Entry k is (re_num[k] + im_num[k]*i) / den, with den > 0 sharing no
+    factor with all the numerators.  ``entries``, ``m[i, j]`` and ``row``
+    give GaussRationals in lowest terms, built on first use.
+    """
+
+    __slots__ = ("rows", "cols", "den", "re_num", "im_num", "_entries")
 
     def __init__(self, data: Sequence[Sequence[Entry]]):
         rows = len(data)
@@ -158,25 +198,50 @@ class GaussMatrix:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             ents.extend(GaussRational.of(x) for x in r)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(ents))
+        ents = tuple(ents)
+        self._set(rows, cols, *_pack(ents), ents)
+
+    def _set(self, rows, cols, den, re_num, im_num, entries):
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "cols", cols)
+        setattr_(self, "den", den)
+        setattr_(self, "re_num", re_num)
+        setattr_(self, "im_num", im_num)
+        setattr_(self, "_entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussMatrix is immutable")
 
     @classmethod
     def _raw(cls, rows: int, cols: int, entries: tuple) -> "GaussMatrix":
+        """A matrix from a row-major tuple of GaussRational entries."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        m._set(rows, cols, *_pack(entries), entries)
+        return m
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, den: int, re, im, reduced: bool = False) -> "GaussMatrix":
+        """A matrix from integer numerator sequences over den > 0.
+
+        Divides out the common factor unless the caller knows there is none.
+        """
+        re, im = tuple(re), tuple(im)
+        if not reduced and den != 1:
+            g = gcd(den, *re, *im)
+            if g != 1:
+                den //= g
+                re = tuple(x // g for x in re)
+                im = tuple(x // g for x in im)
+        m = object.__new__(cls)
+        m._set(rows, cols, den, re, im, None)
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "GaussMatrix":
         cols = rows if cols is None else cols
-        return cls._raw(rows, cols, (ZERO,) * (rows * cols))
+        z = (0,) * (rows * cols)
+        return cls._from_ints(rows, cols, 1, z, z, reduced=True)
 
     @classmethod
     def identity(cls, n: int) -> "GaussMatrix":
@@ -184,27 +249,55 @@ class GaussMatrix:
 
     @classmethod
     def diagonal(cls, values: Iterable[Entry]) -> "GaussMatrix":
-        vals = [GaussRational.of(v) for v in values]
-        n = len(vals)
-        ents = [ZERO] * (n * n)
-        for i, v in enumerate(vals):
-            ents[i * n + i] = v
-        return cls._raw(n, n, tuple(ents))
+        den, diag_re, diag_im = _pack([GaussRational.of(v) for v in values])
+        n = len(diag_re)
+        re, im = [0] * (n * n), [0] * (n * n)
+        re[:: n + 1], im[:: n + 1] = diag_re, diag_im
+        return cls._from_ints(n, n, den, re, im, reduced=True)
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["GaussMatrix"]]) -> "GaussMatrix":
         """Assemble from a 2-d grid of matrices with consistent edge sizes."""
-        data = []
+        den = lcm(*(b.den for band in grid for b in band))
+        re, im = [], []
+        rows, width = 0, None
         for band in grid:
             height = band[0].rows
             if any(b.rows != height for b in band):
                 raise ValueError("inconsistent block heights")
+            parts = []
+            for b in band:
+                f = den // b.den
+                if f == 1:
+                    parts.append((b.cols, b.re_num, b.im_num))
+                else:
+                    parts.append((b.cols, [x * f for x in b.re_num], [x * f for x in b.im_num]))
+            if width is None:
+                width = sum(c for c, _, _ in parts)
+            elif height and sum(c for c, _, _ in parts) != width:
+                raise ValueError("ragged rows")
             for i in range(height):
-                row = []
-                for b in band:
-                    row.extend(b.row(i))
-                data.append(row)
-        return cls(data)
+                for c, bre, bim in parts:
+                    re.extend(bre[i * c : (i + 1) * c])
+                    im.extend(bim[i * c : (i + 1) * c])
+            rows += height
+        if rows == 0:
+            raise ValueError("matrix needs at least one row")
+        # the lcm of reduced denominators keeps the form reduced (see _pack)
+        return cls._from_ints(rows, width, den, re, im, reduced=True)
+
+    @property
+    def entries(self) -> tuple:
+        """The row-major GaussRational entries, in lowest terms."""
+        ents = self._entries
+        if ents is None:
+            d = self.den
+            ents = tuple(
+                GaussRational(Fraction(x, d), Fraction(y, d))
+                for x, y in zip(self.re_num, self.im_num)
+            )
+            object.__setattr__(self, "_entries", ents)
+        return ents
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -213,15 +306,18 @@ class GaussMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        k = i * self.cols + j
+        if self._entries is not None:
+            return self._entries[k]
+        return GaussRational(Fraction(self.re_num[k], self.den), Fraction(self.im_num[k], self.den))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "GaussMatrix":
-        ents = tuple(
-            self.entries[i * self.cols + j]
-            for i in range(r0, r1)
-            for j in range(c0, c1)
-        )
-        return GaussMatrix._raw(r1 - r0, c1 - c0, ents)
+        re, im = [], []
+        for i in range(r0, r1):
+            base = i * self.cols
+            re.extend(self.re_num[base + c0 : base + c1])
+            im.extend(self.im_num[base + c0 : base + c1])
+        return GaussMatrix._from_ints(r1 - r0, c1 - c0, self.den, re, im)
 
     def _check_same_shape(self, other: "GaussMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -229,22 +325,41 @@ class GaussMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
+    def _combine(self, other: "GaussMatrix", op) -> "GaussMatrix":
         self._check_same_shape(other)
-        ents = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return GaussMatrix._raw(self.rows, self.cols, ents)
+        if self.den == other.den:
+            den = self.den
+            re = map(op, self.re_num, other.re_num)
+            im = map(op, self.im_num, other.im_num)
+        else:
+            den = lcm(self.den, other.den)
+            fa, fb = den // self.den, den // other.den
+            re = [op(x * fa, y * fb) for x, y in zip(self.re_num, other.re_num)]
+            im = [op(x * fa, y * fb) for x, y in zip(self.im_num, other.im_num)]
+        return GaussMatrix._from_ints(self.rows, self.cols, den, re, im)
+
+    def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
+        return self._combine(other, add)
 
     def __sub__(self, other: "GaussMatrix") -> "GaussMatrix":
-        self._check_same_shape(other)
-        ents = tuple(a - b for a, b in zip(self.entries, other.entries))
-        return GaussMatrix._raw(self.rows, self.cols, ents)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "GaussMatrix":
-        return GaussMatrix._raw(self.rows, self.cols, tuple(-a for a in self.entries))
+        return GaussMatrix._from_ints(
+            self.rows, self.cols, self.den, map(neg, self.re_num), map(neg, self.im_num), reduced=True
+        )
 
     def __mul__(self, scalar) -> "GaussMatrix":
-        s = GaussRational.of(scalar)
-        return GaussMatrix._raw(self.rows, self.cols, tuple(a * s for a in self.entries))
+        d, x, y = _scalar_ints(scalar)
+        re, im = self.re_num, self.im_num
+        if not y:
+            out_re, out_im = [a * x for a in re], [b * x for b in im]
+        elif not x:
+            out_re, out_im = [-b * y for b in im], [a * y for a in re]
+        else:
+            out_re = [a * x - b * y for a, b in zip(re, im)]
+            out_im = [a * y + b * x for a, b in zip(re, im)]
+        return GaussMatrix._from_ints(self.rows, self.cols, self.den * d, out_re, out_im)
 
     __rmul__ = __mul__
 
@@ -253,69 +368,85 @@ class GaussMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = []
+        n, k, m = self.rows, self.cols, other.cols
+        ar, ai = self.re_num, self.im_num
+        br, bi = other.re_num, other.im_num
+        b_real = not any(bi)
+        zero = [0] * m
+        out_re, out_im = [], []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = ZERO
-                for t in range(k):
-                    x = arow[t]
-                    if x.is_zero():
-                        continue
-                    acc = acc + x * b[t * m + j]
-                out.append(acc)
-        return GaussMatrix._raw(n, m, tuple(out))
+            acc_re = acc_im = zero
+            for t in range(k):
+                x, y = ar[i * k + t], ai[i * k + t]
+                if not (x or y):
+                    continue
+                rr, ri = br[t * m : (t + 1) * m], bi[t * m : (t + 1) * m]
+                if not y:
+                    acc_re = [s + x * q for s, q in zip(acc_re, rr)]
+                    if not b_real:
+                        acc_im = [s + x * q for s, q in zip(acc_im, ri)]
+                elif not x:
+                    acc_im = [s + y * q for s, q in zip(acc_im, rr)]
+                    if not b_real:
+                        acc_re = [s - y * q for s, q in zip(acc_re, ri)]
+                else:
+                    acc_re = [s + x * q - y * r for s, q, r in zip(acc_re, rr, ri)]
+                    acc_im = [s + x * r + y * q for s, q, r in zip(acc_im, rr, ri)]
+            out_re += acc_re
+            out_im += acc_im
+        return GaussMatrix._from_ints(n, m, self.den * other.den, out_re, out_im)
+
+    def _transposed(self, conjugate: bool) -> "GaussMatrix":
+        c = self.cols
+        re, im = [], []
+        for j in range(c):
+            re.extend(self.re_num[j::c])
+            im.extend(self.im_num[j::c])
+        if conjugate:
+            im = map(neg, im)
+        return GaussMatrix._from_ints(c, self.rows, self.den, re, im, reduced=True)
 
     def conj_transpose(self) -> "GaussMatrix":
-        ents = tuple(
-            self.entries[i * self.cols + j].conjugate()
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return GaussMatrix._raw(self.cols, self.rows, ents)
+        return self._transposed(conjugate=True)
 
     def transpose(self) -> "GaussMatrix":
-        ents = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return GaussMatrix._raw(self.cols, self.rows, ents)
+        return self._transposed(conjugate=False)
 
     def trace(self) -> GaussRational:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.entries[i * self.cols + i]
-        return acc
+        step = self.cols + 1
+        return GaussRational(
+            Fraction(sum(self.re_num[::step]), self.den),
+            Fraction(sum(self.im_num[::step]), self.den),
+        )
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not (any(self.re_num) or any(self.im_num))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def inverse(self) -> "GaussMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+        """Exact inverse by fraction-free elimination; raises if singular.
+
+        With a = N / den, elimination of [N | I] leaves [d*I | d*N^-1]
+        (see _bareiss), and a^-1 = den * N^-1 = den * conj(d) * (d*N^-1) / |d|^2.
+        """
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + list(GaussMatrix.identity(n).row(i)) for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = ONE / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return GaussMatrix([r[n:] for r in aug])
+        re_rows = [list(self.re_num[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+        im_rows = [list(self.im_num[i * n : (i + 1) * n]) + [0] * n for i in range(n)]
+        pivots, (dr, di) = _bareiss(re_rows, im_rows, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        s = self.den
+        re, im = [], []
+        for xr, xi in zip(re_rows, im_rows):
+            re.extend(s * (a * dr + b * di) for a, b in zip(xr[n:], xi[n:]))
+            im.extend(s * (b * dr - a * di) for a, b in zip(xr[n:], xi[n:]))
+        return GaussMatrix._from_ints(n, n, dr * dr + di * di, re, im)
 
     def to_complex(self) -> list:
         """Rows of Python complex numbers (lossy; for the numeric oracle only)."""
@@ -327,17 +458,76 @@ class GaussMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.re_num == other.re_num
+            and self.im_num == other.im_num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.re_num, self.im_num))
 
     def __repr__(self):
         body = "; ".join(
             " ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
         )
         return f"GaussMatrix[{body}]"
+
+
+def _bareiss(re_rows: list, im_rows: list, pivot_cols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
+
+    Bareiss (1968): the pivot step at (r, c) replaces every other row i by
+    (p * row_i - row_i[c] * row_r) / q, where p is the new pivot and q the
+    one before it (1 at the start).  By Sylvester's identity every entry
+    stays a minor of the input, so each division is exact and no fraction
+    is ever formed.  Pivots are sought in the first ``pivot_cols`` columns,
+    skipping a column with no nonzero entry at or below row r.
+
+    The rows (real and imaginary parts, all of one length) are reduced in
+    place: at the end every pivot row holds the last pivot d in its pivot
+    column and zeros in the other pivot columns, so a nonsingular square N
+    followed by I becomes [d*I | d*N^-1].  Returns the pivot columns and d
+    as a (re, im) pair.
+    """
+    nrows = len(re_rows)
+    pivots = []
+    qr, qi = 1, 0
+    for c in range(pivot_cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        found = next((i for i in range(r, nrows) if re_rows[i][c] or im_rows[i][c]), None)
+        if found is None:
+            continue
+        re_rows[r], re_rows[found] = re_rows[found], re_rows[r]
+        im_rows[r], im_rows[found] = im_rows[found], im_rows[r]
+        kr, ki = re_rows[r], im_rows[r]
+        pr, pi = kr[c], ki[c]
+        qn = qr * qr + qi * qi
+        for i in range(nrows):
+            if i == r:
+                continue
+            xr, xi = re_rows[i], im_rows[i]
+            fr, fi = xr[c], xi[c]
+            # t = p * x - f * k, entry by entry
+            tr = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, kr, ki)]
+            ti = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, kr, ki)]
+            if qi:
+                # t / q = t * conj(q) / |q|^2
+                re_rows[i] = [(a * qr + b * qi) // qn for a, b in zip(tr, ti)]
+                im_rows[i] = [(b * qr - a * qi) // qn for a, b in zip(tr, ti)]
+            else:
+                re_rows[i] = [a // qr for a in tr]
+                im_rows[i] = [b // qr for b in ti]
+        pivots.append(c)
+        qr, qi = pr, pi
+    return pivots, (qr, qi)
+
+
+def real_rank(matrices: Sequence[GaussMatrix]) -> int:
+    """Dimension of the real linear span of equally shaped matrices."""
+    rows = [list(m.re_num + m.im_num) for m in matrices]
+    return len(_bareiss(rows, [[0] * len(r) for r in rows], len(rows[0]))[0])
 
 
 def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
@@ -354,91 +544,46 @@ def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
 # (c0, c1, ..., 1) for the monic det(tI - a).
 
 
-def _poly_mul(p: Sequence[GaussRational], q: Sequence[GaussRational]):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else ZERO
-        b = q[i] if i < len(q) else ZERO
-        out.append(a + b)
-    return out
-
-
-def _poly_neg(p):
-    return [-a for a in p]
-
-
-def _det_poly(m) -> list:
-    """Determinant of a small matrix of polynomials by first-row expansion."""
-    n = len(m)
-    if n == 1:
-        return list(m[0][0])
-    total = [ZERO]
-    for j in range(n):
-        entry = m[0][j]
-        if all(c.is_zero() for c in entry):
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = _poly_mul(entry, _det_poly(minor))
-        if j % 2:
-            term = _poly_neg(term)
-        total = _poly_add(total, term)
-    return total
-
-
-def _char_poly_cofactor(a: GaussMatrix) -> list:
-    n = a.rows
-    # entry (i,j) of tI - a as an ascending-coefficient polynomial
-    m = [
-        [[-a[i, j], ONE if i == j else ZERO] for j in range(n)]
-        for i in range(n)
-    ]
-    return _det_poly(m)
-
-
-def _char_poly_berkowitz(a: GaussMatrix) -> list:
-    """Division-free characteristic polynomial (Samuelson-Berkowitz)."""
-    n = a.rows
-    # coefficient vector of det(tI - leading block), descending degree
-    vec = [ONE, -a[0, 0]]
-    for k in range(1, n):
-        # items: first column of the (k+2) x (k+1) Toeplitz transform
-        col = [GaussMatrix._raw(k, 1, tuple(a[i, k] for i in range(k)))]
-        lead = a.submatrix(0, k, 0, k)
-        for _ in range(k - 1):
-            col.append(lead @ col[-1])
-        row = GaussMatrix._raw(1, k, tuple(a[k, j] for j in range(k)))
-        items = [ONE, -a[k, k]] + [-(row @ c)[0, 0] for c in col]
-        new = []
-        for i in range(k + 2):
-            acc = ZERO
-            for j in range(min(i, k) + 1):
-                if i - j < len(items):
-                    acc = acc + items[i - j] * vec[j]
-            new.append(acc)
-        vec = new
-    return vec[::-1]
-
-
 def char_poly(a: GaussMatrix) -> tuple:
-    """Coefficients of det(tI - a), ascending and exact; the leading one is 1."""
+    """Coefficients of det(tI - a), ascending and exact; the leading one is 1.
+
+    Samuelson-Berkowitz, which needs no division, on the numerator matrix
+    N = den * a: det(tI - a) = den^-n det((den*t)I - N), so the coefficient
+    of t^j is that of N's polynomial over den^(n-j).
+    """
     if not a.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if a.rows <= 4:
-        coeffs = _char_poly_cofactor(a)
-    else:
-        coeffs = _char_poly_berkowitz(a)
-    return tuple(coeffs)
+    n, re, im = a.rows, a.re_num, a.im_num
+    # det(sI - N_k) of the leading k x k block N_k, descending in s
+    vr, vi = [1, -re[0]], [0, -im[0]]
+    for k in range(1, n):
+        # the column of N_(k+1) above its corner and the row left of it
+        cr, ci = re[k : k * n : n], im[k : k * n : n]
+        rr, ri = re[k * n : k * n + k], im[k * n : k * n + k]
+        # first column of the Toeplitz factor: 1, -N[k,k], -R C, -R N_k C, ...
+        tr, ti = [1, -re[k * n + k]], [0, -im[k * n + k]]
+        for step in range(k):
+            if step:
+                cr, ci = (
+                    [sum(re[i * n + j] * cr[j] - im[i * n + j] * ci[j] for j in range(k)) for i in range(k)],
+                    [sum(re[i * n + j] * ci[j] + im[i * n + j] * cr[j] for j in range(k)) for i in range(k)],
+                )
+            tr.append(-sum(x * y - u * v for x, u, y, v in zip(rr, ri, cr, ci)))
+            ti.append(-sum(x * v + u * y for x, u, y, v in zip(rr, ri, cr, ci)))
+        nr, ni = [], []
+        for i in range(k + 2):
+            sr = si = 0
+            for j in range(min(i, k) + 1):
+                sr += tr[i - j] * vr[j] - ti[i - j] * vi[j]
+                si += tr[i - j] * vi[j] + ti[i - j] * vr[j]
+            nr.append(sr)
+            ni.append(si)
+        vr, vi = nr, ni
+    d = a.den
+    return tuple(
+        GaussRational(Fraction(vr[n - j], d ** (n - j)), Fraction(vi[n - j], d ** (n - j)))
+        for j in range(n + 1)
+    )
 
 
 def poly_eval(coeffs: Sequence[GaussRational], a: GaussMatrix) -> GaussMatrix:

@@ -37,6 +37,16 @@ def test_check_parse_error_exit_code(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.json")]) == 2
 
 
+def test_check_unreadable_input_exit_code(tmp_path, capsys):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"p": 1, "f_u": "\xff\xfe"}')
+    for path in (binary, tmp_path):
+        assert run(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_check_json_output_validates(capsys):
     import jsonschema
 

@@ -1,0 +1,88 @@
+"""Byte-level golden outputs of ``geodesy check --json``.
+
+The digests were recorded with the per-entry Fraction kernel, before
+matrices stored integer numerators over a common denominator.  Every
+entry on the wire must stay in lowest terms ("1","2", never "2","4"),
+so any change in how entries are built or reduced changes a digest.
+"""
+
+import contextlib
+import hashlib
+import io
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from geodesy.candidates import embedding_with_rank, save_candidate
+from geodesy.checker import EmbeddingCandidate
+from geodesy.cli import run
+from geodesy.gaussmat import GaussMatrix, GaussRational
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = {
+    "candidates/diagonal_p2.json": "8bf539e82c139553323124df38a0b17ad6097a39d6cd3ff37dcb88dc2e529139",
+    "candidates/standard_trivial_p2.json": "06ff1a3198e3dc86c1cbbef33f8b5497d30b95f99b6b8179b643402f7daa653d",
+    "cayley_p3.json": "4329a01ce951f1a3714c1f25fac7155415ad225a8e0d528654422c061ad93dac",
+    "boost_p3.json": "e64305c28d46efdc8365910728b0f7b0b16c2533fa478c4afe2ebea50d3a7177",
+}
+
+
+def _conjugate(c: EmbeddingCandidate, g: GaussMatrix, g_inv: GaussMatrix) -> EmbeddingCandidate:
+    return EmbeddingCandidate(
+        shape=c.shape,
+        f_u=g @ c.f_u @ g_inv,
+        f_v=g @ c.f_v @ g_inv,
+        f_w=g @ c.f_w @ g_inv,
+    )
+
+
+def cayley_candidate() -> EmbeddingCandidate:
+    """Rank-2 embedding in su(3,3) conjugated by diag(C, C*), with C the
+    Cayley transform (I - A)(I + A)^-1 of a skew-Hermitian A: a unitary in
+    the compact subgroup with dense entries over unequal denominators."""
+    g = GaussRational
+    a = GaussMatrix([
+        [g(0, 1), g(1, 2), g(-2, 1)],
+        [g(-1, 2), g(0, -3), g(0, 1)],
+        [g(2, 1), g(0, 1), g(0, 2)],
+    ])
+    eye = GaussMatrix.identity(3)
+    c = (eye - a) @ (eye + a).inverse()
+    zero = GaussMatrix.zeros(3, 3)
+    u = GaussMatrix.block([[c, zero], [zero, c.conj_transpose()]])
+    return _conjugate(embedding_with_rank(3, 2), u, u.conj_transpose())
+
+
+def boost_candidate() -> EmbeddingCandidate:
+    """Rank-2 embedding in su(3,3) conjugated by the boost (a b; b a), with
+    a = 5/3 and b = 4/3, mixing plus coordinate 0 with minus coordinate 1:
+    still a homomorphism, but the image of w gains a tangent component."""
+    a, b = Fraction(5, 3), Fraction(4, 3)
+    rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    rows[0][0] = rows[4][4] = a
+    rows[0][4] = rows[4][0] = b
+    boost = GaussMatrix(rows)
+    return _conjugate(embedding_with_rank(3, 2), boost, boost.inverse())
+
+
+BUILT = {"cayley_p3.json": cayley_candidate, "boost_p3.json": boost_candidate}
+
+
+def check_json_digest(path: str) -> str:
+    """sha256 of the stdout of ``geodesy check PATH --json``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        run(["check", path, "--json"])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
+    if name in BUILT:
+        monkeypatch.chdir(tmp_path)
+        save_candidate(BUILT[name](), tmp_path / name)
+    else:
+        monkeypatch.chdir(ROOT)
+    assert check_json_digest(name) == GOLDEN[name]

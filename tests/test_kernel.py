@@ -1,0 +1,152 @@
+"""The fraction-free kernel against the per-entry reference in kernel_reference.
+
+Every property compares exact results entry by entry and demands that
+every entry the kernel hands out is a Fraction in lowest terms.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kernel_reference as ref
+from geodesy.gaussmat import GaussMatrix, GaussRational, char_poly, real_rank
+
+SIZES = st.integers(1, 4)
+ZERO = GaussRational(0)
+
+# small entries collide and cancel; large ones carry big, unequal denominators
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+large = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
+rationals = st.one_of(st.just(Fraction(0)), small, large)
+gaussians = st.builds(GaussRational, rationals, rationals)
+scalars = st.one_of(st.integers(-7, 7), rationals, gaussians)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    if draw(st.integers(0, 5)) == 0:
+        return GaussMatrix.zeros(rows, cols)
+    sparse = draw(st.booleans())
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), gaussians) if sparse else gaussians
+    return GaussMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def shaped(draw, count):
+    """count matrices of one shape, 1 x k and k x 1 included."""
+    rows, cols = draw(SIZES), draw(SIZES)
+    return [draw(matrices(rows, cols)) for _ in range(count)]
+
+
+@st.composite
+def squares(draw, max_size=4):
+    """Square matrices, a third of them singular: one row a combination of others."""
+    n = draw(st.integers(1, max_size))
+    m = draw(matrices(n, n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        rows = [list(m.row(i)) for i in range(n)]
+        a, b = draw(gaussians), draw(gaussians)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n // 2])]
+        m = GaussMatrix(rows)
+    return m
+
+
+def in_lowest_terms(x: Fraction) -> bool:
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+def assert_canonical(m: GaussMatrix, expected: tuple) -> None:
+    """m's entries equal the reference's and every one is in lowest terms."""
+    rows, cols, entries = expected
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == entries
+    for e in m.entries:
+        assert in_lowest_terms(e.re) and in_lowest_terms(e.im)
+    fresh = GaussMatrix._from_ints(m.rows, m.cols, m.den, m.re_num, m.im_num, reduced=True)
+    assert tuple(fresh[i, j] for i in range(rows) for j in range(cols)) == entries
+    assert tuple(x for i in range(rows) for x in fresh.row(i)) == entries
+
+
+@settings(deadline=None)
+@given(SIZES, SIZES, SIZES, st.data())
+def test_matmul_matches_reference(n, k, m, data):
+    a = data.draw(matrices(n, k))
+    b = data.draw(matrices(k, m))
+    assert_canonical(a @ b, ref.matmul(ref.unpack(a), ref.unpack(b)))
+
+
+@settings(deadline=None)
+@given(shaped(2), scalars)
+def test_linear_operations_match_reference(pair, s):
+    a, b = pair
+    ra, rb = ref.unpack(a), ref.unpack(b)
+    assert_canonical(a + b, ref.add(ra, rb))
+    assert_canonical(a - b, ref.sub(ra, rb))
+    assert_canonical(-a, ref.neg(ra))
+    assert_canonical(a * s, ref.scale(ra, s))
+    if not isinstance(s, GaussRational):  # GaussRational * matrix is not defined
+        assert_canonical(s * a, ref.scale(ra, s))
+
+
+@settings(deadline=None)
+@given(shaped(2))
+def test_equality_and_zero_test_match_reference(pair):
+    a, b = pair
+    assert (a == b) == (ref.unpack(a) == ref.unpack(b))
+    assert a.is_zero() == ref.is_zero(ref.unpack(a))
+    assert (a - b).is_zero() == (a == b)
+    assert (a - a).is_zero() and a - a == GaussMatrix.zeros(a.rows, a.cols)
+    # one value built along other routes is one matrix, with one hash
+    twin = GaussMatrix([list(a.row(i)) for i in range(a.rows)])
+    assert twin == a and hash(twin) == hash(a)
+    rebuilt = (a + b) - b
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@settings(deadline=None)
+@given(squares())
+def test_inverse_matches_reference(a):
+    try:
+        expected = ref.inverse(ref.unpack(a))
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.inverse()
+        return
+    assert_canonical(a.inverse(), expected)
+
+
+@settings(deadline=None)
+@given(squares(max_size=5))
+def test_char_poly_matches_cofactor(a):
+    coeffs = char_poly(a)
+    assert coeffs == ref.char_poly_cofactor(a)
+    assert all(in_lowest_terms(c.re) and in_lowest_terms(c.im) for c in coeffs)
+
+
+@settings(deadline=None)
+@given(shaped(3), rationals, rationals, st.sampled_from(["free", "real", "complex", "zero"]))
+def test_real_rank_matches_reference(triple, alpha, beta, relation):
+    f_u, f_v, f_w = triple
+    if relation == "real":
+        # realified rows of f_u, f_v, f_w are dependent
+        f_w = f_u * alpha + f_v * beta
+    elif relation == "complex":
+        # complex multiples are independent over the reals unless real
+        f_w = f_u * GaussRational(alpha, beta)
+    elif relation == "zero":
+        f_w = GaussMatrix.zeros(f_u.rows, f_u.cols)
+    for ms in ([f_u, f_v, f_w], [f_u, f_w], [f_w], [f_u, f_u * 2, f_v]):
+        assert real_rank(ms) == ref.rational_rank(ref.realify(ms))
+
+
+def test_large_unequal_denominators_reduce():
+    a = GaussMatrix([[Fraction(1, 2**61 - 1), Fraction(3, 10**12)], [GaussRational(0, Fraction(7, 9)), 1]])
+    b = GaussMatrix([[Fraction(2**61 - 1, 5), 0], [0, Fraction(10**12, 3)]])
+    product = a @ b
+    assert_canonical(product, ref.matmul(ref.unpack(a), ref.unpack(b)))
+    assert product[0, 0] == GaussRational(Fraction(1, 5))
+    assert product[0, 1] == GaussRational(1)
+    assert_canonical(a.inverse() @ a, ref.unpack(GaussMatrix.identity(2)))
