@@ -19,19 +19,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-p", type=int, default=4)
     parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
     print(f"{'p':>3} {'tables':>7} {'feasible':>9} {'infeasible':>11} {'seconds':>8}")
     for p in range(1, args.max_p + 1):
         start = time.monotonic()
-        summary = verify_theorem(p, jobs=args.jobs)
+        summary = verify_theorem(p)
         elapsed = time.monotonic() - start
         with open(args.out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
             json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        write_certificates(summary.results, args.out / f"certificates_p{p}")
+        write_certificates(summary.results(), args.out / f"certificates_p{p}")
         print(
             f"{p:>3} {summary.enumerated:>7} {summary.feasible:>9} "
             f"{summary.infeasible:>11} {elapsed:>8.2f}"

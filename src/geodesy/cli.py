@@ -1,7 +1,7 @@
 """Command-line surface: check, classify, oracle, selftest.
 
 Exit codes: 0 success, 1 failed checks or a violated classification,
-2 usage/parse errors, 3 unresolved weight tables.
+2 usage/parse errors or unwritable certificates, 3 unresolved weight tables.
 """
 
 from __future__ import annotations
@@ -22,14 +22,6 @@ from .weights import WeightData
 
 MAX_P = 8
 _WEIGHT_LIST = re.compile(r"^-?\d+:\d+(,-?\d+:\d+)*$")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("GEODESY_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _preprocess(argv):
@@ -77,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("p", type=int, help=f"rank, 1..{MAX_P}")
     p_classify.add_argument("--max-weight", type=int, default=None)
     p_classify.add_argument("--json", action="store_true")
-    p_classify.add_argument("--jobs", type=int, default=_default_jobs())
     p_classify.add_argument("--emit-certs", metavar="DIR", default=None)
 
     p_oracle = sub.add_parser("oracle", help="numeric residual minimization for a pattern")
@@ -155,14 +146,39 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+class DigestCollision(Exception):
+    """Two tables would be written to the same certificate file."""
+
+
 def write_certificates(results, directory: Path) -> None:
-    """Write one certificate per table into directory, named by the table's digest."""
+    """Write one certificate per table into directory, named by the table's digest.
+
+    Each file is written under a temporary name in the same directory and
+    renamed into place, so a reader never sees a partial certificate.
+    Raises DigestCollision when a second table has a digest already written.
+    """
     directory.mkdir(parents=True, exist_ok=True)
+    written = set()
     for result in results:
-        path = directory / f"{result.weight_data.digest()}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        digest = result.weight_data.digest()
+        path = directory / f"{digest}.json"
+        if digest in written:
+            # only digests are kept; the first table is read back from its file
+            first = json.loads(path.read_text(encoding="utf-8"))["weight_data"]
+            raise DigestCollision(
+                f"tables {WeightData.from_json_dict(first).describe()} and "
+                f"{result.weight_data.describe()} share the certificate name {path.name}"
+            )
+        written.add(digest)
+        tmp = directory / f".{digest}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def cmd_classify(args) -> int:
@@ -173,7 +189,7 @@ def cmd_classify(args) -> int:
         print("error: --max-weight must be at least 1", file=sys.stderr)
         return 2
     try:
-        summary = verify_theorem(args.p, max_weight=args.max_weight, jobs=max(1, args.jobs))
+        summary = verify_theorem(args.p, max_weight=args.max_weight)
     except UnresolvedRemains as err:
         print(f"error: unresolved weight tables remain: {err}", file=sys.stderr)
         return 3
@@ -181,7 +197,14 @@ def cmd_classify(args) -> int:
         print(f"error: classification violated: {err}", file=sys.stderr)
         return 1
     if args.emit_certs:
-        write_certificates(summary.results, Path(args.emit_certs))
+        try:
+            write_certificates(summary.results(), Path(args.emit_certs))
+        except DigestCollision as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        except OSError as err:
+            print(f"error: cannot write certificates to {args.emit_certs}: {err.strerror}", file=sys.stderr)
+            return 2
     if args.json:
         _emit(summary.to_json_dict())
     else:
@@ -190,15 +213,10 @@ def cmd_classify(args) -> int:
         print(f"feasible: {summary.feasible}")
         print(f"infeasible: {summary.infeasible}")
         print(f"unresolved: {summary.unresolved}")
-        by_key = {r.weight_data.key(): r for r in summary.results}
         print("feasible classes:")
         for cls in summary.classes:
             flag = " [non-embedding]" if cls.non_embedding else ""
-            notes = []
-            result = by_key[cls.weight_data.key()]
-            for verdict in (result.odd, result.even):
-                for t in verdict.witness.terminal:
-                    notes.append(f"{t.label}: U U* = U* U = {t.scale_sq}")
+            notes = [f"{t.label}: U U* = U* U = {t.scale_sq}" for t in cls.terminal]
             note = f" ({'; '.join(notes)})" if notes else ""
             print(f"  {cls.label()}{flag}: {cls.weight_data.describe()}{note}")
         print("theorem verified: every feasible class has all raising blocks zero")

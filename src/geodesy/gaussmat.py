@@ -68,21 +68,41 @@ class GaussRational:
             return cls(value[0], value[1])
         raise TypeError(f"cannot coerce {value!r} to GaussRational")
 
+    @classmethod
+    def _operand(cls, value) -> "GaussRational | None":
+        """value as a GaussRational, or None so that an operator can return
+        NotImplemented and let the other operand (a GaussMatrix) answer."""
+        if isinstance(value, GaussRational):
+            return value
+        try:
+            return cls.of(value)
+        except TypeError:
+            return None
+
     def __add__(self, other):
-        other = GaussRational.of(other)
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRational.of(other)
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussRational.of(other) - self
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = GaussRational.of(other)
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -91,7 +111,9 @@ class GaussRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRational.of(other)
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -101,7 +123,10 @@ class GaussRational:
         )
 
     def __rtruediv__(self, other):
-        return GaussRational.of(other) / self
+        other = GaussRational._operand(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __neg__(self):
         return GaussRational(-self.re, -self.im)
@@ -123,9 +148,8 @@ class GaussRational:
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = GaussRational.of(other)
-        except TypeError:
+        other = GaussRational._operand(other)
+        if other is None:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 

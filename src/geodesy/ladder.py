@@ -28,11 +28,12 @@ dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix, GaussRational
-from .weights import WeightData, enumerate_weight_data
+from .weights import Dims, WeightData, enumerate_sectors, pair_sectors
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -65,16 +66,14 @@ class BlockUnknown:
     target_weight: int
     rows: int
     cols: int
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.target_weight - self.source_weight != 2:
             raise ValueError("blocks raise the weight by exactly 2")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("block dimensions must be positive")
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}[{self.source_weight}->{self.target_weight}]"
+        object.__setattr__(self, "label", f"{self.kind}[{self.source_weight}->{self.target_weight}]")
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,12 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> BlockSystem
     if sector is None:
         sector = _infer_sector(wd)
     unknowns: Dict[str, BlockUnknown] = {}
+    by_source: Dict[Tuple[str, int], BlockUnknown] = {}
 
     def add(kind, src, tgt, rows, cols):
         u = BlockUnknown(kind, src, tgt, rows, cols)
         unknowns[u.label] = u
-        return u
+        by_source[kind, src] = u
 
     for w in sorted(wd.plus, reverse=True):
         if w + 2 in wd.plus:
@@ -222,20 +222,18 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> BlockSystem
         if w + 2 in wd.plus:
             add(CROSS, w, w + 2, wd.plus[w + 2], wd.minus[w])
 
-    def find(kind, src):
-        label = f"{kind}[{src}->{src + 2}]"
-        return unknowns.get(label)
+    find = by_source.get  # (kind, source weight) -> unknown
 
     diagonal: List[DiagonalEquation] = []
     for w in sorted(wd.plus, reverse=True):
         terms = []
-        e_in = find(PLUS_RAISE, w - 2)
+        e_in = find((PLUS_RAISE, w - 2))
         if e_in:
             terms.append(GramTerm(-1, e_in, OUTER))
-        e_out = find(PLUS_RAISE, w)
+        e_out = find((PLUS_RAISE, w))
         if e_out:
             terms.append(GramTerm(+1, e_out, INNER))
-        z_in = find(CROSS, w - 2)
+        z_in = find((CROSS, w - 2))
         if z_in:
             terms.append(GramTerm(+1, z_in, OUTER))
         diagonal.append(
@@ -243,13 +241,13 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> BlockSystem
         )
     for w in sorted(wd.minus, reverse=True):
         terms = []
-        f_in = find(MINUS_RAISE, w - 2)
+        f_in = find((MINUS_RAISE, w - 2))
         if f_in:
             terms.append(GramTerm(-1, f_in, OUTER))
-        f_out = find(MINUS_RAISE, w)
+        f_out = find((MINUS_RAISE, w))
         if f_out:
             terms.append(GramTerm(+1, f_out, INNER))
-        z_out = find(CROSS, w)
+        z_out = find((CROSS, w))
         if z_out:
             terms.append(GramTerm(-1, z_out, INNER))
         diagonal.append(
@@ -260,12 +258,12 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> BlockSystem
     shared = sorted(set(wd.plus) & set(wd.minus), reverse=True)
     for w in shared:
         terms = []
-        e_out = find(PLUS_RAISE, w)
-        z_out = find(CROSS, w)
+        e_out = find((PLUS_RAISE, w))
+        z_out = find((CROSS, w))
         if e_out and z_out:
             terms.append(ProductTerm(+1, (e_out, True), (z_out, False)))
-        z_in = find(CROSS, w - 2)
-        f_in = find(MINUS_RAISE, w - 2)
+        z_in = find((CROSS, w - 2))
+        f_in = find((MINUS_RAISE, w - 2))
         if z_in and f_in:
             terms.append(ProductTerm(-1, (z_in, False), (f_in, True)))
         if terms:
@@ -664,12 +662,69 @@ def classify_weight_data(wd: WeightData) -> DatumClassification:
     )
 
 
+@dataclass(frozen=True)
+class SectorVerdict:
+    """One decided sector.  Only a feasible sector keeps its system: any
+    other is derived again on demand, since derive_constraints is
+    deterministic."""
+
+    weight_data: WeightData
+    verdict: Verdict
+    system: Optional[BlockSystem]
+
+    def derived_system(self) -> BlockSystem:
+        if self.system is not None:
+            return self.system
+        return derive_constraints(self.weight_data, sector=self.verdict.sector)
+
+
+def _decide(groups: Dict[Dims, List[WeightData]], sector: str) -> Dict[Dims, List[SectorVerdict]]:
+    """Derive and eliminate every sector once."""
+    decided = {}
+    for dims, group in groups.items():
+        entries = []
+        for wd in group:
+            system = derive_constraints(wd, sector=sector)
+            verdict = eliminate(system)
+            entries.append(SectorVerdict(wd, verdict, system if verdict.status == "feasible" else None))
+        decided[dims] = entries
+    return decided
+
+
+def _pair_counts(odd_group: List[SectorVerdict], even_group: List[SectorVerdict]) -> Counter:
+    """Status counts of every table pairing the two groups: infeasible if a
+    sector is, else unresolved if a sector is, else feasible."""
+    odd = Counter(s.verdict.status for s in odd_group)
+    even = Counter(s.verdict.status for s in even_group)
+    tables = len(odd_group) * len(even_group)
+    open_tables = (len(odd_group) - odd["infeasible"]) * (len(even_group) - even["infeasible"])
+    feasible = odd["feasible"] * even["feasible"]
+    return Counter(infeasible=tables - open_tables, unresolved=open_tables - feasible, feasible=feasible)
+
+
+def _stream(
+    p: int, odd: Dict[Dims, List[SectorVerdict]], even: Dict[Dims, List[SectorVerdict]]
+) -> Iterator[DatumClassification]:
+    """Every table of rank p with its classification, from the sector
+    product.  Each sector's system is derived once per pass: an odd group's
+    systems one at a time, its even partner group's all together."""
+    for odd_group, even_group in pair_sectors(p, odd, even):
+        evens = [(e, e.derived_system()) for e in even_group]
+        for o in odd_group:
+            odd_system = o.derived_system()
+            for e, even_system in evens:
+                yield DatumClassification(
+                    o.weight_data.combine(e.weight_data), odd_system, even_system, o.verdict, e.verdict
+                )
+
+
 @dataclass
 class FeasibleClass:
     standard_copies: int
     trivial_dim: int
     weight_data: WeightData
     non_embedding: bool
+    terminal: Tuple[TerminalBlock, ...]  # the odd sector's, then the even sector's
 
     def label(self) -> str:
         parts = []
@@ -698,7 +753,12 @@ class ClassificationSummary:
     infeasible: int
     unresolved: int
     classes: List[FeasibleClass]
-    results: List[DatumClassification]
+    odd: Dict[Dims, List[SectorVerdict]]
+    even: Dict[Dims, List[SectorVerdict]]
+
+    def results(self) -> Iterator[DatumClassification]:
+        """Every enumerated table's classification, built on demand."""
+        return _stream(self.p, self.odd, self.even)
 
     def to_json_dict(self) -> dict:
         return {
@@ -746,8 +806,13 @@ def _check_feasible_shape(result: DatumClassification) -> None:
             )
 
 
-def verify_theorem(p: int, max_weight: int | None = None, jobs: int = 1) -> ClassificationSummary:
-    """Enumerate, derive, and eliminate every admissible table for rank p.
+def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
+    """Classify every admissible table of rank p, one distinct sector at a time.
+
+    A table is one odd sector joined with one even sector of complementary
+    dimensions (weights.enumerate_sectors).  Each sector is derived and
+    eliminated once, the counts come from the per-dimension products, and a
+    table is built only when both its sectors are feasible.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -757,26 +822,29 @@ def verify_theorem(p: int, max_weight: int | None = None, jobs: int = 1) -> Clas
         raise ValueError("p must be at least 1")
     if max_weight is None:
         max_weight = 2 * p - 1
-    data = list(enumerate_weight_data(p, max_weight))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    odd_sectors, even_sectors = enumerate_sectors(p, max_weight)
+    odd = _decide(odd_sectors, "odd")
+    even = _decide(even_sectors, "even")
+    counts: Counter = Counter()
+    feasible = []
+    for odd_group, even_group in pair_sectors(p, odd, even):
+        counts += _pair_counts(odd_group, even_group)
+        feasible += [
+            DatumClassification(o.weight_data.combine(e.weight_data), o.system, e.system, o.verdict, e.verdict)
+            for o in odd_group
+            if o.verdict.status == "feasible"
+            for e in even_group
+            if e.verdict.status == "feasible"
+        ]
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(classify_weight_data, data))
-    else:
-        results = [classify_weight_data(wd) for wd in data]
-
-    unresolved = [r for r in results if r.status == "unresolved"]
-    if unresolved:
-        first = unresolved[0]
+    if counts["unresolved"]:
+        first = next(r for r in _stream(p, odd, even) if r.status == "unresolved")
         raise UnresolvedRemains(
-            f"{len(unresolved)} weight table(s) unresolved, first: "
+            f"{counts['unresolved']} weight table(s) unresolved, first: "
             f"{first.weight_data.describe()}"
         )
     classes = []
-    for r in results:
-        if r.status != "feasible":
-            continue
+    for r in feasible:
         _check_feasible_shape(r)
         classes.append(
             FeasibleClass(
@@ -784,17 +852,18 @@ def verify_theorem(p: int, max_weight: int | None = None, jobs: int = 1) -> Clas
                 trivial_dim=2 * p - 2 * r.standard_copies,
                 weight_data=r.weight_data,
                 non_embedding=r.non_embedding,
+                terminal=r.odd.witness.terminal + r.even.witness.terminal,
             )
         )
     classes.sort(key=lambda c: c.standard_copies, reverse=True)
-    feasible = len(classes)
     return ClassificationSummary(
         p=p,
         max_weight=max_weight,
-        enumerated=len(results),
-        feasible=feasible,
-        infeasible=len(results) - feasible,
+        enumerated=sum(counts.values()),
+        feasible=counts["feasible"],
+        infeasible=counts["infeasible"],
         unresolved=0,
         classes=classes,
-        results=results,
+        odd=odd,
+        even=even,
     )

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+
+Dims = Tuple[int, int]  # (dim_plus, dim_minus)
 
 
 def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
@@ -84,6 +86,11 @@ class WeightData:
 
     def even_sector(self) -> "WeightData":
         return self.sector(0)
+
+    def combine(self, other: "WeightData") -> "WeightData":
+        """The table holding both tables' weights, which must be disjoint
+        (an odd sector and an even sector combine into a whole table)."""
+        return WeightData({**self.plus, **other.plus}, {**self.minus, **other.minus})
 
     # -- canonical forms -------------------------------------------------
 
@@ -168,14 +175,15 @@ class Layout:
 # Enumeration
 
 
-def _partitions(total: int, max_part: int) -> Iterator[List[int]]:
-    """Partitions of total into parts <= max_part, descending, largest first."""
+def _partitions(total: int, parts: Sequence[int]) -> Iterator[List[int]]:
+    """Partitions of total into the given part sizes (descending), largest first."""
     if total == 0:
         yield []
         return
-    for part in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield [part] + rest
+    for i, part in enumerate(parts):
+        if part <= total:
+            for rest in _partitions(total - part, parts[i:]):
+                yield [part] + rest
 
 
 def _total_spectrum(partition: List[int]) -> Dict[int, int]:
@@ -202,6 +210,29 @@ def _splits(weights: List[int], totals: List[int], target: int) -> Iterator[List
             yield [a] + rest
 
 
+def _bounds(p: int, max_weight: int | None) -> int:
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if max_weight is None:
+        max_weight = 2 * p - 1
+    if max_weight < 1:
+        raise ValueError("max_weight must be at least 1")
+    return max_weight
+
+
+def _split_tables(partition: List[int], dims_plus: Sequence[int]) -> Iterator[WeightData]:
+    """Every split of the partition's weight multiset into a plus block of
+    each dimension in dims_plus and a minus block holding the rest."""
+    total = _total_spectrum(partition)
+    weights = sorted(total, reverse=True)
+    totals = [total[w] for w in weights]
+    for dim_plus in dims_plus:
+        for pick in _splits(weights, totals, dim_plus):
+            plus = {w: a for w, a in zip(weights, pick) if a > 0}
+            minus = {w: t - a for w, t, a in zip(weights, totals, pick) if t - a > 0}
+            yield WeightData(plus, minus)
+
+
 def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[WeightData]:
     """Every admissible WeightData with both block dimensions equal to p.
 
@@ -210,21 +241,10 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     one never adds anything.  Enumeration order is lexicographic on the
     combined multiplicity vectors, smallest first.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if max_weight is None:
-        max_weight = 2 * p - 1
-    if max_weight < 1:
-        raise ValueError("max_weight must be at least 1")
+    max_weight = _bounds(p, max_weight)
     found = []
-    for partition in _partitions(2 * p, max_weight + 1):
-        total = _total_spectrum(partition)
-        weights = sorted(total, reverse=True)
-        totals = [total[w] for w in weights]
-        for pick in _splits(weights, totals, p):
-            plus = {w: a for w, a in zip(weights, pick) if a > 0}
-            minus = {w: t - a for w, t, a in zip(weights, totals, pick) if t - a > 0}
-            found.append(WeightData(plus, minus))
+    for partition in _partitions(2 * p, range(max_weight + 1, 0, -1)):
+        found.extend(_split_tables(partition, [p]))
     span = range(max_weight, -max_weight - 1, -1)
 
     def lex_key(wd: WeightData):
@@ -236,3 +256,41 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
         if wd.key() not in seen:
             seen.add(wd.key())
             yield wd
+
+
+def enumerate_sectors(
+    p: int, max_weight: int | None = None
+) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
+    """The admissible single-parity tables that can pair into rank p.
+
+    Admissibility only links weights of the same parity, so a table of rank
+    p is exactly one odd sector with dimensions (a, b) joined with one even
+    sector with dimensions (p - a, p - b).  Odd weights come from the
+    even-dimensional irreducibles and even weights from the odd-dimensional
+    ones; both sectors have even total dimension, and each block of a sector
+    has dimension at most p.  Returns (odd, even), each mapping
+    (dim_plus, dim_minus) to its sectors; the empty sector is (0, 0).
+    """
+    max_weight = _bounds(p, max_weight)
+    sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
+    for parity, groups in zip((1, 0), sectors):
+        # an irreducible of dimension d has weights of the parity of d - 1
+        parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
+        for size in range(0, 2 * p + 1, 2):
+            dims_plus = range(max(0, size - p), min(p, size) + 1)
+            for partition in _partitions(size, parts):
+                for wd in _split_tables(partition, dims_plus):
+                    groups.setdefault((wd.dim_plus, wd.dim_minus), []).append(wd)
+    return sectors
+
+
+def pair_sectors(
+    p: int, odd: Mapping[Dims, list], even: Mapping[Dims, list]
+) -> Iterator[Tuple[list, list]]:
+    """(odd group, even group) for each split of rank p: the odd sectors of
+    dimensions (a, b) with the even sectors of dimensions (p - a, p - b).
+    Every pairing of their members is one table of rank p, each table once."""
+    for (a, b), odd_group in odd.items():
+        even_group = even.get((p - a, p - b))
+        if even_group:
+            yield odd_group, even_group

@@ -59,7 +59,7 @@ def test_criterion_2_odd_sector_feasible_shape():
     with criterion(2, "odd feasible class is the unitary +/-1 pattern"):
         for p in (1, 2, 3, 4):
             summary = verify_theorem(p)
-            for result in summary.results:
+            for result in summary.results():
                 if result.status != "feasible":
                     continue
                 odd = result.weight_data.odd_sector()

@@ -4,7 +4,7 @@ from pathlib import Path
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
 from geodesy.cli import run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
-from geodesy.weights import WeightData
+from geodesy.weights import WeightData, enumerate_weight_data
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -125,20 +125,44 @@ def test_classify_emitted_certificates_replay(tmp_path, capsys):
             replay_certificate(system, verdict)
 
 
-def test_classify_jobs_flag_matches_serial(capsys):
-    assert run(["classify", "2", "--json"]) == 0
-    serial = capsys.readouterr().out
-    assert run(["classify", "2", "--json", "--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_classify_certificate_name_collision_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(WeightData, "digest", lambda self: "0" * 16)
+    code = run(["classify", "1", "--emit-certs", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    tables = [wd.describe() for wd in enumerate_weight_data(1)]
+    assert sum(t in lines[0] for t in tables) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["0" * 16 + ".json"]
 
 
-def test_jobs_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("GEODESY_JOBS", "3")
-    from geodesy.cli import build_parser
+def test_certificate_write_is_atomic(tmp_path, monkeypatch, capsys):
+    assert run(["classify", "1", "--emit-certs", str(tmp_path)]) == 0
+    capsys.readouterr()
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert len(before) == 3 and all(name.endswith(".json") for name in before)
 
-    args = build_parser().parse_args(["classify", "2"])
-    assert args.jobs == 3
+    import geodesy.cli as cli_mod
+
+    def failing_dump(doc, fh, **kwargs):
+        fh.write('{"weight_data": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_mod.json, "dump", failing_dump)
+    assert run(["classify", "1", "--emit-certs", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write certificates")
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_classify_unwritable_certificate_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    assert run(["classify", "1", "--emit-certs", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_oracle_pattern_flags(capsys):

@@ -1,9 +1,13 @@
-"""Byte-level golden outputs of ``geodesy check --json``.
+"""Byte-level golden outputs of ``geodesy check --json`` and ``geodesy classify``.
 
-The digests were recorded with the per-entry Fraction kernel, before
-matrices stored integer numerators over a common denominator.  Every
-entry on the wire must stay in lowest terms ("1","2", never "2","4"),
-so any change in how entries are built or reduced changes a digest.
+The ``check`` digests were recorded with the per-entry Fraction kernel,
+before matrices stored integer numerators over a common denominator.
+Every entry on the wire must stay in lowest terms ("1","2", never
+"2","4"), so any change in how entries are built or reduced changes a
+digest.  The ``classify`` digests were recorded while every table was
+still derived and eliminated on its own, before tables were classified
+by sector: the verdicts, counts, class order and certificates must not
+depend on how the work is shared.
 """
 
 import contextlib
@@ -70,6 +74,28 @@ def boost_candidate() -> EmbeddingCandidate:
 BUILT = {"cayley_p3.json": cayley_candidate, "boost_p3.json": boost_candidate}
 
 
+CLASSIFY_GOLDEN = {
+    ("classify", "1", "--json"): "1435ce4579275da066bb6595fcd7ae1dfdbeb86c581aa81d4e98c946f25dbdf9",
+    ("classify", "2", "--json"): "3a2317631612d7643fe842762564dfcd8f191ec20d762fc5ad988ab104b19382",
+    ("classify", "3", "--json"): "9f0d03ac1b2474652580d9403dc6aa1cac4569be7fd4eb5dc6d6403e26ab2a4d",
+    ("classify", "4", "--json"): "16166d082a91b456041868ff1aae10fd71215d9850d0a507f30c046689faaede",
+    ("classify", "5", "--json"): "b9ec72a633ae66f9f5254f07483c1bbb61b45be8db17d07dcae508f33c5ef475",
+    ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
+    ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",
+}
+# one sha256 over the sorted (file name, bytes) pairs of the certificates
+# that `classify p --emit-certs` writes for p = 1..4
+CERTIFICATES_GOLDEN = "d845ec37691224be0a235206dcdeb0e8f4c4a954b89bf5dbb64c6f0da4a69d73"
+
+
+def cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(list(argv))
+    assert code == 0, f"{argv} exited {code}"
+    return out.getvalue()
+
+
 def check_json_digest(path: str) -> str:
     """sha256 of the stdout of ``geodesy check PATH --json``."""
     out = io.StringIO()
@@ -86,3 +112,20 @@ def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
     else:
         monkeypatch.chdir(ROOT)
     assert check_json_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", sorted(CLASSIFY_GOLDEN), ids=" ".join)
+def test_classify_matches_golden_digest(argv):
+    assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == CLASSIFY_GOLDEN[argv]
+
+
+def test_emitted_certificates_match_golden_digest(tmp_path):
+    pairs = []
+    for p in range(1, 5):
+        directory = tmp_path / f"p{p}"
+        cli_stdout(["classify", str(p), "--emit-certs", str(directory)])
+        pairs += [(f.name, f.read_bytes()) for f in directory.iterdir()]
+    digest = hashlib.sha256()
+    for name, data in sorted(pairs):
+        digest.update(name.encode() + b"\0" + data)
+    assert digest.hexdigest() == CERTIFICATES_GOLDEN

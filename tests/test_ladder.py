@@ -366,10 +366,34 @@ def test_verify_theorem_small_ranks():
     assert any(c.weight_data == mixed for c in summary3.classes)
 
 
-def test_verify_theorem_parallel_agrees():
-    sequential = verify_theorem(2, jobs=1)
-    parallel = verify_theorem(2, jobs=2)
-    assert sequential.to_json_dict() == parallel.to_json_dict()
+def test_verify_theorem_results_match_per_table_classification():
+    for p in (1, 2, 3):
+        summary = verify_theorem(p)
+        streamed = {r.weight_data: r for r in summary.results()}
+        assert len(streamed) == summary.enumerated
+        assert set(streamed) == set(enumerate_weight_data(p))
+        for wd, result in streamed.items():
+            assert result.to_json_dict() == classify_weight_data(wd).to_json_dict()
+            assert result.odd_system == derive_constraints(wd.odd_sector(), sector="odd")
+            assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
+
+
+def test_verify_theorem_derives_each_sector_once(monkeypatch):
+    import geodesy.ladder as ladder_mod
+
+    derived = []
+    original = ladder_mod.derive_constraints
+
+    def counting(wd, sector=None):
+        derived.append((sector, wd.key()))
+        return original(wd, sector=sector)
+
+    monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
+    summary = ladder_mod.verify_theorem(4)
+    assert summary.enumerated == 533
+    assert len(derived) == len(set(derived)) == sum(
+        len(group) for groups in (summary.odd, summary.even) for group in groups.values()
+    )
 
 
 def test_verify_theorem_flags_unresolved(monkeypatch):

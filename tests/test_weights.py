@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geodesy.weights import WeightData, enumerate_weight_data
+from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, pair_sectors
 
 
 def test_validation():
@@ -75,6 +75,44 @@ def test_enumeration_is_deterministic():
     first = [wd.key() for wd in enumerate_weight_data(3)]
     second = [wd.key() for wd in enumerate_weight_data(3)]
     assert first == second
+
+
+def sector_product(p, max_weight=None):
+    odd, even = enumerate_sectors(p, max_weight)
+    for odd_group, even_group in pair_sectors(p, odd, even):
+        for o in odd_group:
+            for e in even_group:
+                yield o.combine(e)
+
+
+@pytest.mark.parametrize("max_weight", [1, 2, 3, None])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_sector_product_is_the_enumeration(p, max_weight):
+    product = list(sector_product(p, max_weight))
+    assert len(set(product)) == len(product)
+    assert set(product) == set(enumerate_weight_data(p, max_weight))
+
+
+def test_sector_product_counts():
+    counts = []
+    for p in range(1, 7):
+        odd, even = enumerate_sectors(p)
+        counts.append(sum(len(o) * len(e) for o, e in pair_sectors(p, odd, even)))
+    assert counts == [3, 18, 99, 533, 2773, 13993]
+    odd, even = enumerate_sectors(5)
+    assert sum(map(len, odd.values())) == 1078 and sum(map(len, even.values())) == 872
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sector_invariants(p):
+    odd, even = enumerate_sectors(p)
+    for parity, groups in ((1, odd), (0, even)):
+        for (a, b), group in groups.items():
+            assert a <= p and b <= p and (a + b) % 2 == 0
+            for wd in group:
+                assert (wd.dim_plus, wd.dim_minus) == (a, b)
+                assert wd.is_admissible() and wd.sector(parity) == wd
+    assert odd[0, 0] == [WeightData({}, {})] and even[0, 0] == [WeightData({}, {})]
 
 
 def test_max_weight_bound_prunes():
