@@ -14,14 +14,7 @@ from typing import Dict, List
 from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import ZERO, GaussMatrix, GaussRational, I
-from .ladder import (
-    CROSS,
-    MINUS_RAISE,
-    PLUS_RAISE,
-    DatumClassification,
-    WitnessError,
-    instantiate_witness,
-)
+from .ladder import DatumClassification, WitnessError, instantiate_witness
 
 class CandidateFormatError(ValueError):
     """Malformed candidate document; the message carries a field diagnostic."""
@@ -43,9 +36,12 @@ def _entry_from_json(raw, where: str) -> GaussRational:
     for k, piece in enumerate(raw):
         if isinstance(piece, bool) or not isinstance(piece, (str, int)):
             raise CandidateFormatError(f"{where}[{k}]: expected a decimal integer string")
+        # int() alone would also take blanks, underscores, '+' and non-ASCII digits
+        if isinstance(piece, str) and not (piece.isascii() and piece.lstrip("-").isdigit()):
+            raise CandidateFormatError(f"{where}[{k}]: {piece!r} is not a decimal integer")
         try:
             parts.append(int(piece))
-        except ValueError:
+        except ValueError:  # '--1', or more digits than the interpreter converts
             raise CandidateFormatError(f"{where}[{k}]: {piece!r} is not a decimal integer")
     if parts[1] == 0 or parts[3] == 0:
         raise CandidateFormatError(f"{where}: zero denominator")
@@ -84,6 +80,8 @@ def candidate_from_json_dict(doc) -> EmbeddingCandidate:
     p = doc["p"]
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise CandidateFormatError("p: must be a positive integer")
+    if p.bit_length() > 64:  # no file holds 2p rows, and 2p may not print
+        raise CandidateFormatError("p: too large")
     n = 2 * p
     mats = {}
     for name in ("f_u", "f_v", "f_w"):
@@ -110,6 +108,11 @@ def load_candidate(path) -> EmbeddingCandidate:
             raise CandidateFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}")
         except UnicodeDecodeError as err:
             raise CandidateFormatError(f"byte {err.start}: not UTF-8 text ({err.reason})")
+        except ValueError as err:  # an integer literal too long to convert
+            reason = str(err).split(":")[0]  # the rest names an interpreter setting
+            raise CandidateFormatError(f"not valid JSON: {reason}")
+        except RecursionError:
+            raise CandidateFormatError("not valid JSON: arrays or objects nested too deeply")
     return candidate_from_json_dict(doc)
 
 
@@ -181,15 +184,10 @@ def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
     x_entries = [ZERO] * (n * n)
     y_entries = list(x_entries)
     for label, value in sorted(values.items()):
-        u = unknowns[label]
-        tgt_side = "minus" if u.kind == MINUS_RAISE else "plus"
-        src_side = "plus" if u.kind == PLUS_RAISE else "minus"
-        r0, _ = layout.span(tgt_side, u.target_weight)
-        c0, _ = layout.span(src_side, u.source_weight)
+        (r0, _), (c0, _), sign = unknowns[label].slot(layout)
         _place(x_entries, n, r0, c0, value, conj=False, negate=False)
-        # the partner matrix carries the conjugate transpose at the mirrored
-        # slot, negated for the two raising kinds
-        _place(y_entries, n, c0, r0, value, conj=True, negate=(u.kind != CROSS))
+        # the partner matrix carries sign * U* at the mirrored slot
+        _place(y_entries, n, c0, r0, value, conj=True, negate=sign < 0)
 
     x = GaussMatrix._raw(n, n, tuple(x_entries))
     y = GaussMatrix._raw(n, n, tuple(y_entries))

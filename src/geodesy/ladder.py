@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix, GaussRational
-from .weights import Dims, WeightData, enumerate_sectors, pair_sectors
+from .weights import Dims, Layout, WeightData, enumerate_sectors, pair_sectors
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -74,6 +74,18 @@ class BlockUnknown:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("block dimensions must be positive")
         object.__setattr__(self, "label", f"{self.kind}[{self.source_weight}->{self.target_weight}]")
+
+    def slot(self, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
+        """Where the block sits in the assembled triple: its row span (the
+        target eigenspace) and column span (the source eigenspace) inside X,
+        and the partner sign.  The partner Y holds sign * U* at the mirrored
+        slot, with sign -1 for the two raising kinds and +1 for crossing."""
+        target_side = "minus" if self.kind == MINUS_RAISE else "plus"
+        source_side = "plus" if self.kind == PLUS_RAISE else "minus"
+        sign = +1 if self.kind == CROSS else -1
+        rows = layout.span(target_side, self.target_weight)
+        cols = layout.span(source_side, self.source_weight)
+        return rows, cols, sign
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,35 @@ objective is the squared Frobenius deviation of the assembled triple from
 the sl(2) relations; seeded multistart gradient descent either drives it to
 numerical zero (corroborating a feasible verdict) or stalls on a strictly
 positive floor (evidence, not proof, for an infeasible one).
+
+Inside the descent a point is one flat complex vector: the blocks in label
+order, each block row-major.  ``_Problem`` precomputes where every entry
+lands, a flat index into X, a flat index into its partner Y and the partner
+sign, so assembling the triple is two index scatters and the gradient is
+one gather.  The weight operator H is diagonal, so H X - X H is a row and a
+column scaling.  Each accepted step hands its assembled X, Y and relation
+residual XY - YX - H on to the next gradient.  The public functions take
+and return a ``StructuredPoint``, one array per block label.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ladder import CROSS, MINUS_RAISE, PLUS_RAISE, derive_constraints
+from .ladder import derive_constraints
 from .weights import WeightData
 
 StructuredPoint = Dict[str, np.ndarray]
+
+# why a descent stopped
+GRAD_TOL = "grad_tol"  # the gradient norm fell below the tolerance
+STALL = "stall"  # less than 10 percent progress over 1000 iterations
+ALPHA_UNDERFLOW = "alpha_underflow"  # no step size above 1e-30 decreases the residual
+MAX_ITER = "max_iter"  # the iteration budget ran out
 
 
 @dataclass
@@ -31,6 +46,7 @@ class ResidualReport:
     seed: int
     best_restart: int
     best_point: StructuredPoint
+    stop_reasons: Tuple[str, ...] = ()  # one per descent run, in restart order
 
     def to_json_dict(self) -> dict:
         return {
@@ -44,101 +60,130 @@ class ResidualReport:
 
 
 class _Problem:
-    """Cached block slices and the fixed diagonal target for one table."""
+    """Flat entry indices, partner signs and the diagonal target for one table."""
 
     def __init__(self, wd: WeightData):
         self.wd = wd
         layout = wd.layout()
-        self.n = layout.size
-        self.target = np.diag(np.array(layout.weight_vector(), dtype=complex))
+        n = self.n = layout.size
+        weights = np.array(layout.weight_vector(), dtype=complex)
+        self.target = np.diag(weights)
+        self.h_rows = weights[:, None]  # H X scales the rows of X
+        self.h_cols = weights[None, :]  # X H scales its columns
+        self.shift = np.array([-2.0, 2.0]).reshape(2, 1, 1)  # -2 X, +2 Y
         system = derive_constraints(wd)
-        self.slots: Dict[str, Tuple[slice, slice, int]] = {}
+        # (label, start, stop, shape) of each block inside the flat vector
+        self.blocks: List[Tuple[str, int, int, Tuple[int, int]]] = []
+        ix: List[int] = []
+        iy: List[int] = []
+        sign: List[int] = []
         for label in sorted(system.unknowns):
-            u = system.unknowns[label]
-            tgt_side = "minus" if u.kind == MINUS_RAISE else "plus"
-            src_side = "plus" if u.kind == PLUS_RAISE else "minus"
-            r0, r1 = layout.span(tgt_side, u.target_weight)
-            c0, c1 = layout.span(src_side, u.source_weight)
-            partner_sign = +1 if u.kind == CROSS else -1
-            self.slots[label] = (slice(r0, r1), slice(c0, c1), partner_sign)
+            (r0, r1), (c0, c1), partner = system.unknowns[label].slot(layout)
+            start = len(ix)
+            for i in range(r0, r1):
+                for j in range(c0, c1):
+                    ix.append(i * n + j)
+                    iy.append(n * n + j * n + i)
+            sign.extend([partner] * (len(ix) - start))
+            self.blocks.append((label, start, len(ix), (r1 - r0, c1 - c0)))
+        self.size = len(ix)
+        self.ix = np.array(ix, dtype=np.intp)
+        self.iy = np.array(iy, dtype=np.intp)
+        self.sign = np.array(sign, dtype=complex)
 
-    def shapes(self) -> Dict[str, Tuple[int, int]]:
-        return {
-            label: (rows.stop - rows.start, cols.stop - cols.start)
-            for label, (rows, cols, _) in self.slots.items()
-        }
+    def flatten(self, point: StructuredPoint) -> np.ndarray:
+        v = np.empty(self.size, dtype=complex)
+        for label, start, stop, _ in self.blocks:
+            v[start:stop] = np.ravel(point[label])
+        return v
 
-    def assemble(self, point: StructuredPoint):
-        x = np.zeros((self.n, self.n), dtype=complex)
-        y = np.zeros((self.n, self.n), dtype=complex)
-        for label, (rows, cols, sign) in self.slots.items():
-            block = point[label]
-            x[rows, cols] = block
-            y[cols, rows] = sign * block.conj().T
-        return x, y
+    def unflatten(self, v: np.ndarray) -> StructuredPoint:
+        return {label: v[start:stop].reshape(shape) for label, start, stop, shape in self.blocks}
+
+    def assemble(self, v: np.ndarray) -> np.ndarray:
+        """X and its partner Y, stacked in one (2, n, n) array."""
+        xy = np.zeros(2 * self.n * self.n, dtype=complex)
+        xy[self.ix] = v
+        xy[self.iy] = self.sign * v.conj()
+        return xy.reshape(2, self.n, self.n)
+
+    def block_sum(self, values: np.ndarray) -> float:
+        """Sum of the entries, block by block in label order."""
+        return sum(float(values[start:stop].sum()) for _, start, stop, _ in self.blocks)
 
 
 def _check_point(problem: _Problem, point: StructuredPoint):
-    for label, shape in problem.shapes().items():
+    for label, _, _, shape in problem.blocks:
         if label not in point:
             raise ValueError(f"missing block {label}")
         if point[label].shape != shape:
             raise ValueError(
                 f"block {label} has shape {point[label].shape}, expected {shape}"
             )
+    unknown = set(point) - {label for label, _, _, _ in problem.blocks}
+    if unknown:
+        raise ValueError(f"block {min(unknown)} is not an unknown of {problem.wd.describe()}")
 
 
 def residual(wd: WeightData, point: StructuredPoint) -> float:
     """Squared Frobenius deviation of the assembled triple from the relations."""
     problem = _Problem(wd)
     _check_point(problem, point)
-    return _residual(problem, point)
+    return _evaluate(problem, problem.flatten(point))[0]
 
 
-def _residual(problem: _Problem, point: StructuredPoint) -> float:
-    x, y = problem.assemble(point)
-    h = problem.target
-    r1 = x @ y - y @ x - h
-    r2 = h @ x - x @ h - 2.0 * x
-    r3 = h @ y - y @ h + 2.0 * y
-    return float(
-        np.sum(np.abs(r1) ** 2) + np.sum(np.abs(r2) ** 2) + np.sum(np.abs(r3) ** 2)
-    )
+def _evaluate(problem: _Problem, v: np.ndarray):
+    """The residual at v, with the assembled X, Y and R = XY - YX - H."""
+    xy = problem.assemble(v)
+    products = xy @ xy[::-1]  # XY and YX
+    r = products[0] - products[1] - problem.target
+    # H X - X H - 2 X and H Y - Y H + 2 Y.  These are the bits of the dense
+    # products: every entry of a dense H X is one product plus exact zeros,
+    # and adding -2 X rounds as subtracting 2 X does.
+    weight_sq = np.abs(problem.h_rows * xy - xy * problem.h_cols + problem.shift * xy) ** 2
+    value = float((np.abs(r) ** 2).sum() + weight_sq[0].sum() + weight_sq[1].sum())
+    return value, xy, r
 
 
 def gradient(wd: WeightData, point: StructuredPoint) -> StructuredPoint:
     problem = _Problem(wd)
     _check_point(problem, point)
-    return _gradient(problem, point)
+    _, xy, r = _evaluate(problem, problem.flatten(point))
+    return problem.unflatten(_gradient(problem, xy, r))
 
 
-def _gradient(problem: _Problem, point: StructuredPoint) -> StructuredPoint:
-    x, y = problem.assemble(point)
-    r = x @ y - y @ x - problem.target
+def _gradient(problem: _Problem, xy: np.ndarray, r: np.ndarray) -> np.ndarray:
+    x, y = xy
     yh = y.conj().T
     rh = r.conj().T
-    c1 = r @ yh - yh @ r
-    c2 = x @ rh - rh @ x
-    out: StructuredPoint = {}
-    for label, (rows, cols, sign) in problem.slots.items():
-        out[label] = 2.0 * (c1[rows, cols] - sign * c2[rows, cols])
-    return out
+    c1 = (r @ yh - yh @ r).ravel()
+    c2 = (x @ rh - rh @ x).ravel()
+    return 2.0 * (c1[problem.ix] - problem.sign * c2[problem.ix])
 
 
-def _random_point(problem: _Problem, rng: np.random.Generator) -> StructuredPoint:
-    return {
-        label: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for label, shape in problem.shapes().items()
-    }
+def _grad_norm(problem: _Problem, grad: np.ndarray) -> float:
+    return math.sqrt(problem.block_sum(np.abs(grad) ** 2))
+
+
+def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
+    v = np.empty(problem.size, dtype=complex)
+    for _, start, stop, _ in problem.blocks:
+        v[start:stop] = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
+    return v
 
 
 def _descend(
     problem: _Problem,
-    point: StructuredPoint,
+    v: np.ndarray,
     max_iter: int,
     grad_tol: float,
-) -> Tuple[StructuredPoint, float, int]:
-    value = _residual(problem, point)
+) -> Tuple[np.ndarray, float, int, str]:
+    """Backtracking gradient descent from the flat point v.
+
+    Returns the last point, its residual, the number of accepted steps and
+    why the descent stopped.
+    """
+    value, xy, r = _evaluate(problem, v)
     alpha = 1.0
     iters = 0
     checkpoint = math.inf
@@ -148,24 +193,24 @@ def _descend(
             # a fresh restart is the cure, so give up on starts that cannot
             # improve by 10 percent per thousand iterations
             if value > 0.9 * checkpoint:
-                break
+                return v, value, iters, STALL
             checkpoint = value
-        grad = _gradient(problem, point)
-        gnorm = math.sqrt(sum(float(np.sum(np.abs(g) ** 2)) for g in grad.values()))
+        grad = _gradient(problem, xy, r)
+        gnorm = _grad_norm(problem, grad)
         if gnorm < grad_tol:
-            break
+            return v, value, iters, GRAD_TOL
         while True:
-            trial = {label: point[label] - alpha * grad[label] for label in point}
-            trial_value = _residual(problem, trial)
+            trial = v - alpha * grad
+            trial_value, trial_xy, trial_r = _evaluate(problem, trial)
             if trial_value < value:
                 break
             alpha *= 0.5
             if alpha < 1e-30:
-                return point, value, iters
-        point, value = trial, trial_value
+                return v, value, iters, ALPHA_UNDERFLOW
+        v, value, xy, r = trial, trial_value, trial_xy, trial_r
         alpha = min(alpha * 2.0, 1.0)
         iters += 1
-    return point, value, iters
+    return v, value, iters, MAX_ITER
 
 
 def minimize(
@@ -181,45 +226,46 @@ def minimize(
     Each restart draws its starting point from an independent stream keyed
     by (seed, restart index), so the result does not depend on scheduling.
     The optional target stops the restart loop early once beaten; the
-    report is deterministic for fixed (seed, restarts, target).
+    report is deterministic for fixed (seed, restarts, target).  A table
+    without unknowns runs no descent and reports no stop reasons.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     problem = _Problem(wd)
-    if not problem.slots:
-        empty: StructuredPoint = {}
+    if not problem.blocks:
         return ResidualReport(
             pattern=wd,
-            final_residual=_residual(problem, empty),
+            final_residual=_evaluate(problem, problem.flatten({}))[0],
             iterations=0,
             restarts=restarts,
             seed=seed,
             best_restart=0,
-            best_point=empty,
+            best_point={},
         )
-    best_point: StructuredPoint = {}
+    best = None
     best_value = math.inf
     best_iters = 0
     best_restart = 0
-    used = 0
+    reasons: List[str] = []
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
-        point, value, iters = _descend(problem, _random_point(problem, rng), max_iter, grad_tol)
-        used += 1
+        v, value, iters, reason = _descend(problem, _random_point(problem, rng), max_iter, grad_tol)
+        reasons.append(reason)
         if value < best_value:
-            best_point, best_value, best_iters, best_restart = point, value, iters, k
+            best, best_value, best_iters, best_restart = v, value, iters, k
         if target is not None and best_value < target:
             break
     return ResidualReport(
         pattern=wd,
-        final_residual=_residual(problem, best_point),
+        final_residual=_evaluate(problem, best)[0],
         iterations=best_iters,
-        restarts=used,
+        restarts=len(reasons),
         seed=seed,
         best_restart=best_restart,
-        best_point=best_point,
+        best_point=problem.unflatten(best),
+        stop_reasons=tuple(reasons),
     )
 
 
@@ -227,27 +273,26 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     """Worst relative disagreement between the analytic gradient and
     central finite differences over random structured points."""
     problem = _Problem(wd)
-    if not problem.slots:
+    if not problem.blocks:
         return 0.0
     worst = 0.0
     for k in range(points):
         rng = np.random.default_rng([seed, 7919, k])
-        point = _random_point(problem, rng)
-        analytic = _gradient(problem, point)
-        num_sq = 0.0
-        den_sq = 0.0
-        for label in sorted(point):
-            block = point[label]
-            fd = np.zeros_like(block)
-            for idx in np.ndindex(block.shape):
-                for direction in (1.0, 1.0j):
-                    plus = {l: v.copy() for l, v in point.items()}
-                    minus = {l: v.copy() for l, v in point.items()}
-                    plus[label][idx] += step * direction
-                    minus[label][idx] -= step * direction
-                    diff = (_residual(problem, plus) - _residual(problem, minus)) / (2 * step)
-                    fd[idx] += diff * direction
-            num_sq += float(np.sum(np.abs(analytic[label] - fd) ** 2))
-            den_sq += float(np.sum(np.abs(fd) ** 2))
+        v = _random_point(problem, rng)
+        _, xy, r = _evaluate(problem, v)
+        analytic = _gradient(problem, xy, r)
+        fd = np.zeros_like(v)
+        moved = v.copy()
+        for i in range(problem.size):
+            for direction in (1.0, 1.0j):
+                moved[i] = v[i] + step * direction
+                plus = _evaluate(problem, moved)[0]
+                moved[i] = v[i] - step * direction
+                minus = _evaluate(problem, moved)[0]
+                diff = (plus - minus) / (2 * step)
+                fd[i] += diff * direction
+            moved[i] = v[i]
+        num_sq = problem.block_sum(np.abs(analytic - fd) ** 2)
+        den_sq = problem.block_sum(np.abs(fd) ** 2)
         worst = max(worst, math.sqrt(num_sq) / max(math.sqrt(den_sq), 1e-12))
     return worst

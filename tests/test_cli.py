@@ -1,5 +1,12 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
 from geodesy.cli import run
@@ -45,6 +52,111 @@ def test_check_unreadable_input_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+VALID_P1 = candidate_to_json_dict(diagonal_candidate(1))
+MATRICES = ("f_u", "f_v", "f_w")
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _list_of(length):
+    return lambda value: isinstance(value, list) and len(value) == length
+
+
+def _decimal(value) -> bool:
+    """An entry piece the candidate schema allows: an integer or a decimal string."""
+    if isinstance(value, str):
+        return re.fullmatch(r"-?[0-9]+", value) is not None
+    return type(value) is int
+
+
+@st.composite
+def malformed_candidates(draw) -> str:
+    """The text of a p = 1 candidate file with exactly one defect."""
+    doc = json.loads(json.dumps(VALID_P1))
+    kind = draw(
+        st.sampled_from(
+            ["top", "missing", "p", "matrix", "row", "entry", "piece", "zero", "not_su", "truncate"]
+        )
+    )
+    name = draw(st.sampled_from(MATRICES))
+    i, j, k = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(0, 3))
+    if kind == "truncate":
+        text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "top":
+        doc = draw(json_values.filter(lambda value: not isinstance(value, dict)))
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "p":
+        doc["p"] = draw(json_values.filter(lambda value: not (type(value) is int and value == 1)))
+    elif kind == "matrix":
+        doc[name] = draw(json_values.filter(lambda value: not _list_of(2)(value)))
+    elif kind == "row":
+        doc[name][i] = draw(json_values.filter(lambda value: not _list_of(2)(value)))
+    elif kind == "entry":
+        doc[name][i][j] = draw(json_values.filter(lambda value: not _list_of(4)(value)))
+    elif kind == "piece":
+        doc[name][i][j][k] = draw(json_values.filter(lambda value: not _decimal(value)))
+    elif kind == "zero":
+        doc[name][i][j][draw(st.sampled_from([1, 3]))] = draw(st.sampled_from(["0", 0, "-0", " 0"]))
+    else:
+        # a nonzero real diagonal entry is never in su(1,1)
+        doc[name][i][i] = [str(draw(st.integers(1, 10**6))), "1", "0", "1"]
+    return json.dumps(doc)
+
+
+def _check_file(path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(path):
+    code, out, err = _check_file(path)
+    assert code == 2, err
+    assert out == ""
+    assert err.count("\n") == 1 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {path}: "), err
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=malformed_candidates())
+def test_check_fuzz_malformed_candidates_exit_2(tmp_path, text):
+    path = tmp_path / "candidate.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_rejected(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"p": 1' + "0" * 5000 + "}",  # longer than the interpreter converts
+        '{"p": ' + "9" * 4300 + ', "f_u": []}',  # 2p would not print
+        "[" * 100_000 + "]" * 100_000,  # deeper than the decoder recurses
+        json.dumps({**VALID_P1, "f_u": [[["1" * 5000, "1", "0", "1"]] * 2] * 2}),
+    ]
+    # zero written in ways int() accepts but the schema's decimal pattern does not
+    + [json.dumps(VALID_P1).replace('"0"', piece, 1) for piece in ('" 0"', '"0_0"', '"+0"', '"\\u0660"')],
+    ids=["long_integer", "huge_p", "deep_nesting", "long_entry_string", "blank", "underscore", "plus", "arabic_digit"],
+)
+def test_check_pathological_json_exit_2(tmp_path, text):
+    path = tmp_path / "candidate.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_rejected(path)
+
+
+def test_check_fuzz_base_document_is_valid(tmp_path):
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(VALID_P1), encoding="utf-8")
+    assert _check_file(path)[0] == 0
 
 
 def test_check_json_output_validates(capsys):
