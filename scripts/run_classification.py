@@ -7,10 +7,10 @@ diffable against earlier output.
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
+from geodesy.candidates import json_text
 from geodesy.cli import write_certificates
 from geodesy.ladder import verify_theorem
 
@@ -28,8 +28,7 @@ def main() -> None:
         summary = verify_theorem(p)
         elapsed = time.monotonic() - start
         with open(args.out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(summary.to_json_dict()) + "\n")
         write_certificates(summary.results(), args.out / f"certificates_p{p}")
         print(
             f"{p:>3} {summary.enumerated:>7} {summary.feasible:>9} "

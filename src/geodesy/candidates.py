@@ -2,34 +2,108 @@
 
 The JSON wire format stores every matrix entry as four decimal integer
 strings [re_num, re_den, im_num, im_den], which crosses the file boundary
-without any rounding.
+without any rounding.  A matrix is read straight into the integer form of
+``GaussMatrix``: the pieces are checked and converted to ints, brought
+over the lcm of the denominators and reduced once, so files may hold
+unreduced entries and negative denominators.  It is written straight from
+that form, each part in lowest terms with a positive denominator.
+``json_text`` writes every JSON document of the package.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from json.encoder import INFINITY
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 from typing import Dict, List
 
 from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
-from .gaussmat import ZERO, GaussMatrix, GaussRational, I
+from .gaussmat import ZERO, GaussMatrix, I
 from .ladder import DatumClassification, WitnessError, instantiate_witness
 
 class CandidateFormatError(ValueError):
     """Malformed candidate document; the message carries a field diagnostic."""
 
 
-def _entry_to_json(g: GaussRational) -> List[str]:
-    return [
-        str(g.re.numerator),
-        str(g.re.denominator),
-        str(g.im.numerator),
-        str(g.im.denominator),
-    ]
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    The standard library falls back to its pure-Python encoder whenever
+    ``indent`` is set.  This writer walks the document the same way, but
+    writes a list of plain strings, such as a matrix entry, with one join
+    of the C string encoder.  Tuples are written as lists.
+    """
+    out: List[str] = []
+    _write(doc, out, "\n")
+    return "".join(out)
 
 
-def _entry_from_json(raw, where: str) -> GaussRational:
+def _scalar(x) -> str:
+    """A JSON scalar, or a dict key that is not a string, as json writes it."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == INFINITY:
+            return "Infinity"
+        if x == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _write(x, out: List[str], nl: str) -> None:
+    """Append x to out; nl is a newline plus the indent of x's own line."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # a list of strings, such as a matrix entry, in one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, x)) + nl + "]")
+            return
+        except TypeError:  # an item that is not a string
+            pass
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in sorted(x.items()):
+            out.append(sep + _quote(key if isinstance(key, str) else _scalar(key)) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(_scalar(x))
+
+
+def _entry_to_json(re: int, im: int, den: int) -> List[str]:
+    """The wire entry of (re + im*i) / den, each part in lowest terms."""
+    g, h = gcd(re, den), gcd(im, den)
+    return [str(re // g), str(den // g), str(im // h), str(den // h)]
+
+
+def _entry_from_json(raw, where: str) -> List[int]:
+    """The four pieces of one wire entry as ints, denominators nonzero."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise CandidateFormatError(f"{where}: entry must be a 4-item list")
     parts = []
@@ -45,22 +119,30 @@ def _entry_from_json(raw, where: str) -> GaussRational:
             raise CandidateFormatError(f"{where}[{k}]: {piece!r} is not a decimal integer")
     if parts[1] == 0 or parts[3] == 0:
         raise CandidateFormatError(f"{where}: zero denominator")
-    return GaussRational(Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3]))
+    return parts
 
 
 def _matrix_to_json(m: GaussMatrix) -> list:
-    return [[_entry_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    d, c = m.den, m.cols
+    flat = [_entry_to_json(x, y, d) for x, y in zip(m.re_num, m.im_num)]
+    return [flat[k : k + c] for k in range(0, len(flat), c)]
 
 
 def _matrix_from_json(raw, n: int, name: str) -> GaussMatrix:
     if not isinstance(raw, list) or len(raw) != n:
         raise CandidateFormatError(f"{name}: expected {n} rows")
-    data = []
+    pieces = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise CandidateFormatError(f"{name}[{i}]: expected {n} entries")
-        data.append([_entry_from_json(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)])
-    return GaussMatrix(data)
+        for j, e in enumerate(row):
+            pieces += _entry_from_json(e, f"{name}[{i}][{j}]")
+    re_num, re_den, im_num, im_den = (pieces[k::4] for k in range(4))
+    # den // b is negative for a negative denominator b: the sign moves up
+    den = lcm(*re_den, *im_den)
+    re = [a * (den // b) for a, b in zip(re_num, re_den)]
+    im = [a * (den // b) for a, b in zip(im_num, im_den)]
+    return GaussMatrix._from_ints(n, n, den, re, im)
 
 
 def candidate_to_json_dict(c: EmbeddingCandidate) -> dict:
@@ -96,8 +178,7 @@ def candidate_from_json_dict(doc) -> EmbeddingCandidate:
 
 def save_candidate(c: EmbeddingCandidate, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(candidate_to_json_dict(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(candidate_to_json_dict(c)) + "\n")
 
 
 def load_candidate(path) -> EmbeddingCandidate:

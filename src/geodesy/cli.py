@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from .candidates import CandidateFormatError, load_candidate
+from .candidates import CandidateFormatError, _matrix_to_json, json_text, load_candidate
 from .checker import CheckReport, check_conditions, equivariance_test
 from .ladder import TheoremViolation, UnresolvedRemains, verify_theorem
 from .numeric import minimize
@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_json(path: str, p: int, report: CheckReport, equivariant: bool) -> dict:
-    from .candidates import _matrix_to_json  # entry format shared with candidate files
-
     doc = {
         "path": path,
         "p": p,
@@ -111,7 +109,7 @@ def _report_json(path: str, p: int, report: CheckReport, equivariant: bool) -> d
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json_text(doc))
 
 
 def cmd_check(args) -> int:
@@ -173,8 +171,7 @@ def write_certificates(results, directory: Path) -> None:
         tmp = directory / f".{digest}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json_text(result.to_json_dict()) + "\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

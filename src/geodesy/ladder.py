@@ -160,7 +160,7 @@ class CertificateStep:
 @dataclass(frozen=True)
 class TerminalBlock:
     label: str
-    flavor: str      # OUTER, INNER, or "paired"
+    flavor: str      # always "paired": one U U* and one U* U equation hold the block
     scale_sq: int    # the Gram equations read  U U* = scale_sq * I
     dim: int
 
@@ -356,20 +356,6 @@ def _r4_mismatch_step(
     )
 
 
-def _r4_rank_step(
-    sector: str, label: str, eq: DiagonalEquation, a: int, d: int, free: int
-) -> CertificateStep:
-    return CertificateStep(
-        rule="R4",
-        sector=sector,
-        side=eq.side,
-        weight=eq.weight,
-        conclusion=f"block {label} needs rank {d} at scale {a} but only {free} "
-        f"columns/rows are available",
-        trace_values=(a * d, free),
-    )
-
-
 def eliminate(system: BlockSystem) -> Verdict:
     """Run rules R1-R4 to a fixpoint and return a replayable verdict.
 
@@ -435,27 +421,21 @@ def eliminate(system: BlockSystem) -> Verdict:
     terminal: List[TerminalBlock] = []
     for label in sorted(singles):
         occ = singles[label]
-        unknown = system.unknowns[label]
-        if OUTER in occ and INNER in occ:
-            a, outer_eq = occ[OUTER]
-            b, inner_eq = occ[INNER]
-            d1, d2 = outer_eq.dim, inner_eq.dim
-            if a != b or d1 != d2:
-                steps.append(
-                    _r4_mismatch_step(system.sector, label, outer_eq, a, d1, b, d2)
-                )
-                return Verdict("infeasible", system.sector, certificate=tuple(steps))
-            terminal.append(TerminalBlock(label, "paired", a, d1))
-        else:
-            # A block constrained on one side only cannot arise from
-            # derive_constraints, but hand-built systems are kept sound:
-            # U U* = a*I on dim d needs at least d columns, and dually.
-            flavor, (a, eq) = next(iter(occ.items()))
-            free = unknown.cols if flavor == OUTER else unknown.rows
-            if free < eq.dim:
-                steps.append(_r4_rank_step(system.sector, label, eq, a, eq.dim, free))
-                return Verdict("infeasible", system.sector, certificate=tuple(steps))
-            terminal.append(TerminalBlock(label, flavor, a, eq.dim))
+        if OUTER not in occ or INNER not in occ:
+            # derive_constraints puts every block in one OUTER and one INNER
+            # equation, so only a hand-built system gets here
+            return Verdict(
+                "unresolved",
+                system.sector,
+                detail=f"block {label} occurs in one Gram equation only ({next(iter(occ))})",
+            )
+        a, outer_eq = occ[OUTER]
+        b, inner_eq = occ[INNER]
+        d1, d2 = outer_eq.dim, inner_eq.dim
+        if a != b or d1 != d2:
+            steps.append(_r4_mismatch_step(system.sector, label, outer_eq, a, d1, b, d2))
+            return Verdict("infeasible", system.sector, certificate=tuple(steps))
+        terminal.append(TerminalBlock(label, "paired", a, d1))
 
     witness = WitnessClass(
         forced_zero=tuple(sorted(forced)),
@@ -517,8 +497,9 @@ def replay_certificate(system: BlockSystem, verdict: Verdict) -> None:
                 raise ReplayError(f"step {i}: R4 expects a single live term")
             label = live[0].unknown.label
             partner = _find_partner(system, forced, label, exclude=eq)
-            recomputed = _recompute_r4(system, forced, label, eq, partner)
-            if recomputed != step:
+            if partner is None:
+                raise ReplayError(f"step {i}: R4 block {label} has no partner equation")
+            if _recompute_r4(system.sector, forced, label, eq, partner) != step:
                 raise ReplayError(f"step {i}: recorded R4 step differs from recomputation")
         else:
             raise ReplayError(f"step {i}: unknown rule {step.rule}")
@@ -537,19 +518,14 @@ def _find_partner(system, forced, label, exclude):
     return None
 
 
-def _recompute_r4(system, forced, label, eq, partner) -> CertificateStep:
+def _recompute_r4(sector, forced, label, eq, partner) -> CertificateStep:
     term = _live(eq, forced)[0]
     a = term.sign * eq.rhs
-    unknown = system.unknowns[label]
-    if partner is None:
-        flavor = term.flavor
-        free = unknown.cols if flavor == OUTER else unknown.rows
-        return _r4_rank_step(system.sector, label, eq, a, eq.dim, free)
     pterm = _live(partner, forced)[0]
     b = pterm.sign * partner.rhs
     if term.flavor == OUTER:
-        return _r4_mismatch_step(system.sector, label, eq, a, eq.dim, b, partner.dim)
-    return _r4_mismatch_step(system.sector, label, partner, b, partner.dim, a, eq.dim)
+        return _r4_mismatch_step(sector, label, eq, a, eq.dim, b, partner.dim)
+    return _r4_mismatch_step(sector, label, partner, b, partner.dim, a, eq.dim)
 
 
 def gaussian_scale(scale_sq: int) -> GaussRational:

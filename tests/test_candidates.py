@@ -1,15 +1,24 @@
+import json
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wire_reference as ref
 from geodesy.candidates import (
     CandidateFormatError,
+    _entry_from_json,
+    _entry_to_json,
+    _matrix_from_json,
+    _matrix_to_json,
     candidate_from_json_dict,
     candidate_to_json_dict,
     diagonal_candidate,
     embedding_with_rank,
+    json_text,
     lift_classification,
     load_candidate,
     save_candidate,
@@ -111,13 +120,141 @@ def test_entry_grid_round_trip(p, data):
             max_size=n,
         )
     )
-    from geodesy.candidates import _entry_from_json, _entry_to_json
-
     for i in range(n):
         for j in range(n):
-            entry = _entry_from_json(list(grid[i][j]), "x")
-            again = _entry_from_json(_entry_to_json(entry), "x")
-            assert again == entry
+            a, b, c, d = _entry_from_json(list(grid[i][j]), "x")
+            den = lcm(b, d)
+            wire = _entry_to_json(a * (den // b), c * (den // d), den)
+            assert wire == ref._entry_to_json(ref._entry_from_json(list(grid[i][j]), "x"))
+            a2, b2, c2, d2 = _entry_from_json(wire, "x")
+            assert (Fraction(a2, b2), Fraction(c2, d2)) == (Fraction(a, b), Fraction(c, d))
+            assert b2 > 0 and d2 > 0 and gcd(a2, b2) == 1 and gcd(c2, d2) == 1
+
+
+# -- the integer wire format against the per-entry Fraction reference --------
+
+numerators = st.one_of(
+    st.integers(-12, 12),
+    st.integers(10**299, 10**300 - 1),  # 300 digits
+    st.integers(-(10**300), 10**300),
+)
+denominators = st.one_of(st.integers(-12, 12), st.integers(1, 10**300)).filter(bool)
+
+
+def _piece(draw, value: int):
+    """A piece as a decimal string, "-0" for some zeros, or a JSON integer."""
+    form = draw(st.sampled_from(["str", "str", "int"]))
+    if form == "int":
+        return value
+    return "-0" if value == 0 and draw(st.booleans()) else str(value)
+
+
+@st.composite
+def wire_entries(draw) -> list:
+    """Unreduced entries: a common factor k (possibly negative) on each part."""
+    entry = []
+    for _ in range(2):
+        k = draw(st.sampled_from([1, 1, 2, -1, -3, 10**20]))
+        entry += [_piece(draw, k * draw(numerators)), _piece(draw, k * draw(denominators))]
+    return entry
+
+
+@st.composite
+def wire_grids(draw) -> tuple:
+    n = draw(st.integers(1, 4))
+    sparse = draw(st.booleans())  # about half the entries zero, as in most report matrices
+    entry = (st.just(["0", "1", "0", "1"]) | wire_entries()) if sparse else wire_entries()
+    return n, [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(wire_grids())
+@settings(max_examples=150, deadline=None)
+def test_matrix_wire_matches_reference(case):
+    n, grid = case
+    got = _matrix_from_json(grid, n, "f_u")
+    want = ref._matrix_from_json(grid, n, "f_u")
+    assert (got.den, got.re_num, got.im_num) == (want.den, want.re_num, want.im_num)
+    assert _matrix_to_json(got) == ref._matrix_to_json(want)
+
+
+BAD_PIECES = [None, True, False, 1.0, 1.5, [], {}, "", "-", "+1", " 1", "1 ", "1_0", "--1", "1-", "0x1", "\u0661", "1e3", "9" * 5000]
+BAD_VALUES = [None, True, 0, "x", [], {}, ["0", "1", "0"], ["0", "1", "0", "1", "0"], ("0", "1")]
+
+
+@st.composite
+def malformed_wire_grids(draw) -> tuple:
+    """A valid grid with one to three defects, so that their order counts."""
+    n, grid = draw(wire_grids())
+    grid = json.loads(json.dumps(grid))  # fresh lists to damage
+    raw = grid
+    kinds = draw(st.lists(st.sampled_from(["piece", "zero", "entry", "row", "rows"]), min_size=1, max_size=3, unique=True))
+    # innermost first, so that a later defect never lands inside an earlier one
+    for kind in sorted(kinds, key=["piece", "zero", "entry", "row", "rows"].index):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if kind == "piece":
+            grid[i][j][k % 4] = draw(st.sampled_from(BAD_PIECES))
+        elif kind == "zero":
+            grid[i][j][draw(st.sampled_from([1, 3]))] = draw(st.sampled_from(["0", "-0", 0, "00"]))
+        elif kind == "entry":
+            grid[i][j] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "row":
+            grid[i] = draw(st.sampled_from(BAD_VALUES + [grid[i][:-1], grid[i] + grid[i][:1]]))
+        else:
+            raw = draw(st.sampled_from(BAD_VALUES + [grid[:-1], grid + grid[:1]]))
+    return n, raw
+
+
+def _error(parse, raw, n):
+    with pytest.raises(CandidateFormatError) as err:
+        parse(raw, n, "f_v")
+    return str(err.value)
+
+
+@given(malformed_wire_grids())
+@settings(max_examples=200, deadline=None)
+def test_malformed_wire_matches_reference_message(case):
+    n, raw = case
+    assert _error(_matrix_from_json, raw, n) == _error(ref._matrix_from_json, raw, n)
+
+
+def test_wire_integer_form_of_unreduced_entries():
+    raw = [[["2", "-4", "0", "3"], ["-0", "-7", "6", "-10"]], [[3, 3, 0, 1], ["0", "1", "0", "1"]]]
+    m = _matrix_from_json(raw, 2, "f_u")
+    assert (m.den, m.re_num, m.im_num) == (10, (-5, 0, 10, 0), (0, -6, 0, 0))
+    assert _matrix_to_json(m) == [
+        [["-1", "2", "0", "1"], ["0", "1", "-3", "5"]],
+        [["1", "1", "0", "1"], ["0", "1", "0", "1"]],
+    ]
+
+
+# -- the indent=2 writer against json.dumps ----------------------------------
+
+json_strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "\u2028", "\U0001d530", "\ud800", "é"])
+json_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+json_ints = st.integers() | st.integers(-(10**400), 10**400)
+json_documents = st.recursive(
+    st.none() | st.booleans() | json_ints | json_floats | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(json_strings, max_size=4)
+    | st.dictionaries(json_strings, inner, max_size=4)
+    | st.dictionaries(json_ints, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@given(json_documents)
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_what_json_rejects():
+    for doc in ({"a": object()}, [1, {2, 3}], {(1, 2): 0}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(doc)
 
 
 def test_lift_of_every_feasible_class_passes(tmp_path):

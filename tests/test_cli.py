@@ -258,11 +258,23 @@ def test_certificate_write_is_atomic(tmp_path, monkeypatch, capsys):
 
     import geodesy.cli as cli_mod
 
-    def failing_dump(doc, fh, **kwargs):
-        fh.write('{"weight_data": ')
-        raise OSError(28, "No space left on device")
+    class FullDisk:
+        """A file the certificate writer opens; the disk fills after 16 characters."""
 
-    monkeypatch.setattr(cli_mod.json, "dump", failing_dump)
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:16])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_mod, "open", FullDisk, raising=False)
     assert run(["classify", "1", "--emit-certs", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write certificates")
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before

@@ -4,10 +4,13 @@ The ``check`` digests were recorded with the per-entry Fraction kernel,
 before matrices stored integer numerators over a common denominator.
 Every entry on the wire must stay in lowest terms ("1","2", never
 "2","4"), so any change in how entries are built or reduced changes a
-digest.  The ``classify`` digests were recorded while every table was
-still derived and eliminated on its own, before tables were classified
-by sector: the verdicts, counts, class order and certificates must not
-depend on how the work is shared.
+digest.  The broken, hand-written and non-ASCII-path cases were
+recorded while entries were still parsed through ``Fraction``s and
+printed by ``json.dumps``, before the integer wire format.  The
+``classify`` digests were recorded while every table was still derived
+and eliminated on its own, before tables were classified by sector: the
+verdicts, counts, class order and certificates must not depend on how
+the work is shared.
 """
 
 import contextlib
@@ -18,7 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from geodesy.candidates import embedding_with_rank, save_candidate
+from geodesy.candidates import (
+    diagonal_candidate,
+    embedding_with_rank,
+    save_candidate,
+    standard_trivial_candidate,
+)
 from geodesy.checker import EmbeddingCandidate
 from geodesy.cli import run
 from geodesy.gaussmat import GaussMatrix, GaussRational
@@ -30,6 +38,9 @@ GOLDEN = {
     "candidates/standard_trivial_p2.json": "06ff1a3198e3dc86c1cbbef33f8b5497d30b95f99b6b8179b643402f7daa653d",
     "cayley_p3.json": "4329a01ce951f1a3714c1f25fac7155415ad225a8e0d528654422c061ad93dac",
     "boost_p3.json": "e64305c28d46efdc8365910728b0f7b0b16c2533fa478c4afe2ebea50d3a7177",
+    "broken_p3.json": "28e9db3819b82b85a05242a2a2dd8c318019e85e8c780e581924a9fb12258f37",
+    "unreduced_p1.json": "90c76216c3b1f4205a12871a8b881df9f4fa14c04a3bf27034c769916fb6923d",
+    "d\u00e9 \U0001d530\U0001d532 p2.json": "bbdcb7aa67dd89d59df4cbbab7af0451cf5ab1bf0605753a83b2c217734a0c52",
 }
 
 
@@ -71,7 +82,35 @@ def boost_candidate() -> EmbeddingCandidate:
     return _conjugate(embedding_with_rank(3, 2), boost, boost.inverse())
 
 
-BUILT = {"cayley_p3.json": cayley_candidate, "boost_p3.json": boost_candidate}
+def broken_candidate() -> EmbeddingCandidate:
+    """Rank-2 embedding in su(3,3) whose F(u) gains i*(E_00 - E_33): it no
+    longer commutes with F(v), so [u,v] = -2w fails, the report carries
+    failures and its four component matrices are null."""
+    c = embedding_with_rank(3, 2)
+    bump = GaussMatrix.diagonal([GaussRational(0, 1), 0, 0, GaussRational(0, -1), 0, 0])
+    return EmbeddingCandidate(c.shape, c.f_u + bump, c.f_v, c.f_w)
+
+
+BUILT = {
+    "cayley_p3.json": cayley_candidate,
+    "boost_p3.json": boost_candidate,
+    "broken_p3.json": broken_candidate,
+    # the path is echoed in the report, written as \uXXXX escapes
+    "d\u00e9 \U0001d530\U0001d532 p2.json": lambda: embedding_with_rank(2, 1),
+}
+
+# Written by hand rather than by save_candidate: unreduced pieces, negative
+# denominators, "-0" and one entry of JSON integers.  It is the rank-1
+# embedding conjugated by diag(a, 1) with a = 3/5 + 4/5 i.
+UNREDUCED_P1 = """{"p": 1,
+ "f_u": [[["0", "-7", "-0", "1"], ["6", "10", "-8", "-10"]],
+         [["-9", "-15", "4", "-5"], ["0", "3", "0", "-3"]]],
+ "f_v": [[["0", "1", "0", "1"], ["4", "-5", "-3", "-5"]],
+         [["-8", "10", "-6", "10"], ["-0", "-2", "0", "4"]]],
+ "f_w": [[["0", "9", "2", "2"], [0, 1, 0, 1]],
+         [["0", "1", "0", "1"], ["0", "-1", "2", "-2"]]]}
+"""
+WRITTEN = {"unreduced_p1.json": UNREDUCED_P1}
 
 
 CLASSIFY_GOLDEN = {
@@ -109,6 +148,9 @@ def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
     if name in BUILT:
         monkeypatch.chdir(tmp_path)
         save_candidate(BUILT[name](), tmp_path / name)
+    elif name in WRITTEN:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(WRITTEN[name], encoding="utf-8")
     else:
         monkeypatch.chdir(ROOT)
     assert check_json_digest(name) == GOLDEN[name]
@@ -117,6 +159,14 @@ def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", sorted(CLASSIFY_GOLDEN), ids=" ".join)
 def test_classify_matches_golden_digest(argv):
     assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == CLASSIFY_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("name", ["diagonal_p2.json", "standard_trivial_p2.json"])
+def test_save_candidate_reproduces_bundled_file(name, tmp_path):
+    """scripts/make_candidates.py writes the bundled files with save_candidate."""
+    builders = {"diagonal_p2.json": diagonal_candidate, "standard_trivial_p2.json": standard_trivial_candidate}
+    save_candidate(builders[name](2), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (ROOT / "candidates" / name).read_bytes()
 
 
 def test_emitted_certificates_match_golden_digest(tmp_path):

@@ -201,6 +201,33 @@ def test_unresolved_is_reported_not_hidden():
     assert "plus weight 2" in verdict.detail
 
 
+def _one_sided_system() -> BlockSystem:
+    """A block that sits in its OUTER equation only: U U* = I on a 2-dim
+    space with U 2x1, which no 2x1 block satisfies.  derive_constraints
+    never builds such a system."""
+    a = BlockUnknown(PLUS_RAISE, 0, 2, 2, 1)
+    return BlockSystem(
+        weight_data=WeightData({2: 2, 0: 1}, {0: 1}),
+        sector="even",
+        unknowns={a.label: a},
+        diagonal=(DiagonalEquation("plus", 2, 2, (GramTerm(+1, a, OUTER),), 1),),
+        cross=(),
+    )
+
+
+def test_one_sided_block_is_unresolved():
+    verdict = eliminate(_one_sided_system())
+    assert verdict.status == "unresolved"
+    assert verdict.detail == "block plus_raise[0->2] occurs in one Gram equation only (outer)"
+
+
+def test_replay_rejects_r4_without_partner():
+    system = _one_sided_system()
+    step = CertificateStep("R4", "even", "plus", 2, "block plus_raise[0->2] needs rank 2", (2, 1))
+    with pytest.raises(ReplayError, match="step 0: R4 block plus_raise\\[0->2\\] has no partner equation"):
+        replay_certificate(system, Verdict("infeasible", "even", certificate=(step,)))
+
+
 def test_unresolved_product_equation():
     a = BlockUnknown(PLUS_RAISE, -1, 1, 1, 1)
     z = BlockUnknown(CROSS, -1, 1, 1, 1)
