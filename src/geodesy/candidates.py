@@ -260,7 +260,7 @@ def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
         (result.even_system, result.even),
     ):
         values.update(instantiate_witness(system, verdict.witness))
-    unknowns = {**result.odd_system.unknowns, **result.even_system.unknowns}
+    unknowns = {**result.odd_system.view.unknowns, **result.even_system.view.unknowns}
 
     x_entries = [ZERO] * (n * n)
     y_entries = list(x_entries)

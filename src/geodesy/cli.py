@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed checks or a violated classification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -54,7 +55,10 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
     return table
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every run reuses it."""
     parser = argparse.ArgumentParser(
         prog="geodesy",
         description="Verify and classify equivariant embeddings su(1,1) -> su(p,p).",
@@ -268,8 +272,7 @@ def cmd_selftest(args) -> int:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_preprocess(argv))
+    args = build_parser().parse_args(_preprocess(argv))
     if args.command == "check":
         return cmd_check(args)
     if args.command == "classify":

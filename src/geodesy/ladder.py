@@ -8,7 +8,18 @@ satisfy the sl(2) relations forces, on each eigenspace, a signed sum of
 Gram operators U U* and U* U to equal an integer multiple of the identity,
 plus mixed product equations on the off-diagonal blocks.
 
-Feasibility of those equations is decided by four replayable rules:
+A system is kept in a lean form (SectorSystem).  A block is named by its
+key (kind, source weight); a diagonal equation is the plain tuple
+(side, w, dim, rhs, terms) with terms (sign, key, flavor), and a product
+equation is (w, pairs) with pairs of keys.  Deciding a sector builds no
+object per block or per term, and writes a block's label only where a
+certificate step or a witness names it.  The BlockSystem view, one
+BlockUnknown per block with its dimensions, label and slot plus GramTerm
+and ProductTerm equations, is built from the lean form on first access to
+SectorSystem.view: for witnesses, the candidate lift, the feasible-shape
+check and the numeric oracle.
+
+Feasibility is decided by three replayable rules:
 
   R1  all surviving terms negated, right side c*I with c > 0: impossible,
       since the left-hand trace is <= 0 while the right is c*dim > 0.
@@ -16,20 +27,26 @@ Feasibility of those equations is decided by four replayable rules:
   R3  one-signed left side with c = 0: every block in the equation is
       forced to vanish, because tr(U U*) = 0 implies U = 0; the zeros are
       substituted everywhere, including into the product equations.
-  R4  once only single-Gram equations remain, the two occurrences of each
-      block (U U* = a*I on dim d1, U* U = b*I on dim d2) must agree:
-      a = b and d1 = d2, else the trace identity tr(U U*) = tr(U* U) or a
-      rank count is violated.  Agreement yields a witness, sqrt(a) times a
-      unitary block.
 
-Anything the rules cannot settle is reported as unresolved, never silently
-dropped.
+R3 runs to a fixpoint first, so that substituted equations surface their
+contradictions in simplified form; then one R1/R2 scan, plus side then
+minus side, weights descending.  When neither fires, terminal recognition
+asks that no product equation keeps a live term and that every remaining
+diagonal equation is a single Gram term a*I with a > 0, each block held by
+one U U* = a*I and one U* U = b*I equation with a = b on equal
+dimensions.  That yields a witness, sqrt(a) times a unitary block.  On an
+admissible table a terminal sector always agrees: the odd one is
+{1:m} / {-1:m} and the even one has no live block.  So a mismatch (only
+an inadmissible table has one) is not a certified contradiction; like
+anything else the rules cannot settle it is reported as unresolved, never
+silently dropped.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix, GaussRational
@@ -41,6 +58,14 @@ CROSS = "cross"
 
 OUTER = "outer"  # U U*, supported on the target eigenspace
 INNER = "inner"  # U* U, supported on the source eigenspace
+
+# the view lists its blocks by kind in this order, source weights descending
+_KIND_ORDER = {PLUS_RAISE: 0, MINUS_RAISE: 1, CROSS: 2}
+
+Key = Tuple[str, int]  # (kind, source weight)
+Term = Tuple[int, Key, str]  # (sign, key, flavor)
+Equation = Tuple[str, int, int, int, Tuple[Term, ...]]  # (side, w, dim, rhs, terms)
+ProductEquation = Tuple[int, Tuple[Tuple[Key, Key], ...]]  # (w, pairs of keys)
 
 
 class TheoremViolation(Exception):
@@ -59,6 +84,10 @@ class WitnessError(Exception):
     """A feasible witness does not satisfy the original equations exactly."""
 
 
+def block_label(kind: str, source_weight: int) -> str:
+    return f"{kind}[{source_weight}->{source_weight + 2}]"
+
+
 @dataclass(frozen=True)
 class BlockUnknown:
     kind: str
@@ -73,7 +102,7 @@ class BlockUnknown:
             raise ValueError("blocks raise the weight by exactly 2")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("block dimensions must be positive")
-        object.__setattr__(self, "label", f"{self.kind}[{self.source_weight}->{self.target_weight}]")
+        object.__setattr__(self, "label", block_label(self.kind, self.source_weight))
 
     def slot(self, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
         """Where the block sits in the assembled triple: its row span (the
@@ -119,6 +148,8 @@ class CrossEquation:
 
 @dataclass(frozen=True)
 class BlockSystem:
+    """The per-block view of a SectorSystem."""
+
     weight_data: WeightData
     sector: str  # "odd" | "even" | "mixed" | "empty"
     unknowns: Dict[str, BlockUnknown]
@@ -126,9 +157,53 @@ class BlockSystem:
     cross: Tuple[CrossEquation, ...]
 
 
+@dataclass
+class SectorSystem:
+    """The Gram equations of a table in lean form (see the module docstring).
+
+    ``equations`` holds the diagonal equations in scan order and
+    ``products`` the product equations that have a term.  At a weight w
+    held by both blocks the product terms are E* Z, for the pair
+    (plus_raise, cross) of blocks leaving w, and -Z F*, for the pair
+    (cross, minus_raise) of blocks entering w.
+    """
+
+    weight_data: WeightData
+    sector: str  # "odd" | "even" | "mixed" | "empty"
+    equations: Tuple[Equation, ...]
+    products: Tuple[ProductEquation, ...] = ()
+
+    @cached_property
+    def view(self) -> BlockSystem:
+        """The BlockSystem of these equations, built on first access."""
+        wd = self.weight_data
+        keys = {key for eq in self.equations for _, key, _ in eq[4]}
+        keys.update(key for _, pairs in self.products for pair in pairs for key in pair)
+        blocks: Dict[Key, BlockUnknown] = {}
+        for kind, src in sorted(keys, key=lambda k: (_KIND_ORDER[k[0]], -k[1])):
+            source = wd.plus if kind == PLUS_RAISE else wd.minus
+            target = wd.minus if kind == MINUS_RAISE else wd.plus
+            blocks[kind, src] = BlockUnknown(kind, src, src + 2, target[src + 2], source[src])
+        diagonal = tuple(
+            DiagonalEquation(side, w, dim, tuple(GramTerm(s, blocks[k], f) for s, k, f in terms), rhs)
+            for side, w, dim, rhs, terms in self.equations
+        )
+        cross = tuple(
+            CrossEquation(w, tuple(_product_term(blocks[left], blocks[right]) for left, right in pairs))
+            for w, pairs in self.products
+        )
+        return BlockSystem(wd, self.sector, {u.label: u for u in blocks.values()}, diagonal, cross)
+
+
+def _product_term(left: BlockUnknown, right: BlockUnknown) -> ProductTerm:
+    if left.kind == PLUS_RAISE:
+        return ProductTerm(+1, (left, True), (right, False))
+    return ProductTerm(-1, (left, False), (right, True))
+
+
 @dataclass(frozen=True)
 class CertificateStep:
-    rule: str  # R1 | R2 | R3 | R4
+    rule: str  # R1 | R2 | R3
     sector: str
     side: str
     weight: int
@@ -212,254 +287,212 @@ def _infer_sector(wd: WeightData) -> str:
     return "mixed"
 
 
-def derive_constraints(wd: WeightData, sector: str | None = None) -> BlockSystem:
-    """Instantiate the block unknowns and per-eigenspace equations of a table."""
+def derive_constraints(wd: WeightData, sector: str | None = None) -> SectorSystem:
+    """The per-eigenspace equations of a table, in lean form.
+
+    A block (kind, w) exists when both its eigenspaces do: plus_raise when
+    w and w + 2 are plus weights, minus_raise likewise on the minus side,
+    cross when w is a minus weight and w + 2 a plus weight.  WeightData
+    keeps its weights in descending order, the scan order.
+    """
     if sector is None:
         sector = _infer_sector(wd)
-    unknowns: Dict[str, BlockUnknown] = {}
-    by_source: Dict[Tuple[str, int], BlockUnknown] = {}
-
-    def add(kind, src, tgt, rows, cols):
-        u = BlockUnknown(kind, src, tgt, rows, cols)
-        unknowns[u.label] = u
-        by_source[kind, src] = u
-
-    for w in sorted(wd.plus, reverse=True):
-        if w + 2 in wd.plus:
-            add(PLUS_RAISE, w, w + 2, wd.plus[w + 2], wd.plus[w])
-    for w in sorted(wd.minus, reverse=True):
-        if w + 2 in wd.minus:
-            add(MINUS_RAISE, w, w + 2, wd.minus[w + 2], wd.minus[w])
-    for w in sorted(wd.minus, reverse=True):
-        if w + 2 in wd.plus:
-            add(CROSS, w, w + 2, wd.plus[w + 2], wd.minus[w])
-
-    find = by_source.get  # (kind, source weight) -> unknown
-
-    diagonal: List[DiagonalEquation] = []
-    for w in sorted(wd.plus, reverse=True):
+    plus, minus = wd.plus, wd.minus
+    equations: List[Equation] = []
+    for w, dim in plus.items():
         terms = []
-        e_in = find((PLUS_RAISE, w - 2))
-        if e_in:
-            terms.append(GramTerm(-1, e_in, OUTER))
-        e_out = find((PLUS_RAISE, w))
-        if e_out:
-            terms.append(GramTerm(+1, e_out, INNER))
-        z_in = find((CROSS, w - 2))
-        if z_in:
-            terms.append(GramTerm(+1, z_in, OUTER))
-        diagonal.append(
-            DiagonalEquation("plus", w, wd.plus[w], tuple(terms), w)
-        )
-    for w in sorted(wd.minus, reverse=True):
+        if w - 2 in plus:
+            terms.append((-1, (PLUS_RAISE, w - 2), OUTER))
+        if w + 2 in plus:
+            terms.append((+1, (PLUS_RAISE, w), INNER))
+        if w - 2 in minus:
+            terms.append((+1, (CROSS, w - 2), OUTER))
+        equations.append(("plus", w, dim, w, tuple(terms)))
+    for w, dim in minus.items():
         terms = []
-        f_in = find((MINUS_RAISE, w - 2))
-        if f_in:
-            terms.append(GramTerm(-1, f_in, OUTER))
-        f_out = find((MINUS_RAISE, w))
-        if f_out:
-            terms.append(GramTerm(+1, f_out, INNER))
-        z_out = find((CROSS, w))
-        if z_out:
-            terms.append(GramTerm(-1, z_out, INNER))
-        diagonal.append(
-            DiagonalEquation("minus", w, wd.minus[w], tuple(terms), w)
-        )
+        if w - 2 in minus:
+            terms.append((-1, (MINUS_RAISE, w - 2), OUTER))
+        if w + 2 in minus:
+            terms.append((+1, (MINUS_RAISE, w), INNER))
+        if w + 2 in plus:
+            terms.append((-1, (CROSS, w), INNER))
+        equations.append(("minus", w, dim, w, tuple(terms)))
 
-    cross_eqs: List[CrossEquation] = []
-    shared = sorted(set(wd.plus) & set(wd.minus), reverse=True)
-    for w in shared:
-        terms = []
-        e_out = find((PLUS_RAISE, w))
-        z_out = find((CROSS, w))
-        if e_out and z_out:
-            terms.append(ProductTerm(+1, (e_out, True), (z_out, False)))
-        z_in = find((CROSS, w - 2))
-        f_in = find((MINUS_RAISE, w - 2))
-        if z_in and f_in:
-            terms.append(ProductTerm(-1, (z_in, False), (f_in, True)))
-        if terms:
-            cross_eqs.append(CrossEquation(w, tuple(terms)))
-
-    return BlockSystem(
-        weight_data=wd,
-        sector=sector,
-        unknowns=unknowns,
-        diagonal=tuple(diagonal),
-        cross=tuple(cross_eqs),
-    )
+    products = []
+    for w in minus:
+        if w not in plus:
+            continue
+        pairs = []
+        if w + 2 in plus:
+            pairs.append(((PLUS_RAISE, w), (CROSS, w)))
+        if w - 2 in minus:
+            pairs.append(((CROSS, w - 2), (MINUS_RAISE, w - 2)))
+        if pairs:
+            products.append((w, tuple(pairs)))
+    return SectorSystem(wd, sector, tuple(equations), tuple(products))
 
 
 # ----------------------------------------------------------------------
 # Elimination
 
 
-def _live(eq: DiagonalEquation, forced: set) -> List[GramTerm]:
-    return [t for t in eq.terms if t.unknown.label not in forced]
+def _live(eq: Equation, forced: set) -> Sequence[Term]:
+    """The terms of eq whose block is not forced to zero."""
+    terms = eq[4]
+    return [t for t in terms if t[1] not in forced] if forced else terms
 
 
-def _live_products(eq: CrossEquation, forced: set) -> List[ProductTerm]:
-    return [
-        t
-        for t in eq.terms
-        if t.left[0].label not in forced and t.right[0].label not in forced
-    ]
+def _r3_fires(eq: Equation, live: Sequence[Term]) -> bool:
+    return bool(live) and eq[3] == 0 and len({t[0] for t in live}) == 1
 
 
-def _r3_step(sector: str, eq: DiagonalEquation, labels: Sequence[str]) -> CertificateStep:
+def _r1_fires(eq: Equation, live: Sequence[Term]) -> bool:
+    return eq[3] > 0 and all(t[0] < 0 for t in live)
+
+
+def _r2_fires(eq: Equation, live: Sequence[Term]) -> bool:
+    return eq[3] < 0 and all(t[0] > 0 for t in live)
+
+
+def _r3_step(sector: str, eq: Equation, keys: Sequence[Key]) -> CertificateStep:
     return CertificateStep(
         rule="R3",
         sector=sector,
-        side=eq.side,
-        weight=eq.weight,
+        side=eq[0],
+        weight=eq[1],
         conclusion="one-signed left side with zero right side forces zero: "
-        + ", ".join(labels),
+        + ", ".join(block_label(*key) for key in keys),
         trace_values=(0, 0),
     )
 
 
-def _r1_step(sector: str, eq: DiagonalEquation, live_count: int) -> CertificateStep:
+def _r1_step(sector: str, eq: Equation, live_count: int) -> CertificateStep:
+    side, weight, dim, rhs, _ = eq
     return CertificateStep(
         rule="R1",
         sector=sector,
-        side=eq.side,
-        weight=eq.weight,
+        side=side,
+        weight=weight,
         conclusion=f"{live_count} negated Gram term(s) equal a positive multiple "
-        f"of the identity: left trace <= 0 < {eq.rhs * eq.dim}",
-        trace_values=(0, eq.rhs * eq.dim),
+        f"of the identity: left trace <= 0 < {rhs * dim}",
+        trace_values=(0, rhs * dim),
     )
 
 
-def _r2_step(sector: str, eq: DiagonalEquation, live_count: int) -> CertificateStep:
+def _r2_step(sector: str, eq: Equation, live_count: int) -> CertificateStep:
+    side, weight, dim, rhs, _ = eq
     return CertificateStep(
         rule="R2",
         sector=sector,
-        side=eq.side,
-        weight=eq.weight,
+        side=side,
+        weight=weight,
         conclusion=f"{live_count} positive Gram term(s) equal a negative multiple "
-        f"of the identity: left trace >= 0 > {eq.rhs * eq.dim}",
-        trace_values=(0, eq.rhs * eq.dim),
+        f"of the identity: left trace >= 0 > {rhs * dim}",
+        trace_values=(0, rhs * dim),
     )
 
 
-def _r4_mismatch_step(
-    sector: str, label: str, outer_eq: DiagonalEquation, a: int, d1: int, b: int, d2: int
-) -> CertificateStep:
-    return CertificateStep(
-        rule="R4",
-        sector=sector,
-        side=outer_eq.side,
-        weight=outer_eq.weight,
-        conclusion=f"block {label} has U U* = {a}*I on dim {d1} but U* U = {b}*I "
-        f"on dim {d2}; trace/rank identity fails",
-        trace_values=(a * d1, b * d2),
-    )
-
-
-def eliminate(system: BlockSystem) -> Verdict:
-    """Run rules R1-R4 to a fixpoint and return a replayable verdict.
-
-    Zero-forcing (R3) is applied before the contradiction scans so that
-    substituted equations surface their contradictions in simplified form;
-    scan order is plus side then minus side, weights descending.
-    """
+def eliminate(system: SectorSystem) -> Verdict:
+    """Run R3 to a fixpoint, then one R1/R2 scan, then terminal
+    recognition, and return a replayable verdict (module docstring)."""
+    sector = system.sector
     forced: set = set()
     steps: List[CertificateStep] = []
-    while True:
+    # only a zero right side can force zeros, only a nonzero one contradict
+    zero_rhs = [eq for eq in system.equations if eq[3] == 0]
+    fired = True
+    while fired:
         fired = False
-        for eq in system.diagonal:
+        for eq in zero_rhs:
             live = _live(eq, forced)
-            if live and eq.rhs == 0 and len({t.sign for t in live}) == 1:
-                labels = [t.unknown.label for t in live]
-                steps.append(_r3_step(system.sector, eq, labels))
-                forced.update(labels)
+            if _r3_fires(eq, live):
+                keys = [t[1] for t in live]
+                steps.append(_r3_step(sector, eq, keys))
+                forced.update(keys)
                 fired = True
                 break
-        if fired:
+    for eq in system.equations:
+        if eq[3] == 0:
             continue
-        for eq in system.diagonal:
-            live = _live(eq, forced)
-            if eq.rhs > 0 and all(t.sign < 0 for t in live):
-                steps.append(_r1_step(system.sector, eq, len(live)))
-                return Verdict("infeasible", system.sector, certificate=tuple(steps))
-            if eq.rhs < 0 and all(t.sign > 0 for t in live):
-                steps.append(_r2_step(system.sector, eq, len(live)))
-                return Verdict("infeasible", system.sector, certificate=tuple(steps))
-        break
-
-    # Terminal recognition (R4).
-    for ceq in system.cross:
-        if _live_products(ceq, forced):
-            return Verdict(
-                "unresolved",
-                system.sector,
-                detail=f"product equation at weight {ceq.weight} still has live terms",
-            )
-    singles: Dict[str, Dict[str, Tuple[int, DiagonalEquation]]] = {}
-    for eq in system.diagonal:
         live = _live(eq, forced)
-        if not live and eq.rhs == 0:
+        if _r1_fires(eq, live):
+            steps.append(_r1_step(sector, eq, len(live)))
+            return Verdict("infeasible", sector, certificate=tuple(steps))
+        if _r2_fires(eq, live):
+            steps.append(_r2_step(sector, eq, len(live)))
+            return Verdict("infeasible", sector, certificate=tuple(steps))
+
+    # Terminal recognition.
+    for w, pairs in system.products:
+        if any(left not in forced and right not in forced for left, right in pairs):
+            return Verdict("unresolved", sector, detail=f"product equation at weight {w} still has live terms")
+    singles: Dict[Key, Dict[str, Tuple[int, int]]] = {}
+    for eq in system.equations:
+        side, w, dim, rhs, _ = eq
+        live = _live(eq, forced)
+        if not live and rhs == 0:
             continue
         if len(live) != 1:
             return Verdict(
                 "unresolved",
-                system.sector,
-                detail=f"equation at {eq.side} weight {eq.weight} is not a single "
-                f"Gram term ({len(live)} terms, right side {eq.rhs})",
+                sector,
+                detail=f"equation at {side} weight {w} is not a single "
+                f"Gram term ({len(live)} terms, right side {rhs})",
             )
-        term = live[0]
-        a = term.sign * eq.rhs
+        sign, key, flavor = live[0]
+        a = sign * rhs
         if a <= 0:
             return Verdict(
                 "unresolved",
-                system.sector,
-                detail=f"equation at {eq.side} weight {eq.weight} normalizes to a "
-                f"non-positive Gram multiple {a}",
+                sector,
+                detail=f"equation at {side} weight {w} normalizes to a non-positive Gram multiple {a}",
             )
-        singles.setdefault(term.unknown.label, {})[term.flavor] = (a, eq)
+        singles.setdefault(key, {})[flavor] = (a, dim)
 
     terminal: List[TerminalBlock] = []
-    for label in sorted(singles):
-        occ = singles[label]
+    for label, occ in sorted((block_label(*key), occ) for key, occ in singles.items()):
         if OUTER not in occ or INNER not in occ:
             # derive_constraints puts every block in one OUTER and one INNER
             # equation, so only a hand-built system gets here
             return Verdict(
                 "unresolved",
-                system.sector,
+                sector,
                 detail=f"block {label} occurs in one Gram equation only ({next(iter(occ))})",
             )
-        a, outer_eq = occ[OUTER]
-        b, inner_eq = occ[INNER]
-        d1, d2 = outer_eq.dim, inner_eq.dim
+        (a, d1), (b, d2) = occ[OUTER], occ[INNER]
         if a != b or d1 != d2:
-            steps.append(_r4_mismatch_step(system.sector, label, outer_eq, a, d1, b, d2))
-            return Verdict("infeasible", system.sector, certificate=tuple(steps))
+            # the trace or the rank identity fails, but no rule certifies it:
+            # an admissible table never gets here
+            return Verdict(
+                "unresolved",
+                sector,
+                detail=f"block {label} has U U* = {a}*I on dim {d1} but U* U = {b}*I on dim {d2}",
+            )
         terminal.append(TerminalBlock(label, "paired", a, d1))
 
     witness = WitnessClass(
-        forced_zero=tuple(sorted(forced)),
+        forced_zero=tuple(sorted(block_label(*key) for key in forced)),
         terminal=tuple(terminal),
     )
-    return Verdict("feasible", system.sector, witness=witness)
+    return Verdict("feasible", sector, witness=witness)
 
 
 # ----------------------------------------------------------------------
 # Certificate replay and witness verification
 
 
-def replay_certificate(system: BlockSystem, verdict: Verdict) -> None:
+def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
     """Re-execute an infeasibility certificate step by step.
 
     Every step is recomputed from the state the previous steps produced and
-    must match the recorded step exactly; the final step must establish the
-    contradiction.  Raises ReplayError otherwise.
+    must match the recorded step exactly; the final step, and only it, must
+    be an R1 or R2 contradiction.  Raises ReplayError otherwise.
     """
     if verdict.status != "infeasible":
         raise ReplayError("only infeasible verdicts carry step certificates")
     if not verdict.certificate:
         raise ReplayError("empty certificate")
-    by_key = {(eq.side, eq.weight): eq for eq in system.diagonal}
+    by_key = {(eq[0], eq[1]): eq for eq in system.equations}
     forced: set = set()
     for i, step in enumerate(verdict.certificate):
         last = i == len(verdict.certificate) - 1
@@ -470,62 +503,28 @@ def replay_certificate(system: BlockSystem, verdict: Verdict) -> None:
         if step.rule == "R3":
             if last:
                 raise ReplayError("certificate ends on a zero-forcing step")
-            if not live or eq.rhs != 0 or len({t.sign for t in live}) != 1:
+            if not _r3_fires(eq, live):
                 raise ReplayError(f"step {i}: R3 precondition fails at {step.side} {step.weight}")
-            expected = _r3_step(system.sector, eq, [t.unknown.label for t in live])
-            if expected != step:
+            keys = [t[1] for t in live]
+            if _r3_step(system.sector, eq, keys) != step:
                 raise ReplayError(f"step {i}: recorded R3 step differs from recomputation")
-            forced.update(t.unknown.label for t in live)
+            forced.update(keys)
         elif step.rule == "R1":
-            if not (eq.rhs > 0 and all(t.sign < 0 for t in live)):
+            if not _r1_fires(eq, live):
                 raise ReplayError(f"step {i}: R1 precondition fails at {step.side} {step.weight}")
             if _r1_step(system.sector, eq, len(live)) != step:
                 raise ReplayError(f"step {i}: recorded R1 step differs from recomputation")
             if not last:
                 raise ReplayError("contradiction reached before the final step")
         elif step.rule == "R2":
-            if not (eq.rhs < 0 and all(t.sign > 0 for t in live)):
+            if not _r2_fires(eq, live):
                 raise ReplayError(f"step {i}: R2 precondition fails at {step.side} {step.weight}")
             if _r2_step(system.sector, eq, len(live)) != step:
                 raise ReplayError(f"step {i}: recorded R2 step differs from recomputation")
             if not last:
                 raise ReplayError("contradiction reached before the final step")
-        elif step.rule == "R4":
-            if not last:
-                raise ReplayError("R4 contradiction must be the final step")
-            if len(live) != 1:
-                raise ReplayError(f"step {i}: R4 expects a single live term")
-            label = live[0].unknown.label
-            partner = _find_partner(system, forced, label, exclude=eq)
-            if partner is None:
-                raise ReplayError(f"step {i}: R4 block {label} has no partner equation")
-            if _recompute_r4(system.sector, forced, label, eq, partner) != step:
-                raise ReplayError(f"step {i}: recorded R4 step differs from recomputation")
         else:
             raise ReplayError(f"step {i}: unknown rule {step.rule}")
-    final = verdict.certificate[-1]
-    if final.rule not in ("R1", "R2", "R4"):
-        raise ReplayError("certificate does not end in a contradiction rule")
-
-
-def _find_partner(system, forced, label, exclude):
-    for eq in system.diagonal:
-        if eq is exclude:
-            continue
-        live = _live(eq, forced)
-        if len(live) == 1 and live[0].unknown.label == label:
-            return eq
-    return None
-
-
-def _recompute_r4(sector, forced, label, eq, partner) -> CertificateStep:
-    term = _live(eq, forced)[0]
-    a = term.sign * eq.rhs
-    pterm = _live(partner, forced)[0]
-    b = pterm.sign * partner.rhs
-    if term.flavor == OUTER:
-        return _r4_mismatch_step(sector, label, eq, a, eq.dim, b, partner.dim)
-    return _r4_mismatch_step(sector, label, partner, b, partner.dim, a, eq.dim)
 
 
 def gaussian_scale(scale_sq: int) -> GaussRational:
@@ -543,30 +542,32 @@ def gaussian_scale(scale_sq: int) -> GaussRational:
     )
 
 
-def instantiate_witness(system: BlockSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
+def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
     """Exact block values realizing a witness class."""
+    unknowns = system.view.unknowns
     values: Dict[str, GaussMatrix] = {}
     for label in witness.forced_zero:
-        u = system.unknowns[label]
+        u = unknowns[label]
         values[label] = GaussMatrix.zeros(u.rows, u.cols)
     for tb in witness.terminal:
-        u = system.unknowns[tb.label]
+        u = unknowns[tb.label]
         gamma = gaussian_scale(tb.scale_sq)
         mat = GaussMatrix.zeros(u.rows, u.cols)
         ents = list(mat.entries)
         for i in range(min(u.rows, u.cols)):
             ents[i * u.cols + i] = gamma
         values[tb.label] = GaussMatrix._raw(u.rows, u.cols, tuple(ents))
-    missing = set(system.unknowns) - set(values)
+    missing = set(unknowns) - set(values)
     if missing:
         raise WitnessError(f"witness leaves blocks unassigned: {sorted(missing)}")
     return values
 
 
-def verify_witness(system: BlockSystem, witness: WitnessClass) -> None:
+def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
     """Substitute a witness into every original equation and demand equality."""
     values = instantiate_witness(system, witness)
-    for eq in system.diagonal:
+    view = system.view
+    for eq in view.diagonal:
         acc = GaussMatrix.zeros(eq.dim, eq.dim)
         for t in eq.terms:
             v = values[t.unknown.label]
@@ -576,7 +577,7 @@ def verify_witness(system: BlockSystem, witness: WitnessClass) -> None:
             raise WitnessError(
                 f"diagonal equation at {eq.side} weight {eq.weight} is not satisfied"
             )
-    for ceq in system.cross:
+    for ceq in view.cross:
         acc = None
         for t in ceq.terms:
             lv = values[t.left[0].label]
@@ -598,8 +599,8 @@ def verify_witness(system: BlockSystem, witness: WitnessClass) -> None:
 @dataclass
 class DatumClassification:
     weight_data: WeightData
-    odd_system: BlockSystem
-    even_system: BlockSystem
+    odd_system: SectorSystem
+    even_system: SectorSystem
     odd: Verdict
     even: Verdict
 
@@ -658,9 +659,9 @@ class SectorVerdict:
 
     weight_data: WeightData
     verdict: Verdict
-    system: Optional[BlockSystem]
+    system: Optional[SectorSystem]
 
-    def derived_system(self) -> BlockSystem:
+    def derived_system(self) -> SectorSystem:
         if self.system is not None:
             return self.system
         return derive_constraints(self.weight_data, sector=self.verdict.sector)
@@ -772,7 +773,7 @@ def _check_feasible_shape(result: DatumClassification) -> None:
         if verdict.status != "feasible":
             continue
         forced = set(verdict.witness.forced_zero)
-        for label, unk in system.unknowns.items():
+        for label, unk in system.view.unknowns.items():
             if unk.kind in (PLUS_RAISE, MINUS_RAISE) and label not in forced:
                 raise TheoremViolation(
                     f"feasible verdict for {wd.describe()} leaves raising block "

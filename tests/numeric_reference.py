@@ -16,8 +16,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from geodesy.ladder import CROSS, MINUS_RAISE, PLUS_RAISE, derive_constraints
+from geodesy.ladder import CROSS, MINUS_RAISE, PLUS_RAISE
 from geodesy.weights import WeightData
+from ladder_reference import derive_constraints
 
 StructuredPoint = Dict[str, np.ndarray]
 

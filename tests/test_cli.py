@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
-from geodesy.cli import run
+from geodesy.cli import build_parser, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.weights import WeightData, enumerate_weight_data
 
@@ -328,6 +331,40 @@ def test_oracle_output_is_deterministic(capsys):
     assert run(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# check, classify, an argument argparse rejects (exit 2 on stderr), then
+# oracle and check again: the parser is built once and shared by them all
+RUN_SERIES = [
+    ["check", "candidates/diagonal_p2.json", "--json"],
+    ["classify", "2", "--json"],
+    ["classify", "two"],
+    ["oracle", "--plus", "1:1", "--minus", "-1:1", "--restarts", "2", "--seed", "5"],
+    ["check", "candidates/standard_trivial_p2.json"],
+]
+
+
+def test_run_series_matches_separate_processes(monkeypatch):
+    root = BUNDLED.parent
+    monkeypatch.chdir(root)
+    in_process = []
+    for argv in RUN_SERIES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    separate = [
+        subprocess.run([sys.executable, "-m", "geodesy.cli", *argv], capture_output=True, text=True, cwd=root, env=env)
+        for argv in RUN_SERIES
+    ]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in separate]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+    assert "invalid int value: 'two'" in in_process[2][2]
+    assert build_parser() is build_parser()
 
 
 def test_selftest_runs_clean(capsys):

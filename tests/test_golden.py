@@ -119,12 +119,15 @@ CLASSIFY_GOLDEN = {
     ("classify", "3", "--json"): "9f0d03ac1b2474652580d9403dc6aa1cac4569be7fd4eb5dc6d6403e26ab2a4d",
     ("classify", "4", "--json"): "16166d082a91b456041868ff1aae10fd71215d9850d0a507f30c046689faaede",
     ("classify", "5", "--json"): "b9ec72a633ae66f9f5254f07483c1bbb61b45be8db17d07dcae508f33c5ef475",
+    ("classify", "6", "--json"): "21893bbc52113cd3716ca4973ab54b0c8eaec2fa97523919481aa136da98b5bb",
     ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
     ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",
 }
 # one sha256 over the sorted (file name, bytes) pairs of the certificates
 # that `classify p --emit-certs` writes for p = 1..4
 CERTIFICATES_GOLDEN = "d845ec37691224be0a235206dcdeb0e8f4c4a954b89bf5dbb64c6f0da4a69d73"
+# the same digest over the 2,773 certificates of `classify 5 --emit-certs`
+CERTIFICATES_P5_GOLDEN = "14fd32fa839e70aa46a9e0d973710b5601db863abf36714111954b59e626d4f3"
 
 
 def cli_stdout(argv) -> str:
@@ -169,13 +172,23 @@ def test_save_candidate_reproduces_bundled_file(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (ROOT / "candidates" / name).read_bytes()
 
 
-def test_emitted_certificates_match_golden_digest(tmp_path):
+def certificates_digest(tmp_path, ranks) -> str:
+    """sha256 over the sorted (file name, bytes) pairs that
+    ``classify p --emit-certs`` writes for every p in ranks."""
     pairs = []
-    for p in range(1, 5):
+    for p in ranks:
         directory = tmp_path / f"p{p}"
         cli_stdout(["classify", str(p), "--emit-certs", str(directory)])
         pairs += [(f.name, f.read_bytes()) for f in directory.iterdir()]
     digest = hashlib.sha256()
     for name, data in sorted(pairs):
         digest.update(name.encode() + b"\0" + data)
-    assert digest.hexdigest() == CERTIFICATES_GOLDEN
+    return digest.hexdigest()
+
+
+def test_emitted_certificates_match_golden_digest(tmp_path):
+    assert certificates_digest(tmp_path, range(1, 5)) == CERTIFICATES_GOLDEN
+
+
+def test_emitted_p5_certificates_match_golden_digest(tmp_path):
+    assert certificates_digest(tmp_path, [5]) == CERTIFICATES_P5_GOLDEN

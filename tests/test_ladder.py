@@ -13,6 +13,7 @@ from geodesy.ladder import (
     GramTerm,
     ProductTerm,
     ReplayError,
+    SectorSystem,
     TheoremViolation,
     UnresolvedRemains,
     Verdict,
@@ -26,7 +27,7 @@ from geodesy.ladder import (
     verify_theorem,
     verify_witness,
 )
-from geodesy.weights import WeightData, enumerate_weight_data
+from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data
 
 
 # -- derivation ---------------------------------------------------------
@@ -36,25 +37,25 @@ def test_derive_standard_pattern():
     for m in (1, 2, 3):
         wd = WeightData({1: m}, {-1: m})
         system = derive_constraints(wd)
-        assert list(system.unknowns) == ["cross[-1->1]"]
-        unknown = system.unknowns["cross[-1->1]"]
+        assert list(system.view.unknowns) == ["cross[-1->1]"]
+        unknown = system.view.unknowns["cross[-1->1]"]
         assert unknown.rows == m and unknown.cols == m
-        plus_eq, minus_eq = system.diagonal
+        plus_eq, minus_eq = system.view.diagonal
         assert plus_eq.side == "plus" and plus_eq.weight == 1 and plus_eq.rhs == 1
         assert plus_eq.terms == (GramTerm(+1, unknown, OUTER),)
         assert minus_eq.side == "minus" and minus_eq.rhs == -1
         assert minus_eq.terms == (GramTerm(-1, unknown, INNER),)
-        assert system.cross == ()
+        assert system.view.cross == ()
         assert system.sector == "odd"
 
 
 def test_derive_end_of_even_sector_pattern():
     wd = WeightData({2: 1}, {0: 1, -2: 1})
     system = derive_constraints(wd)
-    assert sorted(system.unknowns) == ["cross[0->2]", "minus_raise[-2->0]"]
-    zero_eq = next(eq for eq in system.diagonal if eq.side == "minus" and eq.weight == 0)
-    f_in = system.unknowns["minus_raise[-2->0]"]
-    z_out = system.unknowns["cross[0->2]"]
+    assert sorted(system.view.unknowns) == ["cross[0->2]", "minus_raise[-2->0]"]
+    zero_eq = next(eq for eq in system.view.diagonal if eq.side == "minus" and eq.weight == 0)
+    f_in = system.view.unknowns["minus_raise[-2->0]"]
+    z_out = system.view.unknowns["cross[0->2]"]
     assert zero_eq.terms == (GramTerm(-1, f_in, OUTER), GramTerm(-1, z_out, INNER))
     assert zero_eq.rhs == 0
 
@@ -62,9 +63,9 @@ def test_derive_end_of_even_sector_pattern():
 def test_derive_trivial_sector_has_no_unknowns():
     for p in (1, 2, 3):
         system = derive_constraints(WeightData({0: p}, {0: p}))
-        assert system.unknowns == {}
-        assert all(eq.terms == () and eq.rhs == 0 for eq in system.diagonal)
-        assert system.cross == ()
+        assert system.view.unknowns == {}
+        assert all(eq.terms == () and eq.rhs == 0 for eq in system.view.diagonal)
+        assert system.view.cross == ()
 
 
 def test_derive_emits_product_equations():
@@ -72,14 +73,14 @@ def test_derive_emits_product_equations():
     # product survives, at weight -1 only the outgoing one
     wd = WeightData({1: 1, -1: 1}, {1: 1, -1: 1})
     system = derive_constraints(wd)
-    assert [ceq.weight for ceq in system.cross] == [1, -1]
-    at_one, at_minus_one = system.cross
+    assert [ceq.weight for ceq in system.view.cross] == [1, -1]
+    at_one, at_minus_one = system.view.cross
     assert [t.sign for t in at_one.terms] == [-1]
-    assert at_one.terms[0].left == (system.unknowns["cross[-1->1]"], False)
-    assert at_one.terms[0].right == (system.unknowns["minus_raise[-1->1]"], True)
+    assert at_one.terms[0].left == (system.view.unknowns["cross[-1->1]"], False)
+    assert at_one.terms[0].right == (system.view.unknowns["minus_raise[-1->1]"], True)
     assert [t.sign for t in at_minus_one.terms] == [1]
-    assert at_minus_one.terms[0].left == (system.unknowns["plus_raise[-1->1]"], True)
-    assert at_minus_one.terms[0].right == (system.unknowns["cross[-1->1]"], False)
+    assert at_minus_one.terms[0].left == (system.view.unknowns["plus_raise[-1->1]"], True)
+    assert at_minus_one.terms[0].right == (system.view.unknowns["cross[-1->1]"], False)
 
 
 def test_telescoping_trace_structure():
@@ -91,7 +92,7 @@ def test_telescoping_trace_structure():
             net = {}
             crossings = set()
             rhs_total = 0
-            for eq in system.diagonal:
+            for eq in system.view.diagonal:
                 if eq.side != "plus":
                     continue
                 rhs_total += eq.rhs * eq.dim
@@ -104,7 +105,7 @@ def test_telescoping_trace_structure():
             assert all(v == 0 for v in net.values())
             assert rhs_total == sum(w * m for w, m in wd.plus.items())
             expected_crossings = {
-                label for label, u in system.unknowns.items() if u.kind == CROSS
+                label for label, u in system.view.unknowns.items() if u.kind == CROSS
             }
             assert crossings == expected_crossings
 
@@ -154,15 +155,15 @@ def test_negative_plus_weight_fires_r2():
     assert verdict.certificate[-1].rule in ("R1", "R2")
 
 
-def test_rank_mismatch_fires_r4():
-    # zz* = 1 on a 2-dim space but z*z = 1 on a 1-dim space cannot both hold
+def test_rank_mismatch_is_unresolved():
+    # zz* = 1 on a 2-dim space but z*z = 1 on a 1-dim space cannot both
+    # hold, but no rule certifies it: only an inadmissible table has such a
+    # terminal mismatch, and it is reported, not decided
     system = derive_constraints(WeightData({1: 2}, {-1: 1}))
     verdict = eliminate(system)
-    assert verdict.status == "infeasible"
-    (step,) = verdict.certificate
-    assert step.rule == "R4"
-    assert step.trace_values == (2, 1)
-    replay_certificate(system, verdict)
+    assert verdict.status == "unresolved"
+    assert verdict.certificate == ()
+    assert verdict.detail == "block cross[-1->1] has U U* = 1*I on dim 2 but U* U = 1*I on dim 1"
 
 
 def test_sign_lemmas_via_rules():
@@ -183,35 +184,30 @@ def test_sign_lemmas_via_rules():
 
 
 def test_unresolved_is_reported_not_hidden():
-    a = BlockUnknown(PLUS_RAISE, 0, 2, 1, 1)
-    b = BlockUnknown(CROSS, 0, 2, 1, 1)
-    system = BlockSystem(
+    a = (PLUS_RAISE, 0)
+    b = (CROSS, 0)
+    system = SectorSystem(
         weight_data=WeightData({2: 1, 0: 1}, {0: 1}),
         sector="even",
-        unknowns={a.label: a, b.label: b},
-        diagonal=(
-            DiagonalEquation("plus", 2, 1, (GramTerm(-1, a, OUTER), GramTerm(+1, b, OUTER)), 2),
-            DiagonalEquation("plus", 0, 1, (GramTerm(+1, a, INNER),), 2),
-            DiagonalEquation("minus", 0, 1, (GramTerm(-1, b, INNER),), -2),
+        equations=(
+            ("plus", 2, 1, 2, ((-1, a, OUTER), (+1, b, OUTER))),
+            ("plus", 0, 1, 2, ((+1, a, INNER),)),
+            ("minus", 0, 1, -2, ((-1, b, INNER),)),
         ),
-        cross=(),
     )
     verdict = eliminate(system)
     assert verdict.status == "unresolved"
     assert "plus weight 2" in verdict.detail
 
 
-def _one_sided_system() -> BlockSystem:
+def _one_sided_system() -> SectorSystem:
     """A block that sits in its OUTER equation only: U U* = I on a 2-dim
     space with U 2x1, which no 2x1 block satisfies.  derive_constraints
     never builds such a system."""
-    a = BlockUnknown(PLUS_RAISE, 0, 2, 2, 1)
-    return BlockSystem(
+    return SectorSystem(
         weight_data=WeightData({2: 2, 0: 1}, {0: 1}),
         sector="even",
-        unknowns={a.label: a},
-        diagonal=(DiagonalEquation("plus", 2, 2, (GramTerm(+1, a, OUTER),), 1),),
-        cross=(),
+        equations=(("plus", 2, 2, 1, ((+1, (PLUS_RAISE, 0), OUTER),)),),
     )
 
 
@@ -221,25 +217,38 @@ def test_one_sided_block_is_unresolved():
     assert verdict.detail == "block plus_raise[0->2] occurs in one Gram equation only (outer)"
 
 
-def test_replay_rejects_r4_without_partner():
-    system = _one_sided_system()
-    step = CertificateStep("R4", "even", "plus", 2, "block plus_raise[0->2] needs rank 2", (2, 1))
-    with pytest.raises(ReplayError, match="step 0: R4 block plus_raise\\[0->2\\] has no partner equation"):
-        replay_certificate(system, Verdict("infeasible", "even", certificate=(step,)))
+def test_replay_rejects_any_r4_step():
+    # R4 is no rule of the engine: a step naming it is rejected wherever it
+    # stands, whether or not the block's equations would disagree
+    mismatch = derive_constraints(WeightData({1: 2}, {-1: 1}))
+    r4 = CertificateStep(
+        "R4", "odd", "plus", 1,
+        "block cross[-1->1] has U U* = 1*I on dim 2 but U* U = 1*I on dim 1; trace/rank identity fails",
+        (2, 1),
+    )
+    with pytest.raises(ReplayError, match="step 0: unknown rule R4"):
+        replay_certificate(mismatch, Verdict("infeasible", "odd", certificate=(r4,)))
+    one_sided = CertificateStep("R4", "even", "plus", 2, "block plus_raise[0->2] needs rank 2", (2, 1))
+    with pytest.raises(ReplayError, match="step 0: unknown rule R4"):
+        replay_certificate(_one_sided_system(), Verdict("infeasible", "even", certificate=(one_sided,)))
+    system = derive_constraints(WeightData({2: 1}, {0: 1, -2: 1}))
+    forcing, final = eliminate(system).certificate
+    after_r3 = CertificateStep("R4", "even", final.side, final.weight, final.conclusion, final.trace_values)
+    with pytest.raises(ReplayError, match="step 1: unknown rule R4"):
+        replay_certificate(system, Verdict("infeasible", "even", certificate=(forcing, after_r3)))
 
 
 def test_unresolved_product_equation():
-    a = BlockUnknown(PLUS_RAISE, -1, 1, 1, 1)
-    z = BlockUnknown(CROSS, -1, 1, 1, 1)
-    system = BlockSystem(
+    a = (PLUS_RAISE, -1)
+    z = (CROSS, -1)
+    system = SectorSystem(
         weight_data=WeightData({1: 1, -1: 1}, {1: 1, -1: 1}),
         sector="odd",
-        unknowns={a.label: a, z.label: z},
-        diagonal=(
-            DiagonalEquation("plus", 1, 1, (GramTerm(+1, a, INNER),), 1),
-            DiagonalEquation("minus", -1, 1, (GramTerm(-1, z, INNER),), -1),
+        equations=(
+            ("plus", 1, 1, 1, ((+1, a, INNER),)),
+            ("minus", -1, 1, -1, ((-1, z, INNER),)),
         ),
-        cross=(CrossEquation(-1, (ProductTerm(+1, (a, True), (z, False)),)),),
+        products=((-1, ((a, z),)),),
     )
     verdict = eliminate(system)
     assert verdict.status == "unresolved"
@@ -297,42 +306,43 @@ def test_witness_substitution_covers_product_equations():
     # be substituted into the product equation too
     from geodesy.ladder import TerminalBlock, WitnessClass
 
-    e = BlockUnknown(PLUS_RAISE, -1, 1, 1, 1)
-    z = BlockUnknown(CROSS, -1, 1, 1, 1)
-    system = BlockSystem(
+    e = (PLUS_RAISE, -1)
+    z = (CROSS, -1)
+    system = SectorSystem(
         weight_data=WeightData({1: 1, -1: 1}, {1: 1, -1: 1}),
         sector="odd",
-        unknowns={e.label: e, z.label: z},
-        diagonal=(
-            DiagonalEquation("plus", 1, 1, (GramTerm(+1, z, OUTER),), 1),
-            DiagonalEquation("plus", -1, 1, (GramTerm(+1, e, INNER),), 0),
-            DiagonalEquation("minus", -1, 1, (GramTerm(-1, z, INNER),), -1),
+        equations=(
+            ("plus", 1, 1, 1, ((+1, z, OUTER),)),
+            ("plus", -1, 1, 0, ((+1, e, INNER),)),
+            ("minus", -1, 1, -1, ((-1, z, INNER),)),
         ),
-        cross=(CrossEquation(-1, (ProductTerm(+1, (e, True), (z, False)),)),),
+        products=((-1, ((e, z),)),),
     )
+    e_view = system.view.unknowns["plus_raise[-1->1]"]
+    z_view = system.view.unknowns["cross[-1->1]"]
+    assert system.view.cross == (CrossEquation(-1, (ProductTerm(+1, (e_view, True), (z_view, False)),)),)
     verdict = eliminate(system)
     assert verdict.status == "feasible"
-    assert verdict.witness.forced_zero == (e.label,)
+    assert verdict.witness.forced_zero == (e_view.label,)
     verify_witness(system, verdict.witness)
 
     # values satisfying every diagonal equation can still break the product
     # equation; the check must reach it
-    relaxed = BlockSystem(
+    relaxed = SectorSystem(
         weight_data=system.weight_data,
         sector="odd",
-        unknowns=system.unknowns,
-        diagonal=(
-            DiagonalEquation("plus", 1, 1, (GramTerm(+1, z, OUTER),), 1),
-            DiagonalEquation("plus", -1, 1, (GramTerm(+1, e, INNER),), 1),
-            DiagonalEquation("minus", -1, 1, (GramTerm(-1, z, INNER),), -1),
+        equations=(
+            ("plus", 1, 1, 1, ((+1, z, OUTER),)),
+            ("plus", -1, 1, 1, ((+1, e, INNER),)),
+            ("minus", -1, 1, -1, ((-1, z, INNER),)),
         ),
-        cross=system.cross,
+        products=system.products,
     )
     bad = WitnessClass(
         forced_zero=(),
         terminal=(
-            TerminalBlock(e.label, "paired", 1, 1),
-            TerminalBlock(z.label, "paired", 1, 1),
+            TerminalBlock(e_view.label, "paired", 1, 1),
+            TerminalBlock(z_view.label, "paired", 1, 1),
         ),
     )
     with pytest.raises(WitnessError, match="product equation"):
@@ -444,15 +454,15 @@ def test_feasible_shape_check_rejects_surviving_raising_block():
 
     # tamper: pretend a raising block survived in the odd sector
     extra = BlockUnknown(PLUS_RAISE, -1, 1, 1, 1)
-    tampered_system = BlockSystem(
-        weight_data=result.odd_system.weight_data,
-        sector="odd",
-        unknowns={**result.odd_system.unknowns, extra.label: extra},
-        diagonal=result.odd_system.diagonal,
-        cross=result.odd_system.cross,
-    )
     tampered = classify_weight_data(wd)
-    tampered.odd_system = tampered_system
+    view = tampered.odd_system.view
+    tampered.odd_system.view = BlockSystem(
+        weight_data=view.weight_data,
+        sector="odd",
+        unknowns={**view.unknowns, extra.label: extra},
+        diagonal=view.diagonal,
+        cross=view.cross,
+    )
     with pytest.raises(TheoremViolation):
         _check_feasible_shape(tampered)
 
@@ -462,3 +472,45 @@ def test_classification_status_combination():
     assert result.odd.status == "feasible"
     assert result.even.status == "infeasible"
     assert result.status == "infeasible"
+
+
+def test_no_sector_of_small_rank_is_unresolved_or_ends_in_r4():
+    # the terminal mismatch that R4 used to certify needs an inadmissible
+    # table; every admissible sector is decided by R1-R3 or is feasible
+    for p in range(1, 7):
+        for name, groups in zip(("odd", "even"), enumerate_sectors(p)):
+            for group in groups.values():
+                for wd in group:
+                    verdict = eliminate(derive_constraints(wd, sector=name))
+                    assert verdict.status in ("feasible", "infeasible"), (name, wd, verdict.detail)
+                    assert all(step.rule in ("R1", "R2", "R3") for step in verdict.certificate)
+
+
+VIEW_CLASSES = (BlockSystem, BlockUnknown, GramTerm, ProductTerm, DiagonalEquation, CrossEquation)
+
+
+def test_verify_theorem_builds_views_for_feasible_sectors_only(monkeypatch):
+    # an infeasible sector is decided on the lean tuples alone: no per-block
+    # view object may be built for it, only for the feasible sectors
+    built = {cls: [] for cls in VIEW_CLASSES}
+    for cls in VIEW_CLASSES:
+
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built[_cls].append(self)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    summary = verify_theorem(5)
+    sectors = [s for groups in (summary.odd, summary.even) for group in groups.values() for s in group]
+    assert len(sectors) == 1950
+    feasible = {(s.verdict.sector, s.weight_data) for s in sectors if s.verdict.status == "feasible"}
+    assert len(feasible) == 24
+    views = built[BlockSystem]
+    assert len({(v.sector, v.weight_data) for v in views}) == len(views)
+    assert {(v.sector, v.weight_data) for v in views} <= feasible
+    # every other view object belongs to one of those views
+    assert len(built[BlockUnknown]) == sum(len(v.unknowns) for v in views)
+    assert len(built[DiagonalEquation]) == sum(len(v.diagonal) for v in views)
+    assert len(built[GramTerm]) == sum(len(eq.terms) for v in views for eq in v.diagonal)
+    assert len(built[CrossEquation]) == sum(len(v.cross) for v in views)
+    assert len(built[ProductTerm]) == sum(len(eq.terms) for v in views for eq in v.cross)

@@ -1,0 +1,147 @@
+"""The lean sector engine against the per-block reference in ladder_reference.
+
+``geodesy.ladder`` derives and eliminates on plain tuples and builds the
+``BlockSystem`` view only on demand; ``ladder_reference`` is the engine it
+replaced.  On every sector of rank p <= 6 the two must give equal verdicts
+(status, every certificate step field, witness) and accept the same
+certificates, and the view must equal the reference system on every
+table of rank p <= 4.  On arbitrary tables, inadmissible ones included,
+they must agree except where the reference ends in its R4 mismatch
+contradiction, which the lean engine reports as unresolved.
+"""
+
+import dataclasses
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ladder_reference as ref
+from geodesy.ladder import (
+    ReplayError,
+    Verdict,
+    derive_constraints,
+    eliminate,
+    replay_certificate,
+)
+from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data
+
+
+@lru_cache(maxsize=None)
+def sectors(max_p: int) -> tuple:
+    """Every distinct (sector name, table) of the ranks 1..max_p."""
+    seen = {}
+    for p in range(1, max_p + 1):
+        odd, even = enumerate_sectors(p)
+        for name, groups in (("odd", odd), ("even", even)):
+            for group in groups.values():
+                for wd in group:
+                    seen[name, wd] = None
+    return tuple(seen)
+
+
+def test_sector_list_covers_every_rank():
+    assert len(sectors(6)) == 8165
+
+
+def test_verdicts_equal_reference_on_every_sector():
+    for name, wd in sectors(6):
+        new = eliminate(derive_constraints(wd, sector=name))
+        old = ref.eliminate(ref.derive_constraints(wd, sector=name))
+        assert new == old, (name, wd)
+
+
+def _accepts(replay, system, verdict) -> bool:
+    try:
+        replay(system, verdict)
+    except ReplayError:
+        return False
+    return True
+
+
+def _variants(certificate: tuple) -> list:
+    """The certificate and certificates that differ from it in one way."""
+    out = [certificate, certificate[-1:], certificate[:-1], certificate[::-1], certificate + certificate[-1:]]
+    swap = {"R1": "R2", "R2": "R1", "R3": "R1"}
+    for i, step in enumerate(certificate):
+        for change in (
+            {"rule": swap[step.rule]},
+            {"weight": step.weight + 2},
+            {"side": "minus" if step.side == "plus" else "plus"},
+            {"sector": "even" if step.sector == "odd" else "odd"},
+            {"conclusion": step.conclusion.replace("1", "2", 1)},
+            {"trace_values": step.trace_values + (0,)},
+        ):
+            out.append(certificate[:i] + (dataclasses.replace(step, **change),) + certificate[i + 1 :])
+    return out
+
+
+def test_replay_accepts_what_reference_accepts_on_every_sector():
+    previous = ()
+    for name, wd in sectors(6):
+        system = derive_constraints(wd, sector=name)
+        ref_system = ref.derive_constraints(wd, sector=name)
+        verdict = ref.eliminate(ref_system)
+        candidates = [previous]  # another sector's certificate
+        if verdict.status == "infeasible":
+            assert _accepts(replay_certificate, system, verdict)
+            candidates += _variants(verdict.certificate)
+            previous = verdict.certificate
+        for certificate in candidates:
+            claimed = Verdict("infeasible", name, certificate=certificate)
+            new = _accepts(replay_certificate, system, claimed)
+            assert new == _accepts(ref.replay_certificate, ref_system, claimed), (name, wd, certificate)
+
+
+def test_view_equals_reference_system_on_every_table():
+    for p in range(1, 5):
+        for wd in enumerate_weight_data(p):
+            for table, sector in ((wd, None), (wd.odd_sector(), "odd"), (wd.even_sector(), "even")):
+                assert derive_constraints(table, sector=sector).view == ref.derive_constraints(table, sector=sector)
+
+
+WEIGHTS = st.integers(-7, 7)
+MULTIPLICITIES = st.integers(1, 3)
+
+
+@st.composite
+def tables(draw):
+    """Tables of one parity or of both, mostly inadmissible.  Half of them
+    get the odd part {1:a} / {-1:b}, the one terminal odd shape, so that
+    the reference's R4 mismatch fires (a != b, even part feasible)."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    weights = WEIGHTS if parity is None else WEIGHTS.filter(lambda w: w % 2 == parity)
+    side = st.dictionaries(weights, MULTIPLICITIES, max_size=6)
+    plus, minus = draw(side), draw(side)
+    if draw(st.booleans()):
+        plus = {w: m for w, m in plus.items() if w % 2 == 0}
+        minus = {w: m for w, m in minus.items() if w % 2 == 0}
+        plus[1], minus[-1] = draw(MULTIPLICITIES), draw(MULTIPLICITIES)
+    return WeightData(plus, minus)
+
+
+R4_TAIL = "; trace/rank identity fails"
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables())
+def test_arbitrary_tables_agree_with_reference(wd):
+    system = derive_constraints(wd)
+    ref_system = ref.derive_constraints(wd)
+    assert system.view == ref_system
+    new, old = eliminate(system), ref.eliminate(ref_system)
+    if old.certificate and old.certificate[-1].rule == "R4":
+        # the reference's terminal mismatch is reported, not certified
+        assert new.status == "unresolved" and new.certificate == ()
+        assert new.detail + R4_TAIL == old.certificate[-1].conclusion
+        return
+    assert new == old
+    if old.status == "infeasible":
+        replay_certificate(system, old)
+
+
+def test_reference_r4_conclusion_ends_with_the_mismatch_tail():
+    # the table of test_rank_mismatch_is_unresolved, through the reference
+    old = ref.eliminate(ref.derive_constraints(WeightData({1: 2}, {-1: 1})))
+    assert [s.rule for s in old.certificate] == ["R4"]
+    assert old.certificate[0].conclusion.endswith(R4_TAIL)

@@ -23,7 +23,7 @@ def _zero_point(wd):
     system = derive_constraints(wd)
     return {
         label: np.zeros((u.rows, u.cols), dtype=complex)
-        for label, u in system.unknowns.items()
+        for label, u in system.view.unknowns.items()
     }
 
 
