@@ -21,7 +21,7 @@ from typing import Dict, List
 from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import ZERO, GaussMatrix, I
-from .ladder import DatumClassification, WitnessError, instantiate_witness
+from .ladder import DatumClassification, WitnessError, block_slot, instantiate_witness
 
 class CandidateFormatError(ValueError):
     """Malformed candidate document; the message carries a field diagnostic."""
@@ -260,12 +260,12 @@ def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
         (result.even_system, result.even),
     ):
         values.update(instantiate_witness(system, verdict.witness))
-    unknowns = {**result.odd_system.view.unknowns, **result.even_system.view.unknowns}
+    blocks = {**result.odd_system.blocks(), **result.even_system.blocks()}
 
     x_entries = [ZERO] * (n * n)
     y_entries = list(x_entries)
     for label, value in sorted(values.items()):
-        (r0, _), (c0, _), sign = unknowns[label].slot(layout)
+        (r0, _), (c0, _), sign = block_slot(blocks[label], layout)
         _place(x_entries, n, r0, c0, value, conj=False, negate=False)
         # the partner matrix carries sign * U* at the mirrored slot
         _place(y_entries, n, c0, r0, value, conj=True, negate=sign < 0)

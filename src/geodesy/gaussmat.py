@@ -472,10 +472,6 @@ class GaussMatrix:
             im.extend(s * (b * dr - a * di) for a, b in zip(xr[n:], xi[n:]))
         return GaussMatrix._from_ints(n, n, dr * dr + di * di, re, im)
 
-    def to_complex(self) -> list:
-        """Rows of Python complex numbers (lossy; for the numeric oracle only)."""
-        return [[complex(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-
     def __eq__(self, other):
         if not isinstance(other, GaussMatrix):
             return NotImplemented

@@ -13,11 +13,11 @@ key (kind, source weight); a diagonal equation is the plain tuple
 (side, w, dim, rhs, terms) with terms (sign, key, flavor), and a product
 equation is (w, pairs) with pairs of keys.  Deciding a sector builds no
 object per block or per term, and writes a block's label only where a
-certificate step or a witness names it.  The BlockSystem view, one
-BlockUnknown per block with its dimensions, label and slot plus GramTerm
-and ProductTerm equations, is built from the lean form on first access to
-SectorSystem.view: for witnesses, the candidate lift, the feasible-shape
-check and the numeric oracle.
+certificate step or a witness names it.  SectorSystem.blocks() lists a
+system's blocks as label -> key, and block_slot places a block in the
+assembled triple; its spans give the block's shape.  These two serve the
+witnesses, the candidate lift, the feasible-shape check and the numeric
+oracle.
 
 Feasibility is decided by three replayable rules:
 
@@ -45,8 +45,7 @@ silently dropped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix, GaussRational
@@ -58,9 +57,6 @@ CROSS = "cross"
 
 OUTER = "outer"  # U U*, supported on the target eigenspace
 INNER = "inner"  # U* U, supported on the source eigenspace
-
-# the view lists its blocks by kind in this order, source weights descending
-_KIND_ORDER = {PLUS_RAISE: 0, MINUS_RAISE: 1, CROSS: 2}
 
 Key = Tuple[str, int]  # (kind, source weight)
 Term = Tuple[int, Key, str]  # (sign, key, flavor)
@@ -88,73 +84,16 @@ def block_label(kind: str, source_weight: int) -> str:
     return f"{kind}[{source_weight}->{source_weight + 2}]"
 
 
-@dataclass(frozen=True)
-class BlockUnknown:
-    kind: str
-    source_weight: int
-    target_weight: int
-    rows: int
-    cols: int
-    label: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.target_weight - self.source_weight != 2:
-            raise ValueError("blocks raise the weight by exactly 2")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("block dimensions must be positive")
-        object.__setattr__(self, "label", block_label(self.kind, self.source_weight))
-
-    def slot(self, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
-        """Where the block sits in the assembled triple: its row span (the
-        target eigenspace) and column span (the source eigenspace) inside X,
-        and the partner sign.  The partner Y holds sign * U* at the mirrored
-        slot, with sign -1 for the two raising kinds and +1 for crossing."""
-        target_side = "minus" if self.kind == MINUS_RAISE else "plus"
-        source_side = "plus" if self.kind == PLUS_RAISE else "minus"
-        sign = +1 if self.kind == CROSS else -1
-        rows = layout.span(target_side, self.target_weight)
-        cols = layout.span(source_side, self.source_weight)
-        return rows, cols, sign
-
-
-@dataclass(frozen=True)
-class GramTerm:
-    sign: int
-    unknown: BlockUnknown
-    flavor: str  # OUTER or INNER
-
-
-@dataclass(frozen=True)
-class ProductTerm:
-    sign: int
-    left: Tuple[BlockUnknown, bool]   # (block, conjugate-transposed?)
-    right: Tuple[BlockUnknown, bool]
-
-
-@dataclass(frozen=True)
-class DiagonalEquation:
-    side: str  # "plus" | "minus"
-    weight: int
-    dim: int
-    terms: Tuple[GramTerm, ...]
-    rhs: int  # right side is rhs * identity
-
-
-@dataclass(frozen=True)
-class CrossEquation:
-    weight: int
-    terms: Tuple[ProductTerm, ...]
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """The per-block view of a SectorSystem."""
-
-    weight_data: WeightData
-    sector: str  # "odd" | "even" | "mixed" | "empty"
-    unknowns: Dict[str, BlockUnknown]
-    diagonal: Tuple[DiagonalEquation, ...]
-    cross: Tuple[CrossEquation, ...]
+def block_slot(key: Key, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
+    """Where the block sits in the assembled triple: its row span (the
+    target eigenspace) and column span (the source eigenspace) inside X,
+    and the partner sign.  The partner Y holds sign * U* at the mirrored
+    slot, with sign -1 for the two raising kinds and +1 for crossing."""
+    kind, src = key
+    target_side = "minus" if kind == MINUS_RAISE else "plus"
+    source_side = "plus" if kind == PLUS_RAISE else "minus"
+    sign = +1 if kind == CROSS else -1
+    return layout.span(target_side, src + 2), layout.span(source_side, src), sign
 
 
 @dataclass
@@ -173,32 +112,11 @@ class SectorSystem:
     equations: Tuple[Equation, ...]
     products: Tuple[ProductEquation, ...] = ()
 
-    @cached_property
-    def view(self) -> BlockSystem:
-        """The BlockSystem of these equations, built on first access."""
-        wd = self.weight_data
+    def blocks(self) -> Dict[str, Key]:
+        """Every block of these equations, label -> key, in label order."""
         keys = {key for eq in self.equations for _, key, _ in eq[4]}
         keys.update(key for _, pairs in self.products for pair in pairs for key in pair)
-        blocks: Dict[Key, BlockUnknown] = {}
-        for kind, src in sorted(keys, key=lambda k: (_KIND_ORDER[k[0]], -k[1])):
-            source = wd.plus if kind == PLUS_RAISE else wd.minus
-            target = wd.minus if kind == MINUS_RAISE else wd.plus
-            blocks[kind, src] = BlockUnknown(kind, src, src + 2, target[src + 2], source[src])
-        diagonal = tuple(
-            DiagonalEquation(side, w, dim, tuple(GramTerm(s, blocks[k], f) for s, k, f in terms), rhs)
-            for side, w, dim, rhs, terms in self.equations
-        )
-        cross = tuple(
-            CrossEquation(w, tuple(_product_term(blocks[left], blocks[right]) for left, right in pairs))
-            for w, pairs in self.products
-        )
-        return BlockSystem(wd, self.sector, {u.label: u for u in blocks.values()}, diagonal, cross)
-
-
-def _product_term(left: BlockUnknown, right: BlockUnknown) -> ProductTerm:
-    if left.kind == PLUS_RAISE:
-        return ProductTerm(+1, (left, True), (right, False))
-    return ProductTerm(-1, (left, False), (right, True))
+        return dict(sorted((block_label(*key), key) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -544,20 +462,25 @@ def gaussian_scale(scale_sq: int) -> GaussRational:
 
 def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
     """Exact block values realizing a witness class."""
-    unknowns = system.view.unknowns
+    blocks = system.blocks()
+    layout = system.weight_data.layout()
+
+    def shape(label: str) -> Tuple[int, int]:
+        (r0, r1), (c0, c1), _ = block_slot(blocks[label], layout)
+        return r1 - r0, c1 - c0
+
     values: Dict[str, GaussMatrix] = {}
     for label in witness.forced_zero:
-        u = unknowns[label]
-        values[label] = GaussMatrix.zeros(u.rows, u.cols)
+        values[label] = GaussMatrix.zeros(*shape(label))
     for tb in witness.terminal:
-        u = unknowns[tb.label]
+        rows, cols = shape(tb.label)
         gamma = gaussian_scale(tb.scale_sq)
-        mat = GaussMatrix.zeros(u.rows, u.cols)
+        mat = GaussMatrix.zeros(rows, cols)
         ents = list(mat.entries)
-        for i in range(min(u.rows, u.cols)):
-            ents[i * u.cols + i] = gamma
-        values[tb.label] = GaussMatrix._raw(u.rows, u.cols, tuple(ents))
-    missing = set(unknowns) - set(values)
+        for i in range(min(rows, cols)):
+            ents[i * cols + i] = gamma
+        values[tb.label] = GaussMatrix._raw(rows, cols, tuple(ents))
+    missing = set(blocks) - set(values)
     if missing:
         raise WitnessError(f"witness leaves blocks unassigned: {sorted(missing)}")
     return values
@@ -566,30 +489,27 @@ def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str
 def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
     """Substitute a witness into every original equation and demand equality."""
     values = instantiate_witness(system, witness)
-    view = system.view
-    for eq in view.diagonal:
-        acc = GaussMatrix.zeros(eq.dim, eq.dim)
-        for t in eq.terms:
-            v = values[t.unknown.label]
-            gram = v @ v.conj_transpose() if t.flavor == OUTER else v.conj_transpose() @ v
-            acc = acc + gram * t.sign
-        if acc != GaussMatrix.identity(eq.dim) * eq.rhs:
-            raise WitnessError(
-                f"diagonal equation at {eq.side} weight {eq.weight} is not satisfied"
-            )
-    for ceq in view.cross:
+    for side, w, dim, rhs, terms in system.equations:
+        acc = GaussMatrix.zeros(dim, dim)
+        for sign, key, flavor in terms:
+            v = values[block_label(*key)]
+            gram = v @ v.conj_transpose() if flavor == OUTER else v.conj_transpose() @ v
+            acc = acc + gram * sign
+        if acc != GaussMatrix.identity(dim) * rhs:
+            raise WitnessError(f"diagonal equation at {side} weight {w} is not satisfied")
+    for w, pairs in system.products:
         acc = None
-        for t in ceq.terms:
-            lv = values[t.left[0].label]
-            rv = values[t.right[0].label]
-            if t.left[1]:
-                lv = lv.conj_transpose()
-            if t.right[1]:
-                rv = rv.conj_transpose()
-            prod = (lv @ rv) * t.sign
+        for left, right in pairs:
+            lv = values[block_label(*left)]
+            rv = values[block_label(*right)]
+            # E* Z for the blocks leaving w, -Z F* for the blocks entering it
+            if left[0] == PLUS_RAISE:
+                prod = lv.conj_transpose() @ rv
+            else:
+                prod = (lv @ rv.conj_transpose()) * -1
             acc = prod if acc is None else acc + prod
         if acc is not None and not acc.is_zero():
-            raise WitnessError(f"product equation at weight {ceq.weight} is not satisfied")
+            raise WitnessError(f"product equation at weight {w} is not satisfied")
 
 
 # ----------------------------------------------------------------------
@@ -773,8 +693,8 @@ def _check_feasible_shape(result: DatumClassification) -> None:
         if verdict.status != "feasible":
             continue
         forced = set(verdict.witness.forced_zero)
-        for label, unk in system.view.unknowns.items():
-            if unk.kind in (PLUS_RAISE, MINUS_RAISE) and label not in forced:
+        for label, (kind, _) in system.blocks().items():
+            if kind != CROSS and label not in forced:
                 raise TheoremViolation(
                     f"feasible verdict for {wd.describe()} leaves raising block "
                     f"{label} unconstrained to zero"

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ladder import derive_constraints
+from .ladder import block_slot, derive_constraints
 from .weights import WeightData
 
 StructuredPoint = Dict[str, np.ndarray]
@@ -71,14 +71,13 @@ class _Problem:
         self.h_rows = weights[:, None]  # H X scales the rows of X
         self.h_cols = weights[None, :]  # X H scales its columns
         self.shift = np.array([-2.0, 2.0]).reshape(2, 1, 1)  # -2 X, +2 Y
-        unknowns = derive_constraints(wd).view.unknowns
         # (label, start, stop, shape) of each block inside the flat vector
         self.blocks: List[Tuple[str, int, int, Tuple[int, int]]] = []
         ix: List[int] = []
         iy: List[int] = []
         sign: List[int] = []
-        for label in sorted(unknowns):
-            (r0, r1), (c0, c1), partner = unknowns[label].slot(layout)
+        for label, key in derive_constraints(wd).blocks().items():
+            (r0, r1), (c0, c1), partner = block_slot(key, layout)
             start = len(ix)
             for i in range(r0, r1):
                 for j in range(c0, c1):

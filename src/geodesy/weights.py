@@ -250,12 +250,9 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     def lex_key(wd: WeightData):
         return tuple(wd.plus.get(w, 0) for w in span) + tuple(wd.minus.get(w, 0) for w in span)
 
+    # distinct partitions have distinct weight multisets, so no table repeats
     found.sort(key=lex_key)
-    seen = set()
-    for wd in found:
-        if wd.key() not in seen:
-            seen.add(wd.key())
-            yield wd
+    yield from found
 
 
 def enumerate_sectors(

@@ -5,13 +5,17 @@ decided sectors on plain tuples: ``derive_constraints`` builds a frozen
 ``BlockUnknown`` per block and a ``GramTerm``/``ProductTerm`` per term,
 and ``eliminate`` and ``replay_certificate`` run on that ``BlockSystem``
 and still carry the R4 mismatch contradiction (on an admissible table it
-never fires).  The equivalence tests hold ``geodesy.ladder`` to these
-routines sector by sector; they share only the view dataclasses, the
-certificate and verdict types, with the package.
+never fires).  The per-block dataclasses live here, since the package
+keeps every system in its lean tuple form alone; ``BlockUnknown.slot`` is
+the placement that ``geodesy.ladder.block_slot`` must reproduce.  The
+equivalence tests hold ``geodesy.ladder`` to these routines sector by
+sector; they share only the kind and flavor names, ``block_label`` and
+the certificate and verdict types with the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from geodesy.ladder import (
@@ -20,19 +24,83 @@ from geodesy.ladder import (
     MINUS_RAISE,
     OUTER,
     PLUS_RAISE,
-    BlockSystem,
-    BlockUnknown,
     CertificateStep,
-    CrossEquation,
-    DiagonalEquation,
-    GramTerm,
-    ProductTerm,
     ReplayError,
     TerminalBlock,
     Verdict,
     WitnessClass,
+    block_label,
 )
-from geodesy.weights import WeightData
+from geodesy.weights import Layout, WeightData
+
+
+@dataclass(frozen=True)
+class BlockUnknown:
+    kind: str
+    source_weight: int
+    target_weight: int
+    rows: int
+    cols: int
+    label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.target_weight - self.source_weight != 2:
+            raise ValueError("blocks raise the weight by exactly 2")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("block dimensions must be positive")
+        object.__setattr__(self, "label", block_label(self.kind, self.source_weight))
+
+    def slot(self, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
+        """Where the block sits in the assembled triple: its row span (the
+        target eigenspace) and column span (the source eigenspace) inside X,
+        and the partner sign.  The partner Y holds sign * U* at the mirrored
+        slot, with sign -1 for the two raising kinds and +1 for crossing."""
+        target_side = "minus" if self.kind == MINUS_RAISE else "plus"
+        source_side = "plus" if self.kind == PLUS_RAISE else "minus"
+        sign = +1 if self.kind == CROSS else -1
+        rows = layout.span(target_side, self.target_weight)
+        cols = layout.span(source_side, self.source_weight)
+        return rows, cols, sign
+
+
+@dataclass(frozen=True)
+class GramTerm:
+    sign: int
+    unknown: BlockUnknown
+    flavor: str  # OUTER or INNER
+
+
+@dataclass(frozen=True)
+class ProductTerm:
+    sign: int
+    left: Tuple[BlockUnknown, bool]   # (block, conjugate-transposed?)
+    right: Tuple[BlockUnknown, bool]
+
+
+@dataclass(frozen=True)
+class DiagonalEquation:
+    side: str  # "plus" | "minus"
+    weight: int
+    dim: int
+    terms: Tuple[GramTerm, ...]
+    rhs: int  # right side is rhs * identity
+
+
+@dataclass(frozen=True)
+class CrossEquation:
+    weight: int
+    terms: Tuple[ProductTerm, ...]
+
+
+@dataclass(frozen=True)
+class BlockSystem:
+    """A table's equations with one object per block and per term."""
+
+    weight_data: WeightData
+    sector: str  # "odd" | "even" | "mixed" | "empty"
+    unknowns: Dict[str, BlockUnknown]
+    diagonal: Tuple[DiagonalEquation, ...]
+    cross: Tuple[CrossEquation, ...]
 
 
 def _infer_sector(wd: WeightData) -> str:

@@ -72,13 +72,13 @@ def test_criterion_2_odd_sector_feasible_shape():
                 block = terminal[0]
                 assert block.flavor == "paired"
                 assert block.scale_sq == 1 and block.dim == m
-                assert result.odd_system.view.unknowns[block.label].kind == CROSS
+                assert result.odd_system.blocks()[block.label][0] == CROSS
                 for system, verdict in (
                     (result.odd_system, result.odd),
                     (result.even_system, result.even),
                 ):
-                    for label, unknown in system.view.unknowns.items():
-                        if unknown.kind != CROSS:
+                    for label, (kind, _) in system.blocks().items():
+                        if kind != CROSS:
                             assert label in verdict.witness.forced_zero
 
 

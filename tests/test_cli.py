@@ -367,6 +367,35 @@ def test_run_series_matches_separate_processes(monkeypatch):
     assert build_parser() is build_parser()
 
 
+def test_run_classification_script_matches_classify(tmp_path):
+    # the script archives what `classify p --json` prints and the files that
+    # `classify p --emit-certs` writes, for every p up to --max-p
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", "3"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 0, script.stderr
+    results = tmp_path / "results"
+    assert sorted(f.name for f in results.iterdir()) == [
+        f"{kind}_p{p}{ext}" for kind, ext in (("certificates", ""), ("summary", ".json")) for p in (1, 2, 3)
+    ]
+    for p in (1, 2, 3):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert run(["classify", str(p), "--json"]) == 0
+        assert (results / f"summary_p{p}.json").read_text(encoding="utf-8") == out.getvalue()
+        emitted = tmp_path / f"emitted_p{p}"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert run(["classify", str(p), "--emit-certs", str(emitted)]) == 0
+        archived = results / f"certificates_p{p}"
+        names = sorted(f.name for f in emitted.iterdir())
+        assert names and sorted(f.name for f in archived.iterdir()) == names
+        for name in names:
+            assert (archived / name).read_bytes() == (emitted / name).read_bytes()
+
+
 def test_selftest_runs_clean(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out

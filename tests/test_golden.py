@@ -10,7 +10,8 @@ printed by ``json.dumps``, before the integer wire format.  The
 ``classify`` digests were recorded while every table was still derived
 and eliminated on its own, before tables were classified by sector: the
 verdicts, counts, class order and certificates must not depend on how
-the work is shared.
+the work is shared.  The ``oracle`` digests pin the floating-point
+trajectory of seeded descents.
 """
 
 import contextlib
@@ -123,6 +124,20 @@ CLASSIFY_GOLDEN = {
     ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
     ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",
 }
+# `oracle` stdout, recorded before the oracle placed its blocks from the
+# lean tuples: the label order of the blocks fixes the flat vector and so
+# the float trajectory.  The mixed patterns hold blocks of every kind, and
+# the last one blocks that are not square.
+ORACLE_GOLDEN = {
+    ("oracle", "--plus", "1:2", "--minus", "-1:2", "--restarts", "20", "--seed", "7"):
+        "2985ec30684f9d5f5d3a747c3da2b67b05083c7cc525e652fc275b5dad807cce",
+    ("oracle", "2", "--restarts", "20", "--seed", "7"):
+        "2985ec30684f9d5f5d3a747c3da2b67b05083c7cc525e652fc275b5dad807cce",
+    ("oracle", "--plus", "2:1,1:1,0:1", "--minus", "0:1,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
+        "95b60567c1cd6017a1a0fe8d72d1711adae98aac3bd0079acc9927b5c4a037ee",
+    ("oracle", "--plus", "2:1,1:2,0:1", "--minus", "0:2,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
+        "268962c9afd60455ba5efdb92111b7b3c75cc5470a07e41c8be46c988a9ddc91",
+}
 # one sha256 over the sorted (file name, bytes) pairs of the certificates
 # that `classify p --emit-certs` writes for p = 1..4
 CERTIFICATES_GOLDEN = "d845ec37691224be0a235206dcdeb0e8f4c4a954b89bf5dbb64c6f0da4a69d73"
@@ -162,6 +177,11 @@ def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", sorted(CLASSIFY_GOLDEN), ids=" ".join)
 def test_classify_matches_golden_digest(argv):
     assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == CLASSIFY_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_GOLDEN), ids=" ".join)
+def test_oracle_matches_golden_digest(argv):
+    assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == ORACLE_GOLDEN[argv]
 
 
 @pytest.mark.parametrize("name", ["diagonal_p2.json", "standard_trivial_p2.json"])

@@ -1,23 +1,23 @@
+import dataclasses
+import re
+
 import pytest
 
 from geodesy.ladder import (
     CROSS,
     INNER,
+    MINUS_RAISE,
     OUTER,
     PLUS_RAISE,
-    BlockSystem,
-    BlockUnknown,
     CertificateStep,
-    CrossEquation,
-    DiagonalEquation,
-    GramTerm,
-    ProductTerm,
     ReplayError,
     SectorSystem,
     TheoremViolation,
     UnresolvedRemains,
     Verdict,
     WitnessError,
+    block_label,
+    block_slot,
     classify_weight_data,
     derive_constraints,
     eliminate,
@@ -37,50 +37,52 @@ def test_derive_standard_pattern():
     for m in (1, 2, 3):
         wd = WeightData({1: m}, {-1: m})
         system = derive_constraints(wd)
-        assert list(system.view.unknowns) == ["cross[-1->1]"]
-        unknown = system.view.unknowns["cross[-1->1]"]
-        assert unknown.rows == m and unknown.cols == m
-        plus_eq, minus_eq = system.view.diagonal
-        assert plus_eq.side == "plus" and plus_eq.weight == 1 and plus_eq.rhs == 1
-        assert plus_eq.terms == (GramTerm(+1, unknown, OUTER),)
-        assert minus_eq.side == "minus" and minus_eq.rhs == -1
-        assert minus_eq.terms == (GramTerm(-1, unknown, INNER),)
-        assert system.view.cross == ()
+        assert system.blocks() == {"cross[-1->1]": (CROSS, -1)}
+        (r0, r1), (c0, c1), _ = block_slot((CROSS, -1), wd.layout())
+        assert r1 - r0 == m and c1 - c0 == m
+        plus_eq, minus_eq = system.equations
+        side, weight, dim, rhs, terms = plus_eq
+        assert side == "plus" and weight == 1 and rhs == 1 and dim == m
+        assert terms == ((+1, (CROSS, -1), OUTER),)
+        side, weight, dim, rhs, terms = minus_eq
+        assert side == "minus" and rhs == -1 and dim == m
+        assert terms == ((-1, (CROSS, -1), INNER),)
+        assert system.products == ()
         assert system.sector == "odd"
 
 
 def test_derive_end_of_even_sector_pattern():
     wd = WeightData({2: 1}, {0: 1, -2: 1})
     system = derive_constraints(wd)
-    assert sorted(system.view.unknowns) == ["cross[0->2]", "minus_raise[-2->0]"]
-    zero_eq = next(eq for eq in system.view.diagonal if eq.side == "minus" and eq.weight == 0)
-    f_in = system.view.unknowns["minus_raise[-2->0]"]
-    z_out = system.view.unknowns["cross[0->2]"]
-    assert zero_eq.terms == (GramTerm(-1, f_in, OUTER), GramTerm(-1, z_out, INNER))
-    assert zero_eq.rhs == 0
+    assert sorted(system.blocks()) == ["cross[0->2]", "minus_raise[-2->0]"]
+    side, weight, dim, rhs, terms = next(eq for eq in system.equations if eq[:2] == ("minus", 0))
+    f_in = system.blocks()["minus_raise[-2->0]"]
+    z_out = system.blocks()["cross[0->2]"]
+    assert terms == ((-1, f_in, OUTER), (-1, z_out, INNER))
+    assert rhs == 0
 
 
 def test_derive_trivial_sector_has_no_unknowns():
     for p in (1, 2, 3):
         system = derive_constraints(WeightData({0: p}, {0: p}))
-        assert system.view.unknowns == {}
-        assert all(eq.terms == () and eq.rhs == 0 for eq in system.view.diagonal)
-        assert system.view.cross == ()
+        assert system.blocks() == {}
+        assert all(terms == () and rhs == 0 for _, _, _, rhs, terms in system.equations)
+        assert system.products == ()
 
 
 def test_derive_emits_product_equations():
     # both blocks hold weights 1 and -1; at weight 1 only the incoming
-    # product survives, at weight -1 only the outgoing one
+    # product survives, at weight -1 only the outgoing one.  A pair whose
+    # left block is plus_raise stands for E* Z, any other for -Z F*.
     wd = WeightData({1: 1, -1: 1}, {1: 1, -1: 1})
     system = derive_constraints(wd)
-    assert [ceq.weight for ceq in system.view.cross] == [1, -1]
-    at_one, at_minus_one = system.view.cross
-    assert [t.sign for t in at_one.terms] == [-1]
-    assert at_one.terms[0].left == (system.view.unknowns["cross[-1->1]"], False)
-    assert at_one.terms[0].right == (system.view.unknowns["minus_raise[-1->1]"], True)
-    assert [t.sign for t in at_minus_one.terms] == [1]
-    assert at_minus_one.terms[0].left == (system.view.unknowns["plus_raise[-1->1]"], True)
-    assert at_minus_one.terms[0].right == (system.view.unknowns["cross[-1->1]"], False)
+    blocks = system.blocks()
+    assert [w for w, _ in system.products] == [1, -1]
+    (_, at_one), (_, at_minus_one) = system.products
+    # -Z F* at weight 1
+    assert at_one == ((blocks["cross[-1->1]"], blocks["minus_raise[-1->1]"]),)
+    # E* Z at weight -1
+    assert at_minus_one == ((blocks["plus_raise[-1->1]"], blocks["cross[-1->1]"]),)
 
 
 def test_telescoping_trace_structure():
@@ -92,20 +94,20 @@ def test_telescoping_trace_structure():
             net = {}
             crossings = set()
             rhs_total = 0
-            for eq in system.view.diagonal:
-                if eq.side != "plus":
+            for side, _, dim, rhs, terms in system.equations:
+                if side != "plus":
                     continue
-                rhs_total += eq.rhs * eq.dim
-                for t in eq.terms:
-                    if t.unknown.kind == PLUS_RAISE:
-                        net[t.unknown.label] = net.get(t.unknown.label, 0) + t.sign
+                rhs_total += rhs * dim
+                for sign, key, flavor in terms:
+                    if key[0] == PLUS_RAISE:
+                        net[key] = net.get(key, 0) + sign
                     else:
-                        assert t.unknown.kind == CROSS and t.flavor == OUTER and t.sign == 1
-                        crossings.add(t.unknown.label)
+                        assert key[0] == CROSS and flavor == OUTER and sign == 1
+                        crossings.add(block_label(*key))
             assert all(v == 0 for v in net.values())
             assert rhs_total == sum(w * m for w, m in wd.plus.items())
             expected_crossings = {
-                label for label, u in system.view.unknowns.items() if u.kind == CROSS
+                label for label, (kind, _) in system.blocks().items() if kind == CROSS
             }
             assert crossings == expected_crossings
 
@@ -318,13 +320,16 @@ def test_witness_substitution_covers_product_equations():
         ),
         products=((-1, ((e, z),)),),
     )
-    e_view = system.view.unknowns["plus_raise[-1->1]"]
-    z_view = system.view.unknowns["cross[-1->1]"]
-    assert system.view.cross == (CrossEquation(-1, (ProductTerm(+1, (e_view, True), (z_view, False)),)),)
+    e_label, z_label = "plus_raise[-1->1]", "cross[-1->1]"
+    assert system.blocks() == {z_label: z, e_label: e}
+    # the pair's left block is plus_raise, so it stands for E* Z
+    assert system.products == ((-1, ((e, z),)),)
     verdict = eliminate(system)
     assert verdict.status == "feasible"
-    assert verdict.witness.forced_zero == (e_view.label,)
+    assert verdict.witness.forced_zero == (e_label,)
     verify_witness(system, verdict.witness)
+    # a block that only a product equation names is a block all the same
+    assert dataclasses.replace(system, equations=system.equations[:1]).blocks() == system.blocks()
 
     # values satisfying every diagonal equation can still break the product
     # equation; the check must reach it
@@ -341,12 +346,38 @@ def test_witness_substitution_covers_product_equations():
     bad = WitnessClass(
         forced_zero=(),
         terminal=(
-            TerminalBlock(e_view.label, "paired", 1, 1),
-            TerminalBlock(z_view.label, "paired", 1, 1),
+            TerminalBlock(e_label, "paired", 1, 1),
+            TerminalBlock(z_label, "paired", 1, 1),
         ),
     )
     with pytest.raises(WitnessError, match="product equation"):
         verify_witness(relaxed, bad)
+
+
+def test_witness_product_equation_has_both_signs():
+    # hand-built: at weight 1 the pairs (E, Z_out) and (Z_in, F) stand for
+    # E* Z_out - Z_in F*; with every block 1 the two cancel exactly, and
+    # either pair alone is 1 or -1
+    from geodesy.ladder import TerminalBlock, WitnessClass
+
+    e, z_out, z_in, f = (PLUS_RAISE, 1), (CROSS, 1), (CROSS, -1), (MINUS_RAISE, -1)
+    gram = (
+        ("plus", 3, e, OUTER), ("plus", 1, e, INNER),
+        ("plus", 3, z_out, OUTER), ("minus", 1, z_out, INNER),
+        ("plus", 1, z_in, OUTER), ("minus", -1, z_in, INNER),
+        ("minus", 1, f, OUTER), ("minus", -1, f, INNER),
+    )
+    equations = tuple((side, w, 1, 1, ((+1, key, flavor),)) for side, w, key, flavor in gram)
+    wd = WeightData({3: 1, 1: 1}, {1: 1, -1: 1})
+    witness = WitnessClass(
+        forced_zero=(),
+        terminal=tuple(TerminalBlock(block_label(*key), "paired", 1, 1) for key in (e, z_out, z_in, f)),
+    )
+    both = SectorSystem(wd, "mixed", equations, ((1, ((e, z_out), (z_in, f))),))
+    verify_witness(both, witness)
+    for pairs in (((e, z_out),), ((z_in, f),)):
+        with pytest.raises(WitnessError, match="product equation at weight 1"):
+            verify_witness(SectorSystem(wd, "mixed", equations, ((1, pairs),)), witness)
 
 
 def test_gaussian_scale():
@@ -452,19 +483,17 @@ def test_feasible_shape_check_rejects_surviving_raising_block():
     assert result.status == "feasible"
     _check_feasible_shape(result)
 
-    # tamper: pretend a raising block survived in the odd sector
-    extra = BlockUnknown(PLUS_RAISE, -1, 1, 1, 1)
-    tampered = classify_weight_data(wd)
-    view = tampered.odd_system.view
-    tampered.odd_system.view = BlockSystem(
-        weight_data=view.weight_data,
-        sector="odd",
-        unknowns={**view.unknowns, extra.label: extra},
-        diagonal=view.diagonal,
-        cross=view.cross,
-    )
-    with pytest.raises(TheoremViolation):
-        _check_feasible_shape(tampered)
+    # tamper: pretend a raising block of either kind survived in the odd
+    # sector, as a live term of its weight-1 equation
+    for key in ((PLUS_RAISE, -1), (MINUS_RAISE, -3)):
+        tampered = classify_weight_data(wd)
+        (side, w, dim, rhs, terms), *rest = tampered.odd_system.equations
+        tampered.odd_system = dataclasses.replace(
+            tampered.odd_system, equations=((side, w, dim, rhs, terms + ((-1, key, OUTER),)), *rest)
+        )
+        assert block_label(*key) in tampered.odd_system.blocks()
+        with pytest.raises(TheoremViolation, match=r"raising block " + re.escape(block_label(*key))):
+            _check_feasible_shape(tampered)
 
 
 def test_classification_status_combination():
@@ -485,32 +514,3 @@ def test_no_sector_of_small_rank_is_unresolved_or_ends_in_r4():
                     assert verdict.status in ("feasible", "infeasible"), (name, wd, verdict.detail)
                     assert all(step.rule in ("R1", "R2", "R3") for step in verdict.certificate)
 
-
-VIEW_CLASSES = (BlockSystem, BlockUnknown, GramTerm, ProductTerm, DiagonalEquation, CrossEquation)
-
-
-def test_verify_theorem_builds_views_for_feasible_sectors_only(monkeypatch):
-    # an infeasible sector is decided on the lean tuples alone: no per-block
-    # view object may be built for it, only for the feasible sectors
-    built = {cls: [] for cls in VIEW_CLASSES}
-    for cls in VIEW_CLASSES:
-
-        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-            _init(self, *args, **kwargs)
-            built[_cls].append(self)
-
-        monkeypatch.setattr(cls, "__init__", counting)
-    summary = verify_theorem(5)
-    sectors = [s for groups in (summary.odd, summary.even) for group in groups.values() for s in group]
-    assert len(sectors) == 1950
-    feasible = {(s.verdict.sector, s.weight_data) for s in sectors if s.verdict.status == "feasible"}
-    assert len(feasible) == 24
-    views = built[BlockSystem]
-    assert len({(v.sector, v.weight_data) for v in views}) == len(views)
-    assert {(v.sector, v.weight_data) for v in views} <= feasible
-    # every other view object belongs to one of those views
-    assert len(built[BlockUnknown]) == sum(len(v.unknowns) for v in views)
-    assert len(built[DiagonalEquation]) == sum(len(v.diagonal) for v in views)
-    assert len(built[GramTerm]) == sum(len(eq.terms) for v in views for eq in v.diagonal)
-    assert len(built[CrossEquation]) == sum(len(v.cross) for v in views)
-    assert len(built[ProductTerm]) == sum(len(eq.terms) for v in views for eq in v.cross)

@@ -1,13 +1,15 @@
 """The lean sector engine against the per-block reference in ladder_reference.
 
-``geodesy.ladder`` derives and eliminates on plain tuples and builds the
-``BlockSystem`` view only on demand; ``ladder_reference`` is the engine it
-replaced.  On every sector of rank p <= 6 the two must give equal verdicts
-(status, every certificate step field, witness) and accept the same
-certificates, and the view must equal the reference system on every
-table of rank p <= 4.  On arbitrary tables, inadmissible ones included,
-they must agree except where the reference ends in its R4 mismatch
-contradiction, which the lean engine reports as unresolved.
+``geodesy.ladder`` keeps every system as plain tuples; ``ladder_reference``
+is the engine it replaced, with one ``BlockUnknown`` per block.  On every
+sector of rank p <= 6 the two must give equal verdicts (status, every
+certificate step field, witness) and accept the same certificates.  On
+every table of rank p <= 4 and both its sectors the lean system must equal
+the reference ``BlockSystem``: the same equations once the reference is
+written as tuples, the same block labels, and ``block_slot`` placing every
+block where ``BlockUnknown.slot`` does.  On arbitrary tables, inadmissible
+ones included, the two must agree except where the reference ends in its
+R4 mismatch contradiction, which the lean engine reports as unresolved.
 """
 
 import dataclasses
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 
 import ladder_reference as ref
 from geodesy.ladder import (
+    PLUS_RAISE,
     ReplayError,
     Verdict,
+    block_slot,
     derive_constraints,
     eliminate,
     replay_certificate,
@@ -93,11 +97,50 @@ def test_replay_accepts_what_reference_accepts_on_every_sector():
             assert new == _accepts(ref.replay_certificate, ref_system, claimed), (name, wd, certificate)
 
 
-def test_view_equals_reference_system_on_every_table():
+def _key(unknown: ref.BlockUnknown) -> tuple:
+    return unknown.kind, unknown.source_weight
+
+
+def _as_tuples(ref_system: ref.BlockSystem) -> tuple:
+    """The reference equations written as the lean (equations, products).
+
+    A lean product pair stands for E* Z when its left block is plus_raise
+    and for -Z F* otherwise; every reference product term must be that one.
+    """
+    equations = tuple(
+        (eq.side, eq.weight, eq.dim, eq.rhs, tuple((t.sign, _key(t.unknown), t.flavor) for t in eq.terms))
+        for eq in ref_system.diagonal
+    )
+    products = []
+    for ceq in ref_system.cross:
+        for t in ceq.terms:
+            e_star_z = t.left[0].kind == PLUS_RAISE
+            assert (t.sign, t.left[1], t.right[1]) == ((+1, True, False) if e_star_z else (-1, False, True))
+        products.append((ceq.weight, tuple((_key(t.left[0]), _key(t.right[0])) for t in ceq.terms)))
+    return equations, tuple(products)
+
+
+def assert_equals_reference(system, ref_system):
+    assert (system.weight_data, system.sector) == (ref_system.weight_data, ref_system.sector)
+    assert (system.equations, system.products) == _as_tuples(ref_system)
+    blocks = system.blocks()
+    assert list(blocks) == sorted(ref_system.unknowns)
+    layout = system.weight_data.layout()
+    for label, key in blocks.items():
+        unknown = ref_system.unknowns[label]
+        assert key == _key(unknown)
+        rows, cols, sign = block_slot(key, layout)
+        assert (rows, cols, sign) == unknown.slot(layout)
+        assert (rows[1] - rows[0], cols[1] - cols[0]) == (unknown.rows, unknown.cols)
+
+
+def test_lean_system_equals_reference_on_every_table():
     for p in range(1, 5):
         for wd in enumerate_weight_data(p):
             for table, sector in ((wd, None), (wd.odd_sector(), "odd"), (wd.even_sector(), "even")):
-                assert derive_constraints(table, sector=sector).view == ref.derive_constraints(table, sector=sector)
+                assert_equals_reference(
+                    derive_constraints(table, sector=sector), ref.derive_constraints(table, sector=sector)
+                )
 
 
 WEIGHTS = st.integers(-7, 7)
@@ -128,7 +171,7 @@ R4_TAIL = "; trace/rank identity fails"
 def test_arbitrary_tables_agree_with_reference(wd):
     system = derive_constraints(wd)
     ref_system = ref.derive_constraints(wd)
-    assert system.view == ref_system
+    assert_equals_reference(system, ref_system)
     new, old = eliminate(system), ref.eliminate(ref_system)
     if old.certificate and old.certificate[-1].rule == "R4":
         # the reference's terminal mismatch is reported, not certified

@@ -18,13 +18,14 @@ def test_exact_solution_has_zero_residual():
 
 
 def _zero_point(wd):
-    from geodesy.ladder import derive_constraints
+    from geodesy.ladder import block_slot, derive_constraints
 
-    system = derive_constraints(wd)
-    return {
-        label: np.zeros((u.rows, u.cols), dtype=complex)
-        for label, u in system.view.unknowns.items()
-    }
+    layout = wd.layout()
+    point = {}
+    for label, key in derive_constraints(wd).blocks().items():
+        (r0, r1), (c0, c1), _ = block_slot(key, layout)
+        point[label] = np.zeros((r1 - r0, c1 - c0), dtype=complex)
+    return point
 
 
 def test_zero_point_residual_closed_form():

@@ -91,6 +91,8 @@ def test_sector_product_is_the_enumeration(p, max_weight):
     product = list(sector_product(p, max_weight))
     assert len(set(product)) == len(product)
     assert set(product) == set(enumerate_weight_data(p, max_weight))
+    # and the enumeration repeats no table
+    assert len(list(enumerate_weight_data(p, max_weight))) == len(product)
 
 
 def test_sector_product_counts():
