@@ -156,9 +156,6 @@ class GaussRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         if self.im == 0:
             return f"GaussRational({self.re})"

@@ -4,7 +4,7 @@ For a weight table the structured unknowns are the same raising and
 crossing blocks the exact engine works with, but over complex floats.  The
 objective is the squared Frobenius deviation of the assembled triple from
 the sl(2) relations; seeded multistart gradient descent either drives it to
-numerical zero (corroborating a feasible verdict) or stalls on a strictly
+numerical zero (corroborating a feasible verdict) or stops on a strictly
 positive floor (evidence, not proof, for an infeasible one).
 
 Inside the descent a point is one flat complex vector: the blocks in label
@@ -15,6 +15,13 @@ one gather.  The weight operator H is diagonal, so H X - X H is a row and a
 column scaling.  Each accepted step hands its assembled X, Y and relation
 residual XY - YX - H on to the next gradient.  The public functions take
 and return a ``StructuredPoint``, one array per block label.
+
+The line search is exact.  Assembly is real-linear, so along the descent
+direction X and Y move linearly in the step size a, the relation residual
+is quadratic in a and the objective is a quartic in a.  Its five
+coefficients come from three more stacked products, and the step is the
+positive critical point, a root of the cubic derivative solved in closed
+form, with the lowest quartic value.
 """
 
 from __future__ import annotations
@@ -32,8 +39,7 @@ StructuredPoint = Dict[str, np.ndarray]
 
 # why a descent stopped
 GRAD_TOL = "grad_tol"  # the gradient norm fell below the tolerance
-STALL = "stall"  # less than 10 percent progress over 1000 iterations
-ALPHA_UNDERFLOW = "alpha_underflow"  # no step size above 1e-30 decreases the residual
+NO_DECREASE = "no_decrease"  # the exact step along the gradient does not lower the residual
 MAX_ITER = "max_iter"  # the iteration budget ran out
 
 
@@ -136,12 +142,19 @@ def _evaluate(problem: _Problem, v: np.ndarray):
     xy = problem.assemble(v)
     products = xy @ xy[::-1]  # XY and YX
     r = products[0] - products[1] - problem.target
-    # H X - X H - 2 X and H Y - Y H + 2 Y.  These are the bits of the dense
-    # products: every entry of a dense H X is one product plus exact zeros,
-    # and adding -2 X rounds as subtracting 2 X does.
-    weight_sq = np.abs(problem.h_rows * xy - xy * problem.h_cols + problem.shift * xy) ** 2
+    weight_sq = np.abs(_weight_term(problem, xy)) ** 2
     value = float((np.abs(r) ** 2).sum() + weight_sq[0].sum() + weight_sq[1].sum())
     return value, xy, r
+
+
+def _weight_term(problem: _Problem, xy: np.ndarray) -> np.ndarray:
+    """H X - X H - 2 X and H Y - Y H + 2 Y, stacked like xy.
+
+    These are the bits of the dense products: every entry of a dense H X is
+    one product plus exact zeros, and adding -2 X rounds as subtracting 2 X
+    does.  The term is linear in xy.
+    """
+    return problem.h_rows * xy - xy * problem.h_cols + problem.shift * xy
 
 
 def gradient(wd: WeightData, point: StructuredPoint) -> StructuredPoint:
@@ -171,43 +184,133 @@ def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
+def _line_coefficients(
+    problem: _Problem, xy: np.ndarray, r: np.ndarray, g: np.ndarray
+) -> Tuple[float, float, float, float]:
+    """(c1, c2, c3, c4) with value(v - a grad) = value + c1 a + c2 a^2 + c3 a^3 + c4 a^4.
+
+    g is the assembled direction, stacked like xy.  The relation residual
+    along it is R(a) = r - a r1 + a^2 r2 with r1 = Gx Y + X Gy - Gy X - Y Gx
+    and r2 = Gx Gy - Gy Gx; the weight term is W0 - a W1.
+    """
+    g_xy = g @ xy[::-1]  # Gx Y and Gy X
+    xy_g = xy @ g[::-1]  # X Gy and Y Gx
+    g_g = g @ g[::-1]  # Gx Gy and Gy Gx
+    r1 = g_xy[0] - g_xy[1] + xy_g[0] - xy_g[1]
+    r2 = g_g[0] - g_g[1]
+    w0 = _weight_term(problem, xy)
+    w1 = _weight_term(problem, g)
+
+    def dot(a, b):  # Re <a, b>; np.vdot's BLAS call costs peak memory
+        return float((a.conj() * b).real.sum())
+
+    c1 = -2.0 * (dot(r, r1) + dot(w0, w1))
+    c2 = dot(r1, r1) + 2.0 * dot(r, r2) + dot(w1, w1)
+    c3 = -2.0 * dot(r1, r2)
+    c4 = dot(r2, r2)
+    return c1, c2, c3, c4
+
+
+def _cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> List[float]:
+    """Real roots of a x^2 + b x + c (a line when a is 0)."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+def _cubic_roots(a: float, b: float, c: float, d: float) -> List[float]:
+    """Real roots of a x^3 + b x^2 + c x + d in closed form, each polished by
+    at most one Newton step.
+
+    A leading coefficient of 0 leaves a quadratic (or a line).  Otherwise
+    the depressed cubic t^3 + p t + q, x = t - b / 3a, has three real roots
+    (trigonometric form) when its discriminant is negative and one
+    (Cardano's form) when it is not.  Rounding in the shift splits a double
+    root into a complex pair, so a pair whose imaginary part is below about
+    1e-5 of its distance from the real root counts as a double root.
+    """
+    if a == 0.0:
+        return _quadratic_roots(b, c, d)
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = d - shift * (c - 2.0 * shift * shift)
+    half_q, third_p = q / 2.0, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
+    if disc < 0.0:  # then p < 0
+        m = 2.0 * math.sqrt(-third_p)
+        theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    else:
+        u = _cbrt(-half_q - math.copysign(math.sqrt(disc), q))
+        w = -third_p / u if u != 0.0 else 0.0
+        ts = [u + w]
+        if abs(u - w) <= 1e-5 * (abs(u) + abs(w)):
+            ts.append(-(u + w) / 2.0)
+    # Next to a double root the slope is nearly zero and a Newton step can
+    # jump to another root, so only a small correction that lowers |f| is taken.
+    limit = 1e-6 * (max(abs(t) for t in ts) + abs(shift))
+    roots = []
+    for t in ts:
+        x = t - shift
+        fx, dfx = ((x + b) * x + c) * x + d, (3.0 * x + 2.0 * b) * x + c
+        if dfx != 0.0:
+            y = x - fx / dfx
+            if abs(y - x) <= limit and abs(((y + b) * y + c) * y + d) < abs(fx):
+                x = y
+        roots.append(x)
+    return roots
+
+
+def _exact_step(c1: float, c2: float, c3: float, c4: float) -> Optional[float]:
+    """The positive critical point of c1 a + c2 a^2 + c3 a^3 + c4 a^4 with the
+    lowest value, or None when there is none."""
+    best, best_value = None, math.inf
+    for a in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1):
+        value = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+        if a > 0.0 and value < best_value:
+            best, best_value = a, value
+    return best
+
+
 def _descend(
     problem: _Problem,
     v: np.ndarray,
     max_iter: int,
     grad_tol: float,
 ) -> Tuple[np.ndarray, float, int, str]:
-    """Backtracking gradient descent from the flat point v.
+    """Steepest descent with exact line search from the flat point v.
+
+    Each iteration minimises the quartic objective along the negative
+    gradient (``_line_coefficients``, ``_exact_step``) and evaluates the
+    trial point afresh, so the stored residual is the point's own.  The
+    trial is accepted only if it strictly lowers the residual.
 
     Returns the last point, its residual, the number of accepted steps and
     why the descent stopped.
     """
     value, xy, r = _evaluate(problem, v)
-    alpha = 1.0
     iters = 0
-    checkpoint = math.inf
     while iters < max_iter:
-        if iters % 1000 == 0:
-            # sublinear crawls (value ~ 1/iters) would eat the whole budget;
-            # a fresh restart is the cure, so give up on starts that cannot
-            # improve by 10 percent per thousand iterations
-            if value > 0.9 * checkpoint:
-                return v, value, iters, STALL
-            checkpoint = value
         grad = _gradient(problem, xy, r)
-        gnorm = _grad_norm(problem, grad)
-        if gnorm < grad_tol:
+        if _grad_norm(problem, grad) < grad_tol:
             return v, value, iters, GRAD_TOL
-        while True:
-            trial = v - alpha * grad
-            trial_value, trial_xy, trial_r = _evaluate(problem, trial)
-            if trial_value < value:
-                break
-            alpha *= 0.5
-            if alpha < 1e-30:
-                return v, value, iters, ALPHA_UNDERFLOW
+        alpha = _exact_step(*_line_coefficients(problem, xy, r, problem.assemble(grad)))
+        if alpha is None:
+            return v, value, iters, NO_DECREASE
+        trial = v - alpha * grad
+        trial_value, trial_xy, trial_r = _evaluate(problem, trial)
+        if not trial_value < value:
+            return v, value, iters, NO_DECREASE
         v, value, xy, r = trial, trial_value, trial_xy, trial_r
-        alpha = min(alpha * 2.0, 1.0)
         iters += 1
     return v, value, iters, MAX_ITER
 

@@ -124,19 +124,18 @@ CLASSIFY_GOLDEN = {
     ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
     ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",
 }
-# `oracle` stdout, recorded before the oracle placed its blocks from the
-# lean tuples: the label order of the blocks fixes the flat vector and so
-# the float trajectory.  The mixed patterns hold blocks of every kind, and
+# `oracle` stdout under the exact line search: the label order of the
+# blocks fixes the flat vector and the step rule fixes the float trajectory.  The mixed patterns hold blocks of every kind, and
 # the last one blocks that are not square.
 ORACLE_GOLDEN = {
     ("oracle", "--plus", "1:2", "--minus", "-1:2", "--restarts", "20", "--seed", "7"):
-        "2985ec30684f9d5f5d3a747c3da2b67b05083c7cc525e652fc275b5dad807cce",
+        "b953a7ccc04ee946bf893ac0c6752100be86d84f9b7a0faefc3e2ea76fa95c92",
     ("oracle", "2", "--restarts", "20", "--seed", "7"):
-        "2985ec30684f9d5f5d3a747c3da2b67b05083c7cc525e652fc275b5dad807cce",
+        "b953a7ccc04ee946bf893ac0c6752100be86d84f9b7a0faefc3e2ea76fa95c92",
     ("oracle", "--plus", "2:1,1:1,0:1", "--minus", "0:1,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
-        "95b60567c1cd6017a1a0fe8d72d1711adae98aac3bd0079acc9927b5c4a037ee",
+        "8a138d807ac633a5a80781c81ba3a55beaa749cab8c75d273365c22765e1e9f0",
     ("oracle", "--plus", "2:1,1:2,0:1", "--minus", "0:2,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
-        "268962c9afd60455ba5efdb92111b7b3c75cc5470a07e41c8be46c988a9ddc91",
+        "a666ab05dab4da4ccf4c1d9e12b44fe10d611b8cda70ed74089c1fc01083f793",
 }
 # one sha256 over the sorted (file name, bytes) pairs of the certificates
 # that `classify p --emit-certs` writes for p = 1..4
