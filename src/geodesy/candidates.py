@@ -136,7 +136,10 @@ def _matrix_from_json(raw, n: int, name: str) -> GaussMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise CandidateFormatError(f"{name}[{i}]: expected {n} entries")
         for j, e in enumerate(row):
-            pieces += _entry_from_json(e, f"{name}[{i}][{j}]")
+            try:
+                pieces += _entry_from_json(e, "")
+            except CandidateFormatError as err:  # every message starts with `where`
+                raise CandidateFormatError(f"{name}[{i}][{j}]{err}") from None
     re_num, re_den, im_num, im_den = (pieces[k::4] for k in range(4))
     # den // b is negative for a negative denominator b: the sign moves up
     den = lcm(*re_den, *im_den)

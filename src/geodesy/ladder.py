@@ -720,20 +720,26 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
 
     A table is one odd sector joined with one even sector of complementary
     dimensions (weights.enumerate_sectors).  Each sector is derived and
-    eliminated once, the counts come from the per-dimension products, and a
+    eliminated once, then classify_sectors pairs them.
+    """
+    if max_weight is None:
+        max_weight = 2 * p - 1
+    odd_sectors, even_sectors = enumerate_sectors(p, max_weight)
+    return classify_sectors(p, max_weight, _decide(odd_sectors, "odd"), _decide(even_sectors, "even"))
+
+
+def classify_sectors(
+    p: int, max_weight: int, odd: Dict[Dims, List[SectorVerdict]], even: Dict[Dims, List[SectorVerdict]]
+) -> ClassificationSummary:
+    """Classify rank p from decided sectors: verify_theorem's, or those of a
+    rank P > p with max_weight 2p - 1 (rank P's groups hold rank p's sectors
+    in order).  The counts come from the per-dimension products, and a
     table is built only when both its sectors are feasible.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
     (nonzero raising block, wrong odd pattern, or nontrivial even sector).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if max_weight is None:
-        max_weight = 2 * p - 1
-    odd_sectors, even_sectors = enumerate_sectors(p, max_weight)
-    odd = _decide(odd_sectors, "odd")
-    even = _decide(even_sectors, "even")
     counts: Counter = Counter()
     feasible = []
     for odd_group, even_group in pair_sectors(p, odd, even):

@@ -138,13 +138,14 @@ def residual(wd: WeightData, point: StructuredPoint) -> float:
 
 
 def _evaluate(problem: _Problem, v: np.ndarray):
-    """The residual at v, with the assembled X, Y and R = XY - YX - H."""
+    """The residual at v, with the assembled X, Y, R = XY - YX - H and W (_weight_term)."""
     xy = problem.assemble(v)
     products = xy @ xy[::-1]  # XY and YX
     r = products[0] - products[1] - problem.target
-    weight_sq = np.abs(_weight_term(problem, xy)) ** 2
+    w = _weight_term(problem, xy)
+    weight_sq = np.abs(w) ** 2
     value = float((np.abs(r) ** 2).sum() + weight_sq[0].sum() + weight_sq[1].sum())
-    return value, xy, r
+    return value, xy, r, w
 
 
 def _weight_term(problem: _Problem, xy: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ def _weight_term(problem: _Problem, xy: np.ndarray) -> np.ndarray:
 def gradient(wd: WeightData, point: StructuredPoint) -> StructuredPoint:
     problem = _Problem(wd)
     _check_point(problem, point)
-    _, xy, r = _evaluate(problem, problem.flatten(point))
+    _, xy, r, _ = _evaluate(problem, problem.flatten(point))
     return problem.unflatten(_gradient(problem, xy, r))
 
 
@@ -185,11 +186,12 @@ def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
 
 
 def _line_coefficients(
-    problem: _Problem, xy: np.ndarray, r: np.ndarray, g: np.ndarray
+    problem: _Problem, xy: np.ndarray, r: np.ndarray, w0: np.ndarray, g: np.ndarray
 ) -> Tuple[float, float, float, float]:
     """(c1, c2, c3, c4) with value(v - a grad) = value + c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
-    g is the assembled direction, stacked like xy.  The relation residual
+    xy, r and w0 are the point's, as _evaluate returns them, and g is the
+    assembled direction, stacked like xy.  The relation residual
     along it is R(a) = r - a r1 + a^2 r2 with r1 = Gx Y + X Gy - Gy X - Y Gx
     and r2 = Gx Gy - Gy Gx; the weight term is W0 - a W1.
     """
@@ -198,7 +200,6 @@ def _line_coefficients(
     g_g = g @ g[::-1]  # Gx Gy and Gy Gx
     r1 = g_xy[0] - g_xy[1] + xy_g[0] - xy_g[1]
     r2 = g_g[0] - g_g[1]
-    w0 = _weight_term(problem, xy)
     w1 = _weight_term(problem, g)
 
     def dot(a, b):  # Re <a, b>; np.vdot's BLAS call costs peak memory
@@ -297,20 +298,20 @@ def _descend(
     Returns the last point, its residual, the number of accepted steps and
     why the descent stopped.
     """
-    value, xy, r = _evaluate(problem, v)
+    value, xy, r, w = _evaluate(problem, v)
     iters = 0
     while iters < max_iter:
         grad = _gradient(problem, xy, r)
         if _grad_norm(problem, grad) < grad_tol:
             return v, value, iters, GRAD_TOL
-        alpha = _exact_step(*_line_coefficients(problem, xy, r, problem.assemble(grad)))
+        alpha = _exact_step(*_line_coefficients(problem, xy, r, w, problem.assemble(grad)))
         if alpha is None:
             return v, value, iters, NO_DECREASE
         trial = v - alpha * grad
-        trial_value, trial_xy, trial_r = _evaluate(problem, trial)
+        trial_value, trial_xy, trial_r, trial_w = _evaluate(problem, trial)
         if not trial_value < value:
             return v, value, iters, NO_DECREASE
-        v, value, xy, r = trial, trial_value, trial_xy, trial_r
+        v, value, xy, r, w = trial, trial_value, trial_xy, trial_r, trial_w
         iters += 1
     return v, value, iters, MAX_ITER
 
@@ -381,7 +382,7 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     for k in range(points):
         rng = np.random.default_rng([seed, 7919, k])
         v = _random_point(problem, rng)
-        _, xy, r = _evaluate(problem, v)
+        _, xy, r, _ = _evaluate(problem, v)
         analytic = _gradient(problem, xy, r)
         fd = np.zeros_like(v)
         moved = v.copy()

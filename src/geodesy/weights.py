@@ -6,6 +6,11 @@ negative-signature block (minus).  A table is representation-admissible
 when the combined multiset m(w) = plus(w) + minus(w) is symmetric under
 negation and satisfies m(w) >= m(w+2) for w >= 0, i.e. when it is the
 weight multiset of a finite-dimensional sl(2) representation.
+
+Both dicts of a table hold their weights in descending order, the scan
+order of ladder.derive_constraints.  Tables from outside (the constructor,
+from_json_dict) are validated and sorted; tables built here (enumeration,
+sector, combine) are made clean and in order, and are not checked again.
 """
 
 from __future__ import annotations
@@ -36,6 +41,14 @@ class WeightData:
     def __init__(self, plus: Mapping[int, int], minus: Mapping[int, int]):
         object.__setattr__(self, "plus", _clean(plus, "plus"))
         object.__setattr__(self, "minus", _clean(minus, "minus"))
+
+    @classmethod
+    def _trusted(cls, plus: Dict[int, int], minus: Dict[int, int]) -> "WeightData":
+        """A table from dicts already clean: int weights descending, multiplicities >= 1."""
+        wd = object.__new__(cls)
+        object.__setattr__(wd, "plus", plus)
+        object.__setattr__(wd, "minus", minus)
+        return wd
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightData is immutable")
@@ -76,7 +89,7 @@ class WeightData:
 
     def sector(self, parity: int) -> "WeightData":
         """Restriction to the weights of the given parity (0 even, 1 odd)."""
-        return WeightData(
+        return WeightData._trusted(
             {w: m for w, m in self.plus.items() if w % 2 == parity},
             {w: m for w, m in self.minus.items() if w % 2 == parity},
         )
@@ -90,7 +103,10 @@ class WeightData:
     def combine(self, other: "WeightData") -> "WeightData":
         """The table holding both tables' weights, which must be disjoint
         (an odd sector and an even sector combine into a whole table)."""
-        return WeightData({**self.plus, **other.plus}, {**self.minus, **other.minus})
+        return WeightData._trusted(
+            dict(sorted({**self.plus, **other.plus}.items(), reverse=True)),
+            dict(sorted({**self.minus, **other.minus}.items(), reverse=True)),
+        )
 
     # -- canonical forms -------------------------------------------------
 
@@ -186,28 +202,42 @@ def _partitions(total: int, parts: Sequence[int]) -> Iterator[List[int]]:
                 yield [part] + rest
 
 
-def _total_spectrum(partition: List[int]) -> Dict[int, int]:
-    """Each part d contributes the weight string d-1, d-3, ..., -(d-1)."""
+def _spectrum(partition: List[int]) -> Tuple[List[int], List[int]]:
+    """The weights of the partition's irreducibles, descending, and their
+    multiplicities: each part d contributes the string d-1, d-3, ..., -(d-1)."""
     table: Dict[int, int] = {}
     for d in partition:
         for w in range(d - 1, -d, -2):
             table[w] = table.get(w, 0) + 1
-    return table
+    weights = sorted(table, reverse=True)
+    return weights, [table[w] for w in weights]
 
 
-def _splits(weights: List[int], totals: List[int], target: int) -> Iterator[List[int]]:
-    """All ways to pick 0 <= a_i <= totals[i] with sum(a_i) = target."""
-    if not weights:
-        if target == 0:
-            yield []
+def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
+    """Every tuple a with 0 <= a[i] <= totals[i] and sum(a) = target, in
+    lexicographic order (bounded compositions; Knuth, TAOCP 4A, 7.2.1.4):
+    raise the rightmost entry that can take a unit from the entries after
+    it, then refill those entries as far right as they go."""
+    n = len(totals)
+    room = [sum(totals[i:]) for i in range(n + 1)]  # what the entries from i on can hold
+    if not 0 <= target <= room[0]:
         return
-    head = totals[0]
-    tail_capacity = sum(totals[1:])
-    lo = max(0, target - tail_capacity)
-    hi = min(head, target)
-    for a in range(lo, hi + 1):
-        for rest in _splits(weights[1:], totals[1:], target - a):
-            yield [a] + rest
+    a = [0] * n
+    i, rest = -1, target
+    while True:
+        for j in range(i + 1, n):
+            take = rest - room[j + 1]
+            a[j] = take if take > 0 else 0
+            rest -= a[j]
+        yield tuple(a)
+        rest, i = 0, n - 1
+        while i >= 0 and (rest == 0 or a[i] == totals[i]):
+            rest += a[i]
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        rest -= 1
 
 
 def _bounds(p: int, max_weight: int | None) -> int:
@@ -220,19 +250,6 @@ def _bounds(p: int, max_weight: int | None) -> int:
     return max_weight
 
 
-def _split_tables(partition: List[int], dims_plus: Sequence[int]) -> Iterator[WeightData]:
-    """Every split of the partition's weight multiset into a plus block of
-    each dimension in dims_plus and a minus block holding the rest."""
-    total = _total_spectrum(partition)
-    weights = sorted(total, reverse=True)
-    totals = [total[w] for w in weights]
-    for dim_plus in dims_plus:
-        for pick in _splits(weights, totals, dim_plus):
-            plus = {w: a for w, a in zip(weights, pick) if a > 0}
-            minus = {w: t - a for w, t, a in zip(weights, totals, pick) if t - a > 0}
-            yield WeightData(plus, minus)
-
-
 def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[WeightData]:
     """Every admissible WeightData with both block dimensions equal to p.
 
@@ -242,15 +259,13 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     combined multiplicity vectors, smallest first.
     """
     max_weight = _bounds(p, max_weight)
-    found = []
-    for partition in _partitions(2 * p, range(max_weight + 1, 0, -1)):
-        found.extend(_split_tables(partition, [p]))
+    odd, even = enumerate_sectors(p, max_weight)
+    found = [o.combine(e) for odd_group, even_group in pair_sectors(p, odd, even) for o in odd_group for e in even_group]
     span = range(max_weight, -max_weight - 1, -1)
 
     def lex_key(wd: WeightData):
         return tuple(wd.plus.get(w, 0) for w in span) + tuple(wd.minus.get(w, 0) for w in span)
 
-    # distinct partitions have distinct weight multisets, so no table repeats
     found.sort(key=lex_key)
     yield from found
 
@@ -267,6 +282,7 @@ def enumerate_sectors(
     ones; both sectors have even total dimension, and each block of a sector
     has dimension at most p.  Returns (odd, even), each mapping
     (dim_plus, dim_minus) to its sectors; the empty sector is (0, 0).
+    A sector of dimensions (a, b) has no weight above a + b - 1.
     """
     max_weight = _bounds(p, max_weight)
     sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
@@ -274,10 +290,17 @@ def enumerate_sectors(
         # an irreducible of dimension d has weights of the parity of d - 1
         parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
-            dims_plus = range(max(0, size - p), min(p, size) + 1)
+            dims = range(max(0, size - p), min(p, size) + 1)
             for partition in _partitions(size, parts):
-                for wd in _split_tables(partition, dims_plus):
-                    groups.setdefault((wd.dim_plus, wd.dim_minus), []).append(wd)
+                weights, totals = _spectrum(partition)
+                # pick[i] copies of weights[i] go to plus and the rest to minus.  The
+                # rest is the complement pick of dimension size - d, and complements
+                # run in reverse order, so each block dict is built once and shared.
+                blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
+                for d in dims:
+                    groups.setdefault((d, size - d), []).extend(
+                        map(WeightData._trusted, blocks[d], reversed(blocks[size - d]))
+                    )
     return sectors
 
 

@@ -324,6 +324,15 @@ def test_oracle_malformed_pattern(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("plus", ["true:1", "1.5:1", "1:0", "1:1,0:0"])
+def test_oracle_rejects_bad_weight_lists(plus, capsys):
+    # a bool or non-integer weight, or a multiplicity below 1
+    assert run(["oracle", "--plus", plus, "--minus", "-1:1", "--restarts", "1", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --plus: ")
+
+
 def test_oracle_output_is_deterministic(capsys):
     args = ["oracle", "--plus", "1:1", "--minus", "-1:1", "--restarts", "3", "--seed", "12"]
     assert run(args) == 0

@@ -18,6 +18,7 @@ from geodesy.ladder import (
     WitnessError,
     block_label,
     block_slot,
+    classify_sectors,
     classify_weight_data,
     derive_constraints,
     eliminate,
@@ -432,6 +433,16 @@ def test_verify_theorem_small_ranks():
     summary3 = verify_theorem(3)
     mixed = WeightData({1: 2, 0: 1}, {0: 1, -1: 2})
     assert any(c.weight_data == mixed for c in summary3.classes)
+
+
+def test_classify_sectors_of_a_higher_rank_match_verify_theorem():
+    # the sectors decided for rank 5 serve every rank below it unchanged
+    top = verify_theorem(5)
+    for p in range(1, 6):
+        summary = classify_sectors(p, 2 * p - 1, top.odd, top.even)
+        direct = verify_theorem(p)
+        assert summary.to_json_dict() == direct.to_json_dict()
+        assert [r.to_json_dict() for r in summary.results()] == [r.to_json_dict() for r in direct.results()]
 
 
 def test_verify_theorem_results_match_per_table_classification():

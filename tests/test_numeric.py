@@ -259,7 +259,7 @@ SMALL_TABLES = CRITERION_6_TABLES + [WeightData({1: 4}, {-1: 4})]
 
 def _assert_same_point(problem, reference, v):
     point = problem.unflatten(v)
-    value, xy, r = numeric._evaluate(problem, v)
+    value, xy, r, _ = numeric._evaluate(problem, v)
     assert value.hex() == ref.residual(reference, point).hex()
     flat_grad = numeric._gradient(problem, xy, r)
     got = problem.unflatten(flat_grad)
@@ -272,9 +272,9 @@ def _assert_same_point(problem, reference, v):
 
 def _assert_quartic_line(problem, v):
     """The line coefficients give value(v - a grad) at five step sizes."""
-    value, xy, r = numeric._evaluate(problem, v)
+    value, xy, r, w = numeric._evaluate(problem, v)
     grad = numeric._gradient(problem, xy, r)
-    c1, c2, c3, c4 = numeric._line_coefficients(problem, xy, r, problem.assemble(grad))
+    c1, c2, c3, c4 = numeric._line_coefficients(problem, xy, r, w, problem.assemble(grad))
     for a in (0.0, 1e-3, 0.1, 1.0, 3.0):
         quartic = value + a * (c1 + a * (c2 + a * (c3 + a * c4)))
         assert quartic == pytest.approx(numeric._evaluate(problem, v - a * grad)[0], rel=1e-12, abs=0), a

@@ -2,7 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weights_reference as ref
 from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, pair_sectors
+
+
+def items(wd):
+    """A table's dicts as item lists, so that comparing them compares order too."""
+    return list(wd.plus.items()), list(wd.minus.items())
+
+
+def assert_descending(wd):
+    for table in (wd.plus, wd.minus):
+        assert all(a > b for a, b in zip(table, list(table)[1:])), wd
 
 
 def test_validation():
@@ -10,6 +21,17 @@ def test_validation():
         WeightData({1: 0}, {})
     with pytest.raises(ValueError):
         WeightData({1: -2}, {})
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightData({True: 1}, {})
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightData({}, {1.5: 1})
+    with pytest.raises(ValueError, match="positive integer"):
+        WeightData({}, {-1: 0})
+    for weight in ("true", "1.5", "x"):
+        with pytest.raises(ValueError):
+            WeightData.from_json_dict({"plus": {weight: 1}, "minus": {}})
+    with pytest.raises(ValueError, match="positive integer"):
+        WeightData.from_json_dict({"plus": {"1": 0}, "minus": {"-1": 1}})
     wd = WeightData({1: 1, 3: 2}, {-1: 1})
     assert wd.plus == {3: 2, 1: 1}
     assert wd.dim_plus == 3 and wd.dim_minus == 1
@@ -30,6 +52,33 @@ def test_sectors():
     assert wd.odd_sector() == WeightData({1: 1}, {-1: 1})
     assert wd.even_sector() == WeightData({2: 1}, {0: 1})
     assert wd.odd_sector().sector(1) == wd.odd_sector()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sector_and_combine_match_the_validated_constructor(p):
+    # both skip validation; they must still give clean, descending dicts
+    for wd in enumerate_weight_data(p):
+        for parity in (0, 1):
+            part = wd.sector(parity)
+            assert items(part) == items(WeightData(part.plus, part.minus))
+        whole = wd.odd_sector().combine(wd.even_sector())
+        assert items(whole) == items(wd) == items(WeightData(wd.plus, wd.minus))
+        assert_descending(whole)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_reference(p):
+    for max_weight in range(1, 2 * p):
+        for got_groups, want_groups in zip(enumerate_sectors(p, max_weight), ref.enumerate_sectors(p, max_weight)):
+            assert list(got_groups) == list(want_groups)
+            for dims, group in got_groups.items():
+                assert [items(wd) for wd in group] == [items(wd) for wd in want_groups[dims]]
+                for wd in group:
+                    assert_descending(wd)
+        got = list(enumerate_weight_data(p, max_weight))
+        assert [items(wd) for wd in got] == [items(wd) for wd in ref.enumerate_weight_data(p, max_weight)]
+        for wd in got:
+            assert_descending(wd)
 
 
 def test_frozen_rank_one_enumeration():
