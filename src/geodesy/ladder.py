@@ -34,12 +34,14 @@ minus side, weights descending.  When neither fires, terminal recognition
 asks that no product equation keeps a live term and that every remaining
 diagonal equation is a single Gram term a*I with a > 0, each block held by
 one U U* = a*I and one U* U = b*I equation with a = b on equal
-dimensions.  That yields a witness, sqrt(a) times a unitary block.  On an
-admissible table a terminal sector always agrees: the odd one is
-{1:m} / {-1:m} and the even one has no live block.  So a mismatch (only
-an inadmissible table has one) is not a certified contradiction; like
-anything else the rules cannot settle it is reported as unresolved, never
-silently dropped.
+dimensions.  Only cross[-1->1] can pass: a block leaving w has a = w + 2
+and b = -w if it crosses, a = -(w + 2) and b = w if it raises, so a = b > 0
+forces a crossing block with w = -1 and a = 1.  The witness is therefore
+the identity on that block and zero on every forced one.  On an admissible
+table a terminal sector always agrees: the odd one is {1:m} / {-1:m} and
+the even one has no live block.  So a mismatch (only an inadmissible table
+has one) is not a certified contradiction; like anything else the rules
+cannot settle it is reported as unresolved, never silently dropped.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gaussmat import GaussMatrix, GaussRational
+from .gaussmat import GaussMatrix
 from .weights import Dims, Layout, WeightData, enumerate_sectors, pair_sectors
 
 PLUS_RAISE = "plus_raise"
@@ -140,14 +142,12 @@ class CertificateStep:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CertificateStep":
-        return cls(
-            rule=doc["rule"],
-            sector=doc["sector"],
-            side=doc["side"],
-            weight=int(doc["weight"]),
-            conclusion=doc["conclusion"],
-            trace_values=tuple(int(t) for t in doc["trace_values"]),
-        )
+        """A step as written by to_json_dict; raises ValueError on a weight
+        or trace value that is not an integer, rather than coercing it."""
+        weight, trace_values = doc["weight"], doc["trace_values"]
+        if not isinstance(trace_values, list) or any(type(v) is not int for v in [weight, *trace_values]):
+            raise ValueError(f"step weight {weight!r} and trace_values {trace_values!r} must be integers")
+        return cls(doc["rule"], doc["sector"], doc["side"], weight, doc["conclusion"], tuple(trace_values))
 
 
 @dataclass(frozen=True)
@@ -260,54 +260,35 @@ def _live(eq: Equation, forced: set) -> Sequence[Term]:
     return [t for t in terms if t[1] not in forced] if forced else terms
 
 
-def _r3_fires(eq: Equation, live: Sequence[Term]) -> bool:
-    return bool(live) and eq[3] == 0 and len({t[0] for t in live}) == 1
+# per contradiction rule: the sign of its live terms, of its right side, and its trace relation
+_CONTRADICTION = {"R1": ("negated", "positive", "<= 0 <"), "R2": ("positive", "negative", ">= 0 >")}
 
 
-def _r1_fires(eq: Equation, live: Sequence[Term]) -> bool:
-    return eq[3] > 0 and all(t[0] < 0 for t in live)
+def _rule(eq: Equation, live: Sequence[Term]) -> Optional[str]:
+    """The rule that fires on eq with these live terms, if any.  The sign of
+    the right side tells the rules apart, so at most one fires."""
+    rhs = eq[3]
+    if rhs == 0:
+        return "R3" if live and len({t[0] for t in live}) == 1 else None
+    if rhs > 0:
+        return "R1" if all(t[0] < 0 for t in live) else None
+    return "R2" if all(t[0] > 0 for t in live) else None
 
 
-def _r2_fires(eq: Equation, live: Sequence[Term]) -> bool:
-    return eq[3] < 0 and all(t[0] > 0 for t in live)
-
-
-def _r3_step(sector: str, eq: Equation, keys: Sequence[Key]) -> CertificateStep:
-    return CertificateStep(
-        rule="R3",
-        sector=sector,
-        side=eq[0],
-        weight=eq[1],
-        conclusion="one-signed left side with zero right side forces zero: "
-        + ", ".join(block_label(*key) for key in keys),
-        trace_values=(0, 0),
-    )
-
-
-def _r1_step(sector: str, eq: Equation, live_count: int) -> CertificateStep:
+def _step(rule: str, sector: str, eq: Equation, live: Sequence[Term]) -> CertificateStep:
+    """The certificate step of rule firing on eq with these live terms."""
     side, weight, dim, rhs, _ = eq
-    return CertificateStep(
-        rule="R1",
-        sector=sector,
-        side=side,
-        weight=weight,
-        conclusion=f"{live_count} negated Gram term(s) equal a positive multiple "
-        f"of the identity: left trace <= 0 < {rhs * dim}",
-        trace_values=(0, rhs * dim),
+    if rule == "R3":
+        conclusion = "one-signed left side with zero right side forces zero: " + ", ".join(
+            block_label(*t[1]) for t in live
+        )
+        return CertificateStep(rule, sector, side, weight, conclusion, (0, 0))
+    terms, multiple, relation = _CONTRADICTION[rule]
+    conclusion = (
+        f"{len(live)} {terms} Gram term(s) equal a {multiple} multiple "
+        f"of the identity: left trace {relation} {rhs * dim}"
     )
-
-
-def _r2_step(sector: str, eq: Equation, live_count: int) -> CertificateStep:
-    side, weight, dim, rhs, _ = eq
-    return CertificateStep(
-        rule="R2",
-        sector=sector,
-        side=side,
-        weight=weight,
-        conclusion=f"{live_count} positive Gram term(s) equal a negative multiple "
-        f"of the identity: left trace >= 0 > {rhs * dim}",
-        trace_values=(0, rhs * dim),
-    )
+    return CertificateStep(rule, sector, side, weight, conclusion, (0, rhs * dim))
 
 
 def eliminate(system: SectorSystem) -> Verdict:
@@ -318,26 +299,22 @@ def eliminate(system: SectorSystem) -> Verdict:
     steps: List[CertificateStep] = []
     # only a zero right side can force zeros, only a nonzero one contradict
     zero_rhs = [eq for eq in system.equations if eq[3] == 0]
-    fired = True
-    while fired:
-        fired = False
+    while True:
         for eq in zero_rhs:
             live = _live(eq, forced)
-            if _r3_fires(eq, live):
-                keys = [t[1] for t in live]
-                steps.append(_r3_step(sector, eq, keys))
-                forced.update(keys)
-                fired = True
+            if _rule(eq, live):
+                steps.append(_step("R3", sector, eq, live))
+                forced.update(t[1] for t in live)
                 break
+        else:
+            break
     for eq in system.equations:
         if eq[3] == 0:
             continue
         live = _live(eq, forced)
-        if _r1_fires(eq, live):
-            steps.append(_r1_step(sector, eq, len(live)))
-            return Verdict("infeasible", sector, certificate=tuple(steps))
-        if _r2_fires(eq, live):
-            steps.append(_r2_step(sector, eq, len(live)))
+        rule = _rule(eq, live)
+        if rule:
+            steps.append(_step(rule, sector, eq, live))
             return Verdict("infeasible", sector, certificate=tuple(steps))
 
     # Terminal recognition.
@@ -417,69 +394,48 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
         eq = by_key.get((step.side, step.weight))
         if eq is None:
             raise ReplayError(f"step {i}: no equation at {step.side} weight {step.weight}")
-        live = _live(eq, forced)
-        if step.rule == "R3":
-            if last:
-                raise ReplayError("certificate ends on a zero-forcing step")
-            if not _r3_fires(eq, live):
-                raise ReplayError(f"step {i}: R3 precondition fails at {step.side} {step.weight}")
-            keys = [t[1] for t in live]
-            if _r3_step(system.sector, eq, keys) != step:
-                raise ReplayError(f"step {i}: recorded R3 step differs from recomputation")
-            forced.update(keys)
-        elif step.rule == "R1":
-            if not _r1_fires(eq, live):
-                raise ReplayError(f"step {i}: R1 precondition fails at {step.side} {step.weight}")
-            if _r1_step(system.sector, eq, len(live)) != step:
-                raise ReplayError(f"step {i}: recorded R1 step differs from recomputation")
-            if not last:
-                raise ReplayError("contradiction reached before the final step")
-        elif step.rule == "R2":
-            if not _r2_fires(eq, live):
-                raise ReplayError(f"step {i}: R2 precondition fails at {step.side} {step.weight}")
-            if _r2_step(system.sector, eq, len(live)) != step:
-                raise ReplayError(f"step {i}: recorded R2 step differs from recomputation")
-            if not last:
-                raise ReplayError("contradiction reached before the final step")
-        else:
+        if step.rule not in ("R1", "R2", "R3"):
             raise ReplayError(f"step {i}: unknown rule {step.rule}")
-
-
-def gaussian_scale(scale_sq: int) -> GaussRational:
-    """An exact Gaussian integer gamma with |gamma|^2 = scale_sq, if one exists."""
-    for x in range(int(scale_sq**0.5) + 1, -1, -1):
-        rem = scale_sq - x * x
-        if rem < 0:
-            continue
-        y = int(rem**0.5)
-        for yy in (y - 1, y, y + 1):
-            if yy >= 0 and x * x + yy * yy == scale_sq:
-                return GaussRational(x, yy)
-    raise WitnessError(
-        f"{scale_sq} is not a sum of two squares; no exact unitary multiple exists"
-    )
+        if step.rule == "R3" and last:
+            raise ReplayError("certificate ends on a zero-forcing step")
+        live = _live(eq, forced)
+        if _rule(eq, live) != step.rule:
+            raise ReplayError(f"step {i}: {step.rule} precondition fails at {step.side} {step.weight}")
+        if _step(step.rule, system.sector, eq, live) != step:
+            raise ReplayError(f"step {i}: recorded {step.rule} step differs from recomputation")
+        if step.rule == "R3":
+            forced.update(t[1] for t in live)
+        elif not last:
+            raise ReplayError("contradiction reached before the final step")
 
 
 def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
-    """Exact block values realizing a witness class."""
+    """Exact block values realizing a witness class: zero on a forced block,
+    the identity on a terminal one, which must be "paired" with scale_sq 1
+    and square of its dim (module docstring).  Raises WitnessError otherwise
+    and on a label that names no block or names one twice."""
     blocks = system.blocks()
     layout = system.weight_data.layout()
+    values: Dict[str, GaussMatrix] = {}
 
-    def shape(label: str) -> Tuple[int, int]:
+    def place(label: str) -> Tuple[int, int]:
+        if label not in blocks:
+            raise WitnessError(f"witness names {label!r}, which is no block of the system")
+        if label in values:
+            raise WitnessError(f"witness names block {label} twice")
         (r0, r1), (c0, c1), _ = block_slot(blocks[label], layout)
         return r1 - r0, c1 - c0
 
-    values: Dict[str, GaussMatrix] = {}
     for label in witness.forced_zero:
-        values[label] = GaussMatrix.zeros(*shape(label))
+        values[label] = GaussMatrix.zeros(*place(label))
     for tb in witness.terminal:
-        rows, cols = shape(tb.label)
-        gamma = gaussian_scale(tb.scale_sq)
-        mat = GaussMatrix.zeros(rows, cols)
-        ents = list(mat.entries)
-        for i in range(min(rows, cols)):
-            ents[i * cols + i] = gamma
-        values[tb.label] = GaussMatrix._raw(rows, cols, tuple(ents))
+        rows, cols = place(tb.label)
+        if (tb.flavor, tb.scale_sq, tb.dim, tb.dim) != ("paired", 1, rows, cols):
+            raise WitnessError(
+                f"terminal block {tb.label} is {rows}x{cols}, but the witness has flavor "
+                f"{tb.flavor!r}, scale_sq {tb.scale_sq} and dim {tb.dim}"
+            )
+        values[tb.label] = GaussMatrix.identity(rows)
     missing = set(blocks) - set(values)
     if missing:
         raise WitnessError(f"witness leaves blocks unassigned: {sorted(missing)}")

@@ -32,16 +32,8 @@ def skew_hermitian(rng: random.Random, n: int) -> GaussMatrix:
 
 
 def su_pp(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
-    """A random element of su(p,p): the trace balance is absorbed in one entry."""
-    p = shape.p
-    a = skew_hermitian(rng, p)
-    b = skew_hermitian(rng, p)
-    excess = a.trace() + b.trace()
-    rows = [list(b.row(i)) for i in range(p)]
-    rows[0][0] = rows[0][0] - excess
-    b = GaussMatrix(rows)
-    z = matrix(rng, p)
-    return GaussMatrix.block([[a, z], [z.conj_transpose(), b]])
+    """A random element of su(p,p): a random k part plus a random p part."""
+    return k_part(rng, shape) + p_part(rng, shape)
 
 
 def p_part(rng: random.Random, shape: SuPQShape) -> GaussMatrix:

@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 Dims = Tuple[int, int]  # (dim_plus, dim_minus)
+
+_WEIGHT_KEY = re.compile(r"-?[0-9]+")  # a weight as a JSON key
 
 
 def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
     out = {}
     for w, m in sorted(table.items(), reverse=True):
-        if not isinstance(w, int) or isinstance(w, bool):
+        if type(w) is not int:
             raise ValueError(f"{name} weight {w!r} is not an integer")
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"{name} multiplicity for weight {w} must be a positive integer")
         out[w] = m
     return out
@@ -123,11 +126,19 @@ class WeightData:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "WeightData":
-        return cls(
-            {int(w): int(m) for w, m in doc.get("plus", {}).items()},
-            {int(w): int(m) for w, m in doc.get("minus", {}).items()},
-        )
+    def from_json_dict(cls, doc: dict) -> "WeightData":
+        """A table as to_json_dict writes it.  Nothing is coerced: raises
+        ValueError unless doc, plus and minus are objects, the latter keyed by
+        -?[0-9]+, each weight once, with integer multiplicities >= 1."""
+        if not isinstance(doc, dict):
+            raise ValueError("weight data is not an object")
+        sides = [doc.get("plus", {}), doc.get("minus", {})]
+        for name, table in zip(("plus", "minus"), sides):
+            if not isinstance(table, dict) or not all(isinstance(w, str) and _WEIGHT_KEY.fullmatch(w) for w in table):
+                raise ValueError(f"{name} is not an object keyed by decimal integer weights")
+            if len({int(w) for w in table}) != len(table):
+                raise ValueError(f"{name} names a weight twice")
+        return cls(*({int(w): m for w, m in table.items()} for table in sides))
 
     def digest(self) -> str:
         """Canonical hash of the multiplicity tables; names certificate files."""

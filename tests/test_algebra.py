@@ -75,6 +75,22 @@ def test_cartan_decompose_examples():
         cartan_decompose(GaussMatrix.diagonal([1, -1]), shape)
 
 
+def test_su_pp_keeps_its_stream():
+    # su_pp once drew a, b, the trace balance put into b's corner, then z;
+    # k_part + p_part must give the same matrix and leave the stream in the
+    # same state, so every seeded check downstream sees the same samples
+    for p in (1, 2, 3, 4):
+        shape = SuPQShape(p)
+        for seed in range(200):
+            rng, old = random.Random(seed), random.Random(seed)
+            a, b = sampling.skew_hermitian(old, p), sampling.skew_hermitian(old, p)
+            rows = [list(b.row(i)) for i in range(p)]
+            rows[0][0] -= a.trace() + b.trace()
+            b, z = GaussMatrix(rows), sampling.matrix(old, p)
+            assert sampling.su_pp(rng, shape) == GaussMatrix.block([[a, z], [z.conj_transpose(), b]])
+            assert rng.getstate() == old.getstate()
+
+
 def test_cartan_split_reassembles():
     rng = random.Random(21)
     for p in (1, 2, 3):

@@ -2,6 +2,8 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodesy.ladder import (
     CROSS,
@@ -22,7 +24,6 @@ from geodesy.ladder import (
     classify_weight_data,
     derive_constraints,
     eliminate,
-    gaussian_scale,
     instantiate_witness,
     replay_certificate,
     verify_theorem,
@@ -381,13 +382,42 @@ def test_witness_product_equation_has_both_signs():
             verify_witness(SectorSystem(wd, "mixed", equations, ((1, pairs),)), witness)
 
 
-def test_gaussian_scale():
-    assert gaussian_scale(1) == 1
-    assert gaussian_scale(2).abs2() == 2
-    assert gaussian_scale(4) == 2
-    assert gaussian_scale(5).abs2() == 5
-    with pytest.raises(WitnessError):
-        gaussian_scale(3)
+def test_witness_fields_are_checked():
+    from geodesy.ladder import TerminalBlock, WitnessClass
+
+    system = derive_constraints(WeightData({1: 2}, {-1: 2}))
+    verify_witness(system, eliminate(system).witness)
+    block = "cross[-1->1]"
+    paired = TerminalBlock(block, "paired", 1, 2)
+    for terminal in (
+        (TerminalBlock(block, "paired", 1, 5),),  # forged dim
+        (TerminalBlock(block, "bogus", 1, 2),),  # forged flavor
+        (TerminalBlock(block, "paired", 4, 2),),  # a scale the equations do not admit
+        (paired, TerminalBlock("cross[1->3]", "paired", 1, 2)),  # no such block
+        (paired, paired),  # named twice
+    ):
+        with pytest.raises(WitnessError):
+            verify_witness(system, WitnessClass(forced_zero=(), terminal=terminal))
+    with pytest.raises(WitnessError, match="twice"):
+        verify_witness(system, WitnessClass(forced_zero=(block,), terminal=(paired,)))
+    with pytest.raises(WitnessError, match="no block"):
+        instantiate_witness(system, WitnessClass(forced_zero=("plus_raise[-1->1]",), terminal=()))
+
+
+def test_step_reader_rejects_what_it_used_to_coerce():
+    system = derive_constraints(WeightData({2: 1}, {0: 1, -2: 1}))
+    verdict = eliminate(system)
+    docs = [step.to_json_dict() for step in verdict.certificate]
+    steps = tuple(CertificateStep.from_json_dict(doc) for doc in docs)
+    assert steps == verdict.certificate
+    replay_certificate(system, Verdict("infeasible", system.sector, certificate=steps))
+    for field, value in (
+        ("weight", "2"), ("weight", 0.25), ("weight", True), ("weight", float(docs[0]["weight"])),
+        ("trace_values", ["0", 0]), ("trace_values", [0.0, 0]), ("trace_values", [False, 0]),
+        ("trace_values", "00"), ("trace_values", {"0": 0}),
+    ):
+        with pytest.raises(ValueError):
+            CertificateStep.from_json_dict({**docs[0], field: value})
 
 
 def test_witness_instantiation_shapes():
@@ -525,3 +555,33 @@ def test_no_sector_of_small_rank_is_unresolved_or_ends_in_r4():
                     assert verdict.status in ("feasible", "infeasible"), (name, wd, verdict.detail)
                     assert all(step.rule in ("R1", "R2", "R3") for step in verdict.certificate)
 
+
+
+SMALL_TABLE = st.dictionaries(st.integers(-3, 3), st.integers(1, 3), max_size=3)
+
+
+@st.composite
+def small_tables(draw):
+    """Arbitrary small tables, inadmissible and mixed-parity ones included;
+    half of them get {1:m} / {-1:m} so that feasible verdicts turn up."""
+    plus, minus = draw(SMALL_TABLE), draw(SMALL_TABLE)
+    if draw(st.booleans()):
+        plus[1] = minus[-1] = draw(st.integers(1, 3))
+    return WeightData(plus, minus)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_tables())
+def test_every_terminal_block_is_the_square_cross_block_at_minus_one(wd):
+    # the equations admit no other terminal block, so the witness is the
+    # identity there and no other scale is ever needed
+    system = derive_constraints(wd)
+    verdict = eliminate(system)
+    if verdict.status != "feasible":
+        return
+    layout = wd.layout()
+    for tb in verdict.witness.terminal:
+        assert (tb.label, tb.flavor, tb.scale_sq) == ("cross[-1->1]", "paired", 1)
+        (r0, r1), (c0, c1), _ = block_slot(system.blocks()[tb.label], layout)
+        assert r1 - r0 == c1 - c0 == tb.dim
+    verify_witness(system, verdict.witness)

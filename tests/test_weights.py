@@ -37,6 +37,26 @@ def test_validation():
     assert wd.dim_plus == 3 and wd.dim_minus == 1
 
 
+def test_readers_reject_what_they_used_to_coerce():
+    with pytest.raises(ValueError, match="positive integer"):
+        WeightData({1: True}, {-1: 1})
+    for multiplicity in (1.5, True, "1", None):
+        with pytest.raises(ValueError, match="positive integer"):
+            WeightData.from_json_dict({"plus": {"1": multiplicity}, "minus": {"-1": 1}})
+    for weight in (" 1", "1 ", "+1", "1_0", "\u0661", ""):
+        with pytest.raises(ValueError, match="decimal integer weights"):
+            WeightData.from_json_dict({"plus": {weight: 1}, "minus": {"-1": 1}})
+    for table in ([], [["1", 1]], "1", 1, None):
+        with pytest.raises(ValueError, match="not an object"):
+            WeightData.from_json_dict({"plus": {"1": 1}, "minus": table})
+    with pytest.raises(ValueError, match="twice"):
+        WeightData.from_json_dict({"plus": {"1": 1, "01": 1}, "minus": {}})
+    for doc in ([], "plus", None):
+        with pytest.raises(ValueError, match="not an object"):
+            WeightData.from_json_dict(doc)
+    assert WeightData.from_json_dict({"plus": {"1": 2}, "minus": {"-1": 2}}) == WeightData({1: 2}, {-1: 2})
+
+
 def test_admissibility():
     assert WeightData({1: 1}, {-1: 1}).is_admissible()
     assert WeightData({0: 2}, {0: 2}).is_admissible()
