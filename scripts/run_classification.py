@@ -3,9 +3,7 @@
 
 Writes one summary JSON per rank plus the per-table certificates, then
 prints a compact table.  Everything is deterministic, so re-runs are
-diffable against earlier output.  A sector does not depend on the rank it
-pairs into, so every sector is decided once, for --max-p, and each rank
-pairs the sectors it needs.
+diffable against earlier output.
 """
 
 import argparse
@@ -14,7 +12,7 @@ from pathlib import Path
 
 from geodesy.candidates import json_text
 from geodesy.cli import write_certificates
-from geodesy.ladder import classify_sectors, verify_theorem
+from geodesy.ladder import verify_theorem
 
 
 def main() -> None:
@@ -26,13 +24,10 @@ def main() -> None:
         parser.error("--max-p must be at least 1")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
-    top = verify_theorem(args.max_p)
-    print(f"decided the sectors of ranks 1..{args.max_p} in {time.monotonic() - start:.2f} s")
     print(f"{'p':>3} {'tables':>7} {'feasible':>9} {'infeasible':>11} {'seconds':>8}")
     for p in range(1, args.max_p + 1):
         start = time.monotonic()
-        summary = classify_sectors(p, 2 * p - 1, top.odd, top.even)
+        summary = verify_theorem(p)
         elapsed = time.monotonic() - start
         with open(args.out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
             fh.write(json_text(summary.to_json_dict()) + "\n")

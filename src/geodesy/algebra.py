@@ -49,9 +49,6 @@ class CartanSplit:
     k_part: GaussMatrix
     p_part: GaussMatrix
 
-    def reassemble(self) -> GaussMatrix:
-        return self.k_part + self.p_part
-
 
 def signature_matrix(shape: SuPQShape) -> GaussMatrix:
     """J = diag(I_p, -I_p)."""

@@ -134,10 +134,6 @@ class GaussRational:
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -417,21 +413,13 @@ class GaussMatrix:
             out_im += acc_im
         return GaussMatrix._from_ints(n, m, self.den * other.den, out_re, out_im)
 
-    def _transposed(self, conjugate: bool) -> "GaussMatrix":
+    def conj_transpose(self) -> "GaussMatrix":
         c = self.cols
         re, im = [], []
         for j in range(c):
             re.extend(self.re_num[j::c])
             im.extend(self.im_num[j::c])
-        if conjugate:
-            im = map(neg, im)
-        return GaussMatrix._from_ints(c, self.rows, self.den, re, im, reduced=True)
-
-    def conj_transpose(self) -> "GaussMatrix":
-        return self._transposed(conjugate=True)
-
-    def transpose(self) -> "GaussMatrix":
-        return self._transposed(conjugate=False)
+        return GaussMatrix._from_ints(c, self.rows, self.den, re, map(neg, im), reduced=True)
 
     def trace(self) -> GaussRational:
         if self.rows != self.cols:

@@ -33,25 +33,26 @@ contradictions in simplified form; then one R1/R2 scan, plus side then
 minus side, weights descending.  When neither fires, terminal recognition
 asks that no product equation keeps a live term and that every remaining
 diagonal equation is a single Gram term a*I with a > 0, each block held by
-one U U* = a*I and one U* U = b*I equation with a = b on equal
-dimensions.  Only cross[-1->1] can pass: a block leaving w has a = w + 2
-and b = -w if it crosses, a = -(w + 2) and b = w if it raises, so a = b > 0
-forces a crossing block with w = -1 and a = 1.  The witness is therefore
-the identity on that block and zero on every forced one.  On an admissible
-table a terminal sector always agrees: the odd one is {1:m} / {-1:m} and
-the even one has no live block.  So a mismatch (only an inadmissible table
-has one) is not a certified contradiction; like anything else the rules
-cannot settle it is reported as unresolved, never silently dropped.
+one U U* = a*I and one U* U = b*I equation with a = b = 1 on equal
+dimensions.  The witness is the identity on such a block and zero on every
+forced one.  In a derived system only cross[-1->1] can pass: a block
+leaving w has a = w + 2 and b = -w if it crosses, a = -(w + 2) and b = w if
+it raises, so a = b > 0 already forces a crossing block with w = -1 and
+a = 1.  On an admissible table a terminal sector always agrees: the odd one
+is {1:m} / {-1:m} and the even one has no live block.  So a mismatch (only
+an inadmissible table has one) is not a certified contradiction; like
+anything else the rules cannot settle it is reported as unresolved, never
+silently dropped.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix
-from .weights import Dims, Layout, WeightData, enumerate_sectors, pair_sectors
+from .weights import Dims, Layout, WeightData, enumerate_sectors, iter_sectors, pair_sectors
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -363,7 +364,10 @@ def eliminate(system: SectorSystem) -> Verdict:
                 sector,
                 detail=f"block {label} has U U* = {a}*I on dim {d1} but U* U = {b}*I on dim {d2}",
             )
-        terminal.append(TerminalBlock(label, "paired", a, d1))
+        if a != 1:
+            # the witness is the identity; a derived system never gets here
+            return Verdict("unresolved", sector, detail=f"block {label} has U U* = U* U = {a}*I, not the identity")
+        terminal.append(TerminalBlock(label, "paired", 1, d1))
 
     witness = WitnessClass(
         forced_zero=tuple(sorted(block_label(*key) for key in forced)),
@@ -515,72 +519,15 @@ class DatumClassification:
         return doc
 
 
+def _derive_and_eliminate(wd: WeightData, sector: str) -> Tuple[SectorSystem, Verdict]:
+    system = derive_constraints(wd, sector=sector)
+    return system, eliminate(system)
+
+
 def classify_weight_data(wd: WeightData) -> DatumClassification:
-    odd_system = derive_constraints(wd.odd_sector(), sector="odd")
-    even_system = derive_constraints(wd.even_sector(), sector="even")
-    return DatumClassification(
-        weight_data=wd,
-        odd_system=odd_system,
-        even_system=even_system,
-        odd=eliminate(odd_system),
-        even=eliminate(even_system),
-    )
-
-
-@dataclass(frozen=True)
-class SectorVerdict:
-    """One decided sector.  Only a feasible sector keeps its system: any
-    other is derived again on demand, since derive_constraints is
-    deterministic."""
-
-    weight_data: WeightData
-    verdict: Verdict
-    system: Optional[SectorSystem]
-
-    def derived_system(self) -> SectorSystem:
-        if self.system is not None:
-            return self.system
-        return derive_constraints(self.weight_data, sector=self.verdict.sector)
-
-
-def _decide(groups: Dict[Dims, List[WeightData]], sector: str) -> Dict[Dims, List[SectorVerdict]]:
-    """Derive and eliminate every sector once."""
-    decided = {}
-    for dims, group in groups.items():
-        entries = []
-        for wd in group:
-            system = derive_constraints(wd, sector=sector)
-            verdict = eliminate(system)
-            entries.append(SectorVerdict(wd, verdict, system if verdict.status == "feasible" else None))
-        decided[dims] = entries
-    return decided
-
-
-def _pair_counts(odd_group: List[SectorVerdict], even_group: List[SectorVerdict]) -> Counter:
-    """Status counts of every table pairing the two groups: infeasible if a
-    sector is, else unresolved if a sector is, else feasible."""
-    odd = Counter(s.verdict.status for s in odd_group)
-    even = Counter(s.verdict.status for s in even_group)
-    tables = len(odd_group) * len(even_group)
-    open_tables = (len(odd_group) - odd["infeasible"]) * (len(even_group) - even["infeasible"])
-    feasible = odd["feasible"] * even["feasible"]
-    return Counter(infeasible=tables - open_tables, unresolved=open_tables - feasible, feasible=feasible)
-
-
-def _stream(
-    p: int, odd: Dict[Dims, List[SectorVerdict]], even: Dict[Dims, List[SectorVerdict]]
-) -> Iterator[DatumClassification]:
-    """Every table of rank p with its classification, from the sector
-    product.  Each sector's system is derived once per pass: an odd group's
-    systems one at a time, its even partner group's all together."""
-    for odd_group, even_group in pair_sectors(p, odd, even):
-        evens = [(e, e.derived_system()) for e in even_group]
-        for o in odd_group:
-            odd_system = o.derived_system()
-            for e, even_system in evens:
-                yield DatumClassification(
-                    o.weight_data.combine(e.weight_data), odd_system, even_system, o.verdict, e.verdict
-                )
+    odd_system, odd = _derive_and_eliminate(wd.odd_sector(), "odd")
+    even_system, even = _derive_and_eliminate(wd.even_sector(), "even")
+    return DatumClassification(wd, odd_system, even_system, odd, even)
 
 
 @dataclass
@@ -618,12 +565,18 @@ class ClassificationSummary:
     infeasible: int
     unresolved: int
     classes: List[FeasibleClass]
-    odd: Dict[Dims, List[SectorVerdict]]
-    even: Dict[Dims, List[SectorVerdict]]
 
     def results(self) -> Iterator[DatumClassification]:
-        """Every enumerated table's classification, built on demand."""
-        return _stream(self.p, self.odd, self.even)
+        """Every enumerated table's classification, its sectors decided
+        again: an even group's sectors all together, then each odd sector
+        of the partner group in turn, so each is derived once per pass."""
+        odd, even = enumerate_sectors(self.p, self.max_weight)
+        for odd_group, even_group in pair_sectors(self.p, odd, even):
+            evens = [(e, *_derive_and_eliminate(e, "even")) for e in even_group]
+            for o in odd_group:
+                odd_system, odd_verdict = _derive_and_eliminate(o, "odd")
+                for e, even_system, even_verdict in evens:
+                    yield DatumClassification(o.combine(e), odd_system, even_system, odd_verdict, even_verdict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -672,52 +625,64 @@ def _check_feasible_shape(result: DatumClassification) -> None:
 
 
 def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
-    """Classify every admissible table of rank p, one distinct sector at a time.
+    """Classify every admissible table of rank p, one sector at a time.
 
     A table is one odd sector joined with one even sector of complementary
-    dimensions (weights.enumerate_sectors).  Each sector is derived and
-    eliminated once, then classify_sectors pairs them.
-    """
-    if max_weight is None:
-        max_weight = 2 * p - 1
-    odd_sectors, even_sectors = enumerate_sectors(p, max_weight)
-    return classify_sectors(p, max_weight, _decide(odd_sectors, "odd"), _decide(even_sectors, "even"))
-
-
-def classify_sectors(
-    p: int, max_weight: int, odd: Dict[Dims, List[SectorVerdict]], even: Dict[Dims, List[SectorVerdict]]
-) -> ClassificationSummary:
-    """Classify rank p from decided sectors: verify_theorem's, or those of a
-    rank P > p with max_weight 2p - 1 (rank P's groups hold rank p's sectors
-    in order).  The counts come from the per-dimension products, and a
-    table is built only when both its sectors are feasible.
+    dimensions (weights.iter_sectors).  Each sector is derived and
+    eliminated as it is enumerated, and only the status counts of each
+    (parity, dimensions) group and the feasible sectors are kept.  The
+    table counts come from the per-group products, and a table is built
+    only when both its sectors are feasible.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
     (nonzero raising block, wrong odd pattern, or nontrivial even sector).
     """
+    if max_weight is None:
+        max_weight = 2 * p - 1
+    # per parity: dims -> (status counts, feasible (sector, system, verdict)s)
+    groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
+        defaultdict(lambda: (Counter(), [])) for _ in range(2)
+    )
+    for parity, dims, wd in iter_sectors(p, max_weight):
+        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
+        statuses, feasible = groups[parity][dims]
+        statuses[verdict.status] += 1
+        if verdict.status == "feasible":
+            feasible.append((wd, system, verdict))
+
     counts: Counter = Counter()
-    feasible = []
-    for odd_group, even_group in pair_sectors(p, odd, even):
-        counts += _pair_counts(odd_group, even_group)
-        feasible += [
-            DatumClassification(o.weight_data.combine(e.weight_data), o.system, e.system, o.verdict, e.verdict)
-            for o in odd_group
-            if o.verdict.status == "feasible"
-            for e in even_group
-            if e.verdict.status == "feasible"
+    tables = []
+    for (odd, odd_feasible), (even, even_feasible) in pair_sectors(p, groups[1], groups[0]):
+        # a table is infeasible if a sector is, else unresolved if a sector is
+        n_odd, n_even = sum(odd.values()), sum(even.values())
+        open_tables = (n_odd - odd["infeasible"]) * (n_even - even["infeasible"])
+        both = odd["feasible"] * even["feasible"]
+        counts.update(infeasible=n_odd * n_even - open_tables, unresolved=open_tables - both, feasible=both)
+        tables += [
+            DatumClassification(o.combine(e), o_system, e_system, o_verdict, e_verdict)
+            for o, o_system, o_verdict in odd_feasible
+            for e, e_system, e_verdict in even_feasible
         ]
+    summary = ClassificationSummary(
+        p=p,
+        max_weight=max_weight,
+        enumerated=sum(counts.values()),
+        feasible=counts["feasible"],
+        infeasible=counts["infeasible"],
+        unresolved=0,
+        classes=[],
+    )
 
     if counts["unresolved"]:
-        first = next(r for r in _stream(p, odd, even) if r.status == "unresolved")
+        first = next(r for r in summary.results() if r.status == "unresolved")
         raise UnresolvedRemains(
             f"{counts['unresolved']} weight table(s) unresolved, first: "
             f"{first.weight_data.describe()}"
         )
-    classes = []
-    for r in feasible:
+    for r in tables:
         _check_feasible_shape(r)
-        classes.append(
+        summary.classes.append(
             FeasibleClass(
                 standard_copies=r.standard_copies,
                 trivial_dim=2 * p - 2 * r.standard_copies,
@@ -726,15 +691,5 @@ def classify_sectors(
                 terminal=r.odd.witness.terminal + r.even.witness.terminal,
             )
         )
-    classes.sort(key=lambda c: c.standard_copies, reverse=True)
-    return ClassificationSummary(
-        p=p,
-        max_weight=max_weight,
-        enumerated=sum(counts.values()),
-        feasible=counts["feasible"],
-        infeasible=counts["infeasible"],
-        unresolved=0,
-        classes=classes,
-        odd=odd,
-        even=even,
-    )
+    summary.classes.sort(key=lambda c: c.standard_copies, reverse=True)
+    return summary

@@ -252,13 +252,15 @@ def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _bounds(p: int, max_weight: int | None) -> int:
+    """The weight bound to enumerate with: max_weight, capped at 2p - 1,
+    past which it adds nothing."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if max_weight is None:
         max_weight = 2 * p - 1
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
-    return max_weight
+    return min(max_weight, 2 * p - 1)
 
 
 def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[WeightData]:
@@ -272,32 +274,34 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     max_weight = _bounds(p, max_weight)
     odd, even = enumerate_sectors(p, max_weight)
     found = [o.combine(e) for odd_group, even_group in pair_sectors(p, odd, even) for o in odd_group for e in even_group]
-    span = range(max_weight, -max_weight - 1, -1)
+    n = 2 * max_weight + 1  # weights max_weight down to -max_weight
 
-    def lex_key(wd: WeightData):
-        return tuple(wd.plus.get(w, 0) for w in span) + tuple(wd.minus.get(w, 0) for w in span)
+    def lex_key(wd: WeightData) -> List[int]:
+        key = [0] * (2 * n)
+        for w, m in wd.plus.items():
+            key[max_weight - w] = m
+        for w, m in wd.minus.items():
+            key[n + max_weight - w] = m
+        return key
 
     found.sort(key=lex_key)
     yield from found
 
 
-def enumerate_sectors(
-    p: int, max_weight: int | None = None
-) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
-    """The admissible single-parity tables that can pair into rank p.
+def iter_sectors(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, Dims, WeightData]]:
+    """The admissible single-parity tables that can pair into rank p, as
+    (parity, (dim_plus, dim_minus), sector): the odd ones (parity 1) first.
 
     Admissibility only links weights of the same parity, so a table of rank
     p is exactly one odd sector with dimensions (a, b) joined with one even
     sector with dimensions (p - a, p - b).  Odd weights come from the
     even-dimensional irreducibles and even weights from the odd-dimensional
     ones; both sectors have even total dimension, and each block of a sector
-    has dimension at most p.  Returns (odd, even), each mapping
-    (dim_plus, dim_minus) to its sectors; the empty sector is (0, 0).
-    A sector of dimensions (a, b) has no weight above a + b - 1.
+    has dimension at most p.  The empty sector has dimensions (0, 0).  A
+    sector of dimensions (a, b) has no weight above a + b - 1.
     """
     max_weight = _bounds(p, max_weight)
-    sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
-    for parity, groups in zip((1, 0), sectors):
+    for parity in (1, 0):
         # an irreducible of dimension d has weights of the parity of d - 1
         parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
@@ -309,9 +313,17 @@ def enumerate_sectors(
                 # run in reverse order, so each block dict is built once and shared.
                 blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
                 for d in dims:
-                    groups.setdefault((d, size - d), []).extend(
-                        map(WeightData._trusted, blocks[d], reversed(blocks[size - d]))
-                    )
+                    for sector in map(WeightData._trusted, blocks[d], reversed(blocks[size - d])):
+                        yield parity, (d, size - d), sector
+
+
+def enumerate_sectors(
+    p: int, max_weight: int | None = None
+) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
+    """iter_sectors grouped: (odd, even), each mapping dimensions to sectors."""
+    sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
+    for parity, dims, sector in iter_sectors(p, max_weight):
+        sectors[1 - parity].setdefault(dims, []).append(sector)
     return sectors
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from geodesy.ladder import (
     WitnessError,
     block_label,
     block_slot,
-    classify_sectors,
     classify_weight_data,
     derive_constraints,
     eliminate,
@@ -168,6 +169,20 @@ def test_rank_mismatch_is_unresolved():
     assert verdict.status == "unresolved"
     assert verdict.certificate == ()
     assert verdict.detail == "block cross[-1->1] has U U* = 1*I on dim 2 but U* U = 1*I on dim 1"
+
+
+def test_terminal_scale_other_than_one_is_unresolved():
+    # U U* = U* U = 2*I is solvable, but the witness is the identity, which
+    # does not solve it; derive_constraints never builds such a system
+    key = (CROSS, -1)
+    system = SectorSystem(
+        weight_data=WeightData({1: 1}, {-1: 1}),
+        sector="odd",
+        equations=(("plus", 1, 1, 2, ((+1, key, OUTER),)), ("minus", -1, 1, -2, ((-1, key, INNER),))),
+    )
+    verdict = eliminate(system)
+    assert verdict.status == "unresolved"
+    assert verdict.detail == "block cross[-1->1] has U U* = U* U = 2*I, not the identity"
 
 
 def test_sign_lemmas_via_rules():
@@ -465,16 +480,6 @@ def test_verify_theorem_small_ranks():
     assert any(c.weight_data == mixed for c in summary3.classes)
 
 
-def test_classify_sectors_of_a_higher_rank_match_verify_theorem():
-    # the sectors decided for rank 5 serve every rank below it unchanged
-    top = verify_theorem(5)
-    for p in range(1, 6):
-        summary = classify_sectors(p, 2 * p - 1, top.odd, top.even)
-        direct = verify_theorem(p)
-        assert summary.to_json_dict() == direct.to_json_dict()
-        assert [r.to_json_dict() for r in summary.results()] == [r.to_json_dict() for r in direct.results()]
-
-
 def test_verify_theorem_results_match_per_table_classification():
     for p in (1, 2, 3):
         summary = verify_theorem(p)
@@ -501,8 +506,39 @@ def test_verify_theorem_derives_each_sector_once(monkeypatch):
     summary = ladder_mod.verify_theorem(4)
     assert summary.enumerated == 533
     assert len(derived) == len(set(derived)) == sum(
-        len(group) for groups in (summary.odd, summary.even) for group in groups.values()
+        len(group) for groups in enumerate_sectors(4) for group in groups.values()
     )
+
+
+def test_verify_theorem_counts_match_per_table_classification():
+    for p in (1, 2, 3, 4):
+        statuses = Counter(classify_weight_data(wd).status for wd in enumerate_weight_data(p))
+        counts = verify_theorem(p).to_json_dict()["counts"]
+        assert counts == {"enumerated": sum(statuses.values()), "unresolved": 0, **statuses}
+
+
+def test_verify_theorem_keeps_only_counts_and_feasible_sectors():
+    # a sector is decided as it is enumerated; no per-sector state outlives it
+    tracemalloc.start()
+    try:
+        verify_theorem(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
+def test_verify_theorem_ignores_a_weight_bound_past_2p_minus_1():
+    # the bound adds nothing past 2p - 1, so a huge one costs nothing either
+    tracemalloc.start()
+    try:
+        huge = verify_theorem(2, max_weight=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert huge.max_weight == 10**6
+    assert dataclasses.replace(huge, max_weight=3) == verify_theorem(2, max_weight=3)
 
 
 def test_verify_theorem_flags_unresolved(monkeypatch):
@@ -512,8 +548,11 @@ def test_verify_theorem_flags_unresolved(monkeypatch):
         return Verdict("unresolved", system.sector, detail="forced for the test")
 
     monkeypatch.setattr(ladder_mod, "eliminate", fake_eliminate)
-    with pytest.raises(UnresolvedRemains):
+    with pytest.raises(UnresolvedRemains) as err:
         ladder_mod.verify_theorem(1)
+    assert str(err.value) == "3 weight table(s) unresolved, first: plus {0:1} minus {0:1}"
+    with pytest.raises(UnresolvedRemains, match=r"^99 weight table\(s\) unresolved, first: "):
+        ladder_mod.verify_theorem(3)
 
 
 def test_feasible_shape_check_rejects_surviving_raising_block():
