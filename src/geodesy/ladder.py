@@ -213,6 +213,12 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> SectorSyste
     w and w + 2 are plus weights, minus_raise likewise on the minus side,
     cross when w is a minus weight and w + 2 a plus weight.  WeightData
     keeps its weights in descending order, the scan order.
+
+    So the equations, their terms and their order depend only on the
+    support, which weights are present on each side, and each right side
+    is the weight w itself.  A multiplicity enters only as an equation's
+    dim, which the rules never read (see _rule): it reaches a verdict only
+    through the trace values of a step and terminal recognition.
     """
     if sector is None:
         sector = _infer_sector(wd)
@@ -267,7 +273,13 @@ _CONTRADICTION = {"R1": ("negated", "positive", "<= 0 <"), "R2": ("positive", "n
 
 def _rule(eq: Equation, live: Sequence[Term]) -> Optional[str]:
     """The rule that fires on eq with these live terms, if any.  The sign of
-    the right side tells the rules apart, so at most one fires."""
+    the right side tells the rules apart, so at most one fires.
+
+    Only the signs of the live terms and of the right side are read, never
+    the dimension.  Two tables of the same support therefore fire the same
+    rules on the same equations, force the same blocks and reach the same
+    contradiction; an infeasible verdict, which comes before terminal
+    recognition, holds for every multiplicity of its support."""
     rhs = eq[3]
     if rhs == 0:
         return "R3" if live and len({t[0] for t in live}) == 1 else None
@@ -628,11 +640,18 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     """Classify every admissible table of rank p, one sector at a time.
 
     A table is one odd sector joined with one even sector of complementary
-    dimensions (weights.iter_sectors).  Each sector is derived and
-    eliminated as it is enumerated, and only the status counts of each
-    (parity, dimensions) group and the feasible sectors are kept.  The
-    table counts come from the per-group products, and a table is built
-    only when both its sectors are feasible.
+    dimensions (weights.iter_sectors).  Each sector is decided as it is
+    enumerated, and only the status counts of each (parity, dimensions)
+    group and the feasible sectors are kept.  The table counts come from
+    the per-group products, and a table is built only when both its
+    sectors are feasible.
+
+    An infeasible verdict depends only on the sector's support, which
+    weights sit on which side (see derive_constraints and _rule), so a
+    sector whose support was already eliminated to infeasible in this run
+    is counted without being derived again.  Every other sector is derived
+    and eliminated in full: terminal recognition compares dimensions, and
+    a feasible sector keeps its own system.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -644,11 +663,18 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
+    infeasible_supports: set = set()
     for parity, dims, wd in iter_sectors(p, max_weight):
-        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
         statuses, feasible = groups[parity][dims]
+        support = (parity, tuple(wd.plus), tuple(wd.minus))
+        if support in infeasible_supports:
+            statuses["infeasible"] += 1
+            continue
+        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
         statuses[verdict.status] += 1
-        if verdict.status == "feasible":
+        if verdict.status == "infeasible":
+            infeasible_supports.add(support)
+        elif verdict.status == "feasible":
             feasible.append((wd, system, verdict))
 
     counts: Counter = Counter()

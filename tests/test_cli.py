@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
-from geodesy.cli import build_parser, run
+from geodesy.cli import MAX_P, build_parser, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.weights import WeightData, enumerate_weight_data
 
@@ -403,6 +403,19 @@ def test_run_classification_script_matches_classify(tmp_path):
         assert names and sorted(f.name for f in archived.iterdir()) == names
         for name in names:
             assert (archived / name).read_bytes() == (emitted / name).read_bytes()
+
+
+@pytest.mark.parametrize("max_p", [0, MAX_P + 1])
+def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max_p):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", str(max_p)],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 2
+    assert f"--max-p must be between 1 and {MAX_P}" in script.stderr
+    assert script.stdout == "" and not (tmp_path / "results").exists()
 
 
 def test_selftest_runs_clean(capsys):

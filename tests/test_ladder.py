@@ -1,7 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from geodesy.ladder import (
     UnresolvedRemains,
     Verdict,
     WitnessError,
+    _derive_and_eliminate,
     block_label,
     block_slot,
     classify_weight_data,
@@ -30,7 +31,7 @@ from geodesy.ladder import (
     verify_theorem,
     verify_witness,
 )
-from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data
+from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, iter_sectors, pair_sectors
 
 
 # -- derivation ---------------------------------------------------------
@@ -492,7 +493,7 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def test_verify_theorem_derives_each_sector_once(monkeypatch):
+def test_verify_theorem_derives_each_infeasible_support_once(monkeypatch):
     import geodesy.ladder as ladder_mod
 
     derived = []
@@ -505,9 +506,33 @@ def test_verify_theorem_derives_each_sector_once(monkeypatch):
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
     summary = ladder_mod.verify_theorem(4)
     assert summary.enumerated == 533
-    assert len(derived) == len(set(derived)) == sum(
-        len(group) for groups in enumerate_sectors(4) for group in groups.values()
+    # 318 infeasible supports, each derived once, and 18 other sectors
+    assert len(derived) == len(set(derived)) == 336
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_verify_theorem_matches_direct_elimination_of_every_sector(p):
+    # the support cache against no cache: every sector derived and eliminated
+    groups = (defaultdict(list), defaultdict(list))  # by parity: dims -> (sector, verdict)s
+    for parity, dims, wd in iter_sectors(p):
+        groups[parity][dims].append((wd, _derive_and_eliminate(wd, "odd" if parity else "even")[1]))
+    counts, classes = Counter(), []
+    for odd, even in pair_sectors(p, groups[1], groups[0]):
+        odd_statuses, even_statuses = (Counter(v.status for _, v in group) for group in (odd, even))
+        open_tables = (len(odd) - odd_statuses["infeasible"]) * (len(even) - even_statuses["infeasible"])
+        both = odd_statuses["feasible"] * even_statuses["feasible"]
+        counts.update(infeasible=len(odd) * len(even) - open_tables, unresolved=open_tables - both, feasible=both)
+        classes += [
+            (o.combine(e).key(), o_verdict.witness.terminal + e_verdict.witness.terminal)
+            for o, o_verdict in odd if o_verdict.status == "feasible"
+            for e, e_verdict in even if e_verdict.status == "feasible"
+        ]
+    summary = verify_theorem(p)
+    assert counts["unresolved"] == 0
+    assert (summary.enumerated, summary.infeasible, summary.feasible) == (
+        sum(counts.values()), counts["infeasible"], counts["feasible"]
     )
+    assert sorted(classes) == sorted((c.weight_data.key(), c.terminal) for c in summary.classes)
 
 
 def test_verify_theorem_counts_match_per_table_classification():
@@ -624,3 +649,42 @@ def test_every_terminal_block_is_the_square_cross_block_at_minus_one(wd):
         (r0, r1), (c0, c1), _ = block_slot(system.blocks()[tb.label], layout)
         assert r1 - r0 == c1 - c0 == tb.dim
     verify_witness(system, verdict.witness)
+
+
+SUPPORT = st.sets(st.integers(-5, 5), max_size=4)
+
+
+@st.composite
+def tables_of_one_support(draw):
+    """Two tables with the same support and independent multiplicities,
+    inadmissible and mixed-parity ones included."""
+    plus, minus = sorted(draw(SUPPORT)), sorted(draw(SUPPORT))
+    multiplicity = st.integers(1, 4)
+    return tuple(
+        WeightData({w: draw(multiplicity) for w in plus}, {w: draw(multiplicity) for w in minus})
+        for _ in range(2)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables_of_one_support())
+def test_multiplicities_do_not_change_an_infeasible_verdict(tables):
+    # what verify_theorem's support cache relies on, for every table
+    verdicts = [eliminate(derive_constraints(wd)) for wd in tables]
+    if all(v.status != "infeasible" for v in verdicts):
+        return
+    assert [v.status for v in verdicts] == ["infeasible", "infeasible"]
+
+    def shape(step):
+        # an R1 or R2 conclusion ends on its trace value, rhs * dim
+        conclusion = step.conclusion
+        if step.rule != "R3":
+            conclusion, value = conclusion.rsplit(" ", 1)
+            assert value == str(step.trace_values[1])
+        return step.rule, step.sector, step.side, step.weight, conclusion
+
+    assert [shape(s) for s in verdicts[0].certificate] == [shape(s) for s in verdicts[1].certificate]
+    for wd, verdict in zip(tables, verdicts):
+        for step in verdict.certificate:
+            dim = getattr(wd, step.side)[step.weight]
+            assert step.trace_values == (0, step.weight * dim)
