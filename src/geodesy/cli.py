@@ -21,7 +21,7 @@ from .numeric import minimize
 from .selftest import run_selftest
 from .weights import WeightData
 
-MAX_P = 8
+MAX_P = 9
 _WEIGHT_LIST = re.compile(r"^-?\d+:\d+(,-?\d+:\d+)*$")
 
 

@@ -218,7 +218,10 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> SectorSyste
     support, which weights are present on each side, and each right side
     is the weight w itself.  A multiplicity enters only as an equation's
     dim, which the rules never read (see _rule): it reaches a verdict only
-    through the trace values of a step and terminal recognition.
+    through the trace values of a step and terminal recognition.  At the
+    top weight W, where W + 2 is absent, the equations at W and W - 2 read
+    only which of W, W - 2 and W - 4 each side holds: the top window by
+    which verify_theorem decides a sector.
     """
     if sector is None:
         sector = _infer_sector(wd)
@@ -636,6 +639,32 @@ def _check_feasible_shape(result: DatumClassification) -> None:
             )
 
 
+def _top_window(wd: WeightData) -> Optional[Tuple[int, ...]]:
+    """The window key of a sector whose top weight W is at least 3: W, then
+    whether W, W - 2 and W - 4 are plus weights, then whether they are
+    minus weights.  None for a sector with W <= 2."""
+    plus, minus = wd.plus, wd.minus
+    top = max(next(iter(plus), 0), next(iter(minus), 0))
+    if top < 3:
+        return None
+    mid, low = top - 2, top - 4
+    return (top, top in plus, mid in plus, low in plus, top in minus, mid in minus, low in minus)
+
+
+def _window_status(key: Tuple[int, ...], sector: str) -> str:
+    """The status eliminate gives the equations at W and W - 2 of the
+    window's multiplicity-1 table (see verify_theorem)."""
+    top = key[0]
+    weights = (top, top - 2, top - 4)
+    window = WeightData._trusted(
+        {w: 1 for w, present in zip(weights, key[1:4]) if present},
+        {w: 1 for w, present in zip(weights, key[4:]) if present},
+    )
+    system = derive_constraints(window, sector=sector)
+    equations = tuple(eq for eq in system.equations if eq[1] >= top - 2)
+    return eliminate(SectorSystem(window, sector, equations)).status
+
+
 def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
     """Classify every admissible table of rank p, one sector at a time.
 
@@ -646,12 +675,21 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     the per-group products, and a table is built only when both its
     sectors are feasible.
 
-    An infeasible verdict depends only on the sector's support, which
-    weights sit on which side (see derive_constraints and _rule), so a
-    sector whose support was already eliminated to infeasible in this run
-    is counted without being derived again.  Every other sector is derived
-    and eliminated in full: terminal recognition compares dimensions, and
-    a feasible sector keeps its own system.
+    A sector whose top weight W is at least 3 is first decided by its top
+    window (_top_window): W, and which of W, W - 2 and W - 4 each side
+    holds.  W + 2 is absent, so the sector's equations at W and W - 2 have
+    exactly the terms of the window's multiplicity-1 table there, and the
+    same right sides W and W - 2; only dim differs, which the rules never
+    read.  Both right sides are positive, so R3 cannot fire in the window
+    and an infeasible window is an R1 or R2 firing on terms that are one-
+    signed against the right side.  In the full sector R3 only removes live
+    terms, so that equation stays one-signed and eliminate returns
+    infeasible too, possibly at an earlier equation.  Each window is
+    decided once per run, and a sector of an infeasible window is counted
+    without being derived.  Every other sector, W <= 2 or a window that is
+    not infeasible (none at p <= 9), is derived and eliminated in full:
+    terminal recognition compares dimensions, and a feasible sector keeps
+    its own system.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -663,18 +701,20 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
-    infeasible_supports: set = set()
+    windows: Dict[Tuple[int, ...], str] = {}  # window key -> status
     for parity, dims, wd in iter_sectors(p, max_weight):
         statuses, feasible = groups[parity][dims]
-        support = (parity, tuple(wd.plus), tuple(wd.minus))
-        if support in infeasible_supports:
-            statuses["infeasible"] += 1
-            continue
-        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
+        sector = "odd" if parity else "even"
+        key = _top_window(wd)
+        if key is not None:
+            if key not in windows:
+                windows[key] = _window_status(key, sector)
+            if windows[key] == "infeasible":
+                statuses["infeasible"] += 1
+                continue
+        system, verdict = _derive_and_eliminate(wd, sector)
         statuses[verdict.status] += 1
-        if verdict.status == "infeasible":
-            infeasible_supports.add(support)
-        elif verdict.status == "feasible":
+        if verdict.status == "feasible":
             feasible.append((wd, system, verdict))
 
     counts: Counter = Counter()

@@ -179,7 +179,7 @@ def test_classify_exit_codes(capsys):
     capsys.readouterr()
     assert run(["classify", "0"]) == 2
     capsys.readouterr()
-    assert run(["classify", "9"]) == 2
+    assert run(["classify", str(MAX_P + 1)]) == 2
     capsys.readouterr()
 
 

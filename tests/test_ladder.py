@@ -493,7 +493,7 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def test_verify_theorem_derives_each_infeasible_support_once(monkeypatch):
+def test_verify_theorem_derives_each_window_once(monkeypatch):
     import geodesy.ladder as ladder_mod
 
     derived = []
@@ -506,8 +506,8 @@ def test_verify_theorem_derives_each_infeasible_support_once(monkeypatch):
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
     summary = ladder_mod.verify_theorem(4)
     assert summary.enumerated == 533
-    # 318 infeasible supports, each derived once, and 18 other sectors
-    assert len(derived) == len(set(derived)) == 336
+    # 71 top windows, each derived once, and the 98 sectors whose top weight is at most 2
+    assert len(derived) == len(set(derived)) == 169
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -669,7 +669,7 @@ def tables_of_one_support(draw):
 @settings(max_examples=500, deadline=None)
 @given(tables_of_one_support())
 def test_multiplicities_do_not_change_an_infeasible_verdict(tables):
-    # what verify_theorem's support cache relies on, for every table
+    # a verdict depends on the support alone, for every table
     verdicts = [eliminate(derive_constraints(wd)) for wd in tables]
     if all(v.status != "infeasible" for v in verdicts):
         return
@@ -688,3 +688,52 @@ def test_multiplicities_do_not_change_an_infeasible_verdict(tables):
         for step in verdict.certificate:
             dim = getattr(wd, step.side)[step.weight]
             assert step.trace_values == (0, step.weight * dim)
+
+
+def top_system(wd):
+    """The equations of wd at its top weight W and at W - 2."""
+    top = max(wd.all_weights())
+    return SectorSystem(wd, "top", tuple(eq for eq in derive_constraints(wd).equations if eq[1] in (top, top - 2)))
+
+
+def top_window(wd):
+    """The multiplicity-1 table of the weights W, W - 2 and W - 4 that each side of wd holds."""
+    top = max(wd.all_weights())
+    return WeightData(*({w: 1 for w in (top, top - 2, top - 4) if w in side} for side in (wd.plus, wd.minus)))
+
+
+def without_dims(system):
+    return [(side, w, rhs, terms) for side, w, _, rhs, terms in system.equations]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_a_sector_with_top_weight_3_or_more_is_decided_by_its_top_window(p):
+    # what verify_theorem's window dict relies on: the window has the
+    # sector's top equations, and both are infeasible
+    for _, _, wd in iter_sectors(p):
+        if max(wd.all_weights(), default=0) < 3:
+            continue
+        window = top_system(top_window(wd))
+        assert without_dims(top_system(wd)) == without_dims(window)
+        assert eliminate(window).status == "infeasible"
+        assert eliminate(derive_constraints(wd)).status == "infeasible"
+
+
+@st.composite
+def tables_with_a_high_top_weight(draw):
+    """A table whose top weight W is 3..101, with up to five more weights
+    below it on each side and multiplicities 1..4; inadmissible and
+    mixed-parity ones included."""
+    top = draw(st.integers(3, 101))
+    below = st.dictionaries(st.integers(-top, top - 1), st.integers(1, 4), max_size=5)
+    plus, minus = draw(below), draw(below)
+    side = plus if draw(st.booleans()) else minus
+    side[top] = draw(st.integers(1, 4))
+    return WeightData(plus, minus)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables_with_a_high_top_weight())
+def test_top_equations_depend_only_on_the_top_window(wd):
+    assert without_dims(top_system(wd)) == without_dims(top_system(top_window(wd)))
+    assert eliminate(derive_constraints(wd)).status == "infeasible"
