@@ -49,10 +49,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .gaussmat import GaussMatrix
-from .weights import Dims, Layout, WeightData, enumerate_sectors, iter_sectors, pair_sectors
+from .weights import Dims, Layout, WeightData, count_splits, enumerate_sectors, iter_spectra, pair_sectors, spectrum_sectors
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -639,16 +640,18 @@ def _check_feasible_shape(result: DatumClassification) -> None:
             )
 
 
-def _top_window(wd: WeightData) -> Optional[Tuple[int, ...]]:
-    """The window key of a sector whose top weight W is at least 3: W, then
-    whether W, W - 2 and W - 4 are plus weights, then whether they are
-    minus weights.  None for a sector with W <= 2."""
-    plus, minus = wd.plus, wd.minus
-    top = max(next(iter(plus), 0), next(iter(minus), 0))
-    if top < 3:
-        return None
-    mid, low = top - 2, top - 4
-    return (top, top in plus, mid in plus, low in plus, top in minus, mid in minus, low in minus)
+def _spectrum_windows(weights: Sequence[int], totals: Sequence[int], dims: range) -> Set[Tuple[int, ...]]:
+    """The window keys of the sectors of one iter_spectra entry whose top
+    weight W = weights[0] is at least 3: W, then whether W, W - 2 and W - 4
+    (weights[:3]) are plus weights, then whether they are minus weights.
+    A head pick (how many copies of each go to plus) is some sector's when
+    it and some pick of the weights below reach a plus dimension in dims."""
+    rest = sum(totals[3:])
+    return {
+        (weights[0], *(a > 0 for a in head), *(a < t for a, t in zip(head, totals)))
+        for head in product(*(range(t + 1) for t in totals[:3]))
+        if dims[0] - rest <= sum(head) <= dims[-1]
+    }
 
 
 def _window_status(key: Tuple[int, ...], sector: str) -> str:
@@ -666,30 +669,37 @@ def _window_status(key: Tuple[int, ...], sector: str) -> str:
 
 
 def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
-    """Classify every admissible table of rank p, one sector at a time.
+    """Classify every admissible table of rank p, one sum of irreducibles
+    at a time.
 
     A table is one odd sector joined with one even sector of complementary
-    dimensions (weights.iter_sectors).  Each sector is decided as it is
-    enumerated, and only the status counts of each (parity, dimensions)
-    group and the feasible sectors are kept.  The table counts come from
-    the per-group products, and a table is built only when both its
-    sectors are feasible.
+    dimensions (weights.iter_sectors), and a sector splits the weights of a
+    sum of irreducibles between the two sides (weights.iter_spectra).  Only
+    the status counts of each (parity, dimensions) group and the feasible
+    sectors are kept.  The table counts come from the per-group products,
+    and a table is built only when both its sectors are feasible.
 
-    A sector whose top weight W is at least 3 is first decided by its top
-    window (_top_window): W, and which of W, W - 2 and W - 4 each side
-    holds.  W + 2 is absent, so the sector's equations at W and W - 2 have
-    exactly the terms of the window's multiplicity-1 table there, and the
-    same right sides W and W - 2; only dim differs, which the rules never
-    read.  Both right sides are positive, so R3 cannot fire in the window
-    and an infeasible window is an R1 or R2 firing on terms that are one-
-    signed against the right side.  In the full sector R3 only removes live
-    terms, so that equation stays one-signed and eliminate returns
-    infeasible too, possibly at an earlier equation.  Each window is
-    decided once per run, and a sector of an infeasible window is counted
-    without being derived.  Every other sector, W <= 2 or a window that is
-    not infeasible (none at p <= 9), is derived and eliminated in full:
-    terminal recognition compares dimensions, and a feasible sector keeps
-    its own system.
+    A sector whose top weight W is at least 3 is decided by its top window:
+    W, and which of W, W - 2 and W - 4 each side holds.  W + 2 is absent,
+    so the sector's equations at W and W - 2 have exactly the terms of the
+    window's multiplicity-1 table there, and the same right sides W and
+    W - 2; only dim differs, which the rules never read.  Both right sides
+    are positive, so R3 cannot fire in the window and an infeasible window
+    is an R1 or R2 firing on terms that are one-signed against the right
+    side.  In the full sector R3 only removes live terms, so that equation
+    stays one-signed and eliminate returns infeasible too, possibly at an
+    earlier equation.
+
+    Every sector of one sum has the same W, the sum's top weight, and its
+    window reads only how many copies of W, W - 2 and W - 4 go to plus.
+    So the windows of all of a sum's sectors are found from those head
+    picks alone (_spectrum_windows), and each window is decided once per
+    run.  When all of them are infeasible, so is every sector of the sum,
+    and each group gets its count of sectors (weights.count_splits)
+    without one being built.  Every other sum, W <= 2 or some window that
+    is not infeasible (none at p <= 9), has each of its sectors derived and
+    eliminated in full: terminal recognition compares dimensions, and a
+    feasible sector keeps its own system.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -702,20 +712,24 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
     windows: Dict[Tuple[int, ...], str] = {}  # window key -> status
-    for parity, dims, wd in iter_sectors(p, max_weight):
-        statuses, feasible = groups[parity][dims]
+    for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
+        group = groups[parity]
         sector = "odd" if parity else "even"
-        key = _top_window(wd)
-        if key is not None:
-            if key not in windows:
+        if weights and weights[0] >= 3:
+            keys = _spectrum_windows(weights, totals, dims)
+            for key in keys - windows.keys():
                 windows[key] = _window_status(key, sector)
-            if windows[key] == "infeasible":
-                statuses["infeasible"] += 1
+            if all(windows[key] == "infeasible" for key in keys):
+                n_sectors = count_splits(totals)
+                for d in dims:
+                    group[d, size - d][0]["infeasible"] += n_sectors[d]
                 continue
-        system, verdict = _derive_and_eliminate(wd, sector)
-        statuses[verdict.status] += 1
-        if verdict.status == "feasible":
-            feasible.append((wd, system, verdict))
+        for sector_dims, wd in spectrum_sectors(size, dims, weights, totals):
+            statuses, feasible = group[sector_dims]
+            system, verdict = _derive_and_eliminate(wd, sector)
+            statuses[verdict.status] += 1
+            if verdict.status == "feasible":
+                feasible.append((wd, system, verdict))
 
     counts: Counter = Counter()
     tables = []

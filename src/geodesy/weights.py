@@ -251,6 +251,16 @@ def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
         rest -= 1
 
 
+def count_splits(totals: Sequence[int]) -> List[int]:
+    """n[k] is the number of tuples _splits(totals, k) yields, for k = 0 ..
+    sum(totals): the coefficients of the product of 1 + x + ... + x^t over
+    the entries t of totals, multiplied out one factor at a time."""
+    n = [1]
+    for t in totals:
+        n = [sum(n[max(0, k - t) : k + 1]) for k in range(len(n) + t)]
+    return n
+
+
 def _bounds(p: int, max_weight: int | None) -> int:
     """The weight bound to enumerate with: max_weight, capped at 2p - 1,
     past which it adds nothing."""
@@ -288,9 +298,45 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     yield from found
 
 
+def iter_spectra(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
+    """One entry per sum of irreducibles whose sectors can pair into rank p:
+    (parity, size, dims, weights, totals), the odd ones (parity 1) first.
+
+    size is the sum's dimension, weights its weights descending and totals
+    their multiplicities (_spectrum).  Its sectors put d of the size
+    dimensions on the plus side, for each d in dims: both blocks of a
+    sector have dimension at most p.  Every weight of the sum's parity from
+    weights[0] down to -weights[0] is present.
+    """
+    max_weight = _bounds(p, max_weight)
+    for parity in (1, 0):
+        # an irreducible of dimension d has weights of the parity of d - 1
+        parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
+        for size in range(0, 2 * p + 1, 2):
+            dims = range(max(0, size - p), min(p, size) + 1)
+            for partition in _partitions(size, parts):
+                yield (parity, size, dims, *_spectrum(partition))
+
+
+def spectrum_sectors(
+    size: int, dims: range, weights: Sequence[int], totals: Sequence[int]
+) -> Iterator[Tuple[Dims, WeightData]]:
+    """The sectors of one entry of iter_spectra, as ((dim_plus, dim_minus),
+    sector): for each d in dims, the splits of totals with d on the plus
+    side, in _splits order."""
+    # pick[i] copies of weights[i] go to plus and the rest to minus.  The
+    # rest is the complement pick of dimension size - d, and complements
+    # run in reverse order, so each block dict is built once and shared.
+    blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
+    for d in dims:
+        for sector in map(WeightData._trusted, blocks[d], reversed(blocks[size - d])):
+            yield (d, size - d), sector
+
+
 def iter_sectors(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, Dims, WeightData]]:
     """The admissible single-parity tables that can pair into rank p, as
-    (parity, (dim_plus, dim_minus), sector): the odd ones (parity 1) first.
+    (parity, (dim_plus, dim_minus), sector): the sectors of each entry of
+    iter_spectra in turn, so the odd ones (parity 1) first.
 
     Admissibility only links weights of the same parity, so a table of rank
     p is exactly one odd sector with dimensions (a, b) joined with one even
@@ -300,21 +346,9 @@ def iter_sectors(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, D
     has dimension at most p.  The empty sector has dimensions (0, 0).  A
     sector of dimensions (a, b) has no weight above a + b - 1.
     """
-    max_weight = _bounds(p, max_weight)
-    for parity in (1, 0):
-        # an irreducible of dimension d has weights of the parity of d - 1
-        parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
-        for size in range(0, 2 * p + 1, 2):
-            dims = range(max(0, size - p), min(p, size) + 1)
-            for partition in _partitions(size, parts):
-                weights, totals = _spectrum(partition)
-                # pick[i] copies of weights[i] go to plus and the rest to minus.  The
-                # rest is the complement pick of dimension size - d, and complements
-                # run in reverse order, so each block dict is built once and shared.
-                blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
-                for d in dims:
-                    for sector in map(WeightData._trusted, blocks[d], reversed(blocks[size - d])):
-                        yield parity, (d, size - d), sector
+    for parity, *spectrum in iter_spectra(p, max_weight):
+        for dims, sector in spectrum_sectors(*spectrum):
+            yield parity, dims, sector
 
 
 def enumerate_sectors(

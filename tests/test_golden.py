@@ -121,6 +121,8 @@ CLASSIFY_GOLDEN = {
     ("classify", "4", "--json"): "16166d082a91b456041868ff1aae10fd71215d9850d0a507f30c046689faaede",
     ("classify", "5", "--json"): "b9ec72a633ae66f9f5254f07483c1bbb61b45be8db17d07dcae508f33c5ef475",
     ("classify", "6", "--json"): "21893bbc52113cd3716ca4973ab54b0c8eaec2fa97523919481aa136da98b5bb",
+    ("classify", "7", "--json"): "25ec30b33a7a22d1ab7d4e00feb4d74e2fa9ba4a4a1c0764fa915765d48e617c",
+    ("classify", "8", "--json"): "df32fbf22a21ef608e71209ce9a2d9fe565f0be5c93b0a0349b7479c7c6381eb",
     ("classify", "9", "--json"): "a0a57933cd38dbbacc37e2d256b595fe58f2087e7303abef28ce58ebe82d6397",
     ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
     ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",

@@ -510,9 +510,36 @@ def test_verify_theorem_derives_each_window_once(monkeypatch):
     assert len(derived) == len(set(derived)) == 169
 
 
+@pytest.mark.parametrize("p, max_weight", [(1, None), (2, None), (3, None), (4, None), (5, None), (4, 3)])
+def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p, max_weight):
+    # no window is feasible at p <= 9, so force the path that derives each sector in full
+    import geodesy.ladder as ladder_mod
+
+    expected = verify_theorem(p, max_weight)
+    derived, keys = [], []
+    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._window_status
+
+    def counting(wd, sector=None):
+        derived.append((sector, wd.key()))
+        return original_derive(wd, sector=sector)
+
+    def feasible_window(key, sector):
+        keys.append(key)
+        original_status(key, sector)
+        return "feasible"
+
+    monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
+    monkeypatch.setattr(ladder_mod, "_window_status", feasible_window)
+    summary = ladder_mod.verify_theorem(p, max_weight)
+    assert summary.to_json_dict() == expected.to_json_dict()
+    assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
+    assert len(keys) == len(set(keys))
+    assert len(derived) == len(keys) + sum(1 for _ in iter_sectors(p, max_weight))
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_verify_theorem_matches_direct_elimination_of_every_sector(p):
-    # the support cache against no cache: every sector derived and eliminated
+    # verify_theorem against the direct elimination of every sector of iter_sectors
     groups = (defaultdict(list), defaultdict(list))  # by parity: dims -> (sector, verdict)s
     for parity, dims, wd in iter_sectors(p):
         groups[parity][dims].append((wd, _derive_and_eliminate(wd, "odd" if parity else "even")[1]))
@@ -543,7 +570,8 @@ def test_verify_theorem_counts_match_per_table_classification():
 
 
 def test_verify_theorem_keeps_only_counts_and_feasible_sectors():
-    # a sector is decided as it is enumerated; no per-sector state outlives it
+    # a sum of irreducibles is decided as it is enumerated, by counts when its
+    # windows are infeasible; only the counts and the feasible sectors outlive it
     tracemalloc.start()
     try:
         verify_theorem(6)

@@ -3,7 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import weights_reference as ref
-from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, pair_sectors
+from geodesy.weights import (
+    WeightData,
+    _splits,
+    count_splits,
+    enumerate_sectors,
+    enumerate_weight_data,
+    pair_sectors,
+)
 
 
 def items(wd):
@@ -184,6 +191,12 @@ def test_sector_invariants(p):
                 assert (wd.dim_plus, wd.dim_minus) == (a, b)
                 assert wd.is_admissible() and wd.sector(parity) == wd
     assert odd[0, 0] == [WeightData({}, {})] and even[0, 0] == [WeightData({}, {})]
+
+
+@given(st.lists(st.integers(1, 4), max_size=6))
+def test_count_splits_counts_what_splits_yields(totals):
+    counts = count_splits(totals)
+    assert counts == [sum(1 for _ in _splits(totals, k)) for k in range(sum(totals) + 1)]
 
 
 def test_max_weight_bound_prunes():
