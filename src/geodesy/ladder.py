@@ -50,10 +50,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix
-from .weights import Dims, Layout, WeightData, count_splits, enumerate_sectors, iter_spectra, pair_sectors, spectrum_sectors
+from .weights import Dims, Layout, WeightData, _splits, count_splits, enumerate_sectors, iter_spectra, pair_sectors
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -640,32 +640,22 @@ def _check_feasible_shape(result: DatumClassification) -> None:
             )
 
 
-def _spectrum_windows(weights: Sequence[int], totals: Sequence[int], dims: range) -> Set[Tuple[int, ...]]:
-    """The window keys of the sectors of one iter_spectra entry whose top
-    weight W = weights[0] is at least 3: W, then whether W, W - 2 and W - 4
-    (weights[:3]) are plus weights, then whether they are minus weights.
-    A head pick (how many copies of each go to plus) is some sector's when
-    it and some pick of the weights below reach a plus dimension in dims."""
-    rest = sum(totals[3:])
-    return {
-        (weights[0], *(a > 0 for a in head), *(a < t for a, t in zip(head, totals)))
-        for head in product(*(range(t + 1) for t in totals[:3]))
-        if dims[0] - rest <= sum(head) <= dims[-1]
-    }
-
-
-def _window_status(key: Tuple[int, ...], sector: str) -> str:
-    """The status eliminate gives the equations at W and W - 2 of the
-    window's multiplicity-1 table (see verify_theorem)."""
-    top = key[0]
-    weights = (top, top - 2, top - 4)
-    window = WeightData._trusted(
-        {w: 1 for w, present in zip(weights, key[1:4]) if present},
-        {w: 1 for w, present in zip(weights, key[4:]) if present},
+def _head_status(key: Tuple[int, ...]) -> str:
+    """The status of a head key (parity, top, plus bits, minus bits), see
+    verify_theorem: eliminate on the multiplicity-1 table whose side holds
+    the weight top - 2i when its i-th bit is set.  When top is at least 3
+    only the equations at top and top - 2, the top window, are kept."""
+    parity, top, *bits = key
+    n = len(bits) // 2
+    head = range(top, top - 2 * n, -2)
+    table = WeightData._trusted(
+        {w: 1 for w, present in zip(head, bits[:n]) if present},
+        {w: 1 for w, present in zip(head, bits[n:]) if present},
     )
-    system = derive_constraints(window, sector=sector)
-    equations = tuple(eq for eq in system.equations if eq[1] >= top - 2)
-    return eliminate(SectorSystem(window, sector, equations)).status
+    system = derive_constraints(table, sector="odd" if parity else "even")
+    if top >= 3:
+        system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
+    return eliminate(system).status
 
 
 def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
@@ -679,27 +669,34 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     sectors are kept.  The table counts come from the per-group products,
     and a table is built only when both its sectors are feasible.
 
-    A sector whose top weight W is at least 3 is decided by its top window:
-    W, and which of W, W - 2 and W - 4 each side holds.  W + 2 is absent,
-    so the sector's equations at W and W - 2 have exactly the terms of the
-    window's multiplicity-1 table there, and the same right sides W and
-    W - 2; only dim differs, which the rules never read.  Both right sides
-    are positive, so R3 cannot fire in the window and an infeasible window
-    is an R1 or R2 firing on terms that are one-signed against the right
-    side.  In the full sector R3 only removes live terms, so that equation
-    stays one-signed and eliminate returns infeasible too, possibly at an
-    earlier equation.
+    A sum is decided one head pick at a time: how many copies of its head,
+    the top weight W and the W - 2 and W - 4 below it, go to plus.  The
+    pick's key is the parity, a top marker, and whether each head weight is
+    a plus weight and whether it is a minus weight; each key is decided
+    once per run (_head_status).
 
-    Every sector of one sum has the same W, the sum's top weight, and its
-    window reads only how many copies of W, W - 2 and W - 4 go to plus.
-    So the windows of all of a sum's sectors are found from those head
-    picks alone (_spectrum_windows), and each window is decided once per
-    run.  When all of them are infeasible, so is every sector of the sum,
-    and each group gets its count of sectors (weights.count_splits)
-    without one being built.  Every other sum, W <= 2 or some window that
-    is not infeasible (none at p <= 9), has each of its sectors derived and
-    eliminated in full: terminal recognition compares dimensions, and a
-    feasible sector keeps its own system.
+    - W >= 3: the marker is 3 (odd) or 4 (even), not W.  W + 2 is absent,
+      so a sector's equations at W and W - 2 have exactly the terms of the
+      window's multiplicity-1 table there and the right sides W and W - 2;
+      only dim differs, which the rules never read.  The terms follow from
+      the bits alone and both right sides are positive at every W >= 3, so
+      the window has one status at every W.  R3 cannot fire in it, so an
+      infeasible window is an R1 or R2 firing on terms one-signed against
+      the right side; in the full sector R3 only removes live terms, so
+      that equation stays one-signed and the sector is infeasible too.
+    - W <= 2: the marker is W (0 for the empty sector) and the head is the
+      whole sector, so the key is its support and the whole system is
+      eliminated.  An infeasible verdict reads only signs, so it holds for
+      every multiplicity of the support (_rule).
+
+    An infeasible key adds, to the group of each dimension d it reaches,
+    the number of splits of the weights below the head with d - sum(head)
+    on plus (weights.count_splits), and builds no sector.  Any other key
+    sends each sector with that head (one when W <= 2) through derivation
+    and elimination in full: terminal recognition compares dimensions, and
+    a feasible sector keeps its own system.  Every window is infeasible and
+    6 of the 80 supports inside {1, -1} and {2, 0, -2} are feasible, so
+    every rank from 5 on uses the same 95 keys.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -711,25 +708,39 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
-    windows: Dict[Tuple[int, ...], str] = {}  # window key -> status
+    heads: Dict[Tuple[int, ...], str] = {}  # head key -> status
     for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
-        group = groups[parity]
         sector = "odd" if parity else "even"
-        if weights and weights[0] >= 3:
-            keys = _spectrum_windows(weights, totals, dims)
-            for key in keys - windows.keys():
-                windows[key] = _window_status(key, sector)
-            if all(windows[key] == "infeasible" for key in keys):
-                n_sectors = count_splits(totals)
-                for d in dims:
-                    group[d, size - d][0]["infeasible"] += n_sectors[d]
+        # the sum's groups, created in order of d as pair_sectors reads them
+        cells = [groups[parity][d, size - d] for d in dims]
+        top = min(weights[0], 4 - parity) if weights else 0
+        head_totals, rest = totals[:3], totals[3:]
+        n_rest = count_splits(rest)
+        for head in product(*(range(t + 1) for t in head_totals)):
+            h = sum(head)
+            reach = range(max(dims[0], h), min(dims[-1], h + len(n_rest) - 1) + 1)
+            if not reach:
                 continue
-        for sector_dims, wd in spectrum_sectors(size, dims, weights, totals):
-            statuses, feasible = group[sector_dims]
-            system, verdict = _derive_and_eliminate(wd, sector)
-            statuses[verdict.status] += 1
-            if verdict.status == "feasible":
-                feasible.append((wd, system, verdict))
+            key = (parity, top, *(a > 0 for a in head), *(a < t for a, t in zip(head, head_totals)))
+            status = heads.get(key)
+            if status is None:
+                status = heads[key] = _head_status(key)
+            if status == "infeasible":
+                for d in reach:
+                    cells[d - dims[0]][0]["infeasible"] += n_rest[d - h]
+                continue
+            for d in reach:
+                statuses, feasible = cells[d - dims[0]]
+                for tail in _splits(rest, d - h):
+                    pick = head + tail
+                    wd = WeightData._trusted(
+                        {w: a for w, a in zip(weights, pick) if a},
+                        {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
+                    )
+                    system, verdict = _derive_and_eliminate(wd, sector)
+                    statuses[verdict.status] += 1
+                    if verdict.status == "feasible":
+                        feasible.append((wd, system, verdict))
 
     counts: Counter = Counter()
     tables = []

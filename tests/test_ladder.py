@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 from collections import Counter, defaultdict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from geodesy.ladder import (
     Verdict,
     WitnessError,
     _derive_and_eliminate,
+    _head_status,
     block_label,
     block_slot,
     classify_weight_data,
@@ -31,6 +33,7 @@ from geodesy.ladder import (
     verify_theorem,
     verify_witness,
 )
+from geodesy.cli import MAX_P
 from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, iter_sectors, pair_sectors
 
 
@@ -493,43 +496,50 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def test_verify_theorem_derives_each_window_once(monkeypatch):
+def test_verify_theorem_decides_each_head_key_once(monkeypatch):
     import geodesy.ladder as ladder_mod
 
-    derived = []
-    original = ladder_mod.derive_constraints
-
-    def counting(wd, sector=None):
-        derived.append((sector, wd.key()))
-        return original(wd, sector=sector)
-
-    monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
-    summary = ladder_mod.verify_theorem(4)
-    assert summary.enumerated == 533
-    # 71 top windows, each derived once, and the 98 sectors whose top weight is at most 2
-    assert len(derived) == len(set(derived)) == 169
-
-
-@pytest.mark.parametrize("p, max_weight", [(1, None), (2, None), (3, None), (4, None), (5, None), (4, 3)])
-def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p, max_weight):
-    # no window is feasible at p <= 9, so force the path that derives each sector in full
-    import geodesy.ladder as ladder_mod
-
-    expected = verify_theorem(p, max_weight)
     derived, keys = [], []
-    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._window_status
+    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._head_status
 
     def counting(wd, sector=None):
         derived.append((sector, wd.key()))
         return original_derive(wd, sector=sector)
 
-    def feasible_window(key, sector):
+    def recording(key):
         keys.append(key)
-        original_status(key, sector)
+        return original_status(key)
+
+    monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
+    monkeypatch.setattr(ladder_mod, "_head_status", recording)
+    summary = ladder_mod.verify_theorem(4)
+    assert summary.enumerated == 533
+    assert len(keys) == len(set(keys)) == 80
+    # 80 keys (43 top windows and 37 small supports), each derived once, and
+    # the 18 sectors of the small supports that are not infeasible
+    assert len(derived) == 98
+
+
+@pytest.mark.parametrize("p, max_weight", [(1, None), (2, None), (3, None), (4, None), (5, None), (4, 3)])
+def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p, max_weight):
+    # no top window is feasible at any rank, so force the path that derives each sector in full
+    import geodesy.ladder as ladder_mod
+
+    expected = verify_theorem(p, max_weight)
+    derived, keys = [], []
+    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._head_status
+
+    def counting(wd, sector=None):
+        derived.append((sector, wd.key()))
+        return original_derive(wd, sector=sector)
+
+    def feasible_head(key):
+        keys.append(key)
+        original_status(key)
         return "feasible"
 
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
-    monkeypatch.setattr(ladder_mod, "_window_status", feasible_window)
+    monkeypatch.setattr(ladder_mod, "_head_status", feasible_head)
     summary = ladder_mod.verify_theorem(p, max_weight)
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
@@ -537,11 +547,15 @@ def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkey
     assert len(derived) == len(keys) + sum(1 for _ in iter_sectors(p, max_weight))
 
 
-@pytest.mark.parametrize("p", range(1, 7))
-def test_verify_theorem_matches_direct_elimination_of_every_sector(p):
-    # verify_theorem against the direct elimination of every sector of iter_sectors
+@pytest.mark.parametrize(
+    "p, max_weight",
+    [*(pytest.param(p, None, id=str(p)) for p in range(1, 7)), (4, 1), (4, 2), (5, 2), (5, 3)],
+)
+def test_verify_theorem_matches_direct_elimination_of_every_sector(p, max_weight):
+    # verify_theorem against the direct elimination of every sector of
+    # iter_sectors; with max_weight <= 2 every key is a small support
     groups = (defaultdict(list), defaultdict(list))  # by parity: dims -> (sector, verdict)s
-    for parity, dims, wd in iter_sectors(p):
+    for parity, dims, wd in iter_sectors(p, max_weight):
         groups[parity][dims].append((wd, _derive_and_eliminate(wd, "odd" if parity else "even")[1]))
     counts, classes = Counter(), []
     for odd, even in pair_sectors(p, groups[1], groups[0]):
@@ -554,7 +568,7 @@ def test_verify_theorem_matches_direct_elimination_of_every_sector(p):
             for o, o_verdict in odd if o_verdict.status == "feasible"
             for e, e_verdict in even if e_verdict.status == "feasible"
         ]
-    summary = verify_theorem(p)
+    summary = verify_theorem(p, max_weight)
     assert counts["unresolved"] == 0
     assert (summary.enumerated, summary.infeasible, summary.feasible) == (
         sum(counts.values()), counts["infeasible"], counts["feasible"]
@@ -570,8 +584,9 @@ def test_verify_theorem_counts_match_per_table_classification():
 
 
 def test_verify_theorem_keeps_only_counts_and_feasible_sectors():
-    # a sum of irreducibles is decided as it is enumerated, by counts when its
-    # windows are infeasible; only the counts and the feasible sectors outlive it
+    # a sum of irreducibles is decided as it is enumerated, by counts for each
+    # head pick whose key is infeasible; only the counts, the key statuses
+    # and the feasible sectors outlive it
     tracemalloc.start()
     try:
         verify_theorem(6)
@@ -765,3 +780,63 @@ def tables_with_a_high_top_weight(draw):
 def test_top_equations_depend_only_on_the_top_window(wd):
     assert without_dims(top_system(wd)) == without_dims(top_system(top_window(wd)))
     assert eliminate(derive_constraints(wd)).status == "infeasible"
+
+
+# -- the rank-free table of head keys -----------------------------------
+
+# where a weight of a sum sits: plus only, minus only, or both
+SIDES = ((True, False), (False, True), (True, True))
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+def test_a_top_window_has_one_status_at_every_top_weight(parity, monkeypatch):
+    # the 27 windows of a parity, decided at the marker W = 3 or 4, have the
+    # same status at every W of that parity, and all are infeasible
+    marker = 4 - parity
+    windows = {
+        (parity, marker, *(plus for plus, _ in pattern), *(minus for _, minus in pattern))
+        for pattern in product(SIDES, repeat=3)
+    }
+    assert len(windows) == 27
+    for key in windows:
+        for top in (*range(marker, 2 * MAX_P, 2), 102 - parity):
+            assert _head_status((parity, top, *key[2:])) == _head_status(key) == "infeasible"
+
+    # and they are exactly the windows verify_theorem looks up from p = 5 on
+    import geodesy.ladder as ladder_mod
+
+    keys = []
+
+    def recording(key):
+        keys.append(key)
+        return _head_status(key)
+
+    monkeypatch.setattr(ladder_mod, "_head_status", recording)
+    ladder_mod.verify_theorem(5)
+    assert {key for key in keys if key[0] == parity and key[1] >= 3} == windows
+
+
+def test_exactly_six_small_supports_are_feasible():
+    # the supports inside {1, -1} and {2, 0, -2}, whole systems eliminated
+    statuses, feasible = Counter(), set()
+    for parity, top in ((1, 1), (0, 2)):
+        head = range(top, -top - 1, -2)
+        for bits in product((False, True), repeat=2 * len(head)):
+            status = _head_status((parity, top, *bits))
+            statuses[status] += 1
+            if status == "feasible":
+                plus, minus = (
+                    frozenset(w for w, present in zip(head, side) if present)
+                    for side in (bits[: len(head)], bits[len(head) :])
+                )
+                feasible.add((parity, plus, minus))
+    assert sum(statuses.values()) == 16 + 64
+    assert statuses["unresolved"] == 0
+    assert feasible == {
+        (1, frozenset(), frozenset()),
+        (1, frozenset({1}), frozenset({-1})),
+        (0, frozenset(), frozenset()),
+        (0, frozenset({0}), frozenset()),
+        (0, frozenset(), frozenset({0})),
+        (0, frozenset({0}), frozenset({0})),
+    }
