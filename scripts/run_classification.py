@@ -11,17 +11,17 @@ import time
 from pathlib import Path
 
 from geodesy.candidates import json_text
-from geodesy.cli import MAX_P, write_certificates
+from geodesy.cli import MAX_CERT_P, write_certificates
 from geodesy.ladder import verify_theorem
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-p", type=int, default=4, help=f"highest rank, 1..{MAX_P}")
+    parser.add_argument("--max-p", type=int, default=4, help=f"highest rank, 1..{MAX_CERT_P}")
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
-    if not 1 <= args.max_p <= MAX_P:
-        parser.error(f"--max-p must be between 1 and {MAX_P}")
+    if not 1 <= args.max_p <= MAX_CERT_P:
+        parser.error(f"--max-p must be between 1 and {MAX_CERT_P}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     print(f"{'p':>3} {'tables':>7} {'feasible':>9} {'infeasible':>11} {'seconds':>8}")

@@ -21,7 +21,9 @@ from .numeric import minimize
 from .selftest import run_selftest
 from .weights import WeightData
 
-MAX_P = 9
+MAX_P = 16
+# --emit-certs writes one file per table (1,553,816 at p = 9), so it stops lower
+MAX_CERT_P = 9
 _WEIGHT_LIST = re.compile(r"^-?\d+:\d+(,-?\d+:\d+)*$")
 
 
@@ -73,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("p", type=int, help=f"rank, 1..{MAX_P}")
     p_classify.add_argument("--max-weight", type=int, default=None)
     p_classify.add_argument("--json", action="store_true")
-    p_classify.add_argument("--emit-certs", metavar="DIR", default=None)
+    p_classify.add_argument("--emit-certs", metavar="DIR", default=None,
+                            help=f"write one certificate per table (p up to {MAX_CERT_P})")
 
     p_oracle = sub.add_parser("oracle", help="numeric residual minimization for a pattern")
     p_oracle.add_argument("p", type=int, nargs="?", default=None,
@@ -188,6 +191,9 @@ def cmd_classify(args) -> int:
         return 2
     if args.max_weight is not None and args.max_weight < 1:
         print("error: --max-weight must be at least 1", file=sys.stderr)
+        return 2
+    if args.emit_certs and args.p > MAX_CERT_P:
+        print(f"error: --emit-certs takes p between 1 and {MAX_CERT_P}", file=sys.stderr)
         return 2
     try:
         summary = verify_theorem(args.p, max_weight=args.max_weight)

@@ -262,7 +262,9 @@ class GaussMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "GaussMatrix":
-        return cls.diagonal([1] * n)
+        re = [0] * (n * n)
+        re[:: n + 1] = [1] * n
+        return cls._from_ints(n, n, 1, re, (0,) * (n * n), reduced=True)
 
     @classmethod
     def diagonal(cls, values: Iterable[Entry]) -> "GaussMatrix":

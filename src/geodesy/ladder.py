@@ -640,6 +640,25 @@ def _check_feasible_shape(result: DatumClassification) -> None:
             )
 
 
+# where a head weight sits: on plus only, on minus only, or on both
+_SIDES = ((True, False), (False, True), (True, True))
+
+
+def head_keys(parity: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+    """The rank-free head keys of a parity (see verify_theorem), as
+    (windows, supports).  The 27 windows put each of W, W - 2 and W - 4 on
+    plus, on minus or on both, at the marker 3 (odd) or 4 (even).  The
+    supports are every pair of subsets of {1, -1} (16, odd) or of
+    {2, 0, -2} (64, even), one subset for each side."""
+    marker, top = 4 - parity, 2 - parity
+    windows = [
+        (parity, marker, *(plus for plus, _ in sides), *(minus for _, minus in sides))
+        for sides in product(_SIDES, repeat=3)
+    ]
+    supports = [(parity, top, *bits) for bits in product((False, True), repeat=2 * (top + 1))]
+    return windows, supports
+
+
 def _head_status(key: Tuple[int, ...]) -> str:
     """The status of a head key (parity, top, plus bits, minus bits), see
     verify_theorem: eliminate on the multiplicity-1 table whose side holds
@@ -669,11 +688,10 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     sectors are kept.  The table counts come from the per-group products,
     and a table is built only when both its sectors are feasible.
 
-    A sum is decided one head pick at a time: how many copies of its head,
-    the top weight W and the W - 2 and W - 4 below it, go to plus.  The
-    pick's key is the parity, a top marker, and whether each head weight is
-    a plus weight and whether it is a minus weight; each key is decided
-    once per run (_head_status).
+    A sector's head is its top weight W and the W - 2 and W - 4 below it,
+    and its head key is the parity, a top marker, and whether each head
+    weight is a plus weight and whether it is a minus weight.  Each key is
+    decided once per run (_head_status); head_keys lists them all.
 
     - W >= 3: the marker is 3 (odd) or 4 (even), not W.  W + 2 is absent,
       so a sector's equations at W and W - 2 have exactly the terms of the
@@ -689,14 +707,23 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
       eliminated.  An infeasible verdict reads only signs, so it holds for
       every multiplicity of the support (_rule).
 
-    An infeasible key adds, to the group of each dimension d it reaches,
-    the number of splits of the weights below the head with d - sum(head)
-    on plus (weights.count_splits), and builds no sector.  Any other key
-    sends each sector with that head (one when W <= 2) through derivation
-    and elimination in full: terminal recognition compares dimensions, and
-    a feasible sector keeps its own system.  Every window is infeasible and
-    6 of the 80 supports inside {1, -1} and {2, 0, -2} are feasible, so
-    every rank from 5 on uses the same 95 keys.
+    Every sector of a sum starts out counted infeasible: the group of each
+    dimension d gets the number of splits with d on plus
+    (weights.count_splits).  The first sum of a parity with W >= 3 decides
+    that parity's 27 windows.  Every weight from W down to -W is present,
+    so each of W, W - 2 and W - 4 sits on plus, on minus or on both, and
+    every sector of such a sum has one of the 27 keys.  If all 27 are
+    infeasible, so is every sector of every such sum, and its count is
+    final.  Otherwise, and for every sum with W <= 2, the sum is walked
+    one head pick at a time: how many copies of each head weight go to
+    plus.  A pick whose key is not infeasible sends each sector with that
+    head (one when W <= 2) through derivation and elimination in full,
+    which takes it out of the infeasible count and adds it under its own
+    status: terminal recognition compares dimensions, and a feasible
+    sector keeps its own system.  So the code assumes nothing of the
+    lemma.  Every window is infeasible and 6 of the 80 supports inside
+    {1, -1} and {2, 0, -2} are feasible, so every rank from 5 on uses the
+    same 95 keys and walks only its sums with W <= 2.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -709,28 +736,35 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
     heads: Dict[Tuple[int, ...], str] = {}  # head key -> status
+    whole: List[Optional[bool]] = [None, None]  # per parity: are all 27 windows infeasible?
     for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
-        sector = "odd" if parity else "even"
         # the sum's groups, created in order of d as pair_sectors reads them
         cells = [groups[parity][d, size - d] for d in dims]
+        n_all = count_splits(totals)
+        for d, (statuses, _) in zip(dims, cells):
+            statuses["infeasible"] += n_all[d]
         top = min(weights[0], 4 - parity) if weights else 0
+        if top >= 3:
+            if whole[parity] is None:
+                windows = head_keys(parity)[0]
+                heads.update((key, _head_status(key)) for key in windows)
+                whole[parity] = all(heads[key] == "infeasible" for key in windows)
+            if whole[parity]:
+                continue
+        sector = "odd" if parity else "even"
         head_totals, rest = totals[:3], totals[3:]
-        n_rest = count_splits(rest)
+        room = sum(rest)
         for head in product(*(range(t + 1) for t in head_totals)):
             h = sum(head)
-            reach = range(max(dims[0], h), min(dims[-1], h + len(n_rest) - 1) + 1)
-            if not reach:
-                continue
+            if not dims[0] - room <= h <= dims[-1]:
+                continue  # no dimension of the sum is reached
             key = (parity, top, *(a > 0 for a in head), *(a < t for a, t in zip(head, head_totals)))
             status = heads.get(key)
             if status is None:
                 status = heads[key] = _head_status(key)
             if status == "infeasible":
-                for d in reach:
-                    cells[d - dims[0]][0]["infeasible"] += n_rest[d - h]
                 continue
-            for d in reach:
-                statuses, feasible = cells[d - dims[0]]
+            for d, (statuses, feasible) in zip(dims, cells):
                 for tail in _splits(rest, d - h):
                     pick = head + tail
                     wd = WeightData._trusted(
@@ -738,6 +772,7 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
                         {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
                     )
                     system, verdict = _derive_and_eliminate(wd, sector)
+                    statuses["infeasible"] -= 1
                     statuses[verdict.status] += 1
                     if verdict.status == "feasible":
                         feasible.append((wd, system, verdict))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import accumulate
+from operator import sub
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 Dims = Tuple[int, int]  # (dim_plus, dim_minus)
@@ -254,10 +256,12 @@ def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
 def count_splits(totals: Sequence[int]) -> List[int]:
     """n[k] is the number of tuples _splits(totals, k) yields, for k = 0 ..
     sum(totals): the coefficients of the product of 1 + x + ... + x^t over
-    the entries t of totals, multiplied out one factor at a time."""
+    the entries t of totals.  Each factor is (1 - x^(t+1)) / (1 - x): a
+    difference with the coefficients shifted by t + 1, then running sums,
+    so a factor costs O(len(n)) however large t is."""
     n = [1]
     for t in totals:
-        n = [sum(n[max(0, k - t) : k + 1]) for k in range(len(n) + t)]
+        n = list(accumulate(map(sub, n + [0] * t, [0] * (t + 1) + n)))
     return n
 
 

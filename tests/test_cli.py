@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
-from geodesy.cli import MAX_P, build_parser, run
+from geodesy.cli import MAX_CERT_P, MAX_P, build_parser, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.weights import WeightData, enumerate_weight_data
 
@@ -181,6 +181,14 @@ def test_classify_exit_codes(capsys):
     capsys.readouterr()
     assert run(["classify", str(MAX_P + 1)]) == 2
     capsys.readouterr()
+
+
+def test_classify_refuses_certificates_past_their_cap(tmp_path, capsys):
+    target = tmp_path / "certs"
+    assert run(["classify", str(MAX_CERT_P + 1), "--json", "--emit-certs", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --emit-certs takes p between 1 and {MAX_CERT_P}\n"
+    assert not target.exists()
 
 
 def test_classify_text_output(capsys):
@@ -405,8 +413,22 @@ def test_run_classification_script_matches_classify(tmp_path):
             assert (archived / name).read_bytes() == (emitted / name).read_bytes()
 
 
-@pytest.mark.parametrize("max_p", [0, MAX_P + 1])
+def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "time_ranks.py"), "3", "4", "--repeat", "1"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 0, script.stderr
+    lines = [json.loads(line) for line in script.stdout.splitlines()]
+    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 95), (4, 109)]
+    assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
+
+
+@pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])
 def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max_p):
+    # the script writes certificates, so it stops where --emit-certs does
     root = BUNDLED.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     script = subprocess.run(
@@ -414,7 +436,7 @@ def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert script.returncode == 2
-    assert f"--max-p must be between 1 and {MAX_P}" in script.stderr
+    assert f"--max-p must be between 1 and {MAX_CERT_P}" in script.stderr
     assert script.stdout == "" and not (tmp_path / "results").exists()
 
 

@@ -106,6 +106,13 @@ def test_bracket_antisymmetry_sampled():
         assert bracket(a, b) == -bracket(b, a)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_is_the_diagonal_of_ones(n):
+    eye = GaussMatrix.identity(n)
+    assert eye == GaussMatrix.diagonal([1] * n)
+    assert (eye.den, eye.re_num, eye.im_num) == (1, tuple(int(i == j) for i in range(n) for j in range(n)), (0,) * n * n)
+
+
 # -- conjugate transpose ----------------------------------------------
 
 

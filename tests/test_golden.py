@@ -124,6 +124,14 @@ CLASSIFY_GOLDEN = {
     ("classify", "7", "--json"): "25ec30b33a7a22d1ab7d4e00feb4d74e2fa9ba4a4a1c0764fa915765d48e617c",
     ("classify", "8", "--json"): "df32fbf22a21ef608e71209ce9a2d9fe565f0be5c93b0a0349b7479c7c6381eb",
     ("classify", "9", "--json"): "a0a57933cd38dbbacc37e2d256b595fe58f2087e7303abef28ce58ebe82d6397",
+    # recorded while every sum was still walked head pick by head pick
+    ("classify", "10", "--json"): "62d846bdd03a0840f0ae0a7722c4bdd751857272888886b8501d768d8c75c0a8",
+    ("classify", "11", "--json"): "aa6e3679bd780ea4788a2b45a1a541b8eb070313d68b211d19debc6981b6248a",
+    ("classify", "12", "--json"): "7eee943b2021873693d9a8f0a5ef5094bf9259714be71fe547b940141ce4f32f",
+    ("classify", "13", "--json"): "bbe0cc371fb431020dbe051044723f811a7ad5993e870e66236240fa546f41fe",
+    ("classify", "14", "--json"): "25a1904d1e6ba2733be731170daa00e1ec807c409522a865b414b8152598d876",
+    ("classify", "15", "--json"): "cd8b70c7bd7e7975dea004a02ad7b22431a2ccbc8aa52bb8b3754ce3efbe8514",
+    ("classify", "16", "--json"): "ea73cd0ec7c6d2666dbea87c633424fc324eb47da6fd9801604d87fa92c696eb",
     ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
     ("classify", "5", "--max-weight", "1", "--json"): "d7372d43f27fc612b0c2a7e781de1c6877a30440d15368bc4ddcc9b117a71a72",
     ("classify", "5", "--max-weight", "2", "--json"): "86ff268ca49640fd6eb17686364e3bd2e99dcdd957de4d8676304561503e5b1b",

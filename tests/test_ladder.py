@@ -2,7 +2,6 @@ import dataclasses
 import re
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from geodesy.ladder import (
     _derive_and_eliminate,
     _head_status,
     block_label,
+    head_keys,
     block_slot,
     classify_weight_data,
     derive_constraints,
@@ -496,11 +496,15 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def test_verify_theorem_decides_each_head_key_once(monkeypatch):
+def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
+    """verify_theorem(p, max_weight) with status(key) in place of
+    _head_status, if given: (summary, systems derived, head keys decided,
+    sectors derived as (sector, table))."""
     import geodesy.ladder as ladder_mod
 
-    derived, keys = [], []
-    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._head_status
+    derived, keys, sectors = [], [], []
+    original_derive, original_sector = ladder_mod.derive_constraints, ladder_mod._derive_and_eliminate
+    status = status or _head_status
 
     def counting(wd, sector=None):
         derived.append((sector, wd.key()))
@@ -508,39 +512,83 @@ def test_verify_theorem_decides_each_head_key_once(monkeypatch):
 
     def recording(key):
         keys.append(key)
-        return original_status(key)
+        return status(key)
+
+    def recording_sector(wd, sector):
+        sectors.append((sector, wd))
+        return original_sector(wd, sector)
 
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
     monkeypatch.setattr(ladder_mod, "_head_status", recording)
-    summary = ladder_mod.verify_theorem(4)
-    assert summary.enumerated == 533
-    assert len(keys) == len(set(keys)) == 80
-    # 80 keys (43 top windows and 37 small supports), each derived once, and
-    # the 18 sectors of the small supports that are not infeasible
-    assert len(derived) == 98
+    monkeypatch.setattr(ladder_mod, "_derive_and_eliminate", recording_sector)
+    try:
+        return ladder_mod.verify_theorem(p, max_weight), derived, keys, sectors
+    finally:
+        monkeypatch.undo()
+
+
+def test_verify_theorem_decides_each_head_key_once(monkeypatch):
+    # p = 4: 91 keys (54 top windows and 37 small supports), each derived
+    # once, and the 18 sectors of the small supports that are not
+    # infeasible; p = 5: 95 keys (54 windows, 41 supports) and 24 sectors
+    for p, enumerated, n_keys, n_derived in ((4, 533, 91, 109), (5, 2773, 95, 119)):
+        summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p)
+        assert summary.enumerated == enumerated
+        assert len(keys) == len(set(keys)) == n_keys
+        assert len(derived) == n_derived
+
+
+def top_weight(wd):
+    return max(wd.all_weights(), default=0)
+
+
+def window_key(parity, wd):
+    """The head key of a sector whose top weight W is 3 or more."""
+    head = [top_weight(wd) - 2 * i for i in range(3)]
+    return (parity, 4 - parity, *(w in wd.plus for w in head), *(w in wd.minus for w in head))
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+@pytest.mark.parametrize("p", range(2, 7))
+def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible(monkeypatch, p, parity):
+    # one window of one parity is reported feasible: that parity's sums
+    # with top weight W >= 3 are walked pick by pick and the sectors under
+    # that window derived in full; the other parity's are counted whole
+    window = (parity, 4 - parity, True, True, False, False, False, True)  # W, W - 2 plus; W - 4 minus
+    assert window in head_keys(parity)[0]
+
+    def one_feasible_window(key):
+        status = _head_status(key)
+        return "feasible" if key == window else status
+
+    expected, expected_derived, expected_keys, _ = traced_verify_theorem(monkeypatch, p)
+    summary, derived, keys, sectors = traced_verify_theorem(monkeypatch, p, status=one_feasible_window)
+    assert summary.to_json_dict() == expected.to_json_dict()
+    assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
+
+    under_window = [
+        wd for sector_parity, _, wd in iter_sectors(p)
+        if sector_parity == parity and top_weight(wd) >= 3 and window_key(parity, wd) == window
+    ]
+    assert under_window or (p, parity) == (2, 0)  # no even sum has W >= 3 at p = 2
+    assert keys == expected_keys and len(keys) == len(set(keys))
+    # the keys, the sectors of the supports that are not infeasible, and the
+    # sectors under the window
+    assert len(derived) == len(expected_derived) + len(under_window)
+    walked = [(sector, wd) for sector, wd in sectors if top_weight(wd) >= 3]
+    assert sorted(wd.key() for _, wd in walked) == sorted(wd.key() for wd in under_window)
+    assert all(sector == ("odd" if parity else "even") for sector, _ in walked)
 
 
 @pytest.mark.parametrize("p, max_weight", [(1, None), (2, None), (3, None), (4, None), (5, None), (4, 3)])
 def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p, max_weight):
     # no top window is feasible at any rank, so force the path that derives each sector in full
-    import geodesy.ladder as ladder_mod
-
-    expected = verify_theorem(p, max_weight)
-    derived, keys = [], []
-    original_derive, original_status = ladder_mod.derive_constraints, ladder_mod._head_status
-
-    def counting(wd, sector=None):
-        derived.append((sector, wd.key()))
-        return original_derive(wd, sector=sector)
-
     def feasible_head(key):
-        keys.append(key)
-        original_status(key)
+        _head_status(key)
         return "feasible"
 
-    monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
-    monkeypatch.setattr(ladder_mod, "_head_status", feasible_head)
-    summary = ladder_mod.verify_theorem(p, max_weight)
+    expected = verify_theorem(p, max_weight)
+    summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p, max_weight, feasible_head)
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
     assert len(keys) == len(set(keys))
@@ -784,25 +832,21 @@ def test_top_equations_depend_only_on_the_top_window(wd):
 
 # -- the rank-free table of head keys -----------------------------------
 
-# where a weight of a sum sits: plus only, minus only, or both
-SIDES = ((True, False), (False, True), (True, True))
-
 
 @pytest.mark.parametrize("parity", [1, 0])
 def test_a_top_window_has_one_status_at_every_top_weight(parity, monkeypatch):
     # the 27 windows of a parity, decided at the marker W = 3 or 4, have the
     # same status at every W of that parity, and all are infeasible
     marker = 4 - parity
-    windows = {
-        (parity, marker, *(plus for plus, _ in pattern), *(minus for _, minus in pattern))
-        for pattern in product(SIDES, repeat=3)
-    }
+    windows = set(head_keys(parity)[0])
     assert len(windows) == 27
+    # each of W, W - 2 and W - 4 on plus, on minus or on both
+    assert all(key[:2] == (parity, marker) and all(key[2:5][i] or key[5:][i] for i in range(3)) for key in windows)
     for key in windows:
         for top in (*range(marker, 2 * MAX_P, 2), 102 - parity):
             assert _head_status((parity, top, *key[2:])) == _head_status(key) == "infeasible"
 
-    # and they are exactly the windows verify_theorem looks up from p = 5 on
+    # and they are exactly the windows verify_theorem decides
     import geodesy.ladder as ladder_mod
 
     keys = []
@@ -821,8 +865,12 @@ def test_exactly_six_small_supports_are_feasible():
     statuses, feasible = Counter(), set()
     for parity, top in ((1, 1), (0, 2)):
         head = range(top, -top - 1, -2)
-        for bits in product((False, True), repeat=2 * len(head)):
-            status = _head_status((parity, top, *bits))
+        supports = head_keys(parity)[1]
+        assert len(set(supports)) == len(supports) == 4 ** len(head)
+        for key in supports:
+            assert key[:2] == (parity, top)
+            bits = key[2:]
+            status = _head_status(key)
             statuses[status] += 1
             if status == "feasible":
                 plus, minus = (

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb, prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -193,10 +196,30 @@ def test_sector_invariants(p):
     assert odd[0, 0] == [WeightData({}, {})] and even[0, 0] == [WeightData({}, {})]
 
 
-@given(st.lists(st.integers(1, 4), max_size=6))
+def bounded_compositions(totals, k):
+    """The number of tuples a with 0 <= a[i] <= totals[i] and sum(a) = k, by
+    inclusion-exclusion over the entries pushed past their bound."""
+    n = len(totals)
+    if n == 0:
+        return int(k == 0)
+    count = 0
+    for r in range(n + 1):
+        for over in combinations(totals, r):
+            rest = k - sum(t + 1 for t in over)
+            if rest >= 0:
+                count += (-1) ** r * comb(rest + n - 1, n - 1)
+    return count
+
+
+@given(st.lists(st.integers(1, 16), max_size=8))
 def test_count_splits_counts_what_splits_yields(totals):
+    # multiplicities reach 16 at p = 16; past a few thousand tuples the
+    # counts are checked by inclusion-exclusion instead of by enumeration
     counts = count_splits(totals)
-    assert counts == [sum(1 for _ in _splits(totals, k)) for k in range(sum(totals) + 1)]
+    assert counts == [bounded_compositions(totals, k) for k in range(sum(totals) + 1)]
+    if prod(t + 1 for t in totals) <= 5000:
+        assert counts == [sum(1 for _ in _splits(totals, k)) for k in range(sum(totals) + 1)]
+    assert count_splits([]) == [1]
 
 
 def test_max_weight_bound_prunes():
