@@ -8,12 +8,26 @@ The maximal-compact direction k consists of the block-diagonal elements,
 the tangent direction p of the off-diagonal ones; the Cartan involution is
 conjugation by J.  The complex structure on p sends the off-diagonal block
 Z to iZ.
+
+Every map here works on the integer form of ``GaussMatrix`` (one
+denominator, real and imaginary numerators), entry by entry, and builds no
+quadrant or block matrix.  a is in su(p,p) exactly when a = -J a* J entry
+by entry and its imaginary trace is zero: a* has the transposed real and
+the negated transposed imaginary numerators, and -J . J negates the
+diagonal blocks.  It is in p when it equals the off-diagonal part of a*.
+The Cartan involution negates the off-diagonal blocks; the k and p parts
+zero the off-diagonal or the diagonal blocks; and the complex structure
+sends an entry x + yi to -y + xi above the diagonal blocks and to y - xi
+below them.  Every sign pattern is one multiplication of the numerators
+by a cached mask of quadrant signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import itemgetter, mul
 
 from .gaussmat import GaussMatrix, I, bracket
 
@@ -50,70 +64,86 @@ class CartanSplit:
     p_part: GaussMatrix
 
 
-def signature_matrix(shape: SuPQShape) -> GaussMatrix:
-    """J = diag(I_p, -I_p)."""
-    return GaussMatrix.diagonal([1] * shape.p + [-1] * shape.p)
+def _check_shape(a: GaussMatrix, shape: SuPQShape) -> None:
+    n = shape.size
+    if a.rows != n or a.cols != n:
+        raise ValueError(f"expected a {n}x{n} matrix, got {a.rows}x{a.cols}")
 
 
-def _quadrants(a: GaussMatrix, p: int):
+# quadrant signs (upper left, upper right, lower left, lower right)
+_THETA = (1, -1, -1, 1)  # J . J
+_SU = (-1, 1, 1, -1)  # -J . J
+_K = (1, 0, 0, 1)
+_P = (0, 1, 1, 0)
+
+
+@cache
+def _transposer(n: int) -> itemgetter:
+    """Takes the row-major numerators of an n x n matrix, n >= 2, to those
+    of its transpose."""
+    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+
+
+@cache
+def _mask(p: int, signs: tuple) -> tuple:
+    """Per entry of a row-major 2p x 2p matrix, the sign of its quadrant."""
+    ul, ur, ll, lr = signs
+    return tuple(([ul] * p + [ur] * p) * p + ([ll] * p + [lr] * p) * p)
+
+
+def _signed(xs, p: int, signs: tuple) -> tuple:
+    """The numerators xs with each quadrant multiplied by its sign."""
+    return tuple(map(mul, xs, _mask(p, signs)))
+
+
+def _blockwise(a: GaussMatrix, p: int, signs: tuple) -> GaussMatrix:
+    """a with each quadrant multiplied by its sign."""
+    return GaussMatrix._from_ints(a.rows, a.cols, a.den, _signed(a.re_num, p, signs), _signed(a.im_num, p, signs))
+
+
+def _equals_signed_adjoint(a: GaussMatrix, shape: SuPQShape, signs: tuple) -> bool:
+    """Whether a equals a* with each quadrant multiplied by its sign."""
+    _check_shape(a, shape)
+    transpose, p = _transposer(shape.size), shape.p
     return (
-        a.submatrix(0, p, 0, p),
-        a.submatrix(0, p, p, 2 * p),
-        a.submatrix(p, 2 * p, 0, p),
-        a.submatrix(p, 2 * p, p, 2 * p),
+        _signed(transpose(a.re_num), p, signs) == a.re_num
+        and _signed(transpose(a.im_num), p, tuple(-s for s in signs)) == a.im_num
     )
 
 
 def in_su_pp(a: GaussMatrix, shape: SuPQShape) -> bool:
-    """Exact membership test for su(p,p)."""
-    n = shape.size
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"expected a {n}x{n} matrix, got {a.rows}x{a.cols}")
-    ul, ur, ll, lr = _quadrants(a, shape.p)
-    if not (ul.conj_transpose() + ul).is_zero():
-        return False
-    if not (lr.conj_transpose() + lr).is_zero():
-        return False
-    if not (ll - ur.conj_transpose()).is_zero():
-        return False
-    return (ul.trace() + lr.trace()).is_zero()
+    """Exact membership test for su(p,p): a = -J a* J and tr a = 0."""
+    # a = -J a* J leaves the real part of the diagonal zero
+    return _equals_signed_adjoint(a, shape, _SU) and not sum(a.im_num[:: shape.size + 1])
 
 
 def cartan_involution(a: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
     """theta(X) = J X J: +1 on block-diagonal, -1 on off-diagonal."""
-    j = signature_matrix(shape)
-    return j @ a @ j
+    _check_shape(a, shape)
+    return _blockwise(a, shape.p, _THETA)
 
 
 def cartan_decompose(a: GaussMatrix, shape: SuPQShape) -> CartanSplit:
     """Split an su(p,p) element into its k and p components."""
     if not in_su_pp(a, shape):
         raise MembershipError("element is not in su(p,p)")
-    p = shape.p
-    ul, ur, ll, lr = _quadrants(a, p)
-    zero = GaussMatrix.zeros(p, p)
-    k_part = GaussMatrix.block([[ul, zero], [zero, lr]])
-    p_part = GaussMatrix.block([[zero, ur], [ll, zero]])
-    return CartanSplit(k_part=k_part, p_part=p_part)
+    return CartanSplit(k_part=_blockwise(a, shape.p, _K), p_part=_blockwise(a, shape.p, _P))
 
 
 def in_p_part(a: GaussMatrix, shape: SuPQShape) -> bool:
-    """True iff a = (0 Z; Z* 0) exactly."""
-    n = shape.size
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"expected a {n}x{n} matrix, got {a.rows}x{a.cols}")
-    ul, ur, ll, lr = _quadrants(a, shape.p)
-    return ul.is_zero() and lr.is_zero() and (ll - ur.conj_transpose()).is_zero()
+    """True iff a = (0 Z; Z* 0) exactly: a is the off-diagonal part of a*."""
+    return _equals_signed_adjoint(a, shape, _P)
 
 
 def complex_structure(p_elem: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
     """Multiplication by i on the tangent space: (0 Z; Z* 0) -> (0 iZ; -iZ* 0)."""
     if not in_p_part(p_elem, shape):
         raise MembershipError("complex structure is only defined on the p part")
-    p = shape.p
-    _, ur, ll, _ = _quadrants(p_elem, p)
-    zero = GaussMatrix.zeros(p, p)
-    return GaussMatrix.block([[zero, ur * I], [ll * (-I), zero]])
+    p, re, im = shape.p, p_elem.re_num, p_elem.im_num
+    # x + yi -> -y + xi above the diagonal blocks, y - xi below them
+    return GaussMatrix._from_ints(
+        p_elem.rows, p_elem.cols, p_elem.den, _signed(im, p, (0, -1, 1, 0)), _signed(re, p, (0, 1, -1, 0)), reduced=True
+    )
 
 
 class Su11Basis:

@@ -3,9 +3,11 @@
 The JSON wire format stores every matrix entry as four decimal integer
 strings [re_num, re_den, im_num, im_den], which crosses the file boundary
 without any rounding.  A matrix is read straight into the integer form of
-``GaussMatrix``: the pieces are checked and converted to ints, brought
-over the lcm of the denominators and reduced once, so files may hold
-unreduced entries and negative denominators.  It is written straight from
+``GaussMatrix``: all pieces of a matrix are checked at once against one
+decimal pattern and converted to ints, brought over the lcm of the
+denominators and reduced once, so files may hold unreduced entries and
+negative denominators.  Only a matrix that fails the check is read again
+entry by entry, to name its first defect.  It is written straight from
 that form, each part in lowest terms with a positive denominator.
 ``json_text`` writes every JSON document of the package.
 """
@@ -13,6 +15,8 @@ that form, each part in lowest terms with a positive denominator.
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
 from json.encoder import INFINITY
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
@@ -22,6 +26,12 @@ from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import ZERO, GaussMatrix, I
 from .ladder import DatumClassification, WitnessError, block_slot, instantiate_witness
+
+# a decimal integer piece of the wire format, and pieces joined by commas
+_PIECE = "-?[0-9]+"
+_DECIMAL = re.compile(_PIECE)
+_DECIMALS = re.compile(f"{_PIECE}(?:,{_PIECE})*")
+
 
 class CandidateFormatError(ValueError):
     """Malformed candidate document; the message carries a field diagnostic."""
@@ -110,12 +120,13 @@ def _entry_from_json(raw, where: str) -> List[int]:
     for k, piece in enumerate(raw):
         if isinstance(piece, bool) or not isinstance(piece, (str, int)):
             raise CandidateFormatError(f"{where}[{k}]: expected a decimal integer string")
-        # int() alone would also take blanks, underscores, '+' and non-ASCII digits
-        if isinstance(piece, str) and not (piece.isascii() and piece.lstrip("-").isdigit()):
-            raise CandidateFormatError(f"{where}[{k}]: {piece!r} is not a decimal integer")
         try:
+            # int() alone would also take blanks, underscores, '+' and
+            # non-ASCII digits; it refuses more digits than it converts
+            if isinstance(piece, str) and _DECIMAL.fullmatch(piece) is None:
+                raise ValueError
             parts.append(int(piece))
-        except ValueError:  # '--1', or more digits than the interpreter converts
+        except ValueError:
             raise CandidateFormatError(f"{where}[{k}]: {piece!r} is not a decimal integer")
     if parts[1] == 0 or parts[3] == 0:
         raise CandidateFormatError(f"{where}: zero denominator")
@@ -128,18 +139,40 @@ def _matrix_to_json(m: GaussMatrix) -> list:
     return [flat[k : k + c] for k in range(0, len(flat), c)]
 
 
+def _pieces(raw: list, n: int):
+    """The pieces of a wire matrix of n rows, each of n entries of decimal
+    strings, as ints in order; None when it has another form or a defect."""
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {n}:
+        return None
+    entries = list(chain.from_iterable(raw))
+    if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {4}:
+        return None
+    pieces = list(chain.from_iterable(entries))
+    try:
+        # int() refuses a piece that holds a comma, so with it the joined
+        # pieces match exactly when every piece is a decimal
+        if _DECIMALS.fullmatch(",".join(pieces)) is None:
+            return None
+        ints = list(map(int, pieces))
+    except (TypeError, ValueError):  # a piece that is no string, or more digits than int() converts
+        return None
+    return None if 0 in ints[1::4] or 0 in ints[3::4] else ints
+
+
 def _matrix_from_json(raw, n: int, name: str) -> GaussMatrix:
     if not isinstance(raw, list) or len(raw) != n:
         raise CandidateFormatError(f"{name}: expected {n} rows")
-    pieces = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise CandidateFormatError(f"{name}[{i}]: expected {n} entries")
-        for j, e in enumerate(row):
-            try:
-                pieces += _entry_from_json(e, "")
-            except CandidateFormatError as err:  # every message starts with `where`
-                raise CandidateFormatError(f"{name}[{i}][{j}]{err}") from None
+    pieces = _pieces(raw, n)
+    if pieces is None:  # entry by entry, to name the first defect
+        pieces = []
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != n:
+                raise CandidateFormatError(f"{name}[{i}]: expected {n} entries")
+            for j, e in enumerate(row):
+                try:
+                    pieces += _entry_from_json(e, "")
+                except CandidateFormatError as err:  # every message starts with `where`
+                    raise CandidateFormatError(f"{name}[{i}][{j}]{err}") from None
     re_num, re_den, im_num, im_den = (pieces[k::4] for k in range(4))
     # den // b is negative for a negative denominator b: the sign moves up
     den = lcm(*re_den, *im_den)

@@ -22,7 +22,7 @@ from .algebra import (
 from .candidates import lift_classification
 from .checker import check_conditions, equivariance_test
 from .gaussmat import GaussMatrix, I, bracket, char_poly, eigenprojection, integer_spectrum, poly_eval
-from .ladder import classify_weight_data, replay_certificate, verify_witness
+from .ladder import _head_status, classify_weight_data, head_keys, replay_certificate, verify_witness
 from .numeric import gradient_check
 from .weights import WeightData, enumerate_weight_data
 
@@ -150,6 +150,20 @@ def check_witness_lift(p: int = 2) -> None:
         assert equivariance_test(candidate, report)
 
 
+def check_head_keys() -> None:
+    """The rank-free head keys that verify_theorem decides every rank by:
+    all 27 top windows of each parity are infeasible, and exactly 6 of the
+    80 small supports are feasible."""
+    feasible = supports_seen = 0
+    for parity in (1, 0):
+        windows, supports = head_keys(parity)
+        assert len(windows) == 27, f"{len(windows)} top windows of parity {parity}"
+        assert all(_head_status(key) == "infeasible" for key in windows), f"a top window of parity {parity} is not infeasible"
+        supports_seen += len(supports)
+        feasible += sum(_head_status(key) == "feasible" for key in supports)
+    assert (feasible, supports_seen) == (6, 80), f"{feasible} of {supports_seen} small supports are feasible"
+
+
 def check_oracle_gradient(tol: float = 1e-5) -> None:
     patterns = [
         WeightData({1: 2}, {-1: 2}),
@@ -171,6 +185,7 @@ CHECKS: List[Tuple[str, Callable[[], None]]] = [
     ("eigenprojections", check_eigenprojections),
     ("certificate replay", check_certificate_replay),
     ("witness lift", check_witness_lift),
+    ("head keys", check_head_keys),
     ("oracle gradient", check_oracle_gradient),
 ]
 

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodesy import sampling
+import algebra_reference as ref
+from geodesy import algebra, sampling
 from geodesy.algebra import (
+    CartanSplit,
     MembershipError,
     SuPQShape,
     cartan_decompose,
@@ -164,3 +168,108 @@ def test_rotation_action_has_no_real_eigenvector():
     trace = 0 + 0
     det = 0 * 0 - (-2) * 2
     assert trace == 0 and det == 4 and trace * trace - 4 * det < 0
+
+
+# -- sampling and the su(p,p) maps against the quadrant and Fraction reference
+
+# each sampler called on a module: geodesy.sampling or the reference
+SAMPLERS = {
+    "matrix": lambda mod, rng, p: mod.matrix(rng, p),
+    "matrix_wide": lambda mod, rng, p: mod.matrix(rng, p, p + 2),
+    "skew_hermitian": lambda mod, rng, p: mod.skew_hermitian(rng, p),
+    "su_pp": lambda mod, rng, p: mod.su_pp(rng, SuPQShape(p)),
+    "k_part": lambda mod, rng, p: mod.k_part(rng, SuPQShape(p)),
+    "p_part": lambda mod, rng, p: mod.p_part(rng, SuPQShape(p)),
+    "invertible": lambda mod, rng, p: mod.invertible(rng, p),
+    "integer_diagonalizable": lambda mod, rng, p: mod.integer_diagonalizable(rng, p),
+}
+
+
+def _same_draw(name: str, seed: int, p: int) -> None:
+    rng, old = random.Random(seed), random.Random(seed)
+    assert SAMPLERS[name](sampling, rng, p) == SAMPLERS[name](ref, old, p)
+    assert rng.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_sampling_matches_the_fraction_reference(name):
+    for p in (1, 2, 3, 4):
+        for seed in range(40):
+            _same_draw(name, seed, p)
+
+
+@given(st.sampled_from(sorted(SAMPLERS)), st.integers(0, 2**32), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_sampling_matches_the_fraction_reference_at_any_seed(name, seed, p):
+    _same_draw(name, seed, p)
+
+
+MAPS = ("in_su_pp", "in_p_part", "cartan_decompose", "cartan_involution", "complex_structure")
+
+
+def _outcome(fn, a, shape):
+    """fn's value, with a Cartan split as a pair, or the exception type it raises."""
+    try:
+        value = fn(a, shape)
+    except ValueError as err:
+        return type(err)
+    return (value.k_part, value.p_part) if isinstance(value, CartanSplit) else value
+
+
+@st.composite
+def algebra_elements(draw):
+    """Members of su(p,p), of k and of p, each as drawn or with one entry
+    moved, its corner or its mirror moved to match, or made real or
+    imaginary; other square matrices; matrices of the wrong shape."""
+    p = draw(st.integers(1, 4))
+    shape = SuPQShape(p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["su_pp", "k_part", "p_part", "zero", "square", "shape"]))
+    if kind == "shape":
+        rows, cols = draw(st.sampled_from([(2 * p, 2 * p + 1), (2 * p + 1, 2 * p), (2 * p - 1, 2 * p - 1), (1, 2 * p)]))
+        return sampling.matrix(rng, rows, cols), shape
+    if kind == "square":
+        a = sampling.matrix(rng, 2 * p)
+    elif kind == "zero":
+        a = GaussMatrix.zeros(2 * p)
+    else:
+        a = getattr(sampling, kind)(rng, shape)
+    n = 2 * p
+    re, im = list(a.re_num), list(a.im_num)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        parts = draw(st.sampled_from([re, im]))
+        delta = draw(st.sampled_from([-a.den, 1, 2 * a.den]))
+        parts[i * n + j] += delta
+        mirror = draw(st.sampled_from([None, 1, -1]))  # keep a = -J a* J, or break it
+        if mirror is not None and (i, j) != (j, i):
+            parts[j * n + i] += mirror * delta
+    if draw(st.booleans()):
+        re, im = draw(st.sampled_from([(re, [0] * (n * n)), ([0] * (n * n), im), (im, re)]))
+    return GaussMatrix._from_ints(n, n, a.den, re, im), shape
+
+
+@given(algebra_elements())
+@settings(max_examples=400, deadline=None)
+def test_su_pp_maps_match_the_quadrant_reference(case):
+    a, shape = case
+    for name in MAPS:
+        assert _outcome(getattr(algebra, name), a, shape) == _outcome(getattr(ref, name), a, shape), name
+
+
+def test_su_pp_maps_match_the_quadrant_reference_on_sampled_elements():
+    rng = random.Random(26)
+    verdicts = set()
+    for i in range(300):
+        shape = SuPQShape(1 + i % 4)
+        kind = ("su_pp", "k_part", "p_part")[i % 3]
+        a = getattr(sampling, kind)(rng, shape)
+        for b in (a, sampling.matrix(rng, shape.size)):
+            for name in MAPS:
+                got = _outcome(getattr(algebra, name), b, shape)
+                assert got == _outcome(getattr(ref, name), b, shape), name
+                verdicts.add((name, got if isinstance(got, (bool, type)) else type(got)))
+    # members and non-members of su(p,p) and of p were both met
+    assert {("in_su_pp", True), ("in_su_pp", False), ("in_p_part", True), ("in_p_part", False)} <= verdicts
+    assert ("cartan_decompose", MembershipError) in verdicts
+    assert ("complex_structure", MembershipError) in verdicts

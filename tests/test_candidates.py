@@ -14,6 +14,7 @@ from geodesy.candidates import (
     _entry_to_json,
     _matrix_from_json,
     _matrix_to_json,
+    _pieces,
     candidate_from_json_dict,
     candidate_to_json_dict,
     diagonal_candidate,
@@ -141,29 +142,32 @@ numerators = st.one_of(
 denominators = st.one_of(st.integers(-12, 12), st.integers(1, 10**300)).filter(bool)
 
 
-def _piece(draw, value: int):
-    """A piece as a decimal string, "-0" for some zeros, or a JSON integer."""
-    form = draw(st.sampled_from(["str", "str", "int"]))
-    if form == "int":
+def _piece(draw, value: int, ints: bool):
+    """A piece as a decimal string, "-0" for some zeros, or a JSON integer
+    when ints is set."""
+    if ints and draw(st.integers(0, 2)) == 0:
         return value
     return "-0" if value == 0 and draw(st.booleans()) else str(value)
 
 
 @st.composite
-def wire_entries(draw) -> list:
-    """Unreduced entries: a common factor k (possibly negative) on each part."""
+def wire_entries(draw, ints: bool = True):
+    """Unreduced entries: a common factor k (possibly negative) on each part;
+    a list as JSON gives, or a tuple as a caller may."""
     entry = []
     for _ in range(2):
         k = draw(st.sampled_from([1, 1, 2, -1, -3, 10**20]))
-        entry += [_piece(draw, k * draw(numerators)), _piece(draw, k * draw(denominators))]
-    return entry
+        entry += [_piece(draw, k * draw(numerators), ints), _piece(draw, k * draw(denominators), ints)]
+    return tuple(entry) if draw(st.integers(0, 4)) == 0 else entry
 
 
 @st.composite
 def wire_grids(draw) -> tuple:
     n = draw(st.integers(1, 4))
     sparse = draw(st.booleans())  # about half the entries zero, as in most report matrices
-    entry = (st.just(["0", "1", "0", "1"]) | wire_entries()) if sparse else wire_entries()
+    # only strings, as files hold, half the time: the grids the check of all pieces at once takes
+    entries = wire_entries(ints=draw(st.booleans()))
+    entry = (st.just(["0", "1", "0", "1"]) | entries) if sparse else entries
     return n, [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
@@ -177,17 +181,18 @@ def test_matrix_wire_matches_reference(case):
     assert _matrix_to_json(got) == ref._matrix_to_json(want)
 
 
-BAD_PIECES = [None, True, False, 1.0, 1.5, [], {}, "", "-", "+1", " 1", "1 ", "1_0", "--1", "1-", "0x1", "\u0661", "1e3", "9" * 5000]
+BAD_PIECES = [None, True, False, 1.0, 1.5, [], {}, "", "-", "+1", " 1", "1 ", "1_0", "--1", "1-", "0x1", "\u0661", "1e3", "9" * 5000,
+              "1\n", "\uff11", "\u00b2", "0-1", ",", "1,", ",1", "1,2", "-1,-2"]
 BAD_VALUES = [None, True, 0, "x", [], {}, ["0", "1", "0"], ["0", "1", "0", "1", "0"], ("0", "1")]
 
 
 @st.composite
-def malformed_wire_grids(draw) -> tuple:
-    """A valid grid with one to three defects, so that their order counts."""
+def malformed_wire_grids(draw, max_defects: int = 3) -> tuple:
+    """A valid grid with one to max_defects defects, so that their order counts."""
     n, grid = draw(wire_grids())
-    grid = json.loads(json.dumps(grid))  # fresh lists to damage
+    grid = [[list(e) for e in row] for row in grid]  # fresh lists to damage
     raw = grid
-    kinds = draw(st.lists(st.sampled_from(["piece", "zero", "entry", "row", "rows"]), min_size=1, max_size=3, unique=True))
+    kinds = draw(st.lists(st.sampled_from(["piece", "zero", "entry", "row", "rows"]), min_size=1, max_size=max_defects, unique=True))
     # innermost first, so that a later defect never lands inside an earlier one
     for kind in sorted(kinds, key=["piece", "zero", "entry", "row", "rows"].index):
         i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
@@ -201,6 +206,9 @@ def malformed_wire_grids(draw) -> tuple:
             grid[i] = draw(st.sampled_from(BAD_VALUES + [grid[i][:-1], grid[i] + grid[i][:1]]))
         else:
             raw = draw(st.sampled_from(BAD_VALUES + [grid[:-1], grid + grid[:1]]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        if isinstance(grid[i], list) and j < len(grid[i]) and isinstance(grid[i][j], list):
+            grid[i][j] = tuple(grid[i][j])  # a well-formed tuple entry, not a defect
     return n, raw
 
 
@@ -210,11 +218,26 @@ def _error(parse, raw, n):
     return str(err.value)
 
 
-@given(malformed_wire_grids())
-@settings(max_examples=200, deadline=None)
+@given(malformed_wire_grids() | malformed_wire_grids(max_defects=1))
+@settings(max_examples=400, deadline=None)
 def test_malformed_wire_matches_reference_message(case):
     n, raw = case
     assert _error(_matrix_from_json, raw, n) == _error(ref._matrix_from_json, raw, n)
+
+
+@given(wire_grids() | malformed_wire_grids())
+@settings(max_examples=200, deadline=None)
+def test_whole_matrix_check_takes_only_decimal_strings_the_reference_takes(case):
+    n, raw = case
+    if not (isinstance(raw, list) and len(raw) == n):  # _matrix_from_json's own first check
+        return
+    try:
+        ref._matrix_from_json(raw, n, "f_u")
+        strings = all(isinstance(x, str) for row in raw for e in row for x in e)
+    except CandidateFormatError:
+        strings = False
+    want = [int(x) for row in raw for e in row for x in e] if strings else None
+    assert _pieces(raw, n) == want
 
 
 def test_wire_integer_form_of_unreduced_entries():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
 from geodesy.cli import MAX_CERT_P, MAX_P, build_parser, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
+from geodesy.selftest import CHECKS
 from geodesy.weights import WeightData, enumerate_weight_data
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
@@ -424,6 +426,22 @@ def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
     lines = [json.loads(line) for line in script.stdout.splitlines()]
     assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 95), (4, 109)]
     assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
+
+
+def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "time_exact.py"), "--seed", "3", "--repeat", "1"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 0, script.stderr
+    lines = [json.loads(line) for line in script.stdout.splitlines()]
+    assert all(line["best_s"] > 0 for line in lines)
+    phases = Counter(line["phase"] for line in lines)
+    # 20 candidates, of which the 10 sparse and dense ones pass and reach equivariance_test
+    assert phases == {"parse": 20, "check_conditions": 20, "equivariance_test": 10, "report": 20, "selftest": len(CHECKS)}
+    assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 
 
 @pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])

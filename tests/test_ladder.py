@@ -888,3 +888,20 @@ def test_exactly_six_small_supports_are_feasible():
         (0, frozenset(), frozenset({0})),
         (0, frozenset({0}), frozenset({0})),
     }
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+@pytest.mark.parametrize("which", ["window", "support"])
+def test_selftest_head_keys_check_fails_when_one_key_changes_status(parity, which, monkeypatch):
+    import geodesy.selftest as selftest_mod
+
+    selftest_mod.check_head_keys()
+    windows, supports = head_keys(parity)
+    # a window, or an infeasible support: a seventh feasible one
+    if which == "window":
+        changed = windows[len(windows) // 2]
+    else:
+        changed = next(key for key in supports if _head_status(key) == "infeasible")
+    monkeypatch.setattr(selftest_mod, "_head_status", lambda key: "feasible" if key == changed else _head_status(key))
+    with pytest.raises(AssertionError):
+        selftest_mod.check_head_keys()
