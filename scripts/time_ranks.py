@@ -5,8 +5,10 @@
 
 Prints one JSON line per rank: the best of --repeat wall times of
 verify_theorem(p) in seconds, the peak RSS of this process so far in MB
-(give the ranks in ascending order to read it per rank), and the number of
-constraint systems derived, counted on one more, untimed run.
+(give the ranks in ascending order to read it per rank), and three counts
+taken on one more, untimed run: the constraint systems derived, the head
+keys decided and the sectors derived in full (walked_sectors).  Each head
+key and each walked sector derives one system.
 """
 
 import argparse
@@ -17,20 +19,33 @@ import time
 import geodesy.ladder as ladder
 
 
-def derived_systems(p: int) -> int:
-    """verify_theorem(p) with every derive_constraints call counted."""
-    original, calls = ladder.derive_constraints, [0]
+COUNTED = {  # output field -> the ladder function whose calls it counts
+    "derived_systems": "derive_constraints",
+    "head_keys": "_head_status",
+    "walked_sectors": "_derive_and_eliminate",
+}
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
 
-    ladder.derive_constraints = counting
+def counts(p: int) -> dict:
+    """verify_theorem(p) with the calls of each COUNTED function counted."""
+    originals = {name: getattr(ladder, name) for name in COUNTED.values()}
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(field, original):
+        def counted(*args, **kwargs):
+            calls[field] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for field, name in COUNTED.items():
+        setattr(ladder, name, counting(field, originals[name]))
     try:
         ladder.verify_theorem(p)
     finally:
-        ladder.derive_constraints = original
-    return calls[0]
+        for name, original in originals.items():
+            setattr(ladder, name, original)
+    return calls
 
 
 def main() -> None:
@@ -49,8 +64,7 @@ def main() -> None:
             ladder.verify_theorem(p)
             best = min(best, time.perf_counter() - start)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
-        print(json.dumps({"p": p, "best_s": round(best, 6), "peak_rss_mb": round(peak_mb, 1),
-                          "derived_systems": derived_systems(p)}), flush=True)
+        print(json.dumps({"p": p, "best_s": round(best, 6), "peak_rss_mb": round(peak_mb, 1), **counts(p)}), flush=True)
 
 
 if __name__ == "__main__":

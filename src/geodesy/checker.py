@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .algebra import SuPQShape, cartan_decompose, complex_structure, in_su_pp
-from .gaussmat import GaussMatrix, I, NonIntegerSpectrum, bracket, integer_spectrum, real_rank
+from .gaussmat import GaussMatrix, I, NonIntegerSpectrum, bracket, integer_spectrum
 from .weights import WeightData
 
 
@@ -94,7 +94,9 @@ def check_conditions(c: EmbeddingCandidate) -> CheckReport:
     if not report.satisfies_c3:
         report.failures.append("tangent components do not intertwine the complex structures")
 
-    report.injective = real_rank([c.f_u, c.f_v, c.f_w]) == 3
+    # su(1,1) is simple: F(w) = 0 forces F(v) = [F(w), F(u)]/2 = 0 and
+    # F(u) = -[F(w), F(v)]/2 = 0, so the kernel is 0 or all of su(1,1)
+    report.injective = not c.f_w.is_zero()
     report.totally_geodesic = (
         report.passed and report.fc_u.is_zero() and report.fc_v.is_zero()
     )

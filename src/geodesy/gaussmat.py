@@ -531,12 +531,6 @@ def _bareiss(re_rows: list, im_rows: list, pivot_cols: int) -> tuple:
     return pivots, (qr, qi)
 
 
-def real_rank(matrices: Sequence[GaussMatrix]) -> int:
-    """Dimension of the real linear span of equally shaped matrices."""
-    rows = [list(m.re_num + m.im_num) for m in matrices]
-    return len(_bareiss(rows, [[0] * len(r) for r in rows], len(rows[0]))[0])
-
-
 def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Commutator ab - ba, exact; both arguments must be square and same size."""
     if not (a.is_square() and b.is_square() and a.rows == b.rows):

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -649,7 +650,8 @@ def head_keys(parity: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]
     (windows, supports).  The 27 windows put each of W, W - 2 and W - 4 on
     plus, on minus or on both, at the marker 3 (odd) or 4 (even).  The
     supports are every pair of subsets of {1, -1} (16, odd) or of
-    {2, 0, -2} (64, even), one subset for each side."""
+    {2, 0, -2} (64, even), one subset for each side, at the marker 1 or 2;
+    a weight the sum lacks is in neither subset."""
     marker, top = 4 - parity, 2 - parity
     windows = [
         (parity, marker, *(plus for plus, _ in sides), *(minus for _, minus in sides))
@@ -688,13 +690,14 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     sectors are kept.  The table counts come from the per-group products,
     and a table is built only when both its sectors are feasible.
 
-    A sector's head is its top weight W and the W - 2 and W - 4 below it,
-    and its head key is the parity, a top marker, and whether each head
+    A sector's head key is its parity, a marker, and whether each head
     weight is a plus weight and whether it is a minus weight.  Each key is
-    decided once per run (_head_status); head_keys lists them all.
+    decided once per run (_head_status); head_keys lists them all.  Let W
+    be the sum's top weight.
 
-    - W >= 3: the marker is 3 (odd) or 4 (even), not W.  W + 2 is absent,
-      so a sector's equations at W and W - 2 have exactly the terms of the
+    - W >= 3: the head is W, W - 2 and W - 4, all present in the sum, and
+      the marker is 3 (odd) or 4 (even), not W.  W + 2 is absent, so a
+      sector's equations at W and W - 2 have exactly the terms of the
       window's multiplicity-1 table there and the right sides W and W - 2;
       only dim differs, which the rules never read.  The terms follow from
       the bits alone and both right sides are positive at every W >= 3, so
@@ -702,28 +705,25 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
       infeasible window is an R1 or R2 firing on terms one-signed against
       the right side; in the full sector R3 only removes live terms, so
       that equation stays one-signed and the sector is infeasible too.
-    - W <= 2: the marker is W (0 for the empty sector) and the head is the
-      whole sector, so the key is its support and the whole system is
-      eliminated.  An infeasible verdict reads only signs, so it holds for
-      every multiplicity of the support (_rule).
+    - W <= 2: the head is {1, -1} (odd) or {2, 0, -2} (even), the marker
+      its top, and a weight the sum lacks is on neither side.  So the key
+      is the sector's support and its whole system is eliminated; an
+      infeasible verdict reads only signs, so it holds for every
+      multiplicity of the support (_rule).
 
     Every sector of a sum starts out counted infeasible: the group of each
     dimension d gets the number of splits with d on plus
-    (weights.count_splits).  The first sum of a parity with W >= 3 decides
-    that parity's 27 windows.  Every weight from W down to -W is present,
-    so each of W, W - 2 and W - 4 sits on plus, on minus or on both, and
-    every sector of such a sum has one of the 27 keys.  If all 27 are
-    infeasible, so is every sector of every such sum, and its count is
-    final.  Otherwise, and for every sum with W <= 2, the sum is walked
-    one head pick at a time: how many copies of each head weight go to
-    plus.  A pick whose key is not infeasible sends each sector with that
-    head (one when W <= 2) through derivation and elimination in full,
-    which takes it out of the infeasible count and adds it under its own
-    status: terminal recognition compares dimensions, and a feasible
-    sector keeps its own system.  So the code assumes nothing of the
-    lemma.  Every window is infeasible and 6 of the 80 supports inside
-    {1, -1} and {2, 0, -2} are feasible, so every rank from 5 on uses the
-    same 95 keys and walks only its sums with W <= 2.
+    (weights.count_splits).  A head weight sends none, some or all of its
+    copies to plus, and all the picks of one such class share a key, so
+    the classes whose key is not infeasible are found once per head shape
+    (parity, marker, min(t, 2) per head weight).  Only they are walked,
+    one head pick at a time, and each of their sectors goes through
+    derivation and elimination in full, which moves it from the
+    infeasible count to its own status: terminal recognition compares
+    dimensions, and a feasible sector keeps its own system.  So the code
+    assumes nothing of the lemma.  Every window is infeasible and 6 of the
+    80 supports are feasible, so every rank from 5 on decides the same 95
+    keys and walks only the classes of the feasible supports.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -735,47 +735,45 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
         defaultdict(lambda: (Counter(), [])) for _ in range(2)
     )
-    heads: Dict[Tuple[int, ...], str] = {}  # head key -> status
-    whole: List[Optional[bool]] = [None, None]  # per parity: are all 27 windows infeasible?
+    head_status = cache(_head_status)
+
+    @cache
+    def open_classes(parity: int, marker: int, shape: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        """The classes of a head shape whose key is not infeasible.  For a head
+        weight of multiplicity t and s = min(t, 2), class 0 sends no copy to
+        plus, class s every copy and class 1 < s some."""
+        return [
+            c for c in product(*(range(s + 1) for s in shape))
+            if head_status((parity, marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
+        ]
+
     for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
         # the sum's groups, created in order of d as pair_sectors reads them
         cells = [groups[parity][d, size - d] for d in dims]
         n_all = count_splits(totals)
         for d, (statuses, _) in zip(dims, cells):
             statuses["infeasible"] += n_all[d]
-        top = min(weights[0], 4 - parity) if weights else 0
-        if top >= 3:
-            if whole[parity] is None:
-                windows = head_keys(parity)[0]
-                heads.update((key, _head_status(key)) for key in windows)
-                whole[parity] = all(heads[key] == "infeasible" for key in windows)
-            if whole[parity]:
-                continue
-        sector = "odd" if parity else "even"
-        head_totals, rest = totals[:3], totals[3:]
-        room = sum(rest)
-        for head in product(*(range(t + 1) for t in head_totals)):
-            h = sum(head)
-            if not dims[0] - room <= h <= dims[-1]:
-                continue  # no dimension of the sum is reached
-            key = (parity, top, *(a > 0 for a in head), *(a < t for a, t in zip(head, head_totals)))
-            status = heads.get(key)
-            if status is None:
-                status = heads[key] = _head_status(key)
-            if status == "infeasible":
-                continue
-            for d, (statuses, feasible) in zip(dims, cells):
-                for tail in _splits(rest, d - h):
-                    pick = head + tail
-                    wd = WeightData._trusted(
-                        {w: a for w, a in zip(weights, pick) if a},
-                        {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
-                    )
-                    system, verdict = _derive_and_eliminate(wd, sector)
-                    statuses["infeasible"] -= 1
-                    statuses[verdict.status] += 1
-                    if verdict.status == "feasible":
-                        feasible.append((wd, system, verdict))
+        if not weights or weights[0] < 3:  # the support inside {1, -1} or {2, 0, -2}
+            held = dict(zip(weights, totals))
+            weights = range(2 - parity, parity - 3, -2)
+            totals = [held.get(w, 0) for w in weights]
+        shape, rest = tuple(min(t, 2) for t in totals[:3]), totals[3:]
+        for cls in open_classes(parity, min(weights[0], 4 - parity), shape):
+            # no copy, every copy or 1..t - 1 of the t copies on plus
+            picks = ((0,) if c == 0 else (t,) if c == s else range(1, t) for c, s, t in zip(cls, shape, totals))
+            for head in product(*picks):
+                for d, (statuses, feasible) in zip(dims, cells):
+                    for tail in _splits(rest, d - sum(head)):
+                        pick = head + tail
+                        wd = WeightData._trusted(
+                            {w: a for w, a in zip(weights, pick) if a},
+                            {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
+                        )
+                        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
+                        statuses["infeasible"] -= 1
+                        statuses[verdict.status] += 1
+                        if verdict.status == "feasible":
+                            feasible.append((wd, system, verdict))
 
     counts: Counter = Counter()
     tables = []

@@ -151,9 +151,9 @@ def check_witness_lift(p: int = 2) -> None:
 
 
 def check_head_keys() -> None:
-    """The rank-free head keys that verify_theorem decides every rank by:
-    all 27 top windows of each parity are infeasible, and exactly 6 of the
-    80 small supports are feasible."""
+    """The rank-free head keys, the only keys verify_theorem decides: all
+    27 top windows of each parity are infeasible, and exactly 6 of the 80
+    small supports are feasible."""
     feasible = supports_seen = 0
     for parity in (1, 0):
         windows, supports = head_keys(parity)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_reference as ref
 from geodesy import sampling
 from geodesy.algebra import SuPQShape, cartan_decompose, su11_basis
-from geodesy.candidates import diagonal_candidate, embedding_with_rank, standard_trivial_candidate
+from geodesy.candidates import diagonal_candidate, embedding_with_rank, lift_classification, standard_trivial_candidate
 from geodesy.checker import (
     EmbeddingCandidate,
     check_conditions,
@@ -16,7 +17,8 @@ from geodesy.checker import (
     weight_operator,
 )
 from geodesy.gaussmat import GaussMatrix, I, NonIntegerSpectrum
-from geodesy.weights import WeightData
+from geodesy.ladder import classify_weight_data
+from geodesy.weights import WeightData, enumerate_weight_data
 
 
 def identity_candidate() -> EmbeddingCandidate:
@@ -63,6 +65,34 @@ def test_rank_zero_candidate_is_not_injective():
     report = check_conditions(candidate)
     assert report.passed and report.totally_geodesic
     assert not report.injective
+
+
+def built_homomorphisms():
+    """Every homomorphism these tests build: the padded standard embeddings,
+    the lifted feasible tables of rank at most 3, and each of these (and a
+    conjugated one) scaled by 0 and 1, the only scalars that keep a nonzero
+    homomorphism one."""
+    built = [embedding_with_rank(p, m) for p in range(1, 5) for m in range(p + 1)]
+    for p in range(1, 4):
+        results = (classify_weight_data(wd) for wd in enumerate_weight_data(p))
+        built += [lift_classification(r) for r in results if r.status == "feasible"]
+    scaled = []
+    for c in [*built, conjugated_identity_candidate()]:
+        for scale in (0, 1, 2, -1, Fraction(1, 2)):
+            triple = EmbeddingCandidate(c.shape, c.f_u * scale, c.f_v * scale, c.f_w * scale)
+            assert check_homomorphism(triple) == (scale in (0, 1) or c.f_w.is_zero())
+            scaled.append(triple)
+    return [c for c in scaled if check_homomorphism(c)]
+
+
+def test_a_homomorphism_is_injective_iff_the_image_of_w_is_nonzero():
+    # su(1,1) is simple, so its image has real dimension 0 or 3
+    homomorphisms = built_homomorphisms()
+    assert sum(c.f_w.is_zero() for c in homomorphisms) > 0
+    for c in homomorphisms:
+        rank = ref.rational_rank(ref.realify([c.f_u, c.f_v, c.f_w]))
+        assert rank in (0, 3)
+        assert check_conditions(c).injective == (rank == 3) == (not c.f_w.is_zero())
 
 
 def test_perturbed_candidate_fails_brackets():

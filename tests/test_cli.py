@@ -424,7 +424,8 @@ def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
     )
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
-    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 95), (4, 109)]
+    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 83), (4, 104)]
+    assert [(line["head_keys"], line["walked_sectors"]) for line in lines] == [(71, 12), (86, 18)]
     assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
 
 

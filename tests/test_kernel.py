@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from geodesy.gaussmat import GaussMatrix, GaussRational, char_poly, real_rank
+from geodesy.gaussmat import GaussMatrix, GaussRational, char_poly
 
 SIZES = st.integers(1, 4)
 ZERO = GaussRational(0)
@@ -123,22 +123,6 @@ def test_char_poly_matches_cofactor(a):
     coeffs = char_poly(a)
     assert coeffs == ref.char_poly_cofactor(a)
     assert all(in_lowest_terms(c.re) and in_lowest_terms(c.im) for c in coeffs)
-
-
-@settings(deadline=None)
-@given(shaped(3), rationals, rationals, st.sampled_from(["free", "real", "complex", "zero"]))
-def test_real_rank_matches_reference(triple, alpha, beta, relation):
-    f_u, f_v, f_w = triple
-    if relation == "real":
-        # realified rows of f_u, f_v, f_w are dependent
-        f_w = f_u * alpha + f_v * beta
-    elif relation == "complex":
-        # complex multiples are independent over the reals unless real
-        f_w = f_u * GaussRational(alpha, beta)
-    elif relation == "zero":
-        f_w = GaussMatrix.zeros(f_u.rows, f_u.cols)
-    for ms in ([f_u, f_v, f_w], [f_u, f_w], [f_w], [f_u, f_u * 2, f_v]):
-        assert real_rank(ms) == ref.rational_rank(ref.realify(ms))
 
 
 def test_large_unequal_denominators_reduce():

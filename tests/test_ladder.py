@@ -528,14 +528,31 @@ def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
 
 
 def test_verify_theorem_decides_each_head_key_once(monkeypatch):
-    # p = 4: 91 keys (54 top windows and 37 small supports), each derived
-    # once, and the 18 sectors of the small supports that are not
-    # infeasible; p = 5: 95 keys (54 windows, 41 supports) and 24 sectors
-    for p, enumerated, n_keys, n_derived in ((4, 533, 91, 109), (5, 2773, 95, 119)):
+    # all the classes of a head shape are decided together, so p = 4 decides
+    # 86 keys (45 top windows and 41 small supports), each derived once, and
+    # the 18 sectors of the supports that are not infeasible; p = 5 decides
+    # 95 keys (54 windows, 41 supports) and derives 24 sectors
+    for p, enumerated, n_keys, n_derived in ((4, 533, 86, 104), (5, 2773, 95, 119)):
         summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p)
         assert summary.enumerated == enumerated
         assert len(keys) == len(set(keys)) == n_keys
         assert len(derived) == n_derived
+
+
+@pytest.mark.parametrize(
+    "p, max_weight", [*((p, None) for p in range(1, 10)), (4, 2), (4, 3), (5, 2), (5, 3)]
+)
+def test_verify_theorem_decides_only_the_keys_of_head_keys(monkeypatch, p, max_weight):
+    # a sum with top weight W <= 2 is keyed by its support inside {1, -1} or
+    # {2, 0, -2}, a weight it lacks on neither side, so every key decided is
+    # one of the 54 windows and 80 supports; from p = 5 on, with every
+    # weight allowed, they are all the windows and the 41 supports of sums
+    _, _, keys, _ = traced_verify_theorem(monkeypatch, p, max_weight)
+    windows, supports = (set(head_keys(1)[i] + head_keys(0)[i]) for i in range(2))
+    assert len(keys) == len(set(keys))
+    assert set(keys) <= windows | supports
+    if p >= 5 and max_weight is None:
+        assert (len(set(keys) & windows), len(set(keys) & supports)) == (54, 41)
 
 
 def top_weight(wd):
@@ -551,9 +568,9 @@ def window_key(parity, wd):
 @pytest.mark.parametrize("parity", [1, 0])
 @pytest.mark.parametrize("p", range(2, 7))
 def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible(monkeypatch, p, parity):
-    # one window of one parity is reported feasible: that parity's sums
-    # with top weight W >= 3 are walked pick by pick and the sectors under
-    # that window derived in full; the other parity's are counted whole
+    # one window of one parity is reported feasible: its classes are walked
+    # pick by pick and the sectors under that window derived in full; every
+    # other sector is counted
     window = (parity, 4 - parity, True, True, False, False, False, True)  # W, W - 2 plus; W - 4 minus
     assert window in head_keys(parity)[0]
 
@@ -633,8 +650,8 @@ def test_verify_theorem_counts_match_per_table_classification():
 
 def test_verify_theorem_keeps_only_counts_and_feasible_sectors():
     # a sum of irreducibles is decided as it is enumerated, by counts for each
-    # head pick whose key is infeasible; only the counts, the key statuses
-    # and the feasible sectors outlive it
+    # head class whose key is infeasible; only the counts, the key statuses,
+    # the open classes of each head shape and the feasible sectors outlive it
     tracemalloc.start()
     try:
         verify_theorem(6)
