@@ -8,10 +8,11 @@ Writes the seeded candidate files of the benchmark's ``exact`` workload
 prints one JSON line per phase of ``geodesy check --json``: ``parse``
 (``load_candidate``), ``check_conditions``, ``equivariance_test`` (only
 for a candidate that passes, as the CLI does) and ``report``
-(``_report_json`` and its JSON text).  Then it prints one line per
-``selftest`` check, run with the workload's 6 samples where the check
-takes a sample count.  Each line gives the best of --repeat wall times
-in seconds.
+(``_report_json`` and its JSON text).  Then it prints one ``lift`` line,
+``lift_classification`` of every feasible table of rank p <= 4, and one
+line per ``selftest`` check, run with the workload's 6 samples where the
+check takes a sample count.  Each line gives the best of --repeat wall
+times in seconds.
 """
 
 import argparse
@@ -25,12 +26,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import exact_inputs  # noqa: E402
-from geodesy.candidates import json_text, load_candidate  # noqa: E402
+from geodesy.candidates import json_text, lift_classification, load_candidate  # noqa: E402
 from geodesy.checker import check_conditions, equivariance_test  # noqa: E402
 from geodesy.cli import _report_json  # noqa: E402
+from geodesy.ladder import classify_weight_data  # noqa: E402
 from geodesy.selftest import CHECKS  # noqa: E402
+from geodesy.weights import enumerate_weight_data  # noqa: E402
 
 SELFTEST_SAMPLES = 6
+LIFT_MAX_P = 4
 
 
 def best_of(repeat: int, fn):
@@ -68,6 +72,10 @@ def main() -> None:
                 emit(phase="equivariance_test", **where, best_s=best)
             best, _ = best_of(args.repeat, lambda: json_text(_report_json(path, entry["p"], report, equivariant)))
             emit(phase="report", **where, best_s=best)
+    results = [classify_weight_data(wd) for p in range(1, LIFT_MAX_P + 1) for wd in enumerate_weight_data(p)]
+    feasible = [r for r in results if r.status == "feasible"]
+    best, _ = best_of(args.repeat, lambda: [lift_classification(r) for r in feasible])
+    emit(phase="lift", max_p=LIFT_MAX_P, tables=len(feasible), best_s=best)
     for name, fn in CHECKS:
         kwargs = {"samples": SELFTEST_SAMPLES} if "samples" in inspect.signature(fn).parameters else {}
         best, _ = best_of(args.repeat, lambda: fn(**kwargs))

@@ -1,36 +1,2 @@
 """Exact verification and classification of equivariant holomorphic
 embeddings of the su(1,1) symmetric space into the su(p,p) one."""
-
-from .algebra import SuPQShape, cartan_decompose, complex_structure, in_su_pp, su11_basis
-from .checker import EmbeddingCandidate, CheckReport, check_conditions, check_homomorphism
-from .gaussmat import GaussMatrix, GaussRational, bracket, char_poly, integer_spectrum
-from .ladder import classify_weight_data, derive_constraints, eliminate, verify_theorem
-from .numeric import minimize, residual
-from .weights import WeightData, enumerate_weight_data
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "EmbeddingCandidate",
-    "GaussMatrix",
-    "GaussRational",
-    "SuPQShape",
-    "WeightData",
-    "bracket",
-    "cartan_decompose",
-    "char_poly",
-    "check_conditions",
-    "check_homomorphism",
-    "classify_weight_data",
-    "complex_structure",
-    "derive_constraints",
-    "eliminate",
-    "enumerate_weight_data",
-    "in_su_pp",
-    "integer_spectrum",
-    "minimize",
-    "residual",
-    "su11_basis",
-    "verify_theorem",
-]

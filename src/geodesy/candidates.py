@@ -24,8 +24,8 @@ from typing import Dict, List
 
 from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
-from .gaussmat import ZERO, GaussMatrix, I
-from .ladder import DatumClassification, WitnessError, block_slot, instantiate_witness
+from .gaussmat import GaussMatrix, I
+from .ladder import DatumClassification, WitnessError, block_cells, instantiate_witness
 
 # a decimal integer piece of the wire format, and pieces joined by commas
 _PIECE = "-?[0-9]+"
@@ -265,15 +265,6 @@ def standard_trivial_candidate(p: int) -> EmbeddingCandidate:
 # Witness lift
 
 
-def _place(entries: list, n: int, r0: int, c0: int, block: GaussMatrix, conj: bool, negate: bool):
-    src = block.conj_transpose() if conj else block
-    if negate:
-        src = -src
-    for i in range(src.rows):
-        for j in range(src.cols):
-            entries[(r0 + i) * n + (c0 + j)] = src[i, j]
-
-
 def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
     """Assemble the candidate realized by a feasible classification.
 
@@ -298,16 +289,19 @@ def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
         values.update(instantiate_witness(system, verdict.witness))
     blocks = {**result.odd_system.blocks(), **result.even_system.blocks()}
 
-    x_entries = [ZERO] * (n * n)
-    y_entries = list(x_entries)
-    for label, value in sorted(values.items()):
-        (r0, _), (c0, _), sign = block_slot(blocks[label], layout)
-        _place(x_entries, n, r0, c0, value, conj=False, negate=False)
-        # the partner matrix carries sign * U* at the mirrored slot
-        _place(y_entries, n, c0, r0, value, conj=True, negate=sign < 0)
+    # the integer numerators of X and Y over the lcm of the block denominators
+    den = lcm(*(value.den for value in values.values()))
+    x_re, x_im, y_re, y_im = ([0] * (n * n) for _ in range(4))
+    for label, value in values.items():
+        _, x_cells, y_cells, sign = block_cells(blocks[label], layout)
+        f = den // value.den
+        for kx, ky, a, b in zip(x_cells, y_cells, value.re_num, value.im_num):
+            x_re[kx], x_im[kx] = a * f, b * f
+            # the partner matrix carries sign * U* at the mirrored slot
+            y_re[ky], y_im[ky] = sign * a * f, -sign * b * f
 
-    x = GaussMatrix._raw(n, n, tuple(x_entries))
-    y = GaussMatrix._raw(n, n, tuple(y_entries))
+    x = GaussMatrix._from_ints(n, n, den, x_re, x_im)
+    y = GaussMatrix._from_ints(n, n, den, y_re, y_im)
     h = GaussMatrix.diagonal(layout.weight_vector())
     f_u = x + y
     f_v = (x - y) * I

@@ -166,10 +166,6 @@ class GaussRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-
-
-ZERO = GaussRational(0)
-ONE = GaussRational(1)
 I = GaussRational(0, 1)
 
 Entry = Union[GaussRational, int, Fraction, complex, tuple]
@@ -200,10 +196,11 @@ class GaussMatrix:
 
     Entry k is (re_num[k] + im_num[k]*i) / den, with den > 0 sharing no
     factor with all the numerators.  ``entries``, ``m[i, j]`` and ``row``
-    give GaussRationals in lowest terms, built on first use.
+    give GaussRationals in lowest terms, built from the integers each time
+    they are asked for; ``row`` and ``m[i, j]`` build only what they return.
     """
 
-    __slots__ = ("rows", "cols", "den", "re_num", "im_num", "_entries")
+    __slots__ = ("rows", "cols", "den", "re_num", "im_num")
 
     def __init__(self, data: Sequence[Sequence[Entry]]):
         rows = len(data)
@@ -215,27 +212,18 @@ class GaussMatrix:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             ents.extend(GaussRational.of(x) for x in r)
-        ents = tuple(ents)
-        self._set(rows, cols, *_pack(ents), ents)
+        self._set(rows, cols, *_pack(ents))
 
-    def _set(self, rows, cols, den, re_num, im_num, entries):
+    def _set(self, rows, cols, den, re_num, im_num):
         setattr_ = object.__setattr__
         setattr_(self, "rows", rows)
         setattr_(self, "cols", cols)
         setattr_(self, "den", den)
         setattr_(self, "re_num", re_num)
         setattr_(self, "im_num", im_num)
-        setattr_(self, "_entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussMatrix is immutable")
-
-    @classmethod
-    def _raw(cls, rows: int, cols: int, entries: tuple) -> "GaussMatrix":
-        """A matrix from a row-major tuple of GaussRational entries."""
-        m = object.__new__(cls)
-        m._set(rows, cols, *_pack(entries), entries)
-        return m
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, den: int, re, im, reduced: bool = False) -> "GaussMatrix":
@@ -251,7 +239,7 @@ class GaussMatrix:
                 re = tuple(x // g for x in re)
                 im = tuple(x // g for x in im)
         m = object.__new__(cls)
-        m._set(rows, cols, den, re, im, None)
+        m._set(rows, cols, den, re, im)
         return m
 
     @classmethod
@@ -305,29 +293,25 @@ class GaussMatrix:
         # the lcm of reduced denominators keeps the form reduced (see _pack)
         return cls._from_ints(rows, width, den, re, im, reduced=True)
 
+    def _rationals(self, re, im) -> tuple:
+        """GaussRationals in lowest terms of the numerators re, im over den."""
+        d = self.den
+        return tuple(GaussRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im))
+
     @property
     def entries(self) -> tuple:
         """The row-major GaussRational entries, in lowest terms."""
-        ents = self._entries
-        if ents is None:
-            d = self.den
-            ents = tuple(
-                GaussRational(Fraction(x, d), Fraction(y, d))
-                for x, y in zip(self.re_num, self.im_num)
-            )
-            object.__setattr__(self, "_entries", ents)
-        return ents
+        return self._rationals(self.re_num, self.im_num)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return self._rationals(self.re_num[i * c : (i + 1) * c], self.im_num[i * c : (i + 1) * c])
 
     def __getitem__(self, key) -> GaussRational:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
         k = i * self.cols + j
-        if self._entries is not None:
-            return self._entries[k]
         return GaussRational(Fraction(self.re_num[k], self.den), Fraction(self.im_num[k], self.den))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "GaussMatrix":

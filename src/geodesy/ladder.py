@@ -15,9 +15,11 @@ equation is (w, pairs) with pairs of keys.  Deciding a sector builds no
 object per block or per term, and writes a block's label only where a
 certificate step or a witness names it.  SectorSystem.blocks() lists a
 system's blocks as label -> key, and block_slot places a block in the
-assembled triple; its spans give the block's shape.  These two serve the
-witnesses, the candidate lift, the feasible-shape check and the numeric
-oracle.
+assembled triple; its spans give the block's shape.  block_cells turns
+that slot into the flat positions of the block's entries in X and of
+their mirrored partners in Y, the one placement that the candidate lift
+and the numeric oracle share.  These serve the witnesses, the lift, the
+feasible-shape check and the oracle.
 
 Feasibility is decided by three replayable rules:
 
@@ -99,6 +101,22 @@ def block_slot(key: Key, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, in
     source_side = "plus" if kind == PLUS_RAISE else "minus"
     sign = +1 if kind == CROSS else -1
     return layout.span(target_side, src + 2), layout.span(source_side, src), sign
+
+
+def block_cells(key: Key, layout: Layout) -> Tuple[Tuple[int, int], List[int], List[int], int]:
+    """The block's shape, the row-major flat positions of its entries in X,
+    the flat positions of the mirrored entries in Y, and the partner sign.
+    Entry (i, j) of U sits at X[r0 + i, c0 + j] and, as sign times its
+    conjugate, at Y[c0 + j, r0 + i]; both matrices are n x n, n the
+    layout's size."""
+    (r0, r1), (c0, c1), sign = block_slot(key, layout)
+    n = layout.size
+    x_cells: List[int] = []
+    y_cells: List[int] = []
+    for i in range(r0, r1):  # row i of X, column i of Y
+        x_cells += range(i * n + c0, i * n + c1)
+        y_cells += range(c0 * n + i, c1 * n + i, n)
+    return (r1 - r0, c1 - c0), x_cells, y_cells, sign
 
 
 @dataclass

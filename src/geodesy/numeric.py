@@ -10,11 +10,12 @@ positive floor (evidence, not proof, for an infeasible one).
 Inside the descent a point is one flat complex vector: the blocks in label
 order, each block row-major.  ``_Problem`` precomputes where every entry
 lands, a flat index into X, a flat index into its partner Y and the partner
-sign, so assembling the triple is two index scatters and the gradient is
-one gather.  The weight operator H is diagonal, so H X - X H is a row and a
-column scaling.  Each accepted step hands its assembled X, Y and relation
-residual XY - YX - H on to the next gradient.  The public functions take
-and return a ``StructuredPoint``, one array per block label.
+sign, all taken from ``ladder.block_cells``, so assembling the triple is two
+index scatters and the gradient is one gather.  The weight operator H is
+diagonal, so H X - X H is a row and a column scaling.  Each accepted step
+hands its assembled X, Y and relation residual XY - YX - H on to the next
+gradient.  The public functions take and return a ``StructuredPoint``, one
+array per block label.
 
 The line search is exact.  Assembly is real-linear, so along the descent
 direction X and Y move linearly in the step size a, the relation residual
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ladder import block_slot, derive_constraints
+from .ladder import block_cells, derive_constraints
 from .weights import WeightData
 
 StructuredPoint = Dict[str, np.ndarray]
@@ -83,17 +84,15 @@ class _Problem:
         iy: List[int] = []
         sign: List[int] = []
         for label, key in derive_constraints(wd).blocks().items():
-            (r0, r1), (c0, c1), partner = block_slot(key, layout)
+            shape, x_cells, y_cells, partner = block_cells(key, layout)
             start = len(ix)
-            for i in range(r0, r1):
-                for j in range(c0, c1):
-                    ix.append(i * n + j)
-                    iy.append(n * n + j * n + i)
-            sign.extend([partner] * (len(ix) - start))
-            self.blocks.append((label, start, len(ix), (r1 - r0, c1 - c0)))
+            ix += x_cells
+            iy += y_cells
+            sign += [partner] * len(x_cells)
+            self.blocks.append((label, start, len(ix), shape))
         self.size = len(ix)
         self.ix = np.array(ix, dtype=np.intp)
-        self.iy = np.array(iy, dtype=np.intp)
+        self.iy = np.array(iy, dtype=np.intp) + n * n  # Y follows X in the stacked pair
         self.sign = np.array(sign, dtype=complex)
 
     def flatten(self, point: StructuredPoint) -> np.ndarray:

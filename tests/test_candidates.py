@@ -1,13 +1,18 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algebra_reference
+import lift_reference
 import wire_reference as ref
+from geodesy import candidates
 from geodesy.candidates import (
     CandidateFormatError,
     _entry_from_json,
@@ -26,7 +31,7 @@ from geodesy.candidates import (
     standard_trivial_candidate,
 )
 from geodesy.checker import check_conditions
-from geodesy.ladder import classify_weight_data
+from geodesy.ladder import block_cells, classify_weight_data
 from geodesy.weights import enumerate_weight_data
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
@@ -295,6 +300,48 @@ def test_lift_of_every_feasible_class_passes(tmp_path):
             path = tmp_path / "lift.json"
             save_candidate(candidate, path)
             assert load_candidate(path).f_u == candidate.f_u
+
+
+def feasible_results(max_p: int) -> list:
+    results = [classify_weight_data(wd) for p in range(1, max_p + 1) for wd in enumerate_weight_data(p)]
+    return [r for r in results if r.status == "feasible"]
+
+
+def assert_same_candidate(a, b):
+    assert (a.shape, a.f_u, a.f_v, a.f_w) == (b.shape, b.f_u, b.f_v, b.f_w)
+
+
+def test_lift_matches_reference_on_every_feasible_table():
+    results = feasible_results(4)
+    assert len(results) == 14
+    for result in results:
+        assert_same_candidate(lift_classification(result), lift_reference.lift_classification(result))
+
+
+def test_lift_places_dense_blocks_as_the_reference_does(monkeypatch):
+    # witness blocks are identities and zeros; dense Gaussian blocks with
+    # unequal denominators, on every block of every table, also exercise
+    # the conjugate, the partner sign and the common denominator
+    rng = random.Random(5)
+
+    def dense_blocks(system, witness):
+        layout = system.weight_data.layout()
+        values = {}
+        for label, key in system.blocks().items():
+            (rows, cols), _, _, _ = block_cells(key, layout)
+            values[label] = algebra_reference.matrix(rng, rows, cols) * Fraction(1, rng.choice((1, 2, 5, 7)))
+        return values
+
+    for p in (1, 2, 3):
+        for wd in enumerate_weight_data(p):
+            posed = SimpleNamespace(**vars(classify_weight_data(wd)), status="feasible")
+            state = rng.getstate()
+            monkeypatch.setattr(candidates, "instantiate_witness", dense_blocks)
+            lifted = lift_classification(posed)
+            rng.setstate(state)
+            monkeypatch.setattr(lift_reference, "instantiate_witness", dense_blocks)
+            assert_same_candidate(lifted, lift_reference.lift_classification(posed))
+            monkeypatch.undo()
 
 
 def test_lift_rejects_infeasible_results():

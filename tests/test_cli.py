@@ -441,7 +441,10 @@ def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
     assert all(line["best_s"] > 0 for line in lines)
     phases = Counter(line["phase"] for line in lines)
     # 20 candidates, of which the 10 sparse and dense ones pass and reach equivariance_test
-    assert phases == {"parse": 20, "check_conditions": 20, "equivariance_test": 10, "report": 20, "selftest": len(CHECKS)}
+    assert phases == {
+        "parse": 20, "check_conditions": 20, "equivariance_test": 10, "report": 20, "lift": 1, "selftest": len(CHECKS)
+    }
+    assert [(line["max_p"], line["tables"]) for line in lines if line["phase"] == "lift"] == [(4, 14)]
     assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 
 

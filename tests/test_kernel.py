@@ -59,15 +59,23 @@ def in_lowest_terms(x: Fraction) -> bool:
 
 
 def assert_canonical(m: GaussMatrix, expected: tuple) -> None:
-    """m's entries equal the reference's and every one is in lowest terms."""
+    """m's entries equal the reference's and every one is in lowest terms.
+
+    Entries are built when asked for, so ``row(i)`` must equal the slice
+    of ``entries`` and ``m[i, j]`` the matching entry, on m and on the
+    same integers passed to ``_from_ints``.
+    """
     rows, cols, entries = expected
     assert (m.rows, m.cols) == (rows, cols)
     assert m.entries == entries
     for e in m.entries:
         assert in_lowest_terms(e.re) and in_lowest_terms(e.im)
     fresh = GaussMatrix._from_ints(m.rows, m.cols, m.den, m.re_num, m.im_num, reduced=True)
-    assert tuple(fresh[i, j] for i in range(rows) for j in range(cols)) == entries
-    assert tuple(x for i in range(rows) for x in fresh.row(i)) == entries
+    for x in (m, fresh):
+        for i in range(rows):
+            assert x.row(i) == entries[i * cols : (i + 1) * cols]
+            for j in range(cols):
+                assert x[i, j] == entries[i * cols + j]
 
 
 @settings(deadline=None)
@@ -88,6 +96,12 @@ def test_linear_operations_match_reference(pair, s):
     assert_canonical(-a, ref.neg(ra))
     assert_canonical(a * s, ref.scale(ra, s))
     assert_canonical(s * a, ref.scale(ra, s))
+    # the other constructors: from GaussRationals, stacked blocks, a diagonal
+    assert_canonical(GaussMatrix([list(a.row(i)) for i in range(a.rows)]), ra)
+    assert_canonical(GaussMatrix.block([[a], [b]]), (2 * a.rows, a.cols, ra[2] + rb[2]))
+    k = len(ra[2])
+    diagonal = tuple(e if i == j else ZERO for i, e in enumerate(ra[2]) for j in range(k))
+    assert_canonical(GaussMatrix.diagonal(a.entries), (k, k, diagonal))
 
 
 @settings(deadline=None)

@@ -6,10 +6,12 @@ sector of rank p <= 6 the two must give equal verdicts (status, every
 certificate step field, witness) and accept the same certificates.  On
 every table of rank p <= 4 and both its sectors the lean system must equal
 the reference ``BlockSystem``: the same equations once the reference is
-written as tuples, the same block labels, and ``block_slot`` placing every
-block where ``BlockUnknown.slot`` does.  On arbitrary tables, inadmissible
-ones included, the two must agree except where the reference ends in its
-R4 mismatch contradiction, which the lean engine reports as unresolved.
+written as tuples, the same block labels, ``block_slot`` placing every
+block where ``BlockUnknown.slot`` does, and ``block_cells`` giving the flat
+positions of those spans in X and, mirrored, in Y.  On arbitrary tables,
+inadmissible ones included, the two must agree except where the reference
+ends in its R4 mismatch contradiction, which the lean engine reports as
+unresolved.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from geodesy.ladder import (
     PLUS_RAISE,
     ReplayError,
     Verdict,
+    block_cells,
     block_slot,
     derive_constraints,
     eliminate,
@@ -132,6 +135,15 @@ def assert_equals_reference(system, ref_system):
         rows, cols, sign = block_slot(key, layout)
         assert (rows, cols, sign) == unknown.slot(layout)
         assert (rows[1] - rows[0], cols[1] - cols[0]) == (unknown.rows, unknown.cols)
+        # block_cells: entry (i, j) at X[r0 + i, c0 + j] and Y[c0 + j, r0 + i], row-major
+        n = layout.size
+        cells = [(i, j) for i in range(*rows) for j in range(*cols)]
+        assert block_cells(key, layout) == (
+            (unknown.rows, unknown.cols),
+            [i * n + j for i, j in cells],
+            [j * n + i for i, j in cells],
+            sign,
+        )
 
 
 def test_lean_system_equals_reference_on_every_table():
