@@ -192,7 +192,10 @@ def cmd_classify(args) -> int:
     if args.max_weight is not None and args.max_weight < 1:
         print("error: --max-weight must be at least 1", file=sys.stderr)
         return 2
-    if args.emit_certs and args.p > MAX_CERT_P:
+    if args.emit_certs == "":
+        print("error: --emit-certs needs a directory", file=sys.stderr)
+        return 2
+    if args.emit_certs is not None and args.p > MAX_CERT_P:
         print(f"error: --emit-certs takes p between 1 and {MAX_CERT_P}", file=sys.stderr)
         return 2
     try:
@@ -203,7 +206,7 @@ def cmd_classify(args) -> int:
     except TheoremViolation as err:
         print(f"error: classification violated: {err}", file=sys.stderr)
         return 1
-    if args.emit_certs:
+    if args.emit_certs is not None:
         try:
             write_certificates(summary.results(), Path(args.emit_certs))
         except DigestCollision as err:
@@ -227,7 +230,7 @@ def cmd_classify(args) -> int:
             note = f" ({'; '.join(notes)})" if notes else ""
             print(f"  {cls.label()}{flag}: {cls.weight_data.describe()}{note}")
         print("theorem verified: every feasible class has all raising blocks zero")
-    if args.emit_certs:
+    if args.emit_certs is not None:
         print(f"wrote {summary.enumerated} certificates to {args.emit_certs}", file=sys.stderr)
     return 0
 
@@ -235,6 +238,9 @@ def cmd_classify(args) -> int:
 def cmd_oracle(args) -> int:
     if (args.plus is None) != (args.minus is None):
         print("error: --plus and --minus must be given together", file=sys.stderr)
+        return 2
+    if (args.p is None) == (args.plus is None):
+        print("error: give either p or --plus/--minus", file=sys.stderr)
         return 2
     if args.plus is not None:
         try:
@@ -245,14 +251,11 @@ def cmd_oracle(args) -> int:
         except (CandidateFormatError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-    elif args.p is not None:
-        if args.p < 1:
-            print("error: p must be at least 1", file=sys.stderr)
-            return 2
-        wd = WeightData({1: args.p}, {-1: args.p})
-    else:
-        print("error: give either p or --plus/--minus", file=sys.stderr)
+    elif args.p < 1:
+        print("error: p must be at least 1", file=sys.stderr)
         return 2
+    else:
+        wd = WeightData({1: args.p}, {-1: args.p})
     if args.restarts < 1:
         print("error: --restarts must be at least 1", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ silently dropped.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -596,15 +596,27 @@ class ClassificationSummary:
     p: int
     max_weight: int
     enumerated: int
-    feasible: int
-    infeasible: int
-    unresolved: int
-    classes: List[FeasibleClass]
+    classes: List[FeasibleClass]  # one per feasible table
+
+    @property
+    def feasible(self) -> int:
+        return len(self.classes)
+
+    @property
+    def infeasible(self) -> int:
+        return self.enumerated - self.feasible
+
+    @property
+    def unresolved(self) -> int:
+        """Always 0: verify_theorem raises UnresolvedRemains otherwise."""
+        return 0
 
     def results(self) -> Iterator[DatumClassification]:
-        """Every enumerated table's classification, its sectors decided
-        again: an even group's sectors all together, then each odd sector
-        of the partner group in turn, so each is derived once per pass."""
+        """Every enumerated table's classification, in the group order of
+        weights.enumerate_sectors.  verify_theorem keeps no infeasible
+        sector, so each sector is derived and eliminated here in full: an
+        even group's sectors all together, then each odd sector of the
+        partner group in turn, so each is derived once per pass."""
         odd, even = enumerate_sectors(self.p, self.max_weight)
         for odd_group, even_group in pair_sectors(self.p, odd, even):
             evens = [(e, *_derive_and_eliminate(e, "even")) for e in even_group]
@@ -702,11 +714,12 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     at a time.
 
     A table is one odd sector joined with one even sector of complementary
-    dimensions (weights.iter_sectors), and a sector splits the weights of a
-    sum of irreducibles between the two sides (weights.iter_spectra).  Only
-    the status counts of each (parity, dimensions) group and the feasible
-    sectors are kept.  The table counts come from the per-group products,
-    and a table is built only when both its sectors are feasible.
+    dimensions (weights.enumerate_sectors), and a sector splits the weights
+    of a sum of irreducibles between the two sides (weights.iter_spectra).
+    Only the sector count of each (parity, dimensions) group and its walked
+    sectors that are not infeasible are kept.  The table counts come from
+    the per-group products, and a table is built only when both its sectors
+    are feasible.
 
     A sector's head key is its parity, a marker, and whether each head
     weight is a plus weight and whether it is a minus weight.  Each key is
@@ -729,19 +742,23 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
       infeasible verdict reads only signs, so it holds for every
       multiplicity of the support (_rule).
 
-    Every sector of a sum starts out counted infeasible: the group of each
+    Every sector of a sum is counted in its group: the group of each
     dimension d gets the number of splits with d on plus
     (weights.count_splits).  A head weight sends none, some or all of its
     copies to plus, and all the picks of one such class share a key, so
     the classes whose key is not infeasible are found once per head shape
     (parity, marker, min(t, 2) per head weight).  Only they are walked,
     one head pick at a time, and each of their sectors goes through
-    derivation and elimination in full, which moves it from the
-    infeasible count to its own status: terminal recognition compares
+    derivation and elimination in full and is kept, with its system and
+    verdict, unless it is infeasible: terminal recognition compares
     dimensions, and a feasible sector keeps its own system.  So the code
-    assumes nothing of the lemma.  Every window is infeasible and 6 of the
-    80 supports are feasible, so every rank from 5 on decides the same 95
-    keys and walks only the classes of the feasible supports.
+    assumes nothing of the lemma.  Every sector not kept is infeasible, so
+    a group pair with k_odd and k_even sectors kept, f_odd and f_even of
+    them feasible, has f_odd * f_even feasible tables and k_odd * k_even -
+    f_odd * f_even unresolved ones; the first of these is named from the
+    kept sectors.  Every window is infeasible and 6 of the 80 supports are
+    feasible, so every rank from 5 on decides the same 95 keys and walks
+    only the classes of the feasible supports.
 
     Raises UnresolvedRemains if any verdict is unresolved and
     TheoremViolation if a feasible class is not totally geodesic in shape
@@ -749,10 +766,8 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     """
     if max_weight is None:
         max_weight = 2 * p - 1
-    # per parity: dims -> (status counts, feasible (sector, system, verdict)s)
-    groups: Tuple[Dict[Dims, Tuple[Counter, list]], ...] = tuple(
-        defaultdict(lambda: (Counter(), [])) for _ in range(2)
-    )
+    # per parity: dims -> [sector count, kept (sector, system, verdict)s]
+    groups: Tuple[Dict[Dims, list], ...] = (defaultdict(lambda: [0, []]), defaultdict(lambda: [0, []]))
     head_status = cache(_head_status)
 
     @cache
@@ -769,8 +784,8 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
         # the sum's groups, created in order of d as pair_sectors reads them
         cells = [groups[parity][d, size - d] for d in dims]
         n_all = count_splits(totals)
-        for d, (statuses, _) in zip(dims, cells):
-            statuses["infeasible"] += n_all[d]
+        for d, cell in zip(dims, cells):
+            cell[0] += n_all[d]
         if not weights or weights[0] < 3:  # the support inside {1, -1} or {2, 0, -2}
             held = dict(zip(weights, totals))
             weights = range(2 - parity, parity - 3, -2)
@@ -780,7 +795,7 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
             # no copy, every copy or 1..t - 1 of the t copies on plus
             picks = ((0,) if c == 0 else (t,) if c == s else range(1, t) for c, s, t in zip(cls, shape, totals))
             for head in product(*picks):
-                for d, (statuses, feasible) in zip(dims, cells):
+                for d, (_, kept) in zip(dims, cells):
                     for tail in _splits(rest, d - sum(head)):
                         pick = head + tail
                         wd = WeightData._trusted(
@@ -788,40 +803,31 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
                             {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
                         )
                         system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
-                        statuses["infeasible"] -= 1
-                        statuses[verdict.status] += 1
-                        if verdict.status == "feasible":
-                            feasible.append((wd, system, verdict))
+                        if verdict.status != "infeasible":
+                            kept.append((wd, system, verdict))
 
-    counts: Counter = Counter()
+    enumerated = unresolved = 0
     tables = []
-    for (odd, odd_feasible), (even, even_feasible) in pair_sectors(p, groups[1], groups[0]):
+    for (n_odd, odd), (n_even, even) in pair_sectors(p, groups[1], groups[0]):
         # a table is infeasible if a sector is, else unresolved if a sector is
-        n_odd, n_even = sum(odd.values()), sum(even.values())
-        open_tables = (n_odd - odd["infeasible"]) * (n_even - even["infeasible"])
-        both = odd["feasible"] * even["feasible"]
-        counts.update(infeasible=n_odd * n_even - open_tables, unresolved=open_tables - both, feasible=both)
+        odd_feasible, even_feasible = ([k for k in group if k[2].status == "feasible"] for group in (odd, even))
+        enumerated += n_odd * n_even
+        unresolved += len(odd) * len(even) - len(odd_feasible) * len(even_feasible)
         tables += [
             DatumClassification(o.combine(e), o_system, e_system, o_verdict, e_verdict)
             for o, o_system, o_verdict in odd_feasible
             for e, e_system, e_verdict in even_feasible
         ]
-    summary = ClassificationSummary(
-        p=p,
-        max_weight=max_weight,
-        enumerated=sum(counts.values()),
-        feasible=counts["feasible"],
-        infeasible=counts["infeasible"],
-        unresolved=0,
-        classes=[],
-    )
-
-    if counts["unresolved"]:
-        first = next(r for r in summary.results() if r.status == "unresolved")
-        raise UnresolvedRemains(
-            f"{counts['unresolved']} weight table(s) unresolved, first: "
-            f"{first.weight_data.describe()}"
+    if unresolved:
+        first = next(
+            o.combine(e)
+            for (_, odd), (_, even) in pair_sectors(p, groups[1], groups[0])
+            for o, _, o_verdict in odd
+            for e, _, e_verdict in even
+            if "unresolved" in (o_verdict.status, e_verdict.status)
         )
+        raise UnresolvedRemains(f"{unresolved} weight table(s) unresolved, first: {first.describe()}")
+    summary = ClassificationSummary(p=p, max_weight=max_weight, enumerated=enumerated, classes=[])
     for r in tables:
         _check_feasible_shape(r)
         summary.classes.append(

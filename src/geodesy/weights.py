@@ -322,25 +322,13 @@ def iter_spectra(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, i
                 yield (parity, size, dims, *_spectrum(partition))
 
 
-def spectrum_sectors(
-    size: int, dims: range, weights: Sequence[int], totals: Sequence[int]
-) -> Iterator[Tuple[Dims, WeightData]]:
-    """The sectors of one entry of iter_spectra, as ((dim_plus, dim_minus),
-    sector): for each d in dims, the splits of totals with d on the plus
-    side, in _splits order."""
-    # pick[i] copies of weights[i] go to plus and the rest to minus.  The
-    # rest is the complement pick of dimension size - d, and complements
-    # run in reverse order, so each block dict is built once and shared.
-    blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
-    for d in dims:
-        for sector in map(WeightData._trusted, blocks[d], reversed(blocks[size - d])):
-            yield (d, size - d), sector
-
-
-def iter_sectors(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, Dims, WeightData]]:
+def enumerate_sectors(
+    p: int, max_weight: int | None = None
+) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
     """The admissible single-parity tables that can pair into rank p, as
-    (parity, (dim_plus, dim_minus), sector): the sectors of each entry of
-    iter_spectra in turn, so the odd ones (parity 1) first.
+    (odd, even), each mapping (dim_plus, dim_minus) to its sectors: the
+    sectors of each entry of iter_spectra in turn, for each d in its dims
+    the splits of its totals with d on the plus side, in _splits order.
 
     Admissibility only links weights of the same parity, so a table of rank
     p is exactly one odd sector with dimensions (a, b) joined with one even
@@ -350,18 +338,15 @@ def iter_sectors(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, D
     has dimension at most p.  The empty sector has dimensions (0, 0).  A
     sector of dimensions (a, b) has no weight above a + b - 1.
     """
-    for parity, *spectrum in iter_spectra(p, max_weight):
-        for dims, sector in spectrum_sectors(*spectrum):
-            yield parity, dims, sector
-
-
-def enumerate_sectors(
-    p: int, max_weight: int | None = None
-) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
-    """iter_sectors grouped: (odd, even), each mapping dimensions to sectors."""
     sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
-    for parity, dims, sector in iter_sectors(p, max_weight):
-        sectors[1 - parity].setdefault(dims, []).append(sector)
+    for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
+        # pick[i] copies of weights[i] go to plus and the rest to minus.  The
+        # rest is the complement pick of dimension size - d, and complements
+        # run in reverse order, so each block dict is built once and shared.
+        blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
+        for d in dims:
+            group = sectors[1 - parity].setdefault((d, size - d), [])
+            group += map(WeightData._trusted, blocks[d], reversed(blocks[size - d]))
     return sectors
 
 

@@ -193,6 +193,15 @@ def test_classify_refuses_certificates_past_their_cap(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_classify_refuses_an_empty_certificate_directory(tmp_path, monkeypatch, capsys):
+    # an empty DIR would be the working directory; nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert run(["classify", "2", "--emit-certs", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --emit-certs needs a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_text_output(capsys):
     code = run(["classify", "1"])
     out = capsys.readouterr().out
@@ -332,6 +341,9 @@ def test_oracle_malformed_pattern(capsys):
     capsys.readouterr()
     assert run(["oracle"]) == 2
     capsys.readouterr()
+    # a rank and a pattern together: neither is run
+    assert run(["oracle", "3", "--plus", "1:1", "--minus", "-1:1", "--restarts", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: give either p or --plus/--minus\n")
 
 
 @pytest.mark.parametrize("plus", ["true:1", "1.5:1", "1:0", "1:1,0:0"])

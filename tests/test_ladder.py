@@ -34,7 +34,7 @@ from geodesy.ladder import (
     verify_witness,
 )
 from geodesy.cli import MAX_P
-from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, iter_sectors, pair_sectors
+from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data, pair_sectors
 
 
 # -- derivation ---------------------------------------------------------
@@ -555,6 +555,14 @@ def test_verify_theorem_decides_only_the_keys_of_head_keys(monkeypatch, p, max_w
         assert (len(set(keys) & windows), len(set(keys) & supports)) == (54, 41)
 
 
+def all_sectors(p, max_weight=None):
+    """(parity, dims, sector) for every sector of enumerate_sectors, the odd ones first."""
+    for parity, groups in zip((1, 0), enumerate_sectors(p, max_weight)):
+        for dims, group in groups.items():
+            for wd in group:
+                yield parity, dims, wd
+
+
 def top_weight(wd):
     return max(wd.all_weights(), default=0)
 
@@ -584,7 +592,7 @@ def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
 
     under_window = [
-        wd for sector_parity, _, wd in iter_sectors(p)
+        wd for sector_parity, _, wd in all_sectors(p)
         if sector_parity == parity and top_weight(wd) >= 3 and window_key(parity, wd) == window
     ]
     assert under_window or (p, parity) == (2, 0)  # no even sum has W >= 3 at p = 2
@@ -609,7 +617,7 @@ def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkey
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
     assert len(keys) == len(set(keys))
-    assert len(derived) == len(keys) + sum(1 for _ in iter_sectors(p, max_weight))
+    assert len(derived) == len(keys) + sum(1 for _ in all_sectors(p, max_weight))
 
 
 @pytest.mark.parametrize(
@@ -618,9 +626,9 @@ def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkey
 )
 def test_verify_theorem_matches_direct_elimination_of_every_sector(p, max_weight):
     # verify_theorem against the direct elimination of every sector of
-    # iter_sectors; with max_weight <= 2 every key is a small support
+    # enumerate_sectors; with max_weight <= 2 every key is a small support
     groups = (defaultdict(list), defaultdict(list))  # by parity: dims -> (sector, verdict)s
-    for parity, dims, wd in iter_sectors(p, max_weight):
+    for parity, dims, wd in all_sectors(p, max_weight):
         groups[parity][dims].append((wd, _derive_and_eliminate(wd, "odd" if parity else "even")[1]))
     counts, classes = Counter(), []
     for odd, even in pair_sectors(p, groups[1], groups[0]):
@@ -680,7 +688,12 @@ def test_verify_theorem_flags_unresolved(monkeypatch):
     def fake_eliminate(system):
         return Verdict("unresolved", system.sector, detail="forced for the test")
 
+    def no_results(self):
+        raise AssertionError("the unresolved count and the first table come from the kept sectors")
+
     monkeypatch.setattr(ladder_mod, "eliminate", fake_eliminate)
+    # naming the first unresolved table must not decide every sector again
+    monkeypatch.setattr(ladder_mod.ClassificationSummary, "results", no_results)
     with pytest.raises(UnresolvedRemains) as err:
         ladder_mod.verify_theorem(1)
     assert str(err.value) == "3 weight table(s) unresolved, first: plus {0:1} minus {0:1}"
@@ -818,7 +831,7 @@ def without_dims(system):
 def test_a_sector_with_top_weight_3_or_more_is_decided_by_its_top_window(p):
     # what verify_theorem's window dict relies on: the window has the
     # sector's top equations, and both are infeasible
-    for _, _, wd in iter_sectors(p):
+    for _, _, wd in all_sectors(p):
         if max(wd.all_weights(), default=0) < 3:
             continue
         window = top_system(top_window(wd))
