@@ -12,7 +12,8 @@ for a candidate that passes, as the CLI does) and ``report``
 ``lift_classification`` of every feasible table of rank p <= 4, and one
 line per ``selftest`` check, run with the workload's 6 samples where the
 check takes a sample count.  Each line gives the best of --repeat wall
-times in seconds.
+times in seconds.  The output ends with one ``{"phase": ..., "total_s":
+...}`` line per phase, the sum of its best times over all lines.
 """
 
 import argparse
@@ -55,7 +56,10 @@ def main() -> None:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
+    totals = {}
+
     def emit(**line) -> None:
+        totals[line["phase"]] = totals.get(line["phase"], 0.0) + line["best_s"]
         print(json.dumps(line), flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,6 +84,8 @@ def main() -> None:
         kwargs = {"samples": SELFTEST_SAMPLES} if "samples" in inspect.signature(fn).parameters else {}
         best, _ = best_of(args.repeat, lambda: fn(**kwargs))
         emit(phase="selftest", check=name, best_s=best)
+    for phase, total in totals.items():
+        print(json.dumps({"phase": phase, "total_s": round(total, 7)}), flush=True)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ decimal pattern and converted to ints, brought over the lcm of the
 denominators and reduced once, so files may hold unreduced entries and
 negative denominators.  Only a matrix that fails the check is read again
 entry by entry, to name its first defect.  It is written straight from
-that form, each part in lowest terms with a positive denominator.
-``json_text`` writes every JSON document of the package.
+that form, each part in lowest terms with a positive denominator:
+``json_text`` writes every JSON document of the package, and a
+``GaussMatrix`` placed in a document is written from its integers with
+one format per matrix, without building the nested lists of strings.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import chain
 from json.encoder import INFINITY
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
+from operator import floordiv
 from typing import Dict, List
 
 from .algebra import SuPQShape
@@ -102,14 +105,35 @@ def _write(x, out: List[str], nl: str) -> None:
             _write(v, out, inner)
             sep = "," + inner
         out.append(nl + "}")
+    elif isinstance(x, GaussMatrix):
+        out.append(_matrix_text(x, nl))
     else:
         out.append(_scalar(x))
 
 
-def _entry_to_json(re: int, im: int, den: int) -> List[str]:
-    """The wire entry of (re + im*i) / den, each part in lowest terms."""
-    g, h = gcd(re, den), gcd(im, den)
-    return [str(re // g), str(den // g), str(im // h), str(den // h)]
+def _wire_ints(m: GaussMatrix) -> list:
+    """The pieces of m's wire entries as ints, entry after entry: re_num,
+    re_den, im_num, im_den, each part in lowest terms."""
+    d, re, im = m.den, m.re_num, m.im_num
+    out = [1] * (4 * len(re))
+    if d == 1:
+        out[0::4], out[2::4] = re, im
+        return out
+    dens = [d] * len(re)
+    g, h = list(map(gcd, re, dens)), list(map(gcd, im, dens))
+    out[0::4], out[1::4] = map(floordiv, re, g), map(floordiv, dens, g)
+    out[2::4], out[3::4] = map(floordiv, im, h), map(floordiv, dens, h)
+    return out
+
+
+def _matrix_text(m: GaussMatrix, nl: str) -> str:
+    """``json_text`` of ``_matrix_to_json(m)`` on a line indented as nl, a
+    newline plus the indent: one template per matrix, filled by one %."""
+    row_nl, entry_nl, piece_nl = nl + "  ", nl + "    ", nl + "      "
+    entry = "[" + piece_nl + ("," + piece_nl).join(['"%d"'] * 4) + entry_nl + "]"
+    row = "[" + entry_nl + ("," + entry_nl).join([entry] * m.cols) + row_nl + "]"
+    text = "[" + row_nl + ("," + row_nl).join([row] * m.rows) + nl + "]"
+    return text % tuple(_wire_ints(m))
 
 
 def _entry_from_json(raw, where: str) -> List[int]:
@@ -134,8 +158,10 @@ def _entry_from_json(raw, where: str) -> List[int]:
 
 
 def _matrix_to_json(m: GaussMatrix) -> list:
-    d, c = m.den, m.cols
-    flat = [_entry_to_json(x, y, d) for x, y in zip(m.re_num, m.im_num)]
+    """The wire matrix: rows of entries of four decimal strings."""
+    pieces = list(map(str, _wire_ints(m)))
+    flat = [pieces[k : k + 4] for k in range(0, len(pieces), 4)]
+    c = m.cols
     return [flat[k : k + c] for k in range(0, len(flat), c)]
 
 
@@ -213,8 +239,9 @@ def candidate_from_json_dict(doc) -> EmbeddingCandidate:
 
 
 def save_candidate(c: EmbeddingCandidate, path) -> None:
+    doc = {"p": c.shape.p, "f_u": c.f_u, "f_v": c.f_v, "f_w": c.f_w}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(candidate_to_json_dict(c)) + "\n")
+        fh.write(json_text(doc) + "\n")
 
 
 def load_candidate(path) -> EmbeddingCandidate:

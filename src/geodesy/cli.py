@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .candidates import CandidateFormatError, _matrix_to_json, json_text, load_candidate
+from .candidates import CandidateFormatError, json_text, load_candidate
 from .checker import CheckReport, check_conditions, equivariance_test
 from .ladder import TheoremViolation, UnresolvedRemains, verify_theorem
 from .numeric import minimize
@@ -104,8 +104,7 @@ def _report_json(path: str, p: int, report: CheckReport, equivariant: bool) -> d
         "failures": list(report.failures),
     }
     for name in ("fc_u", "fc_v", "fp_u", "fp_v"):
-        m = getattr(report, name)
-        doc[name] = _matrix_to_json(m) if m is not None else None
+        doc[name] = getattr(report, name)  # a GaussMatrix or None, as json_text writes them
     if report.h_spectrum is not None:
         doc["weight_spectrum"] = report.h_spectrum.to_json_dict()
     else:

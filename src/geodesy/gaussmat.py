@@ -371,33 +371,8 @@ class GaussMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        ar, ai = self.re_num, self.im_num
-        br, bi = other.re_num, other.im_num
-        b_real = not any(bi)
-        zero = [0] * m
-        out_re, out_im = [], []
-        for i in range(n):
-            acc_re = acc_im = zero
-            for t in range(k):
-                x, y = ar[i * k + t], ai[i * k + t]
-                if not (x or y):
-                    continue
-                rr, ri = br[t * m : (t + 1) * m], bi[t * m : (t + 1) * m]
-                if not y:
-                    acc_re = [s + x * q for s, q in zip(acc_re, rr)]
-                    if not b_real:
-                        acc_im = [s + x * q for s, q in zip(acc_im, ri)]
-                elif not x:
-                    acc_im = [s + y * q for s, q in zip(acc_im, rr)]
-                    if not b_real:
-                        acc_re = [s - y * q for s, q in zip(acc_re, ri)]
-                else:
-                    acc_re = [s + x * q - y * r for s, q, r in zip(acc_re, rr, ri)]
-                    acc_im = [s + x * r + y * q for s, q, r in zip(acc_im, rr, ri)]
-            out_re += acc_re
-            out_im += acc_im
-        return GaussMatrix._from_ints(n, m, self.den * other.den, out_re, out_im)
+        re, im = _product(self, other)
+        return GaussMatrix._from_ints(self.rows, other.cols, self.den * other.den, re, im)
 
     def conj_transpose(self) -> "GaussMatrix":
         c = self.cols
@@ -515,11 +490,50 @@ def _bareiss(re_rows: list, im_rows: list, pivot_cols: int) -> tuple:
     return pivots, (qr, qi)
 
 
+def _product(a: GaussMatrix, b: GaussMatrix) -> tuple:
+    """The real and imaginary numerator lists of a @ b over a.den * b.den,
+    not reduced; a.cols must equal b.rows.  Zero entries of a are skipped."""
+    n, k, m = a.rows, a.cols, b.cols
+    ar, ai = a.re_num, a.im_num
+    br, bi = b.re_num, b.im_num
+    b_real = not any(bi)
+    zero = [0] * m
+    out_re, out_im = [], []
+    for i in range(n):
+        acc_re = acc_im = zero
+        for t in range(k):
+            x, y = ar[i * k + t], ai[i * k + t]
+            if not (x or y):
+                continue
+            rr, ri = br[t * m : (t + 1) * m], bi[t * m : (t + 1) * m]
+            if not y:
+                acc_re = [s + x * q for s, q in zip(acc_re, rr)]
+                if not b_real:
+                    acc_im = [s + x * q for s, q in zip(acc_im, ri)]
+            elif not x:
+                acc_im = [s + y * q for s, q in zip(acc_im, rr)]
+                if not b_real:
+                    acc_re = [s - y * q for s, q in zip(acc_re, ri)]
+            else:
+                acc_re = [s + x * q - y * r for s, q, r in zip(acc_re, rr, ri)]
+                acc_im = [s + x * r + y * q for s, q, r in zip(acc_im, rr, ri)]
+        out_re += acc_re
+        out_im += acc_im
+    return out_re, out_im
+
+
 def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """Commutator ab - ba, exact; both arguments must be square and same size."""
+    """Commutator ab - ba, exact; both arguments must be square and same size.
+
+    Both products lie over a.den * b.den, so they are subtracted as
+    integers and the difference is reduced once."""
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("bracket needs square matrices of equal size")
-    return (a @ b) - (b @ a)
+    ab_re, ab_im = _product(a, b)
+    ba_re, ba_im = _product(b, a)
+    return GaussMatrix._from_ints(
+        a.rows, a.rows, a.den * b.den, map(sub, ab_re, ba_re), map(sub, ab_im, ba_im)
+    )
 
 
 # ----------------------------------------------------------------------

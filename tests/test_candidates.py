@@ -16,7 +16,6 @@ from geodesy import candidates
 from geodesy.candidates import (
     CandidateFormatError,
     _entry_from_json,
-    _entry_to_json,
     _matrix_from_json,
     _matrix_to_json,
     _pieces,
@@ -31,8 +30,10 @@ from geodesy.candidates import (
     standard_trivial_candidate,
 )
 from geodesy.checker import check_conditions
+from geodesy.gaussmat import GaussMatrix
 from geodesy.ladder import block_cells, classify_weight_data
 from geodesy.weights import enumerate_weight_data
+from test_kernel import SIZES, matrices
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
 
@@ -130,7 +131,7 @@ def test_entry_grid_round_trip(p, data):
         for j in range(n):
             a, b, c, d = _entry_from_json(list(grid[i][j]), "x")
             den = lcm(b, d)
-            wire = _entry_to_json(a * (den // b), c * (den // d), den)
+            wire = _matrix_to_json(GaussMatrix._from_ints(1, 1, den, [a * (den // b)], [c * (den // d)]))[0][0]
             assert wire == ref._entry_to_json(ref._entry_from_json(list(grid[i][j]), "x"))
             a2, b2, c2, d2 = _entry_from_json(wire, "x")
             assert (Fraction(a2, b2), Fraction(c2, d2)) == (Fraction(a, b), Fraction(c, d))
@@ -275,6 +276,36 @@ json_documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_text_matches_json_dumps(doc):
     assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def as_wire_lists(doc):
+    """doc with every GaussMatrix replaced by its wire lists."""
+    if isinstance(doc, GaussMatrix):
+        return _matrix_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: as_wire_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_wire_lists(v) for v in doc]
+    return doc
+
+
+@st.composite
+def any_matrices(draw):
+    """Matrices of 1 x 1 up to 4 x 4 and every shape between, zero ones and
+    ones with den > 1, negative and purely imaginary entries included."""
+    return draw(matrices(draw(SIZES), draw(SIZES)))
+
+
+@given(any_matrices(), any_matrices(), any_matrices(), st.none() | json_ints | json_strings)
+@settings(max_examples=200, deadline=None)
+def test_json_text_writes_matrices_as_their_wire_lists(top, value, deep, other):
+    docs = (
+        top,
+        {"report": value, "note": other, "rows": [[deep, other], other]},
+        [other, [[deep, top], {"m": value}]],
+    )
+    for doc in docs:
+        assert json_text(doc) == json.dumps(as_wire_lists(doc), indent=2, sort_keys=True)
 
 
 def test_json_text_rejects_what_json_rejects():

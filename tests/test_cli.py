@@ -450,12 +450,19 @@ def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
     )
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
+    # the output ends with one total per phase, in the order phases first appear
+    totals = [line for line in lines if "total_s" in line]
+    lines = lines[: len(lines) - len(totals)]
     assert all(line["best_s"] > 0 for line in lines)
     phases = Counter(line["phase"] for line in lines)
     # 20 candidates, of which the 10 sparse and dense ones pass and reach equivariance_test
     assert phases == {
         "parse": 20, "check_conditions": 20, "equivariance_test": 10, "report": 20, "lift": 1, "selftest": len(CHECKS)
     }
+    assert [line["phase"] for line in totals] == list(phases)
+    for line in totals:
+        best = sum(x["best_s"] for x in lines if x["phase"] == line["phase"])
+        assert line["total_s"] == pytest.approx(best, abs=1e-6)
     assert [(line["max_p"], line["tables"]) for line in lines if line["phase"] == "lift"] == [(4, 14)]
     assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 

@@ -11,7 +11,10 @@ printed by ``json.dumps``, before the integer wire format.  The
 and eliminated on its own, before tables were classified by sector: the
 verdicts, counts, class order and certificates must not depend on how
 the work is shared.  The ``oracle`` digests pin the floating-point
-trajectory of seeded descents.
+trajectory of seeded descents.  The ``exact`` digests cover the seeded
+candidates of the benchmark's ``exact`` workload, p = 2..6 dense, sparse,
+non-compact and broken; they were recorded while report matrices were
+still written as nested lists and each bracket took two full products.
 """
 
 import contextlib
@@ -152,6 +155,14 @@ ORACLE_GOLDEN = {
     ("oracle", "--plus", "2:1,1:2,0:1", "--minus", "0:2,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
         "a666ab05dab4da4ccf4c1d9e12b44fe10d611b8cda70ed74089c1fc01083f793",
 }
+# seed of bench/exact_inputs.py -> one sha256 over the exit code and the
+# stdout of `check FILE --json` for its 20 candidates, in manifest order
+EXACT_GOLDEN = {
+    1: "e6d4b7cf913232a47fde94b6d18b70731fcb6cb49466256ccb9247c28f00b75f",
+    77: "c011d7377bec2361321d2f725f043a0e0eca165bc9f0be72a222e9fade6d5be2",
+    401: "d625cbb6ff04da44ae8fc51b0266d4dcb21b6b22173ada9a8dd4e235bcf0fa51",
+    6007: "2e1c74b8dca18b9ee0390bc1743fd100cdb99fc3d28c490936b5d4be4be40fc9",
+}
 # one sha256 over the sorted (file name, bytes) pairs of the certificates
 # that `classify p --emit-certs` writes for p = 1..4
 CERTIFICATES_GOLDEN = "d845ec37691224be0a235206dcdeb0e8f4c4a954b89bf5dbb64c6f0da4a69d73"
@@ -186,6 +197,22 @@ def test_check_json_matches_golden_digest(name, tmp_path, monkeypatch):
     else:
         monkeypatch.chdir(ROOT)
     assert check_json_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_GOLDEN))
+def test_check_json_of_exact_inputs_matches_golden_digest(seed, tmp_path, monkeypatch):
+    # bench/ is read, not changed; relative names keep the `path` field stable
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import exact_inputs
+
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for entry in exact_inputs.generate(seed, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(["check", entry["file"], "--json"])
+        digest.update(f"{code}\0{out.getvalue()}\0".encode())
+    assert digest.hexdigest() == EXACT_GOLDEN[seed]
 
 
 @pytest.mark.parametrize("argv", sorted(CLASSIFY_GOLDEN), ids=" ".join)

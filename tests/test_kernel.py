@@ -8,11 +8,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from geodesy.gaussmat import GaussMatrix, GaussRational, char_poly
+from geodesy.gaussmat import GaussMatrix, GaussRational, bracket, char_poly
 
 SIZES = st.integers(1, 4)
 ZERO = GaussRational(0)
@@ -84,6 +84,19 @@ def test_matmul_matches_reference(n, k, m, data):
     a = data.draw(matrices(n, k))
     b = data.draw(matrices(k, m))
     assert_canonical(a @ b, ref.matmul(ref.unpack(a), ref.unpack(b)))
+
+
+@settings(deadline=None)
+@given(SIZES, st.data())
+def test_bracket_matches_reference(n, data):
+    # the two products are subtracted as integers over a.den * b.den and
+    # reduced once; unequal denominators make that reduction do work
+    a, b = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+    assume(a.den != b.den)
+    ra, rb = ref.unpack(a), ref.unpack(b)
+    assert_canonical(bracket(a, b), ref.sub(ref.matmul(ra, rb), ref.matmul(rb, ra)))
+    zero = bracket(a, a)
+    assert zero == GaussMatrix.zeros(n, n) and zero.den == 1
 
 
 @settings(deadline=None)
