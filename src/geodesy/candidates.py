@@ -41,12 +41,14 @@ class CandidateFormatError(ValueError):
 
 
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, of doc
+    with each ``GaussMatrix`` in it replaced by its wire lists.
 
     The standard library falls back to its pure-Python encoder whenever
-    ``indent`` is set.  This writer walks the document the same way, but
-    writes a list of plain strings, such as a matrix entry, with one join
-    of the C string encoder.  Tuples are written as lists.
+    ``indent`` is set, and cannot write a ``GaussMatrix`` at all.  This
+    writer walks the document the same way, and writes a ``GaussMatrix``
+    straight from its integers through ``_matrix_text``, one format per
+    matrix.  Tuples are written as lists.
     """
     out: List[str] = []
     _write(doc, out, "\n")
@@ -83,11 +85,6 @@ def _write(x, out: List[str], nl: str) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        try:  # a list of strings, such as a matrix entry, in one join
-            out.append("[" + inner + ("," + inner).join(map(_quote, x)) + nl + "]")
-            return
-        except TypeError:  # an item that is not a string
-            pass
         sep = "[" + inner
         for v in x:
             out.append(sep)
@@ -111,29 +108,24 @@ def _write(x, out: List[str], nl: str) -> None:
         out.append(_scalar(x))
 
 
-def _wire_ints(m: GaussMatrix) -> list:
-    """The pieces of m's wire entries as ints, entry after entry: re_num,
-    re_den, im_num, im_den, each part in lowest terms."""
-    d, re, im = m.den, m.re_num, m.im_num
-    out = [1] * (4 * len(re))
-    if d == 1:
-        out[0::4], out[2::4] = re, im
-        return out
-    dens = [d] * len(re)
-    g, h = list(map(gcd, re, dens)), list(map(gcd, im, dens))
-    out[0::4], out[1::4] = map(floordiv, re, g), map(floordiv, dens, g)
-    out[2::4], out[3::4] = map(floordiv, im, h), map(floordiv, dens, h)
-    return out
-
-
 def _matrix_text(m: GaussMatrix, nl: str) -> str:
-    """``json_text`` of ``_matrix_to_json(m)`` on a line indented as nl, a
+    """The wire matrix m, rows of entries of four decimal strings, each part
+    in lowest terms, as ``json_text`` writes it on a line indented as nl, a
     newline plus the indent: one template per matrix, filled by one %."""
+    d, re, im = m.den, m.re_num, m.im_num
+    ints = [1] * (4 * len(re))  # re_num, re_den, im_num, im_den, entry after entry
+    if d == 1:
+        ints[0::4], ints[2::4] = re, im
+    else:
+        dens = [d] * len(re)
+        g, h = list(map(gcd, re, dens)), list(map(gcd, im, dens))
+        ints[0::4], ints[1::4] = map(floordiv, re, g), map(floordiv, dens, g)
+        ints[2::4], ints[3::4] = map(floordiv, im, h), map(floordiv, dens, h)
     row_nl, entry_nl, piece_nl = nl + "  ", nl + "    ", nl + "      "
     entry = "[" + piece_nl + ("," + piece_nl).join(['"%d"'] * 4) + entry_nl + "]"
     row = "[" + entry_nl + ("," + entry_nl).join([entry] * m.cols) + row_nl + "]"
     text = "[" + row_nl + ("," + row_nl).join([row] * m.rows) + nl + "]"
-    return text % tuple(_wire_ints(m))
+    return text % tuple(ints)
 
 
 def _entry_from_json(raw, where: str) -> List[int]:
@@ -155,14 +147,6 @@ def _entry_from_json(raw, where: str) -> List[int]:
     if parts[1] == 0 or parts[3] == 0:
         raise CandidateFormatError(f"{where}: zero denominator")
     return parts
-
-
-def _matrix_to_json(m: GaussMatrix) -> list:
-    """The wire matrix: rows of entries of four decimal strings."""
-    pieces = list(map(str, _wire_ints(m)))
-    flat = [pieces[k : k + 4] for k in range(0, len(pieces), 4)]
-    c = m.cols
-    return [flat[k : k + c] for k in range(0, len(flat), c)]
 
 
 def _pieces(raw: list, n: int):
@@ -205,15 +189,6 @@ def _matrix_from_json(raw, n: int, name: str) -> GaussMatrix:
     re = [a * (den // b) for a, b in zip(re_num, re_den)]
     im = [a * (den // b) for a, b in zip(im_num, im_den)]
     return GaussMatrix._from_ints(n, n, den, re, im)
-
-
-def candidate_to_json_dict(c: EmbeddingCandidate) -> dict:
-    return {
-        "p": c.shape.p,
-        "f_u": _matrix_to_json(c.f_u),
-        "f_v": _matrix_to_json(c.f_v),
-        "f_w": _matrix_to_json(c.f_w),
-    }
 
 
 def candidate_from_json_dict(doc) -> EmbeddingCandidate:

@@ -17,10 +17,8 @@ from geodesy.candidates import (
     CandidateFormatError,
     _entry_from_json,
     _matrix_from_json,
-    _matrix_to_json,
     _pieces,
     candidate_from_json_dict,
-    candidate_to_json_dict,
     diagonal_candidate,
     embedding_with_rank,
     json_text,
@@ -33,7 +31,7 @@ from geodesy.checker import check_conditions
 from geodesy.gaussmat import GaussMatrix
 from geodesy.ladder import block_cells, classify_weight_data
 from geodesy.weights import enumerate_weight_data
-from test_kernel import SIZES, matrices
+from kernel_strategies import SIZES, matrices
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
 
@@ -53,7 +51,7 @@ def test_builder_validation():
 
 def test_round_trip_of_builders():
     for candidate in (diagonal_candidate(2), standard_trivial_candidate(3)):
-        doc = candidate_to_json_dict(candidate)
+        doc = ref.candidate_to_json_dict(candidate)
         back = candidate_from_json_dict(doc)
         assert back.f_u == candidate.f_u
         assert back.f_v == candidate.f_v
@@ -84,11 +82,11 @@ def test_parse_errors_carry_field_diagnostics(tmp_path):
         candidate_from_json_dict({})
     with pytest.raises(CandidateFormatError, match="f_u"):
         candidate_from_json_dict({"p": 1, "f_u": [], "f_v": [], "f_w": []})
-    doc = candidate_to_json_dict(diagonal_candidate(1))
+    doc = ref.candidate_to_json_dict(diagonal_candidate(1))
     doc["f_u"][0][1][1] = "0"
     with pytest.raises(CandidateFormatError, match=r"f_u\[0\]\[1\]: zero denominator"):
         candidate_from_json_dict(doc)
-    doc = candidate_to_json_dict(diagonal_candidate(1))
+    doc = ref.candidate_to_json_dict(diagonal_candidate(1))
     doc["f_u"][0][1][0] = "one"
     with pytest.raises(CandidateFormatError, match="decimal integer"):
         candidate_from_json_dict(doc)
@@ -99,7 +97,7 @@ def test_parse_errors_carry_field_diagnostics(tmp_path):
 
 
 def test_non_member_document_rejected():
-    doc = candidate_to_json_dict(diagonal_candidate(1))
+    doc = ref.candidate_to_json_dict(diagonal_candidate(1))
     doc["f_w"][0][0] = ["1", "1", "0", "1"]  # real diagonal entry: not skew
     with pytest.raises(CandidateFormatError, match="su"):
         candidate_from_json_dict(doc)
@@ -131,7 +129,7 @@ def test_entry_grid_round_trip(p, data):
         for j in range(n):
             a, b, c, d = _entry_from_json(list(grid[i][j]), "x")
             den = lcm(b, d)
-            wire = _matrix_to_json(GaussMatrix._from_ints(1, 1, den, [a * (den // b)], [c * (den // d)]))[0][0]
+            wire = json.loads(json_text(GaussMatrix._from_ints(1, 1, den, [a * (den // b)], [c * (den // d)])))[0][0]
             assert wire == ref._entry_to_json(ref._entry_from_json(list(grid[i][j]), "x"))
             a2, b2, c2, d2 = _entry_from_json(wire, "x")
             assert (Fraction(a2, b2), Fraction(c2, d2)) == (Fraction(a, b), Fraction(c, d))
@@ -184,7 +182,7 @@ def test_matrix_wire_matches_reference(case):
     got = _matrix_from_json(grid, n, "f_u")
     want = ref._matrix_from_json(grid, n, "f_u")
     assert (got.den, got.re_num, got.im_num) == (want.den, want.re_num, want.im_num)
-    assert _matrix_to_json(got) == ref._matrix_to_json(want)
+    assert json.loads(json_text(got)) == ref._matrix_to_json(want)
 
 
 BAD_PIECES = [None, True, False, 1.0, 1.5, [], {}, "", "-", "+1", " 1", "1 ", "1_0", "--1", "1-", "0x1", "\u0661", "1e3", "9" * 5000,
@@ -250,7 +248,7 @@ def test_wire_integer_form_of_unreduced_entries():
     raw = [[["2", "-4", "0", "3"], ["-0", "-7", "6", "-10"]], [[3, 3, 0, 1], ["0", "1", "0", "1"]]]
     m = _matrix_from_json(raw, 2, "f_u")
     assert (m.den, m.re_num, m.im_num) == (10, (-5, 0, 10, 0), (0, -6, 0, 0))
-    assert _matrix_to_json(m) == [
+    assert json.loads(json_text(m)) == [
         [["-1", "2", "0", "1"], ["0", "1", "-3", "5"]],
         [["1", "1", "0", "1"], ["0", "1", "0", "1"]],
     ]
@@ -281,7 +279,7 @@ def test_json_text_matches_json_dumps(doc):
 def as_wire_lists(doc):
     """doc with every GaussMatrix replaced by its wire lists."""
     if isinstance(doc, GaussMatrix):
-        return _matrix_to_json(doc)
+        return ref._matrix_to_json(doc)
     if isinstance(doc, dict):
         return {k: as_wire_lists(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geodesy.candidates import candidate_to_json_dict, diagonal_candidate
+from geodesy.candidates import diagonal_candidate
 from geodesy.cli import MAX_CERT_P, MAX_P, build_parser, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.selftest import CHECKS
 from geodesy.weights import WeightData, enumerate_weight_data
+from wire_reference import candidate_to_json_dict
 
 BUNDLED = Path(__file__).resolve().parent.parent / "candidates"
 DOCS = Path(__file__).resolve().parent.parent / "docs"

@@ -13,25 +13,9 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from geodesy.gaussmat import GaussMatrix, GaussRational, bracket, char_poly
+from kernel_strategies import SIZES, ZERO, gaussians, matrices, rationals
 
-SIZES = st.integers(1, 4)
-ZERO = GaussRational(0)
-
-# small entries collide and cancel; large ones carry big, unequal denominators
-small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-large = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
-rationals = st.one_of(st.just(Fraction(0)), small, large)
-gaussians = st.builds(GaussRational, rationals, rationals)
 scalars = st.one_of(st.integers(-7, 7), rationals, gaussians)
-
-
-@st.composite
-def matrices(draw, rows, cols):
-    if draw(st.integers(0, 5)) == 0:
-        return GaussMatrix.zeros(rows, cols)
-    sparse = draw(st.booleans())
-    entry = st.one_of(st.just(ZERO), st.just(ZERO), gaussians) if sparse else gaussians
-    return GaussMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
 
 
 @st.composite

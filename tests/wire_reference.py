@@ -5,7 +5,8 @@ matrices straight into integer numerators and printed them straight from
 them: every entry became two ``Fraction``s and one ``GaussRational`` on
 the way in, and was read back from one on the way out.  The property
 tests hold ``geodesy.candidates`` to them: the same matrices, the same
-wire lists and the same ``CandidateFormatError`` messages.
+wire lists and the same ``CandidateFormatError`` messages.  The tests
+also build candidate documents as plain lists with them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import List
 
 from geodesy.candidates import CandidateFormatError
+from geodesy.checker import EmbeddingCandidate
 from geodesy.gaussmat import GaussMatrix, GaussRational
 
 
@@ -47,6 +49,11 @@ def _entry_from_json(raw, where: str) -> GaussRational:
 
 def _matrix_to_json(m: GaussMatrix) -> list:
     return [[_entry_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def candidate_to_json_dict(c: EmbeddingCandidate) -> dict:
+    """The candidate document, as ``save_candidate`` writes it, as lists."""
+    return {"p": c.shape.p, "f_u": _matrix_to_json(c.f_u), "f_v": _matrix_to_json(c.f_v), "f_w": _matrix_to_json(c.f_w)}
 
 
 def _matrix_from_json(raw, n: int, name: str) -> GaussMatrix:
