@@ -17,6 +17,22 @@ hands its assembled X, Y and relation residual XY - YX - H on to the next
 gradient.  The public functions take and return a ``StructuredPoint``, one
 array per block label.
 
+The kernel works on a leading lane axis, one lane per restart.  On these
+tables (n <= 6, a few unknowns) a descent step is about a hundred numpy
+calls on tiny arrays, so the cost of a call, not its arithmetic, sets the
+pace, and ``minimize`` hands all the restarts of a table to one
+``_descend``, which steps the live lanes together and drops a lane when it
+stops.  Each lane computes exactly the floats it would compute alone: the
+same elementwise operations, one matrix product per slice, sums over its
+own entries in the same order (``_lane_sum``, ``_Problem.block_sum``), and
+the step and the cubic roots solved for it alone in Python.  A batch holds
+at most ``LANES`` restarts, fewer for a large table (``LANE_ENTRIES``).
+With a target, a restart runs only if the earlier ones missed it, so the
+restarts run one lane at a time.  ``residual`` and ``gradient`` run one
+lane, and ``gradient_check`` four.  On the benchmark's ``oracle`` tables
+(17 of 20 run three restarts to the end) this takes a pass of criterion
+6's ``minimize`` calls from about 36 to 26 ms in process (2 cores).
+
 The line search is exact.  Assembly is real-linear, so along the descent
 direction X and Y move linearly in the step size a, the relation residual
 is quadratic in a and the objective is a quartic in a.  Its five
@@ -29,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +53,12 @@ from .ladder import block_cells, derive_constraints
 from .weights import WeightData
 
 StructuredPoint = Dict[str, np.ndarray]
+
+# The most restarts one _descend call steps together, and the most entries
+# their stacked X and Y may hold together: beyond either, a larger batch is
+# no faster, only larger.
+LANES = 32
+LANE_ENTRIES = 8192
 
 # why a descent stopped
 GRAD_TOL = "grad_tol"  # the gradient norm fell below the tolerance
@@ -53,7 +75,10 @@ class ResidualReport:
     seed: int
     best_restart: int
     best_point: StructuredPoint
-    stop_reasons: Tuple[str, ...] = ()  # one per descent run, in restart order
+    # one entry per descent run, in restart order; not part of the JSON form
+    stop_reasons: Tuple[str, ...] = ()
+    restart_steps: Tuple[int, ...] = ()  # accepted steps
+    restart_residuals: Tuple[float, ...] = ()  # final residuals
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,6 +119,20 @@ class _Problem:
         self.ix = np.array(ix, dtype=np.intp)
         self.iy = np.array(iy, dtype=np.intp) + n * n  # Y follows X in the stacked pair
         self.sign = np.array(sign, dtype=complex)
+        spans = [(start, stop) for _, start, stop, _ in self.blocks]
+        # One draw of 2 * size normals holds each block's real parts, then its
+        # imaginary parts, as a draw per part would: entry j of the block
+        # [start, stop) reads the draw at start + j and at stop + j.
+        self.draws = np.array(
+            [[start + j for start, stop in spans for j in range(start, stop)],
+             [stop + j for start, stop in spans for j in range(start, stop)]],
+            dtype=np.intp,
+        )
+        # block_sum's layout: block i behind a zero of its own, at start + i
+        self.sum_starts = np.array([start + i for i, (start, _) in enumerate(spans)], dtype=np.intp)
+        self.sum_cells = np.array(
+            [j + i + 1 for i, (start, stop) in enumerate(spans) for j in range(start, stop)], dtype=np.intp
+        )
 
     def flatten(self, point: StructuredPoint) -> np.ndarray:
         v = np.empty(self.size, dtype=complex)
@@ -105,15 +144,26 @@ class _Problem:
         return {label: v[start:stop].reshape(shape) for label, start, stop, shape in self.blocks}
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
-        """X and its partner Y, stacked in one (2, n, n) array."""
-        xy = np.zeros(2 * self.n * self.n, dtype=complex)
-        xy[self.ix] = v
-        xy[self.iy] = self.sign * v.conj()
-        return xy.reshape(2, self.n, self.n)
+        """X and its partner Y of each lane (row) of v, in one (lanes, 2, n, n) array."""
+        n = self.n
+        xy = np.zeros((len(v), 2 * n * n), dtype=complex)
+        xy[:, self.ix] = v
+        xy[:, self.iy] = self.sign * v.conj()
+        return xy.reshape(len(v), 2, n, n)
 
-    def block_sum(self, values: np.ndarray) -> float:
-        """Sum of the entries, block by block in label order."""
-        return sum(float(values[start:stop].sum()) for _, start, stop, _ in self.blocks)
+    def block_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per lane, the sum of its entries block by block in label order.
+
+        ``add.reduceat`` starts a segment from its first entry, while
+        ``ndarray.sum`` starts from zero, so each block is put behind a
+        zero: then every block sum rounds as its slice's ``sum()`` does,
+        and the cumulative sum adds the blocks left to right.
+        """
+        if not self.blocks:
+            return np.zeros(len(values))
+        padded = np.zeros((len(values), self.size + len(self.blocks)))
+        padded[:, self.sum_cells] = values
+        return np.cumsum(np.add.reduceat(padded, self.sum_starts, axis=1), axis=1)[:, -1]
 
 
 def _check_point(problem: _Problem, point: StructuredPoint):
@@ -133,17 +183,22 @@ def residual(wd: WeightData, point: StructuredPoint) -> float:
     """Squared Frobenius deviation of the assembled triple from the relations."""
     problem = _Problem(wd)
     _check_point(problem, point)
-    return _evaluate(problem, problem.flatten(point))[0]
+    return float(_evaluate(problem, problem.flatten(point)[None])[0][0])
+
+
+def _lane_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of each lane's entries, rounded as one lane's ``sum()``."""
+    return np.add.reduce(a.reshape(len(a), -1), axis=1)
 
 
 def _evaluate(problem: _Problem, v: np.ndarray):
-    """The residual at v, with the assembled X, Y, R = XY - YX - H and W (_weight_term)."""
+    """Per lane, the residual at v, with the assembled X, Y, R = XY - YX - H and W (_weight_term)."""
     xy = problem.assemble(v)
-    products = xy @ xy[::-1]  # XY and YX
-    r = products[0] - products[1] - problem.target
+    products = xy @ xy[:, ::-1]  # XY and YX
+    r = products[:, 0] - products[:, 1] - problem.target
     w = _weight_term(problem, xy)
     weight_sq = np.abs(w) ** 2
-    value = float((np.abs(r) ** 2).sum() + weight_sq[0].sum() + weight_sq[1].sum())
+    value = _lane_sum(np.abs(r) ** 2) + _lane_sum(weight_sq[:, 0]) + _lane_sum(weight_sq[:, 1])
     return value, xy, r, w
 
 
@@ -160,49 +215,47 @@ def _weight_term(problem: _Problem, xy: np.ndarray) -> np.ndarray:
 def gradient(wd: WeightData, point: StructuredPoint) -> StructuredPoint:
     problem = _Problem(wd)
     _check_point(problem, point)
-    _, xy, r, _ = _evaluate(problem, problem.flatten(point))
-    return problem.unflatten(_gradient(problem, xy, r))
+    _, xy, r, _ = _evaluate(problem, problem.flatten(point)[None])
+    return problem.unflatten(_gradient(problem, xy, r)[0])
 
 
 def _gradient(problem: _Problem, xy: np.ndarray, r: np.ndarray) -> np.ndarray:
-    x, y = xy
-    yh = y.conj().T
-    rh = r.conj().T
-    c1 = (r @ yh - yh @ r).ravel()
-    c2 = (x @ rh - rh @ x).ravel()
-    return 2.0 * (c1[problem.ix] - problem.sign * c2[problem.ix])
+    x, y = xy[:, 0], xy[:, 1]
+    yh = y.conj().transpose(0, 2, 1)
+    rh = r.conj().transpose(0, 2, 1)
+    c1 = (r @ yh - yh @ r).reshape(len(xy), -1)
+    c2 = (x @ rh - rh @ x).reshape(len(xy), -1)
+    return 2.0 * (c1[:, problem.ix] - problem.sign * c2[:, problem.ix])
 
 
-def _grad_norm(problem: _Problem, grad: np.ndarray) -> float:
-    return math.sqrt(problem.block_sum(np.abs(grad) ** 2))
+def _grad_norm(problem: _Problem, grad: np.ndarray) -> np.ndarray:
+    return np.sqrt(problem.block_sum(np.abs(grad) ** 2))
 
 
 def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
-    v = np.empty(problem.size, dtype=complex)
-    for _, start, stop, _ in problem.blocks:
-        v[start:stop] = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
-    return v
+    re, im = rng.standard_normal(2 * problem.size)[problem.draws]
+    return re + 1j * im
 
 
 def _line_coefficients(
     problem: _Problem, xy: np.ndarray, r: np.ndarray, w0: np.ndarray, g: np.ndarray
-) -> Tuple[float, float, float, float]:
-    """(c1, c2, c3, c4) with value(v - a grad) = value + c1 a + c2 a^2 + c3 a^3 + c4 a^4.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane, (c1, c2, c3, c4) with value(v - a grad) = value + c1 a + c2 a^2 + c3 a^3 + c4 a^4.
 
     xy, r and w0 are the point's, as _evaluate returns them, and g is the
     assembled direction, stacked like xy.  The relation residual
     along it is R(a) = r - a r1 + a^2 r2 with r1 = Gx Y + X Gy - Gy X - Y Gx
     and r2 = Gx Gy - Gy Gx; the weight term is W0 - a W1.
     """
-    g_xy = g @ xy[::-1]  # Gx Y and Gy X
-    xy_g = xy @ g[::-1]  # X Gy and Y Gx
-    g_g = g @ g[::-1]  # Gx Gy and Gy Gx
-    r1 = g_xy[0] - g_xy[1] + xy_g[0] - xy_g[1]
-    r2 = g_g[0] - g_g[1]
+    g_xy = g @ xy[:, ::-1]  # Gx Y and Gy X
+    xy_g = xy @ g[:, ::-1]  # X Gy and Y Gx
+    g_g = g @ g[:, ::-1]  # Gx Gy and Gy Gx
+    r1 = g_xy[:, 0] - g_xy[:, 1] + xy_g[:, 0] - xy_g[:, 1]
+    r2 = g_g[:, 0] - g_g[:, 1]
     w1 = _weight_term(problem, g)
 
     def dot(a, b):  # Re <a, b>; np.vdot's BLAS call costs peak memory
-        return float((a.conj() * b).real.sum())
+        return _lane_sum((a.conj() * b).real)
 
     c1 = -2.0 * (dot(r, r1) + dot(w0, w1))
     c2 = dot(r1, r1) + 2.0 * dot(r, r2) + dot(w1, w1)
@@ -281,38 +334,61 @@ def _exact_step(c1: float, c2: float, c3: float, c4: float) -> Optional[float]:
     return best
 
 
-def _descend(
-    problem: _Problem,
-    v: np.ndarray,
-    max_iter: int,
-    grad_tol: float,
-) -> Tuple[np.ndarray, float, int, str]:
-    """Steepest descent with exact line search from the flat point v.
+class _Descent(NamedTuple):
+    points: np.ndarray  # each lane's last point, one row per lane
+    values: List[float]  # their residuals
+    accepted: int  # the accepted steps of all lanes together, read by bench/tracing.py
+    steps: List[int]  # each lane's accepted steps
+    reasons: List[str]  # why each lane stopped
+
+
+def _descend(problem: _Problem, v: np.ndarray, max_iter: int, grad_tol: float) -> _Descent:
+    """Steepest descent with exact line search from each row (lane) of v.
 
     Each iteration minimises the quartic objective along the negative
     gradient (``_line_coefficients``, ``_exact_step``) and evaluates the
     trial point afresh, so the stored residual is the point's own.  The
-    trial is accepted only if it strictly lowers the residual.
-
-    Returns the last point, its residual, the number of accepted steps and
-    why the descent stopped.
+    trial is accepted only if it strictly lowers the residual.  All live
+    lanes step together, each computing the floats a descent from its row
+    alone computes, and a lane leaves the batch when it stops.
     """
+    lanes = len(v)
+    points = np.empty_like(v)
+    values = np.empty(lanes)
+    steps = [0] * lanes
+    reasons = [MAX_ITER] * lanes
+    live = np.arange(lanes)
     value, xy, r, w = _evaluate(problem, v)
     iters = 0
-    while iters < max_iter:
+    while live.size and iters < max_iter:
         grad = _gradient(problem, xy, r)
-        if _grad_norm(problem, grad) < grad_tol:
-            return v, value, iters, GRAD_TOL
-        alpha = _exact_step(*_line_coefficients(problem, xy, r, w, problem.assemble(grad)))
-        if alpha is None:
-            return v, value, iters, NO_DECREASE
-        trial = v - alpha * grad
+        # Every live lane goes through the whole iteration: one that stops
+        # here skips only _exact_step, and its trial point is its own.
+        small = (_grad_norm(problem, grad) < grad_tol).tolist()
+        lines = zip(*(c.tolist() for c in _line_coefficients(problem, xy, r, w, problem.assemble(grad))))
+        alphas = [None if stop else _exact_step(*line) for stop, line in zip(small, lines)]
+        trial = v - np.array([0.0 if a is None else a for a in alphas], dtype=complex)[:, None] * grad
         trial_value, trial_xy, trial_r, trial_w = _evaluate(problem, trial)
-        if not trial_value < value:
-            return v, value, iters, NO_DECREASE
+        lower = (trial_value < value).tolist()
+        # why each lane stops at this point, or None where it takes the step
+        stops = [
+            GRAD_TOL if stop else NO_DECREASE if a is None or not down else None
+            for stop, a, down in zip(small, alphas, lower)
+        ]
+        if any(stops):
+            keep = np.array([stop is None for stop in stops])
+            for i in np.flatnonzero(~keep).tolist():
+                lane = live[i]
+                points[lane], values[lane], steps[lane], reasons[lane] = v[i], value[i], iters, stops[i]
+            live, trial, trial_value, trial_xy, trial_r, trial_w = (
+                a[keep] for a in (live, trial, trial_value, trial_xy, trial_r, trial_w)
+            )
         v, value, xy, r, w = trial, trial_value, trial_xy, trial_r, trial_w
         iters += 1
-    return v, value, iters, MAX_ITER
+    points[live], values[live] = v, value
+    for lane in live.tolist():
+        steps[lane] = iters
+    return _Descent(points, values.tolist(), sum(steps), steps, reasons)
 
 
 def minimize(
@@ -326,10 +402,14 @@ def minimize(
     """Best structured point over seeded multistart gradient descent.
 
     Each restart draws its starting point from an independent stream keyed
-    by (seed, restart index), so the result does not depend on scheduling.
-    The optional target stops the restart loop early once beaten; the
-    report is deterministic for fixed (seed, restarts, target).  A table
-    without unknowns runs no descent and reports no stop reasons.
+    by (seed, restart index), so the result does not depend on scheduling:
+    the restarts run as the lanes of ``_descend`` calls of at most
+    ``LANES`` each, fewer when their X and Y would hold more than
+    ``LANE_ENTRIES`` entries.  The optional target stops the restart loop
+    early once beaten, so with a target a restart runs only after the
+    earlier ones missed it, one lane per call.  The report is
+    deterministic for fixed (seed, restarts, target).  A table without
+    unknowns runs no descent and reports no stop reasons.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -339,41 +419,53 @@ def minimize(
     if not problem.blocks:
         return ResidualReport(
             pattern=wd,
-            final_residual=_evaluate(problem, problem.flatten({}))[0],
+            final_residual=float(_evaluate(problem, problem.flatten({})[None])[0][0]),
             iterations=0,
             restarts=restarts,
             seed=seed,
             best_restart=0,
             best_point={},
         )
+    batch = 1 if target is not None else min(LANES, max(1, LANE_ENTRIES // (2 * problem.n**2)))
     best = None
     best_value = math.inf
     best_iters = 0
     best_restart = 0
+    steps: List[int] = []
+    values: List[float] = []
     reasons: List[str] = []
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        v, value, iters, reason = _descend(problem, _random_point(problem, rng), max_iter, grad_tol)
-        reasons.append(reason)
-        if value < best_value:
-            best, best_value, best_iters, best_restart = v, value, iters, k
+    for first in range(0, restarts, batch):
+        ks = range(first, min(first + batch, restarts))
+        starts = np.array([_random_point(problem, np.random.default_rng([seed, k])) for k in ks])
+        run = _descend(problem, starts, max_iter, grad_tol)
+        for k, v, value, iters in zip(ks, run.points, run.values, run.steps):
+            if value < best_value:
+                best, best_value, best_iters, best_restart = v, value, iters, k
+        steps += run.steps
+        values += run.values
+        reasons += run.reasons
         if target is not None and best_value < target:
             break
     return ResidualReport(
         pattern=wd,
-        final_residual=_evaluate(problem, best)[0],
+        final_residual=best_value,
         iterations=best_iters,
         restarts=len(reasons),
         seed=seed,
         best_restart=best_restart,
         best_point=problem.unflatten(best),
         stop_reasons=tuple(reasons),
+        restart_steps=tuple(steps),
+        restart_residuals=tuple(values),
     )
 
 
 def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e-6) -> float:
     """Worst relative disagreement between the analytic gradient and
-    central finite differences over random structured points."""
+    central finite differences over random structured points.
+
+    The four points that move one entry by +-step and by +-i step are the
+    four lanes of one evaluation."""
     problem = _Problem(wd)
     if not problem.blocks:
         return 0.0
@@ -381,20 +473,16 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     for k in range(points):
         rng = np.random.default_rng([seed, 7919, k])
         v = _random_point(problem, rng)
-        _, xy, r, _ = _evaluate(problem, v)
+        _, xy, r, _ = _evaluate(problem, v[None])
         analytic = _gradient(problem, xy, r)
-        fd = np.zeros_like(v)
-        moved = v.copy()
+        fd = np.zeros_like(analytic)
         for i in range(problem.size):
-            for direction in (1.0, 1.0j):
-                moved[i] = v[i] + step * direction
-                plus = _evaluate(problem, moved)[0]
-                moved[i] = v[i] - step * direction
-                minus = _evaluate(problem, moved)[0]
-                diff = (plus - minus) / (2 * step)
-                fd[i] += diff * direction
-            moved[i] = v[i]
-        num_sq = problem.block_sum(np.abs(analytic - fd) ** 2)
-        den_sq = problem.block_sum(np.abs(fd) ** 2)
+            moved = np.repeat(v[None], 4, axis=0)
+            moved[:, i] = [v[i] + step * direction for direction in (1.0, -1.0, 1.0j, -1.0j)]
+            values = _evaluate(problem, moved)[0].tolist()
+            for direction, plus, minus in ((1.0, *values[:2]), (1.0j, *values[2:])):
+                fd[0, i] += (plus - minus) / (2 * step) * direction
+        num_sq = float(problem.block_sum(np.abs(analytic - fd) ** 2)[0])
+        den_sq = float(problem.block_sum(np.abs(fd) ** 2)[0])
         worst = max(worst, math.sqrt(num_sq) / max(math.sqrt(den_sq), 1e-12))
     return worst

@@ -36,3 +36,32 @@ def test_exact_inputs_write_their_candidates(bench, tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(entry["file"] for entry in manifest)
     for entry in manifest:
         assert load_candidate(tmp_path / entry["file"]).shape.p == entry["p"]
+
+
+def test_minimize_hands_the_tracer_its_descent_steps(bench, monkeypatch, tmp_path):
+    # bench/tracing.py wraps numeric._descend: its calls are numeric.restarts
+    # and the int result[2] of each is added into numeric.iterations
+    import workloads
+
+    from geodesy import numeric
+    from geodesy.weights import WeightData
+
+    accepted = []
+    descend = numeric._descend
+
+    def spy(*args):
+        result = descend(*args)
+        accepted.append(result[2])
+        return result
+
+    monkeypatch.setattr(numeric, "_descend", spy)
+    oracle = workloads.Oracle()
+    steps = 0
+    for pattern in oracle.generate(0, tmp_path)["patterns"]:
+        wd = WeightData.from_json_dict(pattern["weight_data"])
+        _, report = workloads._minimize(wd, pattern["feasible"], oracle.SEED)
+        steps += sum(report.restart_steps)
+    assert all(type(n) is int for n in accepted)
+    # 409 accepted steps, as when each restart ran its own descent; 18 calls, not 52
+    assert sum(accepted) == steps == 409
+    assert len(accepted) == 18

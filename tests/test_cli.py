@@ -468,6 +468,32 @@ def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
     assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 
 
+def test_time_oracle_script_prints_one_json_line_per_table(tmp_path):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "time_oracle.py"), "--repeat", "1"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 0, script.stderr
+    *lines, total = [json.loads(line) for line in script.stdout.splitlines()]
+    # the oracle workload's tables: every 6th of the 120 with p <= 3
+    tables = [wd for p in (1, 2, 3) for wd in enumerate_weight_data(p)][::6]
+    assert [line["table"] for line in lines] == [wd.describe() for wd in tables]
+    keys = ["table", "feasible", "best_s", "restarts", "descend_calls", "steps"]
+    assert all(list(line) == keys and line["best_s"] > 0 for line in lines)
+    assert list(total) == ["tables", *keys[2:]] and total["tables"] == len(tables)
+    for key in keys[3:]:
+        assert total[key] == sum(line[key] for line in lines)
+    assert total["best_s"] == pytest.approx(sum(line["best_s"] for line in lines), abs=1e-6)
+    # the benchmark's traced numeric.restarts and numeric.iterations
+    assert (total["descend_calls"], total["steps"]) == (18, 409)
+    # a table with a target runs one restart per call, the others all of theirs in one
+    for line in lines:
+        if line["descend_calls"]:
+            assert line["descend_calls"] == (line["restarts"] if line["feasible"] else 1)
+
+
 @pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])
 def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max_p):
     # the script writes certificates, so it stops where --emit-certs does

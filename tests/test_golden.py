@@ -11,13 +11,17 @@ printed by ``json.dumps``, before the integer wire format.  The
 and eliminated on its own, before tables were classified by sector: the
 verdicts, counts, class order and certificates must not depend on how
 the work is shared.  The ``oracle`` digests pin the floating-point
-trajectory of seeded descents.  The ``exact`` digests cover the seeded
+trajectory of seeded descents; the ``minimize`` digests were recorded
+while every restart still ran its own descent, one after another, so
+they pin that running restarts as the lanes of one batched descent
+changes no float.  The ``exact`` digests cover the seeded
 candidates of the benchmark's ``exact`` workload, p = 2..6 dense, sparse,
 non-compact and broken; they were recorded while report matrices were
 still written as nested lists and each bracket took two full products.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 from fractions import Fraction
@@ -34,6 +38,9 @@ from geodesy.candidates import (
 from geodesy.checker import EmbeddingCandidate
 from geodesy.cli import run
 from geodesy.gaussmat import GaussMatrix, GaussRational
+from geodesy.ladder import classify_weight_data
+from geodesy.numeric import minimize
+from geodesy.weights import enumerate_weight_data
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -155,6 +162,14 @@ ORACLE_GOLDEN = {
     ("oracle", "--plus", "2:1,1:2,0:1", "--minus", "0:2,-1:1,-2:1", "--restarts", "3", "--seed", "7"):
         "a666ab05dab4da4ccf4c1d9e12b44fe10d611b8cda70ed74089c1fc01083f793",
 }
+# `minimize` on all 120 tables with p <= 3, each under criterion 6's
+# settings and under restarts=5, seed=11 with max_iter 2 and 100_000 (so
+# restarts stop at different steps and for different reasons): one sha256
+# over the reports (final residual, iterations, restarts, best restart,
+# stop reasons, best point) and one over each restart's final residual,
+# accepted steps and stop reason
+MINIMIZE_REPORTS_GOLDEN = "ee69582ce7cf83da97c14167c01ba987bd39026ada79bcba2ad420eaa7bbd55b"
+MINIMIZE_RESTARTS_GOLDEN = "a68ba493cf9941348d7061780ca61da663572781526226d1ed33263d7cd9e136"
 # seed of bench/exact_inputs.py -> one sha256 over the exit code and the
 # stdout of `check FILE --json` for its 20 candidates, in manifest order
 EXACT_GOLDEN = {
@@ -223,6 +238,36 @@ def test_classify_matches_golden_digest(argv):
 @pytest.mark.parametrize("argv", sorted(ORACLE_GOLDEN), ids=" ".join)
 def test_oracle_matches_golden_digest(argv):
     assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == ORACLE_GOLDEN[argv]
+
+
+@functools.cache
+def minimize_digests():
+    """(reports digest, restarts digest) of the runs MINIMIZE_*_GOLDEN pin."""
+    reports, restarts = hashlib.sha256(), hashlib.sha256()
+    for wd in [wd for p in (1, 2, 3) for wd in enumerate_weight_data(p)]:
+        if classify_weight_data(wd).status == "feasible":
+            settings = [dict(restarts=20, seed=7, target=1e-18)]
+        else:
+            settings = [dict(restarts=3, seed=7)]
+        settings += [dict(restarts=5, seed=11, max_iter=max_iter) for max_iter in (2, 100_000)]
+        for kwargs in settings:
+            r = minimize(wd, **kwargs)
+            reports.update(repr((r.final_residual.hex(), r.iterations, r.restarts, r.best_restart, r.stop_reasons)).encode())
+            for label, block in r.best_point.items():
+                reports.update(label.encode())
+                reports.update(block.tobytes())
+            rows = [(value.hex(), steps, reason) for value, steps, reason in zip(r.restart_residuals, r.restart_steps, r.stop_reasons)]
+            restarts.update(repr(rows).encode())
+    return reports.hexdigest(), restarts.hexdigest()
+
+
+def test_minimize_reports_match_golden_digest():
+    assert minimize_digests()[0] == MINIMIZE_REPORTS_GOLDEN
+
+
+def test_minimize_restarts_match_golden_digest():
+    # each restart's residual, steps and stop reason, as its own descent gave them
+    assert minimize_digests()[1] == MINIMIZE_RESTARTS_GOLDEN
 
 
 @pytest.mark.parametrize("name", ["diagonal_p2.json", "standard_trivial_p2.json"])

@@ -137,8 +137,99 @@ def test_descents_end_within_fifty_iterations():
         problem = numeric._Problem(wd)
         for k in range(3):
             v = numeric._random_point(problem, np.random.default_rng([7, k]))
-            _, _, iters, reason = numeric._descend(problem, v, 100_000, 1e-10)
+            run = numeric._descend(problem, v[None], 100_000, 1e-10)
+            iters, reason = run.steps[0], run.reasons[0]
             assert iters <= 50 and reason != numeric.MAX_ITER, (wd.describe(), k)
+
+
+def test_report_keeps_each_restarts_steps_and_residual():
+    for kwargs in (dict(restarts=3, seed=7), dict(restarts=20, seed=7, target=1e-18), dict(restarts=4, seed=7, max_iter=1)):
+        report = minimize(STANDARD2, **kwargs)
+        assert len(report.restart_steps) == len(report.restart_residuals) == report.restarts
+        assert report.restart_steps[report.best_restart] == report.iterations
+        assert report.restart_residuals[report.best_restart] == report.final_residual == min(report.restart_residuals)
+        assert all(type(steps) is int for steps in report.restart_steps)
+        assert all(type(value) is float for value in report.restart_residuals)
+        assert not {"restart_steps", "restart_residuals"} & set(report.to_json_dict())
+    report = minimize(WeightData({0: 1}, {0: 1}), restarts=4, seed=0)
+    assert report.restart_steps == report.restart_residuals == ()
+
+
+# ----------------------------------------------------------------------
+# restarts as lanes: a batch computes what each of its lanes computes alone
+
+LANE_CASES = [
+    # the lanes stop after 3 to 5 steps, for each of the three reasons
+    (WeightData({3: 1, -1: 1}, {1: 1, -3: 1}), 5),
+    # the lanes stop after 4 to 17 steps
+    (WeightData({2: 1, -2: 2}, {2: 1, 0: 2}), 100_000),
+]
+
+
+def _starts(problem, count, seed=5):
+    return np.array([numeric._random_point(problem, np.random.default_rng([seed, k])) for k in range(count)])
+
+
+def _alone(problem, starts, max_iter):
+    """One single-lane _descend per row of starts."""
+    return [numeric._descend(problem, v[None], max_iter, 1e-10) for v in starts]
+
+
+@pytest.mark.parametrize("wd, max_iter", LANE_CASES, ids=["three_reasons", "many_steps"])
+def test_lanes_descend_as_they_do_alone(wd, max_iter):
+    problem = numeric._Problem(wd)
+    starts = _starts(problem, numeric.LANES + 3)
+    run = numeric._descend(problem, starts, max_iter, 1e-10)
+    alone = _alone(problem, starts, max_iter)
+    assert run.points.tobytes() == b"".join(one.points.tobytes() for one in alone)
+    assert [value.hex() for value in run.values] == [one.values[0].hex() for one in alone]
+    assert run.steps == [one.steps[0] for one in alone]
+    assert run.reasons == [one.reasons[0] for one in alone]
+    assert type(run.accepted) is int and run.accepted == sum(run.steps)
+    assert len(set(run.steps)) > 1
+
+
+def _spy_lanes(monkeypatch):
+    """The number of lanes of each later numeric._descend call."""
+    lanes = []
+    descend = numeric._descend
+
+    def spy(problem, v, max_iter, grad_tol):
+        lanes.append(len(v))
+        return descend(problem, v, max_iter, grad_tol)
+
+    monkeypatch.setattr(numeric, "_descend", spy)
+    return lanes
+
+
+def test_minimize_runs_restarts_beyond_the_cap_as_they_run_alone(monkeypatch):
+    wd, max_iter = LANE_CASES[0]
+    problem = numeric._Problem(wd)
+    restarts = 2 * numeric.LANES + 3
+    alone = _alone(problem, _starts(problem, restarts), max_iter)
+    lanes = _spy_lanes(monkeypatch)
+    report = minimize(wd, restarts=restarts, seed=5, max_iter=max_iter)
+    assert lanes == [numeric.LANES, numeric.LANES, 3]
+    assert report.restarts == restarts
+    assert report.stop_reasons == tuple(one.reasons[0] for one in alone)
+    assert report.restart_steps == tuple(one.steps[0] for one in alone)
+    assert [value.hex() for value in report.restart_residuals] == [one.values[0].hex() for one in alone]
+    best = min(range(restarts), key=lambda k: alone[k].values[0])
+    assert (report.best_restart, report.iterations) == (best, alone[best].steps[0])
+    assert report.final_residual.hex() == alone[best].values[0].hex()
+    assert problem.flatten(report.best_point).tobytes() == alone[best].points[0].tobytes()
+
+
+def test_minimize_batches_restarts_by_lanes_and_entries(monkeypatch):
+    lanes = _spy_lanes(monkeypatch)
+    # a restart with a target runs only if the earlier ones missed it
+    report = minimize(STANDARD2, restarts=20, seed=7, target=1e-18)
+    assert lanes == [1] * report.restarts
+    # n = 32: the stacked X and Y of a lane hold 2048 entries, so 4 lanes fill LANE_ENTRIES
+    lanes.clear()
+    minimize(WeightData({1: 16}, {-1: 16}), restarts=6, seed=0, max_iter=1)
+    assert numeric.LANE_ENTRIES // (2 * 32 * 32) == 4
+    assert lanes == [4, 2]
 
 
 # ----------------------------------------------------------------------
@@ -257,17 +348,23 @@ ORACLE_TABLES = CRITERION_6_TABLES[::6]
 SMALL_TABLES = CRITERION_6_TABLES + [WeightData({1: 4}, {-1: 4})]
 
 
+def _evaluate_one(problem, v):
+    """numeric._evaluate of the one point v, as one lane: (value, xy, r, w)."""
+    value, xy, r, w = numeric._evaluate(problem, v[None])
+    return float(value[0]), xy, r, w
+
+
 def _assert_same_point(problem, reference, v):
     point = problem.unflatten(v)
-    value, xy, r, _ = numeric._evaluate(problem, v)
+    value, xy, r, _ = _evaluate_one(problem, v)
     assert value.hex() == ref.residual(reference, point).hex()
-    flat_grad = numeric._gradient(problem, xy, r)
+    flat_grad = numeric._gradient(problem, xy, r)[0]
     got = problem.unflatten(flat_grad)
     want = ref.gradient(reference, point)
     assert list(got) == list(want)
     for label in want:
         assert got[label].tobytes() == want[label].tobytes(), label
-    assert numeric._grad_norm(problem, flat_grad).hex() == ref.grad_norm(want).hex()
+    assert float(numeric._grad_norm(problem, flat_grad[None])[0]).hex() == ref.grad_norm(want).hex()
 
 
 EPS = np.finfo(float).eps
@@ -290,7 +387,7 @@ def _rounding_bound(problem, v):
     three products of size at most (2 max|h| + 2) |x| and two additions,
     so in the same way ||dW||_F <= 6 eps (2 max|h| + 2) ||[X; Y]||_F.
     """
-    x, y = problem.assemble(v)
+    x, y = problem.assemble(v[None])[0]
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     d_r = (problem.n + 6) * EPS * (2 * nx * ny + np.linalg.norm(problem.target))
     d_w = 6 * EPS * (2 * np.abs(problem.h_rows).max() + 2) * np.hypot(nx, ny)
@@ -322,15 +419,17 @@ def _assert_quartic_line(problem, v):
     Elsewhere both are well below 1e-12 of the value, which the relative
     tolerance already allows.
     """
-    value, xy, r, w = numeric._evaluate(problem, v)
+    value, xy, r, w = _evaluate_one(problem, v)
     grad = numeric._gradient(problem, xy, r)
-    coefficients = (value, *numeric._line_coefficients(problem, xy, r, w, problem.assemble(grad)))
+    lines = numeric._line_coefficients(problem, xy, r, w, problem.assemble(grad))
+    coefficients = (value, *(float(c[0]) for c in lines))
+    grad = grad[0]
     c0, c1, c2, c3, c4 = coefficients
     horner = (2 * problem.n**2 + 9) * EPS
     d_v = _rounding_bound(problem, v)
     for a in (0.0, 1e-3, 0.1, 1.0, 3.0):
         quartic = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
-        direct = numeric._evaluate(problem, v - a * grad)[0]
+        direct = _evaluate_one(problem, v - a * grad)[0]
         d = d_v + _rounding_bound(problem, v - a * grad)
         allowance = d * (2 * direct**0.5 + d) + horner * sum(abs(c) * a**k for k, c in enumerate(coefficients))
         assert quartic == pytest.approx(direct, rel=1e-12, abs=allowance), a
@@ -338,7 +437,7 @@ def _assert_quartic_line(problem, v):
 
 def _assert_descent_no_worse(problem, reference, v):
     """The exact line search never ends above the backtracking reference."""
-    _, got, _, _ = numeric._descend(problem, v, 100_000, 1e-10)
+    got = numeric._descend(problem, v[None], 100_000, 1e-10).values[0]
     _, want, _ = ref.descend(reference, problem.unflatten(v), 100_000, 1e-10)
     assert got <= want * (1 + 1e-9) or got < 1e-16, (problem.wd.describe(), got, want)
 
@@ -393,6 +492,20 @@ def test_flat_kernel_matches_reference_on_random_points(case):
         problem.h_rows, problem.h_cols = w[:, None], w[None, :]
     _assert_same_point(problem, reference, v)
     _assert_quartic_line(problem, v)
+
+
+def test_block_sum_adds_each_blocks_sum_left_to_right():
+    # the per-block loop it replaced: each block's slice sum(), added in label order
+    rng = np.random.default_rng(3)
+    # ten blocks: numpy's pairwise summation would add nine or more in another order
+    many = WeightData({4: 1, 2: 1, 0: 1, -2: 1}, {2: 1, 0: 1, -2: 1, -4: 1})
+    tables = [wd for wd in SMALL_TABLES if len(numeric._Problem(wd).blocks) >= 3] + [many]
+    assert len(numeric._Problem(many).blocks) == 10
+    for wd in tables:
+        problem = numeric._Problem(wd)
+        values = np.abs(rng.standard_normal((50, problem.size)) * 10.0 ** rng.integers(-6, 6, (50, problem.size))) ** 2
+        want = [sum(float(row[start:stop].sum()) for _, start, stop, _ in problem.blocks) for row in values]
+        assert [x.hex() for x in problem.block_sum(values).tolist()] == [x.hex() for x in want], wd.describe()
 
 
 def test_gradient_check_matches_reference():
