@@ -8,10 +8,10 @@ workload (``bench/workloads.py``: every 6th of the 120 tables with
 p <= 3) under criterion 6's settings: 20 restarts with target 1e-18 for a
 feasible table, 3 restarts for an infeasible one, seed 7.  For each table
 it prints one JSON line: the table, whether it is feasible, the best of
---repeat wall times of ``minimize`` in seconds, the restarts of its
-report (a table without unknowns runs none), its ``numeric._descend``
-calls and their accepted steps.  The calls and
-steps are counted in one more, untimed run.  The output ends with one
+--repeat wall times of ``minimize`` in seconds, the restarts that ran
+(its report's stop reasons; a table without unknowns runs none), its
+``numeric._descend`` calls and their accepted steps.  The restarts, calls
+and steps are counted in one more, untimed run.  The output ends with one
 line of totals over the tables.
 """
 
@@ -69,7 +69,7 @@ def main() -> None:
             "table": wd.describe(),
             "feasible": feasible,
             "best_s": round(best, 7),
-            "restarts": report.restarts,
+            "restarts": len(report.stop_reasons),
             "descend_calls": len(accepted),
             "steps": sum(accepted),
         }

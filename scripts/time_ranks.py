@@ -22,7 +22,7 @@ import geodesy.ladder as ladder
 COUNTED = {  # output field -> the ladder function whose calls it counts
     "derived_systems": "derive_constraints",
     "head_keys": "_head_status",
-    "walked_sectors": "_derive_and_eliminate",
+    "walked_sectors": "_open_sector",
 }
 
 

@@ -29,11 +29,10 @@ from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import GaussMatrix, I
 from .ladder import DatumClassification, WitnessError, block_cells, instantiate_witness
+from .weights import DECIMAL
 
-# a decimal integer piece of the wire format, and pieces joined by commas
-_PIECE = "-?[0-9]+"
-_DECIMAL = re.compile(_PIECE)
-_DECIMALS = re.compile(f"{_PIECE}(?:,{_PIECE})*")
+# decimal integer pieces of the wire format joined by commas
+_DECIMALS = re.compile(f"{DECIMAL.pattern}(?:,{DECIMAL.pattern})*")
 
 
 class CandidateFormatError(ValueError):
@@ -139,7 +138,7 @@ def _entry_from_json(raw, where: str) -> List[int]:
         try:
             # int() alone would also take blanks, underscores, '+' and
             # non-ASCII digits; it refuses more digits than it converts
-            if isinstance(piece, str) and _DECIMAL.fullmatch(piece) is None:
+            if isinstance(piece, str) and DECIMAL.fullmatch(piece) is None:
                 raise ValueError
             parts.append(int(piece))
         except ValueError:

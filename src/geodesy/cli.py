@@ -1,53 +1,167 @@
 """Command-line surface: check, classify, oracle, selftest.
 
+COMMANDS lists each command's arguments, and parse_args reads an argument
+list against that table; run never raises SystemExit.
+
 Exit codes: 0 success, 1 failed checks or a violated classification,
 2 usage/parse errors or unwritable certificates, 3 unresolved weight tables.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
-import re
 import sys
+from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 from .candidates import CandidateFormatError, json_text, load_candidate
 from .checker import CheckReport, check_conditions, equivariance_test
 from .ladder import TheoremViolation, UnresolvedRemains, verify_theorem
 from .numeric import minimize
 from .selftest import run_selftest
-from .weights import WeightData
+from .weights import DECIMAL, WeightData
 
 MAX_P = 16
 # --emit-certs writes one file per table (1,553,816 at p = 9), so it stops lower
 MAX_CERT_P = 9
-_WEIGHT_LIST = re.compile(r"^-?\d+:\d+(,-?\d+:\d+)*$")
+
+# command -> (help, positionals, options).  A positional is (name, type,
+# required, help); an option maps its flag to (type, default, metavar,
+# help), type None for a flag that takes no value.  A parsed value is
+# stored under the positional's name or under the flag without its "--",
+# with "_" for "-".
+COMMANDS = {
+    "check": (
+        "validate a candidate embedding file",
+        [("path", str, True, "candidate JSON file")],
+        {"--json": (None, False, None, "machine-readable report")},
+    ),
+    "classify": (
+        "classify all weight tables for a rank",
+        [("p", int, True, f"rank, 1..{MAX_P}")],
+        {
+            "--max-weight": (int, None, "N", "largest weight enumerated (default 2p - 1)"),
+            "--json": (None, False, None, "machine-readable report"),
+            "--emit-certs": (str, None, "DIR", f"write one certificate per table (p up to {MAX_CERT_P})"),
+        },
+    ),
+    "oracle": (
+        "numeric residual minimization for a pattern",
+        [("p", int, False, "shorthand for the full-rank +/-1 pattern")],
+        {
+            "--plus": (str, None, "LIST", "weight:multiplicity list for the plus block"),
+            "--minus": (str, None, "LIST", "weight:multiplicity list for the minus block"),
+            "--restarts": (int, 20, "N", "descent restarts (default 20)"),
+            "--seed": (int, 0, "N", "seed of the starting points (default 0)"),
+        },
+    ),
+    "selftest": ("run the exact invariant suite", [], {}),
+}
+_HELP = ("-h", "--help")
 
 
-def _preprocess(argv):
-    """Glue weight lists like '-1:2' onto their flag so argparse accepts them."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--plus", "--minus") and i + 1 < len(argv) and _WEIGHT_LIST.match(argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+class UsageError(Exception):
+    """An argument list that names no command or does not fit its command."""
+
+
+class HelpRequested(Exception):
+    """-h or --help; the message is the usage text."""
+
+
+def usage(command: str | None = None) -> str:
+    """The usage text of a command, or of the program when command is None."""
+    if command is None:
+        lines = [
+            f"usage: geodesy {{{','.join(COMMANDS)}}} ...",
+            "",
+            "Verify and classify equivariant embeddings su(1,1) -> su(p,p).",
+            "",
+            "commands:",
+            *(f"  {name:<10}{about}" for name, (about, _, _) in COMMANDS.items()),
+            "",
+            "Run geodesy COMMAND -h for the arguments of a command.",
+        ]
+        return "\n".join(lines)
+    about, positionals, options = COMMANDS[command]
+    spelled = [(f"{flag} {metavar}" if metavar else flag, text) for flag, (_, _, metavar, text) in options.items()]
+    words = [name if required else f"[{name}]" for name, _, required, _ in positionals] + [f"[{o}]" for o, _ in spelled]
+    rows = [(name, text) for name, _, _, text in positionals] + spelled + [("-h, --help", "show this help and exit")]
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join(
+        [f"usage: geodesy {command} {' '.join(words)}".rstrip(), "", about, "", *(f"  {n:<{width}}{t}" for n, t in rows)]
+    )
+
+
+def _dest(flag: str) -> str:
+    """The attribute of an option's value: --max-weight gives max_weight."""
+    return flag[2:].replace("-", "_")
+
+
+def _convert(kind, raw: str, where: str):
+    """raw as an int or a str; an int is written as weights.DECIMAL."""
+    if kind is str:
+        return raw
+    if DECIMAL.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise UsageError(f"{where}: invalid int value: {raw!r}")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and its arguments.  An option is matched by its exact
+    name and takes its value from "=" or from the next argument, which may
+    not start with "--"; an argument that starts with "-" is an option
+    unless it is "-" or a negative integer, and every argument after "--"
+    is positional.  Raises UsageError or HelpRequested."""
+    if not argv:
+        raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
+    command, *rest = argv
+    if command in _HELP:
+        raise HelpRequested(usage())
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    _, positionals, options = COMMANDS[command]
+    if any(arg in _HELP for arg in rest[: rest.index("--") if "--" in rest else None]):
+        raise HelpRequested(usage(command))
+    values = {_dest(flag): default for flag, (_, default, _, _) in options.items()}
+    given = []
+    tokens = iter(rest)
+    for arg in tokens:
+        if arg == "--":
+            given += tokens
+        elif arg.startswith("-") and arg != "-" and not DECIMAL.fullmatch(arg):
+            flag, eq, value = arg.partition("=")
+            if flag not in options:
+                raise UsageError(f"{command}: unrecognized option {flag!r}")
+            kind = options[flag][0]
+            if kind is None and eq:
+                raise UsageError(f"{command}: {flag} takes no value")
+            if kind is not None and not eq:
+                value = next(tokens, "--")
+                if value.startswith("--"):
+                    raise UsageError(f"{command}: {flag} needs a value")
+            values[_dest(flag)] = True if kind is None else _convert(kind, value, f"{command}: {flag}")
         else:
-            out.append(tok)
-            i += 1
-    return out
+            given.append(arg)
+    if len(given) > len(positionals):
+        raise UsageError(f"{command}: unexpected argument {given[len(positionals)]!r}")
+    for (name, kind, required, _), raw in zip_longest(positionals, given):
+        if raw is None and required:
+            raise UsageError(f"{command}: missing argument {name}")
+        values[name] = None if raw is None else _convert(kind, raw, f"{command}: {name}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _parse_weight_list(raw: str, flag: str) -> dict:
     table = {}
-    if not _WEIGHT_LIST.match(raw):
-        raise CandidateFormatError(f"{flag}: expected weight:multiplicity pairs, got {raw!r}")
     for piece in raw.split(","):
-        w, m = piece.split(":")
+        w, colon, m = piece.partition(":")
+        if not (colon and DECIMAL.fullmatch(w) and DECIMAL.fullmatch(m)):
+            raise CandidateFormatError(f"{flag}: expected weight:multiplicity pairs, got {raw!r}")
         weight, mult = int(w), int(m)
         if mult < 1:
             raise CandidateFormatError(f"{flag}: multiplicity for weight {weight} must be positive")
@@ -55,39 +169,6 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
             raise CandidateFormatError(f"{flag}: weight {weight} given twice")
         table[weight] = mult
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every run reuses it."""
-    parser = argparse.ArgumentParser(
-        prog="geodesy",
-        description="Verify and classify equivariant embeddings su(1,1) -> su(p,p).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="validate a candidate embedding file")
-    p_check.add_argument("path", help="candidate JSON file")
-    p_check.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p_classify = sub.add_parser("classify", help="classify all weight tables for a rank")
-    p_classify.add_argument("p", type=int, help=f"rank, 1..{MAX_P}")
-    p_classify.add_argument("--max-weight", type=int, default=None)
-    p_classify.add_argument("--json", action="store_true")
-    p_classify.add_argument("--emit-certs", metavar="DIR", default=None,
-                            help=f"write one certificate per table (p up to {MAX_CERT_P})")
-
-    p_oracle = sub.add_parser("oracle", help="numeric residual minimization for a pattern")
-    p_oracle.add_argument("p", type=int, nargs="?", default=None,
-                          help="shorthand for the full-rank +/-1 pattern")
-    p_oracle.add_argument("--plus", default=None, help="weight:multiplicity list for the plus block")
-    p_oracle.add_argument("--minus", default=None, help="weight:multiplicity list for the minus block")
-    p_oracle.add_argument("--restarts", type=int, default=20)
-    p_oracle.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("selftest", help="run the exact invariant suite")
-    return parser
 
 
 def _report_json(path: str, p: int, report: CheckReport, equivariant: bool) -> dict:
@@ -279,8 +360,16 @@ def cmd_selftest(args) -> int:
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_preprocess(argv))
+    """Run one command line and return its exit code: a usage error prints
+    one "error:" line and returns 2, -h or --help prints usage and returns 0."""
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except HelpRequested as help_:
+        print(help_)
+        return 0
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.command == "check":
         return cmd_check(args)
     if args.command == "classify":

@@ -32,7 +32,8 @@ Feasibility is decided by three replayable rules:
 
 R3 runs to a fixpoint first, so that substituted equations surface their
 contradictions in simplified form; then one R1/R2 scan, plus side then
-minus side, weights descending.  When neither fires, terminal recognition
+minus side, weights descending (_fire; eliminate writes the certificate
+of its firings).  When neither fires, terminal recognition
 asks that no product equation keeps a live term and that every remaining
 diagonal equation is a single Gram term a*I with a > 0, each block held by
 one U U* = a*I and one U* U = b*I equation with a = b = 1 on equal
@@ -327,19 +328,23 @@ def _step(rule: str, sector: str, eq: Equation, live: Sequence[Term]) -> Certifi
     return CertificateStep(rule, sector, side, weight, conclusion, (0, rhs * dim))
 
 
-def eliminate(system: SectorSystem) -> Verdict:
-    """Run R3 to a fixpoint, then one R1/R2 scan, then terminal
-    recognition, and return a replayable verdict (module docstring)."""
-    sector = system.sector
+Firing = Tuple[str, Equation, Sequence[Term]]  # (rule, equation, live terms)
+
+
+def _fire(system: SectorSystem) -> Tuple[set, List[Firing], bool]:
+    """The elimination proper: R3 to a fixpoint, then one R1/R2 scan.
+    Returns the forced blocks, the firings in order and whether the last
+    firing is a contradiction.  It writes no certificate text, so a caller
+    that drops infeasible sectors reads the status here (see _verdict)."""
     forced: set = set()
-    steps: List[CertificateStep] = []
+    firings: List[Firing] = []
     # only a zero right side can force zeros, only a nonzero one contradict
     zero_rhs = [eq for eq in system.equations if eq[3] == 0]
     while True:
         for eq in zero_rhs:
             live = _live(eq, forced)
             if _rule(eq, live):
-                steps.append(_step("R3", sector, eq, live))
+                firings.append(("R3", eq, live))
                 forced.update(t[1] for t in live)
                 break
         else:
@@ -350,9 +355,18 @@ def eliminate(system: SectorSystem) -> Verdict:
         live = _live(eq, forced)
         rule = _rule(eq, live)
         if rule:
-            steps.append(_step(rule, sector, eq, live))
-            return Verdict("infeasible", sector, certificate=tuple(steps))
+            firings.append((rule, eq, live))
+            return forced, firings, True
+    return forced, firings, False
 
+
+def _verdict(system: SectorSystem, forced: set, firings: List[Firing], contradiction: bool) -> Verdict:
+    """The verdict of what _fire found: the certificate of a contradiction,
+    else the result of terminal recognition."""
+    sector = system.sector
+    if contradiction:
+        steps = tuple(_step(rule, sector, eq, live) for rule, eq, live in firings)
+        return Verdict("infeasible", sector, certificate=steps)
     # Terminal recognition.
     for w, pairs in system.products:
         if any(left not in forced and right not in forced for left, right in pairs):
@@ -409,6 +423,12 @@ def eliminate(system: SectorSystem) -> Verdict:
         terminal=tuple(terminal),
     )
     return Verdict("feasible", sector, witness=witness)
+
+
+def eliminate(system: SectorSystem) -> Verdict:
+    """Run R3 to a fixpoint, then one R1/R2 scan, then terminal
+    recognition, and return a replayable verdict (module docstring)."""
+    return _verdict(system, *_fire(system))
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +579,14 @@ def _derive_and_eliminate(wd: WeightData, sector: str) -> Tuple[SectorSystem, Ve
     return system, eliminate(system)
 
 
+def _open_sector(wd: WeightData, sector: str) -> Optional[Tuple[SectorSystem, Verdict]]:
+    """The system and verdict of a sector that is not infeasible, else
+    None: an infeasible sector gets no certificate."""
+    system = derive_constraints(wd, sector=sector)
+    fired = _fire(system)
+    return None if fired[2] else (system, _verdict(system, *fired))
+
+
 def classify_weight_data(wd: WeightData) -> DatumClassification:
     odd_system, odd = _derive_and_eliminate(wd.odd_sector(), "odd")
     even_system, even = _derive_and_eliminate(wd.even_sector(), "even")
@@ -693,9 +721,10 @@ def head_keys(parity: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]
 
 def _head_status(key: Tuple[int, ...]) -> str:
     """The status of a head key (parity, top, plus bits, minus bits), see
-    verify_theorem: eliminate on the multiplicity-1 table whose side holds
-    the weight top - 2i when its i-th bit is set.  When top is at least 3
-    only the equations at top and top - 2, the top window, are kept."""
+    verify_theorem: eliminate(...).status on the multiplicity-1 table whose
+    side holds the weight top - 2i when its i-th bit is set.  When top is
+    at least 3 only the equations at top and top - 2, the top window, are
+    kept.  An infeasible key gets no certificate (_fire)."""
     parity, top, *bits = key
     n = len(bits) // 2
     head = range(top, top - 2 * n, -2)
@@ -706,7 +735,8 @@ def _head_status(key: Tuple[int, ...]) -> str:
     system = derive_constraints(table, sector="odd" if parity else "even")
     if top >= 3:
         system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
-    return eliminate(system).status
+    fired = _fire(system)
+    return "infeasible" if fired[2] else _verdict(system, *fired).status
 
 
 def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
@@ -802,9 +832,9 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
                             {w: a for w, a in zip(weights, pick) if a},
                             {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
                         )
-                        system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
-                        if verdict.status != "infeasible":
-                            kept.append((wd, system, verdict))
+                        opened = _open_sector(wd, "odd" if parity else "even")
+                        if opened:
+                            kept.append((wd, *opened))
 
     enumerated = unresolved = 0
     tables = []

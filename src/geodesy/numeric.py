@@ -71,6 +71,8 @@ class ResidualReport:
     pattern: WeightData
     final_residual: float
     iterations: int
+    # the restarts run; on a table without unknowns no descent runs, and it
+    # holds the restarts asked for (stop_reasons is empty)
     restarts: int
     seed: int
     best_restart: int

@@ -24,7 +24,10 @@ from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 Dims = Tuple[int, int]  # (dim_plus, dim_minus)
 
-_WEIGHT_KEY = re.compile(r"-?[0-9]+")  # a weight as a JSON key
+# a decimal integer as the wire format and the command line write it: ASCII
+# digits after an optional minus, nothing else (int() also takes blanks,
+# underscores, '+' and non-ASCII digits); use it with fullmatch
+DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
@@ -136,7 +139,7 @@ class WeightData:
             raise ValueError("weight data is not an object")
         sides = [doc.get("plus", {}), doc.get("minus", {})]
         for name, table in zip(("plus", "minus"), sides):
-            if not isinstance(table, dict) or not all(isinstance(w, str) and _WEIGHT_KEY.fullmatch(w) for w in table):
+            if not isinstance(table, dict) or not all(isinstance(w, str) and DECIMAL.fullmatch(w) for w in table):
                 raise ValueError(f"{name} is not an object keyed by decimal integer weights")
             if len({int(w) for w in table}) != len(table):
                 raise ValueError(f"{name} names a weight twice")

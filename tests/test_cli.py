@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import diagonal_candidate
-from geodesy.cli import MAX_CERT_P, MAX_P, build_parser, run
+from geodesy.cli import COMMANDS, MAX_CERT_P, MAX_P, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.selftest import CHECKS
 from geodesy.weights import WeightData, enumerate_weight_data
@@ -365,8 +365,8 @@ def test_oracle_output_is_deterministic(capsys):
     assert first == second
 
 
-# check, classify, an argument argparse rejects (exit 2 on stderr), then
-# oracle and check again: the parser is built once and shared by them all
+# check, classify, an argument the parser rejects (exit 2 on stderr), then
+# oracle and check again: one process runs them as separate processes do
 RUN_SERIES = [
     ["check", "candidates/diagonal_p2.json", "--json"],
     ["classify", "2", "--json"],
@@ -383,10 +383,7 @@ def test_run_series_matches_separate_processes(monkeypatch):
     for argv in RUN_SERIES:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = run(argv)
-            except SystemExit as exit_:
-                code = exit_.code
+            code = run(argv)
         in_process.append((code, out.getvalue(), err.getvalue()))
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     separate = [
@@ -396,7 +393,114 @@ def test_run_series_matches_separate_processes(monkeypatch):
     assert in_process == [(r.returncode, r.stdout, r.stderr) for r in separate]
     assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
     assert "invalid int value: 'two'" in in_process[2][2]
-    assert build_parser() is build_parser()
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of run(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["classfy", "2"],
+        ["classify", "2", "--js"],  # no prefix matching
+        ["classify", "2", "--max-weight"],
+        ["classify", "2", "--emit-certs", "--json"],
+        ["oracle", "--plus", "1:1", "--minus"],
+        ["classify"],
+        ["check"],
+        ["classify", "2", "3"],
+        ["selftest", "now"],
+        ["classify", "2", "--json=yes"],
+        ["classify", "two"],
+        ["classify", "2", "--max-weight", "3.0"],
+        ["oracle", "1", "--seed", "x"],
+        ["classify", "9" * 5000],  # more digits than int() converts
+    ],
+    ids=[
+        "no_command", "unknown_command", "unknown_option", "missing_value", "missing_value_before_option",
+        "missing_value_at_end", "missing_positional", "missing_path", "extra_positional", "extra_positional_selftest",
+        "flag_with_value", "bad_integer", "bad_integer_option", "bad_integer_seed", "huge_integer",
+    ],
+)
+def test_usage_error_returns_2_with_one_error_line(argv):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# int() takes all of these, and the old weight-list pattern matched a
+# non-ASCII digit and a trailing newline; only -?[0-9]+ is an integer
+NOT_DECIMAL = ["\u0662", " 2", "2 ", "+2", "0_2", "2\n", "\uff12"]
+
+
+@pytest.mark.parametrize("raw", NOT_DECIMAL)
+@pytest.mark.parametrize("where", ["p", "--max-weight", "--restarts", "--seed"])
+def test_integer_arguments_take_only_ascii_decimals(raw, where):
+    argv = {
+        "p": ["classify", raw, "--json"],
+        "--max-weight": ["classify", "2", "--max-weight", raw],
+        "--restarts": ["oracle", "1", "--restarts", raw],
+        "--seed": ["oracle", "1", "--restarts", "1", "--seed", raw],
+    }[where]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"invalid int value: {raw!r}" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [("\u0661:\u0661", "-\u0661:\u0661"), ("1:1\n", "-1:1"), ("1:1", "-1:1\n"), ("1:+1", "-1:1"), (" 1:1", "-1:1"),
+     ("1:1,", "-1:1"), ("1:1:1", "-1:1"), ("", "-1:1")],
+)
+def test_weight_lists_take_only_ascii_decimals(plus, minus):
+    code, out, err = _run(["oracle", "--plus", plus, "--minus", minus, "--restarts", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["classify", "3", "--max-weight", "3", "--json"], ["classify", "3", "--max-weight=3", "--json"]),
+        (["classify", "2", "--json", "--emit-certs", ""], ["classify", "2", "--json", "--emit-certs="]),
+        (
+            ["oracle", "--plus", "1:1", "--minus", "-1:1", "--restarts", "2", "--seed", "5"],
+            ["oracle", "--plus=1:1", "--minus=-1:1", "--restarts=2", "--seed=5"],
+        ),
+        (["oracle", "--seed", "-1", "1"], ["oracle", "--seed=-1", "1"]),
+        (["oracle", "-3"], ["oracle", "--", "-3"]),
+    ],
+)
+def test_option_value_after_equals_sign_parses_alike(spaced, joined):
+    result = _run(spaced)
+    assert result == _run(joined)
+    assert result[0] in (0, 2)
+
+
+def test_negative_weight_list_after_its_flag(capsys):
+    # a value that starts with "-" is taken as the option's value
+    assert run(["oracle", "--plus", "1:2", "--minus", "-1:2", "--restarts", "1"]) == 0
+    assert "pattern: plus {1:2} minus {-1:2}" in capsys.readouterr().out
+    assert run(["oracle", "--minus=-1:2", "--plus", "1:2", "--restarts", "1"]) == 0
+    assert "pattern: plus {1:2} minus {-1:2}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_prints_usage_and_returns_0(command, flag):
+    # help wins over anything else on the line, even a bad argument
+    argv = [flag] if command is None else [command, "bad", flag, "--bogus"]
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: geodesy {command or ''}")
+    names = COMMANDS if command is None else [*(name for name, *_ in COMMANDS[command][1]), *COMMANDS[command][2]]
+    assert all(name in out for name in names)
 
 
 def test_run_classification_script_matches_classify(tmp_path):
@@ -486,12 +590,28 @@ def test_time_oracle_script_prints_one_json_line_per_table(tmp_path):
     for key in keys[3:]:
         assert total[key] == sum(line[key] for line in lines)
     assert total["best_s"] == pytest.approx(sum(line["best_s"] for line in lines), abs=1e-6)
-    # the benchmark's traced numeric.restarts and numeric.iterations
-    assert (total["descend_calls"], total["steps"]) == (18, 409)
+    # the restarts that ran, and the benchmark's traced numeric.restarts and
+    # numeric.iterations; the two tables without unknowns run no restart
+    assert (total["restarts"], total["descend_calls"], total["steps"]) == (52, 18, 409)
     # a table with a target runs one restart per call, the others all of theirs in one
     for line in lines:
         if line["descend_calls"]:
             assert line["descend_calls"] == (line["restarts"] if line["feasible"] else 1)
+
+
+def test_time_cli_script_prints_one_json_line(tmp_path):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "time_cli.py"), "classify", "2", "--json", "--repeat", "1"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert script.returncode == 0, script.stderr
+    (line,) = [json.loads(line) for line in script.stdout.splitlines()]
+    phases = ["import_s", "first_run_s", "second_run_s"]
+    assert list(line) == ["argv", "exit", *phases]
+    assert (line["argv"], line["exit"]) == (["classify", "2", "--json"], 0)
+    assert all(line[phase] > 0 for phase in phases)
 
 
 @pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])

@@ -235,6 +235,19 @@ def test_classify_matches_golden_digest(argv):
     assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == CLASSIFY_GOLDEN[argv]
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_classify_writes_no_certificate_step(p, monkeypatch):
+    # classify keeps no infeasible sector, so it never builds a certificate step
+    import geodesy.ladder as ladder_mod
+
+    def no_step(*args):
+        raise AssertionError("classify built a certificate step")
+
+    monkeypatch.setattr(ladder_mod, "_step", no_step)
+    argv = ("classify", str(p), "--json")
+    assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == CLASSIFY_GOLDEN[argv]
+
+
 @pytest.mark.parametrize("argv", sorted(ORACLE_GOLDEN), ids=" ".join)
 def test_oracle_matches_golden_digest(argv):
     assert hashlib.sha256(cli_stdout(argv).encode()).hexdigest() == ORACLE_GOLDEN[argv]

@@ -503,7 +503,7 @@ def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
     import geodesy.ladder as ladder_mod
 
     derived, keys, sectors = [], [], []
-    original_derive, original_sector = ladder_mod.derive_constraints, ladder_mod._derive_and_eliminate
+    original_derive, original_sector = ladder_mod.derive_constraints, ladder_mod._open_sector
     status = status or _head_status
 
     def counting(wd, sector=None):
@@ -520,7 +520,7 @@ def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
 
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
     monkeypatch.setattr(ladder_mod, "_head_status", recording)
-    monkeypatch.setattr(ladder_mod, "_derive_and_eliminate", recording_sector)
+    monkeypatch.setattr(ladder_mod, "_open_sector", recording_sector)
     try:
         return ladder_mod.verify_theorem(p, max_weight), derived, keys, sectors
     finally:
@@ -685,13 +685,18 @@ def test_verify_theorem_ignores_a_weight_bound_past_2p_minus_1():
 def test_verify_theorem_flags_unresolved(monkeypatch):
     import geodesy.ladder as ladder_mod
 
-    def fake_eliminate(system):
+    def no_contradiction(system):
+        return set(), [], False
+
+    def fake_verdict(system, *fired):
         return Verdict("unresolved", system.sector, detail="forced for the test")
 
     def no_results(self):
         raise AssertionError("the unresolved count and the first table come from the kept sectors")
 
-    monkeypatch.setattr(ladder_mod, "eliminate", fake_eliminate)
+    # every head key and every sector, through eliminate or not, is unresolved
+    monkeypatch.setattr(ladder_mod, "_fire", no_contradiction)
+    monkeypatch.setattr(ladder_mod, "_verdict", fake_verdict)
     # naming the first unresolved table must not decide every sector again
     monkeypatch.setattr(ladder_mod.ClassificationSummary, "results", no_results)
     with pytest.raises(UnresolvedRemains) as err:
@@ -918,6 +923,30 @@ def test_exactly_six_small_supports_are_feasible():
         (0, frozenset(), frozenset({0})),
         (0, frozenset({0}), frozenset({0})),
     }
+
+
+def test_head_status_matches_full_elimination_on_every_head_key():
+    # _head_status reads the status without writing a certificate; the full
+    # path derives the key's table, keeps the top window when top >= 3 and
+    # reads eliminate(...).status
+    statuses = Counter()
+    for parity in (1, 0):
+        windows, supports = head_keys(parity)
+        for key in windows + supports:
+            _, top, *bits = key
+            n = len(bits) // 2
+            head = range(top, top - 2 * n, -2)
+            table = WeightData(
+                {w: 1 for w, present in zip(head, bits[:n]) if present},
+                {w: 1 for w, present in zip(head, bits[n:]) if present},
+            )
+            system = derive_constraints(table, sector="odd" if parity else "even")
+            if top >= 3:
+                system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
+            status = eliminate(system).status
+            assert _head_status(key) == status, key
+            statuses[status] += 1
+    assert statuses == {"infeasible": 128, "feasible": 6}
 
 
 @pytest.mark.parametrize("parity", [1, 0])
