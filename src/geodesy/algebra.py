@@ -38,18 +38,16 @@ class MembershipError(ValueError):
 
 @dataclass(frozen=True)
 class SuPQShape:
-    """Block sizes of the ambient algebra; only the balanced case q = p is allowed."""
+    """The ambient su(p,p): two diagonal blocks of size p >= 1.
+
+    Only the balanced signature is modelled, so p is the one block size.
+    """
 
     p: int
-    q: int = -1
 
     def __post_init__(self):
-        if self.q == -1:
-            object.__setattr__(self, "q", self.p)
         if self.p < 1:
             raise ValueError("p must be at least 1")
-        if self.q != self.p:
-            raise ValueError("only the balanced signature q = p is supported")
 
     @property
     def size(self) -> int:

@@ -65,11 +65,6 @@ def violated_brackets(c: EmbeddingCandidate) -> List[str]:
     return [name for name, got, want in relations if got != want]
 
 
-def check_homomorphism(c: EmbeddingCandidate) -> bool:
-    """True iff the full bracket table holds exactly on the basis images."""
-    return not violated_brackets(c)
-
-
 def check_conditions(c: EmbeddingCandidate) -> CheckReport:
     """Full report: bracket table, conditions (1) and (3), injectivity, geodesy."""
     failures = violated_brackets(c)

@@ -9,8 +9,8 @@ multiples work on plain Python ints and reduce once per matrix, and the
 entries come back as ``GaussRational``s in lowest terms only when asked
 for.
 
-Inverse and rank use one fraction-free Gauss-Jordan elimination over the
-Gaussian integers (Bareiss 1968): every division in it is exact.  The
+The inverse is a fraction-free Gauss-Jordan elimination over the Gaussian
+integers (Bareiss 1968): every division in it is exact.  The
 characteristic polynomial is the division-free Samuelson-Berkowitz
 recurrence on the numerators.  Nothing in this module rounds: every
 operation is exact, which is what makes the infeasibility certificates
@@ -398,25 +398,56 @@ class GaussMatrix:
         return self.rows == self.cols
 
     def inverse(self) -> "GaussMatrix":
-        """Exact inverse by fraction-free elimination; raises if singular.
+        """Exact inverse by fraction-free Gauss-Jordan elimination; raises if singular.
 
-        With a = N / den, elimination of [N | I] leaves [d*I | d*N^-1]
-        (see _bareiss), and a^-1 = den * N^-1 = den * conj(d) * (d*N^-1) / |d|^2.
+        Bareiss (1968) over the Gaussian integers: with a = N / den, the rows
+        of [N | I] are reduced in place, and the pivot step at column c
+        replaces every other row i by (p * row_i - row_i[c] * row_c) / q,
+        where p is the new pivot and q the one before it (1 at the start).
+        By Sylvester's identity every entry stays a minor of the input, so
+        each division is exact and no fraction is ever formed.  A column
+        with no nonzero entry at or below row c means N is singular.  The
+        end state is [d*I | d*N^-1] with d the last pivot, and
+        a^-1 = den * N^-1 = den * conj(d) * (d*N^-1) / |d|^2.
         """
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         re_rows = [list(self.re_num[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
         im_rows = [list(self.im_num[i * n : (i + 1) * n]) + [0] * n for i in range(n)]
-        pivots, (dr, di) = _bareiss(re_rows, im_rows, n)
-        if len(pivots) < n:
-            raise ValueError("matrix is singular")
+        qr, qi = 1, 0
+        for c in range(n):
+            found = next((i for i in range(c, n) if re_rows[i][c] or im_rows[i][c]), None)
+            if found is None:
+                raise ValueError("matrix is singular")
+            re_rows[c], re_rows[found] = re_rows[found], re_rows[c]
+            im_rows[c], im_rows[found] = im_rows[found], im_rows[c]
+            kr, ki = re_rows[c], im_rows[c]
+            pr, pi = kr[c], ki[c]
+            qn = qr * qr + qi * qi
+            for i in range(n):
+                if i == c:
+                    continue
+                xr, xi = re_rows[i], im_rows[i]
+                fr, fi = xr[c], xi[c]
+                # t = p * x - f * k, entry by entry
+                tr = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, kr, ki)]
+                ti = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, kr, ki)]
+                if qi:
+                    # t / q = t * conj(q) / |q|^2
+                    re_rows[i] = [(a * qr + b * qi) // qn for a, b in zip(tr, ti)]
+                    im_rows[i] = [(b * qr - a * qi) // qn for a, b in zip(tr, ti)]
+                else:
+                    re_rows[i] = [a // qr for a in tr]
+                    im_rows[i] = [b // qr for b in ti]
+            qr, qi = pr, pi
+        # qr + qi*i is now the last pivot d
         s = self.den
         re, im = [], []
         for xr, xi in zip(re_rows, im_rows):
-            re.extend(s * (a * dr + b * di) for a, b in zip(xr[n:], xi[n:]))
-            im.extend(s * (b * dr - a * di) for a, b in zip(xr[n:], xi[n:]))
-        return GaussMatrix._from_ints(n, n, dr * dr + di * di, re, im)
+            re.extend(s * (a * qr + b * qi) for a, b in zip(xr[n:], xi[n:]))
+            im.extend(s * (b * qr - a * qi) for a, b in zip(xr[n:], xi[n:]))
+        return GaussMatrix._from_ints(n, n, qr * qr + qi * qi, re, im)
 
     def __eq__(self, other):
         if not isinstance(other, GaussMatrix):
@@ -437,57 +468,6 @@ class GaussMatrix:
             " ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
         )
         return f"GaussMatrix[{body}]"
-
-
-def _bareiss(re_rows: list, im_rows: list, pivot_cols: int) -> tuple:
-    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
-
-    Bareiss (1968): the pivot step at (r, c) replaces every other row i by
-    (p * row_i - row_i[c] * row_r) / q, where p is the new pivot and q the
-    one before it (1 at the start).  By Sylvester's identity every entry
-    stays a minor of the input, so each division is exact and no fraction
-    is ever formed.  Pivots are sought in the first ``pivot_cols`` columns,
-    skipping a column with no nonzero entry at or below row r.
-
-    The rows (real and imaginary parts, all of one length) are reduced in
-    place: at the end every pivot row holds the last pivot d in its pivot
-    column and zeros in the other pivot columns, so a nonsingular square N
-    followed by I becomes [d*I | d*N^-1].  Returns the pivot columns and d
-    as a (re, im) pair.
-    """
-    nrows = len(re_rows)
-    pivots = []
-    qr, qi = 1, 0
-    for c in range(pivot_cols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        found = next((i for i in range(r, nrows) if re_rows[i][c] or im_rows[i][c]), None)
-        if found is None:
-            continue
-        re_rows[r], re_rows[found] = re_rows[found], re_rows[r]
-        im_rows[r], im_rows[found] = im_rows[found], im_rows[r]
-        kr, ki = re_rows[r], im_rows[r]
-        pr, pi = kr[c], ki[c]
-        qn = qr * qr + qi * qi
-        for i in range(nrows):
-            if i == r:
-                continue
-            xr, xi = re_rows[i], im_rows[i]
-            fr, fi = xr[c], xi[c]
-            # t = p * x - f * k, entry by entry
-            tr = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, kr, ki)]
-            ti = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, kr, ki)]
-            if qi:
-                # t / q = t * conj(q) / |q|^2
-                re_rows[i] = [(a * qr + b * qi) // qn for a, b in zip(tr, ti)]
-                im_rows[i] = [(b * qr - a * qi) // qn for a, b in zip(tr, ti)]
-            else:
-                re_rows[i] = [a // qr for a in tr]
-                im_rows[i] = [b // qr for b in ti]
-        pivots.append(c)
-        qr, qi = pr, pi
-    return pivots, (qr, qi)
 
 
 def _product(a: GaussMatrix, b: GaussMatrix) -> tuple:

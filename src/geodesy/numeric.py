@@ -14,8 +14,8 @@ sign, all taken from ``ladder.block_cells``, so assembling the triple is two
 index scatters and the gradient is one gather.  The weight operator H is
 diagonal, so H X - X H is a row and a column scaling.  Each accepted step
 hands its assembled X, Y and relation residual XY - YX - H on to the next
-gradient.  The public functions take and return a ``StructuredPoint``, one
-array per block label.
+gradient.  ``minimize`` reports its best point as a ``StructuredPoint``,
+one array per block label.
 
 The kernel works on a leading lane axis, one lane per restart.  On these
 tables (n <= 6, a few unknowns) a descent step is about a hundred numpy
@@ -28,10 +28,10 @@ own entries in the same order (``_lane_sum``, ``_Problem.block_sum``), and
 the step and the cubic roots solved for it alone in Python.  A batch holds
 at most ``LANES`` restarts, fewer for a large table (``LANE_ENTRIES``).
 With a target, a restart runs only if the earlier ones missed it, so the
-restarts run one lane at a time.  ``residual`` and ``gradient`` run one
-lane, and ``gradient_check`` four.  On the benchmark's ``oracle`` tables
-(17 of 20 run three restarts to the end) this takes a pass of criterion
-6's ``minimize`` calls from about 36 to 26 ms in process (2 cores).
+restarts run one lane at a time.  ``gradient_check`` runs four lanes.  On
+the benchmark's ``oracle`` tables (17 of 20 run three restarts to the
+end) this takes a pass of criterion 6's ``minimize`` calls from about 36
+to 26 ms in process (2 cores).
 
 The line search is exact.  Assembly is real-linear, so along the descent
 direction X and Y move linearly in the step size a, the relation residual
@@ -77,27 +77,16 @@ class ResidualReport:
     seed: int
     best_restart: int
     best_point: StructuredPoint
-    # one entry per descent run, in restart order; not part of the JSON form
+    # one entry per descent run, in restart order
     stop_reasons: Tuple[str, ...] = ()
     restart_steps: Tuple[int, ...] = ()  # accepted steps
     restart_residuals: Tuple[float, ...] = ()  # final residuals
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern": self.pattern.to_json_dict(),
-            "final_residual": self.final_residual,
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "best_restart": self.best_restart,
-        }
 
 
 class _Problem:
     """Flat entry indices, partner signs and the diagonal target for one table."""
 
     def __init__(self, wd: WeightData):
-        self.wd = wd
         layout = wd.layout()
         n = self.n = layout.size
         weights = np.array(layout.weight_vector(), dtype=complex)
@@ -168,26 +157,6 @@ class _Problem:
         return np.cumsum(np.add.reduceat(padded, self.sum_starts, axis=1), axis=1)[:, -1]
 
 
-def _check_point(problem: _Problem, point: StructuredPoint):
-    for label, _, _, shape in problem.blocks:
-        if label not in point:
-            raise ValueError(f"missing block {label}")
-        if point[label].shape != shape:
-            raise ValueError(
-                f"block {label} has shape {point[label].shape}, expected {shape}"
-            )
-    unknown = set(point) - {label for label, _, _, _ in problem.blocks}
-    if unknown:
-        raise ValueError(f"block {min(unknown)} is not an unknown of {problem.wd.describe()}")
-
-
-def residual(wd: WeightData, point: StructuredPoint) -> float:
-    """Squared Frobenius deviation of the assembled triple from the relations."""
-    problem = _Problem(wd)
-    _check_point(problem, point)
-    return float(_evaluate(problem, problem.flatten(point)[None])[0][0])
-
-
 def _lane_sum(a: np.ndarray) -> np.ndarray:
     """The sum of each lane's entries, rounded as one lane's ``sum()``."""
     return np.add.reduce(a.reshape(len(a), -1), axis=1)
@@ -212,13 +181,6 @@ def _weight_term(problem: _Problem, xy: np.ndarray) -> np.ndarray:
     does.  The term is linear in xy.
     """
     return problem.h_rows * xy - xy * problem.h_cols + problem.shift * xy
-
-
-def gradient(wd: WeightData, point: StructuredPoint) -> StructuredPoint:
-    problem = _Problem(wd)
-    _check_point(problem, point)
-    _, xy, r, _ = _evaluate(problem, problem.flatten(point)[None])
-    return problem.unflatten(_gradient(problem, xy, r)[0])
 
 
 def _gradient(problem: _Problem, xy: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -61,9 +61,6 @@ class WeightData:
     def __setattr__(self, name, value):
         raise AttributeError("WeightData is immutable")
 
-    def __reduce__(self):
-        return (WeightData, (self.plus, self.minus))
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -179,18 +176,15 @@ class Layout:
     """
 
     def __init__(self, wd: WeightData):
-        self.weight_data = wd
         self.spans: Dict[Tuple[str, int], Tuple[int, int]] = {}
         pos = 0
         for w in sorted(wd.plus, reverse=True):
             self.spans[("plus", w)] = (pos, pos + wd.plus[w])
             pos += wd.plus[w]
-        self.n_plus = pos
         for w in sorted(wd.minus, reverse=True):
             self.spans[("minus", w)] = (pos, pos + wd.minus[w])
             pos += wd.minus[w]
         self.size = pos
-        self.n_minus = pos - self.n_plus
 
     def span(self, side: str, weight: int) -> Tuple[int, int]:
         return self.spans[(side, weight)]

@@ -23,12 +23,9 @@ from geodesy.gaussmat import GaussMatrix, I, bracket
 
 
 def test_shape_validation():
-    assert SuPQShape(3).q == 3
-    assert SuPQShape(2, 2).size == 4
+    assert SuPQShape(2).size == 4
     with pytest.raises(ValueError):
         SuPQShape(0)
-    with pytest.raises(ValueError):
-        SuPQShape(2, 3)
 
 
 def test_basis_constants():

@@ -10,7 +10,6 @@ from geodesy.candidates import diagonal_candidate, embedding_with_rank, lift_cla
 from geodesy.checker import (
     EmbeddingCandidate,
     check_conditions,
-    check_homomorphism,
     equivariance_test,
     h_weight_analysis,
     violated_brackets,
@@ -45,7 +44,7 @@ def test_identity_candidate_passes_everything():
 
 def test_diagonal_candidate_p2():
     candidate = diagonal_candidate(2)
-    assert check_homomorphism(candidate)
+    assert not violated_brackets(candidate)
     report = check_conditions(candidate)
     assert report.passed and report.totally_geodesic
     assert report.fc_u.is_zero() and report.fc_v.is_zero()
@@ -80,9 +79,9 @@ def built_homomorphisms():
     for c in [*built, conjugated_identity_candidate()]:
         for scale in (0, 1, 2, -1, Fraction(1, 2)):
             triple = EmbeddingCandidate(c.shape, c.f_u * scale, c.f_v * scale, c.f_w * scale)
-            assert check_homomorphism(triple) == (scale in (0, 1) or c.f_w.is_zero())
+            assert (not violated_brackets(triple)) == (scale in (0, 1) or c.f_w.is_zero())
             scaled.append(triple)
-    return [c for c in scaled if check_homomorphism(c)]
+    return [c for c in scaled if not violated_brackets(c)]
 
 
 def test_a_homomorphism_is_injective_iff_the_image_of_w_is_nonzero():
@@ -107,7 +106,6 @@ def test_perturbed_candidate_fails_brackets():
         f_v=candidate.f_v,
         f_w=candidate.f_w,
     )
-    assert not check_homomorphism(perturbed)
     assert "[w,u]=2v" in violated_brackets(perturbed)
     report = check_conditions(perturbed)
     assert not report.is_homomorphism
@@ -131,7 +129,7 @@ def conjugated_identity_candidate() -> EmbeddingCandidate:
 
 def test_conjugated_candidate_is_homomorphism_but_fails_condition_1():
     candidate = conjugated_identity_candidate()
-    assert check_homomorphism(candidate)
+    assert not violated_brackets(candidate)
     report = check_conditions(candidate)
     assert report.is_homomorphism
     assert not report.satisfies_c1
@@ -145,7 +143,7 @@ def test_antiholomorphic_twist_fails_condition_3():
     candidate = EmbeddingCandidate(
         SuPQShape(1), f_u=basis.u, f_v=-basis.v, f_w=-basis.w
     )
-    assert check_homomorphism(candidate)
+    assert not violated_brackets(candidate)
     report = check_conditions(candidate)
     assert report.satisfies_c1
     assert not report.satisfies_c3
@@ -160,8 +158,8 @@ def test_rank_deficient_block_needs_matching_f_w():
     mismatched = EmbeddingCandidate(
         SuPQShape(2), f_u=partial.f_u, f_v=partial.f_v, f_w=full_w.f_w
     )
-    assert not check_homomorphism(mismatched)
-    assert check_homomorphism(partial)
+    assert violated_brackets(mismatched)
+    assert not violated_brackets(partial)
 
 
 def test_components_reconstruct_images():

@@ -234,8 +234,18 @@ def test_inverse_round_trip():
 
 
 def test_singular_inverse_raises():
-    with pytest.raises(ValueError):
-        GaussMatrix.zeros(2, 2).inverse()
+    singular = [
+        GaussMatrix.zeros(2, 2),
+        GaussMatrix([[0, 1], [0, 1]]),  # no pivot in the first column
+        GaussMatrix([[1, 2], [2, 4]]),  # none in the last
+        # the middle column is (1 + i) times the first: none in the middle
+        GaussMatrix([[1, 1 + 1j, 1], [1j, -1 + 1j, 2], [2, 2 + 2j, 3]]),
+    ]
+    for a in singular:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            a.inverse()
+        with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+            a.submatrix(0, a.rows, 0, a.cols - 1).inverse()
 
 
 def test_block_and_submatrix_round_trip():

@@ -238,7 +238,7 @@ def test_bad_arguments():
 def test_layout_spans():
     wd = WeightData({1: 2, 0: 1}, {0: 1, -1: 2})
     layout = wd.layout()
-    assert layout.n_plus == 3 and layout.n_minus == 3 and layout.size == 6
+    assert layout.size == 6
     assert layout.span("plus", 1) == (0, 2)
     assert layout.span("plus", 0) == (2, 3)
     assert layout.span("minus", 0) == (3, 4)
