@@ -32,20 +32,26 @@ print(json.dumps({"times": times, "codes": codes}))
 PHASES = ("import_s", "first_run_s", "second_run_s")
 
 
+def usage_error(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
 def parse(args: list) -> tuple:
-    """(repeat, ARGV) from the script's arguments; exits 2 on a bad --repeat."""
+    """(repeat, ARGV) from the script's arguments; exits 2 on a bad --repeat
+    or an empty ARGV."""
     repeat, argv = 5, []
     it = iter(args)
     for arg in it:
         if arg == "--repeat" or arg.startswith("--repeat="):
             raw = arg.partition("=")[2] or next(it, "")
             if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
-                sys.exit(f"error: --repeat takes a count of at least 1, got {raw!r}")
+                usage_error(f"error: --repeat takes a count of at least 1, got {raw!r}")
             repeat = int(raw)
         else:
             argv.append(arg)
     if not argv:
-        sys.exit("usage: time_cli.py [--repeat N] ARGV...")
+        usage_error("usage: time_cli.py [--repeat N] ARGV...")
     return repeat, argv
 
 

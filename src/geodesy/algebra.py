@@ -170,7 +170,7 @@ class Su11Basis:
             (bracket(self.x, self.y), self.h),
         ]
         for got, want in table:
-            assert got == want, "su(1,1) bracket table failed at construction"
+            if got != want: raise AssertionError("su(1,1) bracket table failed at construction")
 
 
 _BASIS = None

@@ -105,14 +105,13 @@ def check_conditions(c: EmbeddingCandidate) -> CheckReport:
     return report
 
 
-def equivariance_test(c: EmbeddingCandidate, report: Optional[CheckReport] = None) -> bool:
-    """Consistency assertion: both components commute with the action of w.
+def equivariance_test(c: EmbeddingCandidate, report: CheckReport) -> bool:
+    """Consistency assertion: both components in report, which
+    check_conditions(c) returned, commute with the action of w.
 
     For any candidate that passes the conditions this holds automatically;
     a forged report with tampered components fails it.
     """
-    if report is None:
-        report = check_conditions(c)
     if not report.passed:
         return False
     checks = [

@@ -161,12 +161,12 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
     for piece in raw.split(","):
         w, colon, m = piece.partition(":")
         if not (colon and DECIMAL.fullmatch(w) and DECIMAL.fullmatch(m)):
-            raise CandidateFormatError(f"{flag}: expected weight:multiplicity pairs, got {raw!r}")
+            raise ValueError(f"{flag}: expected weight:multiplicity pairs, got {raw!r}")
         weight, mult = int(w), int(m)
         if mult < 1:
-            raise CandidateFormatError(f"{flag}: multiplicity for weight {weight} must be positive")
+            raise ValueError(f"{flag}: multiplicity for weight {weight} must be positive")
         if weight in table:
-            raise CandidateFormatError(f"{flag}: weight {weight} given twice")
+            raise ValueError(f"{flag}: weight {weight} given twice")
         table[weight] = mult
     return table
 
@@ -328,7 +328,7 @@ def cmd_oracle(args) -> int:
                 _parse_weight_list(args.plus, "--plus"),
                 _parse_weight_list(args.minus, "--minus"),
             )
-        except (CandidateFormatError, ValueError) as err:
+        except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
     elif args.p < 1:

@@ -553,11 +553,28 @@ class DatumClassification:
         return self.weight_data.plus.get(1, 0)
 
     @property
+    def trivial_dim(self) -> int:
+        return self.weight_data.dim_plus + self.weight_data.dim_minus - 2 * self.standard_copies
+
+    @property
     def non_embedding(self) -> bool:
         return self.status == "feasible" and all(
             not values or set(values) == {0}
             for values in (self.weight_data.plus, self.weight_data.minus)
         )
+
+    @property
+    def terminal(self) -> Tuple[TerminalBlock, ...]:
+        """A feasible table's terminal blocks: the odd sector's, then the even sector's."""
+        return self.odd.witness.terminal + self.even.witness.terminal
+
+    def label(self) -> str:
+        parts = []
+        if self.standard_copies:
+            parts.append(f"standard^{self.standard_copies}")
+        if self.trivial_dim:
+            parts.append(f"trivial^{self.trivial_dim}")
+        return " + ".join(parts) if parts else "empty"
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -594,37 +611,11 @@ def classify_weight_data(wd: WeightData) -> DatumClassification:
 
 
 @dataclass
-class FeasibleClass:
-    standard_copies: int
-    trivial_dim: int
-    weight_data: WeightData
-    non_embedding: bool
-    terminal: Tuple[TerminalBlock, ...]  # the odd sector's, then the even sector's
-
-    def label(self) -> str:
-        parts = []
-        if self.standard_copies:
-            parts.append(f"standard^{self.standard_copies}")
-        if self.trivial_dim:
-            parts.append(f"trivial^{self.trivial_dim}")
-        return " + ".join(parts) if parts else "empty"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label(),
-            "standard_copies": self.standard_copies,
-            "trivial_dim": self.trivial_dim,
-            "non_embedding": self.non_embedding,
-            "weight_data": self.weight_data.to_json_dict(),
-        }
-
-
-@dataclass
 class ClassificationSummary:
     p: int
     max_weight: int
     enumerated: int
-    classes: List[FeasibleClass]  # one per feasible table
+    classes: List[DatumClassification]  # one per feasible table
 
     @property
     def feasible(self) -> int:
@@ -663,40 +654,40 @@ class ClassificationSummary:
                 "infeasible": self.infeasible,
                 "unresolved": self.unresolved,
             },
-            "feasible_classes": [c.to_json_dict() for c in self.classes],
+            "feasible_classes": [
+                {
+                    "label": c.label(),
+                    "standard_copies": c.standard_copies,
+                    "trivial_dim": c.trivial_dim,
+                    "non_embedding": c.non_embedding,
+                    "weight_data": c.weight_data.to_json_dict(),
+                }
+                for c in self.classes
+            ],
             "theorem_holds": True,
         }
 
 
-def _check_feasible_shape(result: DatumClassification) -> None:
-    wd = result.weight_data
-    for system, verdict in (
-        (result.odd_system, result.odd),
-        (result.even_system, result.even),
-    ):
-        if verdict.status != "feasible":
-            continue
-        forced = set(verdict.witness.forced_zero)
-        for label, (kind, _) in system.blocks().items():
-            if kind != CROSS and label not in forced:
-                raise TheoremViolation(
-                    f"feasible verdict for {wd.describe()} leaves raising block "
-                    f"{label} unconstrained to zero"
-                )
-    odd = wd.odd_sector()
-    if not odd.is_empty():
-        m = odd.plus.get(1, 0)
-        if odd.plus != {1: m} or odd.minus != {-1: m} or m < 1:
+def _check_feasible_shape(wd: WeightData, system: SectorSystem, verdict: Verdict) -> None:
+    """Raise TheoremViolation unless a feasible sector is totally geodesic in
+    shape: every raising block forced to zero, an odd sector the +/-1 pattern
+    with equal multiplicities and an even one weight-0 trivial."""
+    forced = set(verdict.witness.forced_zero)
+    for label, (kind, _) in system.blocks().items():
+        if kind != CROSS and label not in forced:
             raise TheoremViolation(
-                f"feasible odd sector of {wd.describe()} is not the +/-1 pattern "
+                f"feasible verdict for {wd.describe()} leaves raising block "
+                f"{label} unconstrained to zero"
+            )
+    if system.sector == "odd":
+        m = wd.plus.get(1, 0)
+        if not wd.is_empty() and (wd.plus != {1: m} or wd.minus != {-1: m}):
+            raise TheoremViolation(
+                f"feasible odd sector {wd.describe()} is not the +/-1 pattern "
                 f"with equal multiplicities"
             )
-    even = wd.even_sector()
-    if not even.is_empty():
-        if (set(even.plus) | set(even.minus)) - {0}:
-            raise TheoremViolation(
-                f"feasible even sector of {wd.describe()} is not weight-0 trivial"
-            )
+    elif (set(wd.plus) | set(wd.minus)) - {0}:
+        raise TheoremViolation(f"feasible even sector {wd.describe()} is not weight-0 trivial")
 
 
 # where a head weight sits: on plus only, on minus only, or on both
@@ -783,16 +774,17 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     verdict, unless it is infeasible: terminal recognition compares
     dimensions, and a feasible sector keeps its own system.  So the code
     assumes nothing of the lemma.  Every sector not kept is infeasible, so
-    a group pair with k_odd and k_even sectors kept, f_odd and f_even of
-    them feasible, has f_odd * f_even feasible tables and k_odd * k_even -
-    f_odd * f_even unresolved ones; the first of these is named from the
-    kept sectors.  Every window is infeasible and 6 of the 80 supports are
-    feasible, so every rank from 5 on decides the same 95 keys and walks
-    only the classes of the feasible supports.
+    each pair of kept sectors of a group pair is a table that is feasible
+    or unresolved, and every other table is infeasible; one pass over the
+    pairs counts the tables, keeps the feasible ones and names the first
+    unresolved one.  Every window is infeasible and 6 of the 80 supports
+    are feasible, so every rank from 5 on decides the same 95 keys and
+    walks only the classes of the feasible supports.
 
-    Raises UnresolvedRemains if any verdict is unresolved and
-    TheoremViolation if a feasible class is not totally geodesic in shape
-    (nonzero raising block, wrong odd pattern, or nontrivial even sector).
+    Raises UnresolvedRemains if any table is unresolved, and then
+    TheoremViolation if a kept feasible sector is not totally geodesic in
+    shape (nonzero raising block, wrong odd pattern, or nontrivial even
+    sector; _check_feasible_shape, once per sector).
     """
     if max_weight is None:
         max_weight = 2 * p - 1
@@ -837,37 +829,24 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
                             kept.append((wd, *opened))
 
     enumerated = unresolved = 0
-    tables = []
+    first = None
+    classes: List[DatumClassification] = []
     for (n_odd, odd), (n_even, even) in pair_sectors(p, groups[1], groups[0]):
-        # a table is infeasible if a sector is, else unresolved if a sector is
-        odd_feasible, even_feasible = ([k for k in group if k[2].status == "feasible"] for group in (odd, even))
         enumerated += n_odd * n_even
-        unresolved += len(odd) * len(even) - len(odd_feasible) * len(even_feasible)
-        tables += [
-            DatumClassification(o.combine(e), o_system, e_system, o_verdict, e_verdict)
-            for o, o_system, o_verdict in odd_feasible
-            for e, e_system, e_verdict in even_feasible
-        ]
+        for o, o_system, o_verdict in odd:
+            for e, e_system, e_verdict in even:
+                # neither sector is infeasible, so the table is feasible or unresolved
+                table = DatumClassification(o.combine(e), o_system, e_system, o_verdict, e_verdict)
+                if table.status == "feasible":
+                    classes.append(table)
+                else:
+                    unresolved += 1
+                    first = first or table
     if unresolved:
-        first = next(
-            o.combine(e)
-            for (_, odd), (_, even) in pair_sectors(p, groups[1], groups[0])
-            for o, _, o_verdict in odd
-            for e, _, e_verdict in even
-            if "unresolved" in (o_verdict.status, e_verdict.status)
-        )
-        raise UnresolvedRemains(f"{unresolved} weight table(s) unresolved, first: {first.describe()}")
-    summary = ClassificationSummary(p=p, max_weight=max_weight, enumerated=enumerated, classes=[])
-    for r in tables:
-        _check_feasible_shape(r)
-        summary.classes.append(
-            FeasibleClass(
-                standard_copies=r.standard_copies,
-                trivial_dim=2 * p - 2 * r.standard_copies,
-                weight_data=r.weight_data,
-                non_embedding=r.non_embedding,
-                terminal=r.odd.witness.terminal + r.even.witness.terminal,
-            )
-        )
-    summary.classes.sort(key=lambda c: c.standard_copies, reverse=True)
-    return summary
+        raise UnresolvedRemains(f"{unresolved} weight table(s) unresolved, first: {first.weight_data.describe()}")
+    for _, kept in (*groups[1].values(), *groups[0].values()):
+        for wd, system, verdict in kept:
+            if verdict.status == "feasible":
+                _check_feasible_shape(wd, system, verdict)
+    classes.sort(key=lambda c: c.standard_copies, reverse=True)
+    return ClassificationSummary(p=p, max_weight=max_weight, enumerated=enumerated, classes=classes)

@@ -1,8 +1,8 @@
 """The runnable invariant suite behind the selftest subcommand.
 
-Each check is a named callable that raises AssertionError on failure; the
-runner reports the first failure by name.  All randomness is seeded, so
-repeated runs are identical.
+Each check is a named callable that raises AssertionError on failure, with
+no assert statement, so python -O keeps it; the runner reports the first
+failure by name.  All randomness is seeded, so repeated runs are identical.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ def _shapes(count: int):
 
 def check_bracket_table() -> None:
     basis = su11_basis()
-    assert bracket(basis.w, basis.u) == basis.v * 2
-    assert bracket(basis.w, basis.v) == basis.u * (-2)
-    assert bracket(basis.u, basis.v) == basis.w * (-2)
-    assert basis.h == basis.w * (-I)
-    assert check_kH_irreducible()
+    if bracket(basis.w, basis.u) != basis.v * 2: raise AssertionError
+    if bracket(basis.w, basis.v) != basis.u * (-2): raise AssertionError
+    if bracket(basis.u, basis.v) != basis.w * (-2): raise AssertionError
+    if basis.h != basis.w * (-I): raise AssertionError
+    if not check_kH_irreducible(): raise AssertionError
 
 
 def check_jacobi(samples: int = 100, seed: int = 101) -> None:
@@ -51,7 +51,7 @@ def check_jacobi(samples: int = 100, seed: int = 101) -> None:
             + bracket(b, bracket(c, a))
             + bracket(c, bracket(a, b))
         )
-        assert total.is_zero(), "Jacobi identity failed"
+        if not total.is_zero(): raise AssertionError("Jacobi identity failed")
 
 
 def check_antisymmetry(samples: int = 100, seed: int = 102) -> None:
@@ -59,8 +59,8 @@ def check_antisymmetry(samples: int = 100, seed: int = 102) -> None:
     for shape in _shapes(samples):
         a = sampling.su_pp(rng, shape)
         b = sampling.su_pp(rng, shape)
-        assert bracket(a, b) == -bracket(b, a)
-        assert bracket(a, a).is_zero()
+        if bracket(a, b) != -bracket(b, a): raise AssertionError
+        if not bracket(a, a).is_zero(): raise AssertionError
 
 
 def check_involution(samples: int = 100, seed: int = 103) -> None:
@@ -68,10 +68,10 @@ def check_involution(samples: int = 100, seed: int = 103) -> None:
     for shape in _shapes(samples):
         a = sampling.su_pp(rng, shape)
         b = sampling.su_pp(rng, shape)
-        assert cartan_involution(cartan_involution(a, shape), shape) == a
+        if cartan_involution(cartan_involution(a, shape), shape) != a: raise AssertionError
         got = cartan_involution(bracket(a, b), shape)
         want = bracket(cartan_involution(a, shape), cartan_involution(b, shape))
-        assert got == want, "involution is not an automorphism"
+        if got != want: raise AssertionError("involution is not an automorphism")
 
 
 def check_cartan_inclusions(samples: int = 100, seed: int = 104) -> None:
@@ -81,20 +81,20 @@ def check_cartan_inclusions(samples: int = 100, seed: int = 104) -> None:
         k2 = sampling.k_part(rng, shape)
         p1 = sampling.p_part(rng, shape)
         p2 = sampling.p_part(rng, shape)
-        assert cartan_decompose(bracket(k1, k2), shape).p_part.is_zero(), "[k,k] left k"
-        assert cartan_decompose(bracket(k1, p1), shape).k_part.is_zero(), "[k,p] left p"
-        assert cartan_decompose(bracket(p1, p2), shape).p_part.is_zero(), "[p,p] left k"
+        if not cartan_decompose(bracket(k1, k2), shape).p_part.is_zero(): raise AssertionError("[k,k] left k")
+        if not cartan_decompose(bracket(k1, p1), shape).k_part.is_zero(): raise AssertionError("[k,p] left p")
+        if not cartan_decompose(bracket(p1, p2), shape).p_part.is_zero(): raise AssertionError("[p,p] left k")
 
 
 def check_complex_structure(samples: int = 100, seed: int = 105) -> None:
     rng = random.Random(seed)
     for shape in _shapes(samples):
         a = sampling.p_part(rng, shape)
-        assert complex_structure(complex_structure(a, shape), shape) == -a
+        if complex_structure(complex_structure(a, shape), shape) != -a: raise AssertionError
         center = GaussMatrix.diagonal([1j] * shape.p + [-1j] * shape.p)
         got = complex_structure(bracket(center, a), shape)
         want = bracket(center, complex_structure(a, shape))
-        assert got == want, "complex structure does not commute with the center"
+        if got != want: raise AssertionError("complex structure does not commute with the center")
 
 
 def check_cayley_hamilton(samples: int = 100, seed: int = 106) -> None:
@@ -102,7 +102,7 @@ def check_cayley_hamilton(samples: int = 100, seed: int = 106) -> None:
     for i in range(samples):
         n = 1 + (i % 6)
         a = sampling.matrix(rng, n)
-        assert poly_eval(char_poly(a), a).is_zero(), "Cayley-Hamilton failed"
+        if not poly_eval(char_poly(a), a).is_zero(): raise AssertionError("Cayley-Hamilton failed")
 
 
 def check_eigenprojections(samples: int = 100, seed: int = 107) -> None:
@@ -111,17 +111,17 @@ def check_eigenprojections(samples: int = 100, seed: int = 107) -> None:
         n = 2 + (i % 3)
         a, expected = sampling.integer_diagonalizable(rng, n)
         spectrum = integer_spectrum(a)
-        assert spectrum == expected
+        if spectrum != expected: raise AssertionError
         total = GaussMatrix.zeros(n, n)
         projections = {lam: eigenprojection(a, lam, spectrum) for lam in spectrum}
         for lam, proj in projections.items():
-            assert proj @ proj == proj, "projector is not idempotent"
+            if proj @ proj != proj: raise AssertionError("projector is not idempotent")
             total = total + proj
         for lam in projections:
             for mu in projections:
                 if lam != mu:
-                    assert (projections[lam] @ projections[mu]).is_zero()
-        assert total == GaussMatrix.identity(n), "projectors do not resolve the identity"
+                    if not (projections[lam] @ projections[mu]).is_zero(): raise AssertionError
+        if total != GaussMatrix.identity(n): raise AssertionError("projectors do not resolve the identity")
 
 
 def check_certificate_replay(p: int = 2) -> None:
@@ -146,8 +146,8 @@ def check_witness_lift(p: int = 2) -> None:
             continue
         candidate = lift_classification(result)
         report = check_conditions(candidate)
-        assert report.passed and report.totally_geodesic, "lifted witness failed the checker"
-        assert equivariance_test(candidate, report)
+        if not (report.passed and report.totally_geodesic): raise AssertionError("lifted witness failed the checker")
+        if not equivariance_test(candidate, report): raise AssertionError
 
 
 def check_head_keys() -> None:
@@ -157,11 +157,11 @@ def check_head_keys() -> None:
     feasible = supports_seen = 0
     for parity in (1, 0):
         windows, supports = head_keys(parity)
-        assert len(windows) == 27, f"{len(windows)} top windows of parity {parity}"
-        assert all(_head_status(key) == "infeasible" for key in windows), f"a top window of parity {parity} is not infeasible"
+        if len(windows) != 27: raise AssertionError(f"{len(windows)} top windows of parity {parity}")
+        if not all(_head_status(key) == "infeasible" for key in windows): raise AssertionError(f"a top window of parity {parity} is not infeasible")
         supports_seen += len(supports)
         feasible += sum(_head_status(key) == "feasible" for key in supports)
-    assert (feasible, supports_seen) == (6, 80), f"{feasible} of {supports_seen} small supports are feasible"
+    if (feasible, supports_seen) != (6, 80): raise AssertionError(f"{feasible} of {supports_seen} small supports are feasible")
 
 
 def check_oracle_gradient(tol: float = 1e-5) -> None:
@@ -171,7 +171,7 @@ def check_oracle_gradient(tol: float = 1e-5) -> None:
     ]
     for wd in patterns:
         err = gradient_check(wd, seed=11, points=3)
-        assert err < tol, f"gradient mismatch {err} for {wd.describe()}"
+        if not err < tol: raise AssertionError(f"gradient mismatch {err} for {wd.describe()}")
 
 
 CHECKS: List[Tuple[str, Callable[[], None]]] = [

@@ -614,6 +614,24 @@ def test_time_cli_script_prints_one_json_line(tmp_path):
     assert all(line[phase] > 0 for phase in phases)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "2", "--repeat", "0"], "error: --repeat takes a count of at least 1, got '0'"),
+        (["--repeat", "1"], "usage: time_cli.py [--repeat N] ARGV..."),
+    ],
+    ids=["repeat_0", "no_argv"],
+)
+def test_time_cli_script_exits_2_on_a_usage_error(tmp_path, args, message):
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "time_cli.py"), *args],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert (script.returncode, script.stdout, script.stderr) == (2, "", message + "\n")
+
+
 @pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])
 def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max_p):
     # the script writes certificates, so it stops where --emit-certs does
@@ -632,6 +650,21 @@ def test_selftest_runs_clean(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all invariants hold" in out
+
+
+def test_selftest_fails_under_python_O(tmp_path):
+    # -O strips every assert statement; the checks raise without one, so a
+    # broken bracket is still caught
+    child = (
+        "import geodesy.selftest as selftest\n"
+        "bracket = selftest.bracket\n"
+        "selftest.bracket = lambda a, b: bracket(a, b) * 3\n"
+        "print(__debug__, selftest.run_selftest(lambda line: None))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(BUNDLED.parent / "src")}
+    env.pop("PYTHONOPTIMIZE", None)
+    result = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (result.returncode, result.stdout) == (0, "False bracket table\n"), result.stderr
 
 
 def test_selftest_names_first_failure(monkeypatch, capsys):

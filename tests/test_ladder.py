@@ -19,6 +19,7 @@ from geodesy.ladder import (
     TheoremViolation,
     UnresolvedRemains,
     Verdict,
+    WitnessClass,
     WitnessError,
     _derive_and_eliminate,
     _head_status,
@@ -712,19 +713,31 @@ def test_feasible_shape_check_rejects_surviving_raising_block():
     wd = WeightData({1: 1, 0: 1}, {-1: 1, 0: 1})
     result = classify_weight_data(wd)
     assert result.status == "feasible"
-    _check_feasible_shape(result)
+    _check_feasible_shape(wd.odd_sector(), result.odd_system, result.odd)
+    _check_feasible_shape(wd.even_sector(), result.even_system, result.even)
 
     # tamper: pretend a raising block of either kind survived in the odd
     # sector, as a live term of its weight-1 equation
     for key in ((PLUS_RAISE, -1), (MINUS_RAISE, -3)):
-        tampered = classify_weight_data(wd)
-        (side, w, dim, rhs, terms), *rest = tampered.odd_system.equations
-        tampered.odd_system = dataclasses.replace(
-            tampered.odd_system, equations=((side, w, dim, rhs, terms + ((-1, key, OUTER),)), *rest)
+        (side, w, dim, rhs, terms), *rest = result.odd_system.equations
+        tampered = dataclasses.replace(
+            result.odd_system, equations=((side, w, dim, rhs, terms + ((-1, key, OUTER),)), *rest)
         )
-        assert block_label(*key) in tampered.odd_system.blocks()
+        assert block_label(*key) in tampered.blocks()
         with pytest.raises(TheoremViolation, match=r"raising block " + re.escape(block_label(*key))):
-            _check_feasible_shape(tampered)
+            _check_feasible_shape(wd.odd_sector(), tampered, result.odd)
+
+    # forge a feasible verdict that forces every raising block of a sector
+    # of the wrong shape
+    for sector, forged, message in (
+        ("odd", WeightData({1: 2}, {-1: 1}), "is not the +/-1 pattern"),
+        ("even", WeightData({2: 1, 0: 1}, {0: 1, -2: 1}), "is not weight-0 trivial"),
+    ):
+        system = derive_constraints(forged, sector=sector)
+        raising = tuple(label for label, (kind, _) in system.blocks().items() if kind != CROSS)
+        verdict = Verdict("feasible", sector, witness=WitnessClass(raising, ()))
+        with pytest.raises(TheoremViolation, match=re.escape(f"{sector} sector {forged.describe()} {message}")):
+            _check_feasible_shape(forged, system, verdict)
 
 
 def test_classification_status_combination():
