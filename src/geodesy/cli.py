@@ -42,7 +42,6 @@ COMMANDS = {
         "classify all weight tables for a rank",
         [("p", int, True, f"rank, 1..{MAX_P}")],
         {
-            "--max-weight": (int, None, "N", "largest weight enumerated (default 2p - 1)"),
             "--json": (None, False, None, "machine-readable report"),
             "--emit-certs": (str, None, "DIR", f"write one certificate per table (p up to {MAX_CERT_P})"),
         },
@@ -95,7 +94,7 @@ def usage(command: str | None = None) -> str:
 
 
 def _dest(flag: str) -> str:
-    """The attribute of an option's value: --max-weight gives max_weight."""
+    """The attribute of an option's value: --emit-certs gives emit_certs."""
     return flag[2:].replace("-", "_")
 
 
@@ -162,7 +161,10 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
         w, colon, m = piece.partition(":")
         if not (colon and DECIMAL.fullmatch(w) and DECIMAL.fullmatch(m)):
             raise ValueError(f"{flag}: expected weight:multiplicity pairs, got {raw!r}")
-        weight, mult = int(w), int(m)
+        try:
+            weight, mult = int(w), int(m)
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"{flag}: too many digits in {piece!r}") from None
         if mult < 1:
             raise ValueError(f"{flag}: multiplicity for weight {weight} must be positive")
         if weight in table:
@@ -269,9 +271,6 @@ def cmd_classify(args) -> int:
     if not (1 <= args.p <= MAX_P):
         print(f"error: p must be between 1 and {MAX_P}", file=sys.stderr)
         return 2
-    if args.max_weight is not None and args.max_weight < 1:
-        print("error: --max-weight must be at least 1", file=sys.stderr)
-        return 2
     if args.emit_certs == "":
         print("error: --emit-certs needs a directory", file=sys.stderr)
         return 2
@@ -279,7 +278,7 @@ def cmd_classify(args) -> int:
         print(f"error: --emit-certs takes p between 1 and {MAX_CERT_P}", file=sys.stderr)
         return 2
     try:
-        summary = verify_theorem(args.p, max_weight=args.max_weight)
+        summary = verify_theorem(args.p)
     except UnresolvedRemains as err:
         print(f"error: unresolved weight tables remain: {err}", file=sys.stderr)
         return 3
@@ -331,8 +330,11 @@ def cmd_oracle(args) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-    elif args.p < 1:
-        print("error: p must be at least 1", file=sys.stderr)
+        if max(wd.dim_plus, wd.dim_minus) > MAX_P:
+            print(f"error: --plus and --minus each take at most {MAX_P} dimensions", file=sys.stderr)
+            return 2
+    elif not 1 <= args.p <= MAX_P:
+        print(f"error: p must be between 1 and {MAX_P}", file=sys.stderr)
         return 2
     else:
         wd = WeightData({1: args.p}, {-1: args.p})

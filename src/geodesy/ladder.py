@@ -613,9 +613,13 @@ def classify_weight_data(wd: WeightData) -> DatumClassification:
 @dataclass
 class ClassificationSummary:
     p: int
-    max_weight: int
     enumerated: int
     classes: List[DatumClassification]  # one per feasible table
+
+    @property
+    def max_weight(self) -> int:
+        """2p - 1, the largest weight any table of rank p holds."""
+        return 2 * self.p - 1
 
     @property
     def feasible(self) -> int:
@@ -636,7 +640,7 @@ class ClassificationSummary:
         sector, so each sector is derived and eliminated here in full: an
         even group's sectors all together, then each odd sector of the
         partner group in turn, so each is derived once per pass."""
-        odd, even = enumerate_sectors(self.p, self.max_weight)
+        odd, even = enumerate_sectors(self.p)
         for odd_group, even_group in pair_sectors(self.p, odd, even):
             evens = [(e, *_derive_and_eliminate(e, "even")) for e in even_group]
             for o in odd_group:
@@ -730,7 +734,7 @@ def _head_status(key: Tuple[int, ...]) -> str:
     return "infeasible" if fired[2] else _verdict(system, *fired).status
 
 
-def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSummary:
+def verify_theorem(p: int) -> ClassificationSummary:
     """Classify every admissible table of rank p, one sum of irreducibles
     at a time.
 
@@ -786,8 +790,6 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
     shape (nonzero raising block, wrong odd pattern, or nontrivial even
     sector; _check_feasible_shape, once per sector).
     """
-    if max_weight is None:
-        max_weight = 2 * p - 1
     # per parity: dims -> [sector count, kept (sector, system, verdict)s]
     groups: Tuple[Dict[Dims, list], ...] = (defaultdict(lambda: [0, []]), defaultdict(lambda: [0, []]))
     head_status = cache(_head_status)
@@ -802,7 +804,7 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
             if head_status((parity, marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
         ]
 
-    for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
+    for parity, size, dims, weights, totals in iter_spectra(p):
         # the sum's groups, created in order of d as pair_sectors reads them
         cells = [groups[parity][d, size - d] for d in dims]
         n_all = count_splits(totals)
@@ -849,4 +851,4 @@ def verify_theorem(p: int, max_weight: int | None = None) -> ClassificationSumma
             if verdict.status == "feasible":
                 _check_feasible_shape(wd, system, verdict)
     classes.sort(key=lambda c: c.standard_copies, reverse=True)
-    return ClassificationSummary(p=p, max_weight=max_weight, enumerated=enumerated, classes=classes)
+    return ClassificationSummary(p=p, enumerated=enumerated, classes=classes)

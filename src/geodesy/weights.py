@@ -262,44 +262,31 @@ def count_splits(totals: Sequence[int]) -> List[int]:
     return n
 
 
-def _bounds(p: int, max_weight: int | None) -> int:
-    """The weight bound to enumerate with: max_weight, capped at 2p - 1,
-    past which it adds nothing."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if max_weight is None:
-        max_weight = 2 * p - 1
-    if max_weight < 1:
-        raise ValueError("max_weight must be at least 1")
-    return min(max_weight, 2 * p - 1)
-
-
-def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[WeightData]:
+def enumerate_weight_data(p: int) -> Iterator[WeightData]:
     """Every admissible WeightData with both block dimensions equal to p.
 
-    The default weight bound 2p - 1 is the largest weight of any irreducible
-    representation that fits in dimension 2p; a smaller bound prunes, a larger
-    one never adds anything.  Enumeration order is lexicographic on the
-    combined multiplicity vectors, smallest first.
+    No weight exceeds 2p - 1, the largest weight of any irreducible
+    representation that fits in dimension 2p.  Enumeration order is
+    lexicographic on the combined multiplicity vectors, smallest first.
     """
-    max_weight = _bounds(p, max_weight)
-    odd, even = enumerate_sectors(p, max_weight)
+    odd, even = enumerate_sectors(p)
     found = [o.combine(e) for odd_group, even_group in pair_sectors(p, odd, even) for o in odd_group for e in even_group]
-    n = 2 * max_weight + 1  # weights max_weight down to -max_weight
+    top = 2 * p - 1
+    n = 2 * top + 1  # weights top down to -top
 
     def lex_key(wd: WeightData) -> List[int]:
         key = [0] * (2 * n)
         for w, m in wd.plus.items():
-            key[max_weight - w] = m
+            key[top - w] = m
         for w, m in wd.minus.items():
-            key[n + max_weight - w] = m
+            key[n + top - w] = m
         return key
 
     found.sort(key=lex_key)
     yield from found
 
 
-def iter_spectra(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
+def iter_spectra(p: int) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
     """One entry per sum of irreducibles whose sectors can pair into rank p:
     (parity, size, dims, weights, totals), the odd ones (parity 1) first.
 
@@ -309,19 +296,19 @@ def iter_spectra(p: int, max_weight: int | None = None) -> Iterator[Tuple[int, i
     sector have dimension at most p.  Every weight of the sum's parity from
     weights[0] down to -weights[0] is present.
     """
-    max_weight = _bounds(p, max_weight)
+    if p < 1:
+        raise ValueError("p must be at least 1")
     for parity in (1, 0):
-        # an irreducible of dimension d has weights of the parity of d - 1
-        parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
+        # an irreducible of dimension d has weights of the parity of d - 1,
+        # and every one up to dimension 2p fits
+        parts = [d for d in range(2 * p, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
             dims = range(max(0, size - p), min(p, size) + 1)
             for partition in _partitions(size, parts):
                 yield (parity, size, dims, *_spectrum(partition))
 
 
-def enumerate_sectors(
-    p: int, max_weight: int | None = None
-) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
+def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
     """The admissible single-parity tables that can pair into rank p, as
     (odd, even), each mapping (dim_plus, dim_minus) to its sectors: the
     sectors of each entry of iter_spectra in turn, for each d in its dims
@@ -336,7 +323,7 @@ def enumerate_sectors(
     sector of dimensions (a, b) has no weight above a + b - 1.
     """
     sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
-    for parity, size, dims, weights, totals in iter_spectra(p, max_weight):
+    for parity, size, dims, weights, totals in iter_spectra(p):
         # pick[i] copies of weights[i] go to plus and the rest to minus.  The
         # rest is the complement pick of dimension size - d, and complements
         # run in reverse order, so each block dict is built once and shared.

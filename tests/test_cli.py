@@ -356,6 +356,30 @@ def test_oracle_rejects_bad_weight_lists(plus, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --plus: ")
 
 
+RANK_LIMIT = f"p must be between 1 and {MAX_P}"
+BLOCK_LIMIT = f"--plus and --minus each take at most {MAX_P} dimensions"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "0"], RANK_LIMIT),
+        (["oracle", str(MAX_P + 1)], RANK_LIMIT),
+        (["oracle", "--plus", f"1:{10**30}", "--minus", "-1:1"], BLOCK_LIMIT),
+        (["oracle", "--plus", "1:1", "--minus", f"0:1,-1:{MAX_P}"], BLOCK_LIMIT),
+    ],
+    ids=["rank_0", "rank_past_max_p", "huge_plus_block", "minus_block_past_max_p"],
+)
+def test_oracle_refuses_a_table_past_max_p(argv, message):
+    # refused before any matrix is built: a rank of 10**5 would ask for hundreds of GiB
+    assert _run([*argv, "--restarts", "1"]) == (2, "", f"error: {message}\n")
+
+
+def test_oracle_runs_at_max_p():
+    code, out, _ = _run(["oracle", "--plus", f"1:{MAX_P}", "--minus", f"-1:{MAX_P}", "--restarts", "1"])
+    assert code == 0 and out.startswith(f"pattern: plus {{1:{MAX_P}}} minus {{-1:{MAX_P}}}")
+
+
 def test_oracle_output_is_deterministic(capsys):
     args = ["oracle", "--plus", "1:1", "--minus", "-1:1", "--restarts", "3", "--seed", "12"]
     assert run(args) == 0
@@ -409,7 +433,7 @@ def _run(argv):
         [],
         ["classfy", "2"],
         ["classify", "2", "--js"],  # no prefix matching
-        ["classify", "2", "--max-weight"],
+        ["oracle", "1", "--seed"],
         ["classify", "2", "--emit-certs", "--json"],
         ["oracle", "--plus", "1:1", "--minus"],
         ["classify"],
@@ -418,7 +442,7 @@ def _run(argv):
         ["selftest", "now"],
         ["classify", "2", "--json=yes"],
         ["classify", "two"],
-        ["classify", "2", "--max-weight", "3.0"],
+        ["oracle", "1", "--restarts", "3.0"],
         ["oracle", "1", "--seed", "x"],
         ["classify", "9" * 5000],  # more digits than int() converts
     ],
@@ -434,17 +458,24 @@ def test_usage_error_returns_2_with_one_error_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+def test_classify_has_no_weight_bound_option():
+    # every table of rank p has its weights within 2p - 1, so classify takes none
+    refused = "error: classify: unrecognized option '--max-weight'\n"
+    assert _run(["classify", "2", "--max-weight", "3"]) == (2, "", refused)
+    code, out, _ = _run(["classify", "-h"])
+    assert code == 0 and out.splitlines()[0] == "usage: geodesy classify p [--json] [--emit-certs DIR]"
+
+
 # int() takes all of these, and the old weight-list pattern matched a
 # non-ASCII digit and a trailing newline; only -?[0-9]+ is an integer
 NOT_DECIMAL = ["\u0662", " 2", "2 ", "+2", "0_2", "2\n", "\uff12"]
 
 
 @pytest.mark.parametrize("raw", NOT_DECIMAL)
-@pytest.mark.parametrize("where", ["p", "--max-weight", "--restarts", "--seed"])
+@pytest.mark.parametrize("where", ["p", "--restarts", "--seed"])
 def test_integer_arguments_take_only_ascii_decimals(raw, where):
     argv = {
         "p": ["classify", raw, "--json"],
-        "--max-weight": ["classify", "2", "--max-weight", raw],
         "--restarts": ["oracle", "1", "--restarts", raw],
         "--seed": ["oracle", "1", "--restarts", "1", "--seed", raw],
     }[where]
@@ -456,7 +487,8 @@ def test_integer_arguments_take_only_ascii_decimals(raw, where):
 @pytest.mark.parametrize(
     "plus, minus",
     [("\u0661:\u0661", "-\u0661:\u0661"), ("1:1\n", "-1:1"), ("1:1", "-1:1\n"), ("1:+1", "-1:1"), (" 1:1", "-1:1"),
-     ("1:1,", "-1:1"), ("1:1:1", "-1:1"), ("", "-1:1")],
+     ("1:1,", "-1:1"), ("1:1:1", "-1:1"), ("", "-1:1"),
+     pytest.param("1:1", "-1:" + "1" * 5000, id="more_digits_than_int_converts")],
 )
 def test_weight_lists_take_only_ascii_decimals(plus, minus):
     code, out, err = _run(["oracle", "--plus", plus, "--minus", minus, "--restarts", "1"])
@@ -467,7 +499,6 @@ def test_weight_lists_take_only_ascii_decimals(plus, minus):
 @pytest.mark.parametrize(
     "spaced, joined",
     [
-        (["classify", "3", "--max-weight", "3", "--json"], ["classify", "3", "--max-weight=3", "--json"]),
         (["classify", "2", "--json", "--emit-certs", ""], ["classify", "2", "--json", "--emit-certs="]),
         (
             ["oracle", "--plus", "1:1", "--minus", "-1:1", "--restarts", "2", "--seed", "5"],
@@ -644,6 +675,34 @@ def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max
     assert script.returncode == 2
     assert f"--max-p must be between 1 and {MAX_CERT_P}" in script.stderr
     assert script.stdout == "" and not (tmp_path / "results").exists()
+
+
+def run_make_candidates(tmp_path, *args):
+    """Run a copy of scripts/make_candidates.py under tmp_path/scripts, which
+    writes to tmp_path/candidates and never to the checkout."""
+    (tmp_path / "scripts").mkdir()
+    script = tmp_path / "scripts" / "make_candidates.py"
+    script.write_text((BUNDLED.parent / "scripts" / "make_candidates.py").read_text())
+    env = {**os.environ, "PYTHONPATH": str(BUNDLED.parent / "src")}
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, cwd=tmp_path, env=env)
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["--help"], 0), (["--bogus"], 2), (["candidates"], 2)], ids=["help", "unknown_option", "argument"]
+)
+def test_make_candidates_script_writes_nothing_on_help_or_a_usage_error(tmp_path, args, code):
+    script = run_make_candidates(tmp_path, *args)
+    assert script.returncode == code, script.stderr
+    assert script.stdout.startswith("usage: make_candidates.py") if code == 0 else script.stderr.startswith("usage: ")
+    assert not (tmp_path / "candidates").exists()
+
+
+def test_make_candidates_script_regenerates_the_bundled_files(tmp_path):
+    script = run_make_candidates(tmp_path)
+    assert script.returncode == 0, script.stderr
+    names = ["diagonal_p2.json", "standard_trivial_p2.json"]
+    assert sorted(f.name for f in (tmp_path / "candidates").iterdir()) == names
+    assert all((tmp_path / "candidates" / n).read_bytes() == (BUNDLED / n).read_bytes() for n in names)
 
 
 def test_selftest_runs_clean(capsys):

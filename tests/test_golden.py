@@ -142,11 +142,6 @@ CLASSIFY_GOLDEN = {
     ("classify", "14", "--json"): "25a1904d1e6ba2733be731170daa00e1ec807c409522a865b414b8152598d876",
     ("classify", "15", "--json"): "cd8b70c7bd7e7975dea004a02ad7b22431a2ccbc8aa52bb8b3754ce3efbe8514",
     ("classify", "16", "--json"): "ea73cd0ec7c6d2666dbea87c633424fc324eb47da6fd9801604d87fa92c696eb",
-    ("classify", "4", "--max-weight", "2", "--json"): "97ca48c8a16385510bbc4abc3f38f1acbf8b9b2c9681676bf4e17ea846b86b26",
-    ("classify", "5", "--max-weight", "1", "--json"): "d7372d43f27fc612b0c2a7e781de1c6877a30440d15368bc4ddcc9b117a71a72",
-    ("classify", "5", "--max-weight", "2", "--json"): "86ff268ca49640fd6eb17686364e3bd2e99dcdd957de4d8676304561503e5b1b",
-    ("classify", "5", "--max-weight", "3", "--json"): "e0414d7b08149dde8018b056ab662ae2ed3ebea32c5d98e910aa047089763fab",
-    ("classify", "9", "--max-weight", "2", "--json"): "d7b1cedce4f469d720d944dad662dcace9e7be30e29065cea2e2845939e1824e",
     ("classify", "3"): "cb196f110044a2f957ed8e9be25ee33205d1bdf9c03b4b30d3668e346fcbf91a",
 }
 # `oracle` stdout under the exact line search: the label order of the

@@ -497,8 +497,8 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
-    """verify_theorem(p, max_weight) with status(key) in place of
+def traced_verify_theorem(monkeypatch, p, status=None):
+    """verify_theorem(p) with status(key) in place of
     _head_status, if given: (summary, systems derived, head keys decided,
     sectors derived as (sector, table))."""
     import geodesy.ladder as ladder_mod
@@ -523,7 +523,7 @@ def traced_verify_theorem(monkeypatch, p, max_weight=None, status=None):
     monkeypatch.setattr(ladder_mod, "_head_status", recording)
     monkeypatch.setattr(ladder_mod, "_open_sector", recording_sector)
     try:
-        return ladder_mod.verify_theorem(p, max_weight), derived, keys, sectors
+        return ladder_mod.verify_theorem(p), derived, keys, sectors
     finally:
         monkeypatch.undo()
 
@@ -540,25 +540,25 @@ def test_verify_theorem_decides_each_head_key_once(monkeypatch):
         assert len(derived) == n_derived
 
 
-@pytest.mark.parametrize(
-    "p, max_weight", [*((p, None) for p in range(1, 10)), (4, 2), (4, 3), (5, 2), (5, 3)]
-)
-def test_verify_theorem_decides_only_the_keys_of_head_keys(monkeypatch, p, max_weight):
+# the "-None" in the case ids names the unbounded enumeration, the one
+# weight bound (2p - 1) that every table of rank p meets
+@pytest.mark.parametrize("p", range(1, 10), ids="{}-None".format)
+def test_verify_theorem_decides_only_the_keys_of_head_keys(monkeypatch, p):
     # a sum with top weight W <= 2 is keyed by its support inside {1, -1} or
     # {2, 0, -2}, a weight it lacks on neither side, so every key decided is
-    # one of the 54 windows and 80 supports; from p = 5 on, with every
-    # weight allowed, they are all the windows and the 41 supports of sums
-    _, _, keys, _ = traced_verify_theorem(monkeypatch, p, max_weight)
+    # one of the 54 windows and 80 supports; from p = 5 on they are all the
+    # windows and the 41 supports of sums
+    _, _, keys, _ = traced_verify_theorem(monkeypatch, p)
     windows, supports = (set(head_keys(1)[i] + head_keys(0)[i]) for i in range(2))
     assert len(keys) == len(set(keys))
     assert set(keys) <= windows | supports
-    if p >= 5 and max_weight is None:
+    if p >= 5:
         assert (len(set(keys) & windows), len(set(keys) & supports)) == (54, 41)
 
 
-def all_sectors(p, max_weight=None):
+def all_sectors(p):
     """(parity, dims, sector) for every sector of enumerate_sectors, the odd ones first."""
-    for parity, groups in zip((1, 0), enumerate_sectors(p, max_weight)):
+    for parity, groups in zip((1, 0), enumerate_sectors(p)):
         for dims, group in groups.items():
             for wd in group:
                 yield parity, dims, wd
@@ -606,30 +606,27 @@ def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible
     assert all(sector == ("odd" if parity else "even") for sector, _ in walked)
 
 
-@pytest.mark.parametrize("p, max_weight", [(1, None), (2, None), (3, None), (4, None), (5, None), (4, 3)])
-def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p, max_weight):
+@pytest.mark.parametrize("p", range(1, 6), ids="{}-None".format)
+def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p):
     # no top window is feasible at any rank, so force the path that derives each sector in full
     def feasible_head(key):
         _head_status(key)
         return "feasible"
 
-    expected = verify_theorem(p, max_weight)
-    summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p, max_weight, feasible_head)
+    expected = verify_theorem(p)
+    summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p, feasible_head)
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
     assert len(keys) == len(set(keys))
-    assert len(derived) == len(keys) + sum(1 for _ in all_sectors(p, max_weight))
+    assert len(derived) == len(keys) + sum(1 for _ in all_sectors(p))
 
 
-@pytest.mark.parametrize(
-    "p, max_weight",
-    [*(pytest.param(p, None, id=str(p)) for p in range(1, 7)), (4, 1), (4, 2), (5, 2), (5, 3)],
-)
-def test_verify_theorem_matches_direct_elimination_of_every_sector(p, max_weight):
+@pytest.mark.parametrize("p", range(1, 7))
+def test_verify_theorem_matches_direct_elimination_of_every_sector(p):
     # verify_theorem against the direct elimination of every sector of
-    # enumerate_sectors; with max_weight <= 2 every key is a small support
+    # enumerate_sectors
     groups = (defaultdict(list), defaultdict(list))  # by parity: dims -> (sector, verdict)s
-    for parity, dims, wd in all_sectors(p, max_weight):
+    for parity, dims, wd in all_sectors(p):
         groups[parity][dims].append((wd, _derive_and_eliminate(wd, "odd" if parity else "even")[1]))
     counts, classes = Counter(), []
     for odd, even in pair_sectors(p, groups[1], groups[0]):
@@ -642,7 +639,7 @@ def test_verify_theorem_matches_direct_elimination_of_every_sector(p, max_weight
             for o, o_verdict in odd if o_verdict.status == "feasible"
             for e, e_verdict in even if e_verdict.status == "feasible"
         ]
-    summary = verify_theorem(p, max_weight)
+    summary = verify_theorem(p)
     assert counts["unresolved"] == 0
     assert (summary.enumerated, summary.infeasible, summary.feasible) == (
         sum(counts.values()), counts["infeasible"], counts["feasible"]
@@ -668,19 +665,6 @@ def test_verify_theorem_keeps_only_counts_and_feasible_sectors():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000, peak
-
-
-def test_verify_theorem_ignores_a_weight_bound_past_2p_minus_1():
-    # the bound adds nothing past 2p - 1, so a huge one costs nothing either
-    tracemalloc.start()
-    try:
-        huge = verify_theorem(2, max_weight=10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000, peak
-    assert huge.max_weight == 10**6
-    assert dataclasses.replace(huge, max_weight=3) == verify_theorem(2, max_weight=3)
 
 
 def test_verify_theorem_flags_unresolved(monkeypatch):

@@ -98,17 +98,16 @@ def test_sector_and_combine_match_the_validated_constructor(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_enumeration_matches_reference(p):
-    for max_weight in range(1, 2 * p):
-        for got_groups, want_groups in zip(enumerate_sectors(p, max_weight), ref.enumerate_sectors(p, max_weight)):
-            assert list(got_groups) == list(want_groups)
-            for dims, group in got_groups.items():
-                assert [items(wd) for wd in group] == [items(wd) for wd in want_groups[dims]]
-                for wd in group:
-                    assert_descending(wd)
-        got = list(enumerate_weight_data(p, max_weight))
-        assert [items(wd) for wd in got] == [items(wd) for wd in ref.enumerate_weight_data(p, max_weight)]
-        for wd in got:
-            assert_descending(wd)
+    for got_groups, want_groups in zip(enumerate_sectors(p), ref.enumerate_sectors(p)):
+        assert list(got_groups) == list(want_groups)
+        for dims, group in got_groups.items():
+            assert [items(wd) for wd in group] == [items(wd) for wd in want_groups[dims]]
+            for wd in group:
+                assert_descending(wd)
+    got = list(enumerate_weight_data(p))
+    assert [items(wd) for wd in got] == [items(wd) for wd in ref.enumerate_weight_data(p)]
+    for wd in got:
+        assert_descending(wd)
 
 
 def test_frozen_rank_one_enumeration():
@@ -123,7 +122,7 @@ def test_frozen_rank_one_enumeration():
 
 
 def test_rank_one_excludes_asymmetric_tables():
-    listed = set(wd.key() for wd in enumerate_weight_data(1, max_weight=3))
+    listed = set(wd.key() for wd in enumerate_weight_data(1))
     assert WeightData({3: 1}, {-1: 1}).key() not in listed
     assert WeightData({2: 1}, {0: 1}).key() not in listed
 
@@ -156,22 +155,22 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
-def sector_product(p, max_weight=None):
-    odd, even = enumerate_sectors(p, max_weight)
+def sector_product(p):
+    odd, even = enumerate_sectors(p)
     for odd_group, even_group in pair_sectors(p, odd, even):
         for o in odd_group:
             for e in even_group:
                 yield o.combine(e)
 
 
-@pytest.mark.parametrize("max_weight", [1, 2, 3, None])
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-def test_sector_product_is_the_enumeration(p, max_weight):
-    product = list(sector_product(p, max_weight))
+# "-None" in the case ids: the unbounded enumeration, as in test_ladder.py
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5], ids="{}-None".format)
+def test_sector_product_is_the_enumeration(p):
+    product = list(sector_product(p))
     assert len(set(product)) == len(product)
-    assert set(product) == set(enumerate_weight_data(p, max_weight))
+    assert set(product) == set(enumerate_weight_data(p))
     # and the enumeration repeats no table
-    assert len(list(enumerate_weight_data(p, max_weight))) == len(product)
+    assert len(list(enumerate_weight_data(p))) == len(product)
 
 
 def test_sector_product_counts():
@@ -222,17 +221,9 @@ def test_count_splits_counts_what_splits_yields(totals):
     assert count_splits([]) == [1]
 
 
-def test_max_weight_bound_prunes():
-    bounded = list(enumerate_weight_data(2, max_weight=1))
-    assert all(max(abs(w) for w in wd.all_weights()) <= 1 for wd in bounded)
-    assert WeightData({1: 2}, {-1: 2}) in bounded
-
-
 def test_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_weight_data(0))
-    with pytest.raises(ValueError):
-        list(enumerate_weight_data(2, max_weight=0))
 
 
 def test_layout_spans():

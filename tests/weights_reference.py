@@ -4,15 +4,14 @@ These are the recursive split generator and the enumeration the package
 used before it built sectors as plain multiplicity tables: every table
 goes through the validating WeightData constructor.  The equivalence tests
 hold ``geodesy.weights`` to these routines group by group and member by
-member; they share only the partition generator and the bounds check with
-the package.
+member; they share only the partition generator with the package.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from geodesy.weights import Dims, WeightData, _bounds, _partitions
+from geodesy.weights import Dims, WeightData, _partitions
 
 
 def _total_spectrum(partition: List[int]) -> Dict[int, int]:
@@ -52,19 +51,17 @@ def _split_tables(partition: List[int], dims_plus: Sequence[int]) -> Iterator[We
             yield WeightData(plus, minus)
 
 
-def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[WeightData]:
+def enumerate_weight_data(p: int) -> Iterator[WeightData]:
     """Every admissible WeightData with both block dimensions equal to p.
 
-    The default weight bound 2p - 1 is the largest weight of any irreducible
-    representation that fits in dimension 2p; a smaller bound prunes, a larger
-    one never adds anything.  Enumeration order is lexicographic on the
+    Every irreducible representation of dimension up to 2p fits, so no
+    weight exceeds 2p - 1.  Enumeration order is lexicographic on the
     combined multiplicity vectors, smallest first.
     """
-    max_weight = _bounds(p, max_weight)
     found = []
-    for partition in _partitions(2 * p, range(max_weight + 1, 0, -1)):
+    for partition in _partitions(2 * p, range(2 * p, 0, -1)):
         found.extend(_split_tables(partition, [p]))
-    span = range(max_weight, -max_weight - 1, -1)
+    span = range(2 * p - 1, -2 * p, -1)
 
     def lex_key(wd: WeightData):
         return tuple(wd.plus.get(w, 0) for w in span) + tuple(wd.minus.get(w, 0) for w in span)
@@ -74,9 +71,7 @@ def enumerate_weight_data(p: int, max_weight: int | None = None) -> Iterator[Wei
     yield from found
 
 
-def enumerate_sectors(
-    p: int, max_weight: int | None = None
-) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
+def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, List[WeightData]]]:
     """The admissible single-parity tables that can pair into rank p.
 
     Admissibility only links weights of the same parity, so a table of rank
@@ -87,11 +82,10 @@ def enumerate_sectors(
     has dimension at most p.  Returns (odd, even), each mapping
     (dim_plus, dim_minus) to its sectors; the empty sector is (0, 0).
     """
-    max_weight = _bounds(p, max_weight)
     sectors: Tuple[Dict[Dims, List[WeightData]], ...] = ({}, {})
     for parity, groups in zip((1, 0), sectors):
         # an irreducible of dimension d has weights of the parity of d - 1
-        parts = [d for d in range(max_weight + 1, 0, -1) if (d - 1) % 2 == parity]
+        parts = [d for d in range(2 * p, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
             dims_plus = range(max(0, size - p), min(p, size) + 1)
             for partition in _partitions(size, parts):
