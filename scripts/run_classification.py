@@ -23,15 +23,24 @@ def main() -> None:
     if not 1 <= args.max_p <= MAX_CERT_P:
         parser.error(f"--max-p must be between 1 and {MAX_CERT_P}")
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        archive(args.max_p, args.out)
+    except OSError as err:
+        parser.exit(2, f"error: cannot write to {args.out}: {err.strerror}\n")
+
+
+def archive(max_p: int, out: Path) -> None:
+    """Classify each rank up to max_p, write its summary and certificates
+    under out and print its row of the table."""
+    out.mkdir(parents=True, exist_ok=True)
     print(f"{'p':>3} {'tables':>7} {'feasible':>9} {'infeasible':>11} {'seconds':>8}")
-    for p in range(1, args.max_p + 1):
+    for p in range(1, max_p + 1):
         start = time.monotonic()
         summary = verify_theorem(p)
         elapsed = time.monotonic() - start
-        with open(args.out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
+        with open(out / f"summary_p{p}.json", "w", encoding="utf-8") as fh:
             fh.write(json_text(summary.to_json_dict()) + "\n")
-        write_certificates(summary.results(), args.out / f"certificates_p{p}")
+        write_certificates(summary.results(), out / f"certificates_p{p}")
         print(
             f"{p:>3} {summary.enumerated:>7} {summary.feasible:>9} "
             f"{summary.infeasible:>11} {elapsed:>8.2f}"

@@ -5,10 +5,11 @@
 
 Prints one JSON line per rank: the best of --repeat wall times of
 verify_theorem(p) in seconds, the peak RSS of this process so far in MB
-(give the ranks in ascending order to read it per rank), and three counts
+(give the ranks in ascending order to read it per rank), and four counts
 taken on one more, untimed run: the constraint systems derived, the head
-keys decided and the sectors derived in full (walked_sectors).  Each head
-key and each walked sector derives one system.
+keys decided, the sectors derived in full (walked_sectors) and the sums of
+irreducibles the walk reads (walked_sums).  Each head key and each walked
+sector derives one system.
 """
 
 import argparse
@@ -27,9 +28,10 @@ COUNTED = {  # output field -> the ladder function whose calls it counts
 
 
 def counts(p: int) -> dict:
-    """verify_theorem(p) with the calls of each COUNTED function counted."""
-    originals = {name: getattr(ladder, name) for name in COUNTED.values()}
-    calls = dict.fromkeys(COUNTED, 0)
+    """verify_theorem(p) with the calls of each COUNTED function counted,
+    and the entries of ladder.iter_spectra read (walked_sums)."""
+    originals = {name: getattr(ladder, name) for name in [*COUNTED.values(), "iter_spectra"]}
+    calls = dict.fromkeys([*COUNTED, "walked_sums"], 0)
 
     def counting(field, original):
         def counted(*args, **kwargs):
@@ -38,8 +40,14 @@ def counts(p: int) -> dict:
 
         return counted
 
+    def walked(*args, **kwargs):
+        for entry in originals["iter_spectra"](*args, **kwargs):
+            calls["walked_sums"] += 1
+            yield entry
+
     for field, name in COUNTED.items():
         setattr(ladder, name, counting(field, originals[name]))
+    ladder.iter_spectra = walked
     try:
         ladder.verify_theorem(p)
     finally:

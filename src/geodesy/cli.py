@@ -165,6 +165,10 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
             weight, mult = int(w), int(m)
         except ValueError:  # more digits than int() converts
             raise ValueError(f"{flag}: too many digits in {piece!r}") from None
+        try:
+            float(weight)  # the oracle works in floating point
+        except OverflowError:
+            raise ValueError(f"{flag}: a weight of {len(w.lstrip('-'))} digits is too large for a float") from None
         if mult < 1:
             raise ValueError(f"{flag}: multiplicity for weight {weight} must be positive")
         if weight in table:

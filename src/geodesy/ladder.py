@@ -50,14 +50,13 @@ silently dropped.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix
-from .weights import Dims, Layout, WeightData, _splits, count_splits, enumerate_sectors, iter_spectra, pair_sectors
+from .weights import Layout, WeightData, _splits, enumerate_sectors, iter_spectra, pair_sectors, sector_counts
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -735,8 +734,8 @@ def _head_status(key: Tuple[int, ...]) -> str:
 
 
 def verify_theorem(p: int) -> ClassificationSummary:
-    """Classify every admissible table of rank p, one sum of irreducibles
-    at a time.
+    """Classify every admissible table of rank p from the sector count of
+    each group and the few sectors that are not infeasible.
 
     A table is one odd sector joined with one even sector of complementary
     dimensions (weights.enumerate_sectors), and a sector splits the weights
@@ -767,31 +766,39 @@ def verify_theorem(p: int) -> ClassificationSummary:
       infeasible verdict reads only signs, so it holds for every
       multiplicity of the support (_rule).
 
-    Every sector of a sum is counted in its group: the group of each
-    dimension d gets the number of splits with d on plus
-    (weights.count_splits).  A head weight sends none, some or all of its
-    copies to plus, and all the picks of one such class share a key, so
-    the classes whose key is not infeasible are found once per head shape
-    (parity, marker, min(t, 2) per head weight).  Only they are walked,
-    one head pick at a time, and each of their sectors goes through
-    derivation and elimination in full and is kept, with its system and
-    verdict, unless it is infeasible: terminal recognition compares
-    dimensions, and a feasible sector keeps its own system.  So the code
-    assumes nothing of the lemma.  Every sector not kept is infeasible, so
+    The sector count of each group comes from a product over the top
+    weights (weights.sector_counts), not from the sums, and the groups are
+    made in the order of weights.enumerate_sectors.  The 27 windows of a
+    parity are decided first, if it has a sum with W >= 3 (an irreducible
+    of dimension 4 or more).  When all of them are infeasible, every
+    sector of such a sum is infeasible, so the walk reads only the sums of
+    irreducibles of dimension at most 3 (top weight at most 2); otherwise
+    it reads every sum of the parity.  So the code assumes nothing of the
+    lemma: the window verdicts decide which sums are read.
+
+    A head weight sends none, some or all of its copies to plus, and all
+    the picks of one such class share a key, so the classes whose key is
+    not infeasible are found once per head shape (parity, marker, min(t,
+    2) per head weight).  Only they are walked, one head pick at a time,
+    and each of their sectors goes through derivation and elimination in
+    full and is kept, with its system and verdict, unless it is
+    infeasible: terminal recognition compares dimensions, and a feasible
+    sector keeps its own system.  Every sector not kept is infeasible, so
     each pair of kept sectors of a group pair is a table that is feasible
     or unresolved, and every other table is infeasible; one pass over the
     pairs counts the tables, keeps the feasible ones and names the first
     unresolved one.  Every window is infeasible and 6 of the 80 supports
-    are feasible, so every rank from 5 on decides the same 95 keys and
-    walks only the classes of the feasible supports.
+    are feasible, so every rank from 5 on decides the same 95 keys, walks
+    the O(p^2) sums with W <= 2 and derives only the sectors of the
+    feasible supports.
 
     Raises UnresolvedRemains if any table is unresolved, and then
     TheoremViolation if a kept feasible sector is not totally geodesic in
     shape (nonzero raising block, wrong odd pattern, or nontrivial even
     sector; _check_feasible_shape, once per sector).
     """
-    # per parity: dims -> [sector count, kept (sector, system, verdict)s]
-    groups: Tuple[Dict[Dims, list], ...] = (defaultdict(lambda: [0, []]), defaultdict(lambda: [0, []]))
+    # per parity, even first: dims -> [sector count, kept (sector, system, verdict)s]
+    groups = tuple({dims: [n, []] for dims, n in counts.items()} for counts in reversed(sector_counts(p)))
     head_status = cache(_head_status)
 
     @cache
@@ -804,12 +811,15 @@ def verify_theorem(p: int) -> ClassificationSummary:
             if head_status((parity, marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
         ]
 
-    for parity, size, dims, weights, totals in iter_spectra(p):
-        # the sum's groups, created in order of d as pair_sectors reads them
-        cells = [groups[parity][d, size - d] for d in dims]
-        n_all = count_splits(totals)
-        for d, cell in zip(dims, cells):
-            cell[0] += n_all[d]
+    # the largest irreducible the walk reads, per parity, even first: a sum
+    # with W >= 3 holds one of dimension 4 or more.  The list decides all
+    # 27 windows, so a run's keys hang on no window's status.
+    largest = [2 * p - 1, 2 * p]
+    for parity in (1, 0):
+        if largest[parity] > 3 and all([head_status(key) == "infeasible" for key in head_keys(parity)[0]]):
+            largest[parity] = 3
+    for parity, size, dims, weights, totals in iter_spectra(p, largest):
+        kept_in = [groups[parity][d, size - d][1] for d in dims]
         if not weights or weights[0] < 3:  # the support inside {1, -1} or {2, 0, -2}
             held = dict(zip(weights, totals))
             weights = range(2 - parity, parity - 3, -2)
@@ -819,7 +829,7 @@ def verify_theorem(p: int) -> ClassificationSummary:
             # no copy, every copy or 1..t - 1 of the t copies on plus
             picks = ((0,) if c == 0 else (t,) if c == s else range(1, t) for c, s, t in zip(cls, shape, totals))
             for head in product(*picks):
-                for d, (_, kept) in zip(dims, cells):
+                for d, kept in zip(dims, kept_in):
                     for tail in _splits(rest, d - sum(head)):
                         pick = head + tail
                         wd = WeightData._trusted(

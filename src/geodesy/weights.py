@@ -19,7 +19,7 @@ import hashlib
 import json
 import re
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 Dims = Tuple[int, int]  # (dim_plus, dim_minus)
@@ -250,16 +250,49 @@ def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
         rest -= 1
 
 
-def count_splits(totals: Sequence[int]) -> List[int]:
-    """n[k] is the number of tuples _splits(totals, k) yields, for k = 0 ..
-    sum(totals): the coefficients of the product of 1 + x + ... + x^t over
-    the entries t of totals.  Each factor is (1 - x^(t+1)) / (1 - x): a
-    difference with the coefficients shifted by t + 1, then running sums,
-    so a factor costs O(len(n)) however large t is."""
-    n = [1]
-    for t in totals:
-        n = list(accumulate(map(sub, n + [0] * t, [0] * (t + 1) + n)))
-    return n
+def sector_counts(p: int) -> Tuple[Dict[Dims, int], Dict[Dims, int]]:
+    """The number of sectors in each (dim_plus, dim_minus) group of
+    enumerate_sectors(p), as (odd, even), the groups in the same order,
+    without listing a sector or a sum of irreducibles.
+
+    A sum of one parity is fixed by n_k, how many of its irreducibles have
+    top weight k, for k = 2p - 1, ..., 1 (odd) or 2p - 2, ..., 0 (even).
+    Its weights k and -k have multiplicity t_k = t_(k+2) + n_k, and the
+    sectors of the sum with d dimensions on plus number the coefficient of
+    x^d in the product of 1 + x + ... + x^t_k over its weights: twice for
+    each k > 0, once for k = 0.  So k runs downwards, and the sums that
+    reach the same size and t_k share every later factor: they are one
+    state, which carries the sum of their products.  No block has dimension
+    above p, so a product keeps its coefficients up to x^p, and a sum of
+    odd size pairs into no rank.
+    """
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    counts = []
+    for parity in (1, 0):
+        states = {(0, 0): [1] + [0] * p}  # (size, t_k) -> the summed products so far
+        for k in range(2 * p - 2 + parity, -1, -2):
+            grown: Dict[Tuple[int, int], List[int]] = {}
+            for (size, t), poly in states.items():
+                for n in range((2 * p - size) // (k + 1) + 1):
+                    key = (size + n * (k + 1), t + n)
+                    grown[key] = list(map(add, grown[key], poly)) if key in grown else poly
+            states = {}
+            for (size, t_k), poly in grown.items():
+                # times 1 + x + ... + x^t_k = (1 - x^(t_k+1)) / (1 - x): a difference
+                # with the coefficients shifted by t_k + 1, then running sums, up
+                # to x^p, where map stops
+                for _ in range(2 if k else 1):  # the weights k and -k, or 0 alone
+                    poly = list(accumulate(map(sub, poly, [0] * (t_k + 1) + poly)))
+                states[size, t_k] = poly
+        group: Dict[Dims, int] = {}
+        for (size, _), poly in sorted(states.items()):
+            if size % 2:
+                continue
+            for d in range(max(0, size - p), min(p, size) + 1):
+                group[d, size - d] = group.get((d, size - d), 0) + poly[d]
+        counts.append(group)
+    return counts[0], counts[1]
 
 
 def enumerate_weight_data(p: int) -> Iterator[WeightData]:
@@ -286,7 +319,7 @@ def enumerate_weight_data(p: int) -> Iterator[WeightData]:
     yield from found
 
 
-def iter_spectra(p: int) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
+def iter_spectra(p: int, largest: Sequence[int] = ()) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
     """One entry per sum of irreducibles whose sectors can pair into rank p:
     (parity, size, dims, weights, totals), the odd ones (parity 1) first.
 
@@ -294,14 +327,17 @@ def iter_spectra(p: int) -> Iterator[Tuple[int, int, range, List[int], List[int]
     their multiplicities (_spectrum).  Its sectors put d of the size
     dimensions on the plus side, for each d in dims: both blocks of a
     sector have dimension at most p.  Every weight of the sum's parity from
-    weights[0] down to -weights[0] is present.
+    weights[0] down to -weights[0] is present.  largest, if given, holds
+    the largest dimension of an irreducible to read for each parity, the
+    even one first; by default every irreducible that fits is read.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     for parity in (1, 0):
         # an irreducible of dimension d has weights of the parity of d - 1,
         # and every one up to dimension 2p fits
-        parts = [d for d in range(2 * p, 0, -1) if (d - 1) % 2 == parity]
+        top = largest[parity] if largest else 2 * p
+        parts = [d for d in range(top, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
             dims = range(max(0, size - p), min(p, size) + 1)
             for partition in _partitions(size, parts):

@@ -356,6 +356,18 @@ def test_oracle_rejects_bad_weight_lists(plus, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: --plus: ")
 
 
+
+@pytest.mark.parametrize("flag", ["--plus", "--minus"])
+def test_oracle_rejects_a_weight_too_large_for_a_float(flag):
+    # 400 digits overflow a float before any matrix is built; 10**20 does not
+    pattern = {"--plus": "1:1", "--minus": "-1:1"}
+    pattern[flag] = f"{'9' * 400}:1"
+    code, out, err = _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: a weight of 400 digits is too large for a float\n"
+    pattern[flag] = f"{10**20}:1"
+    assert _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])[0] == 0
+
 RANK_LIMIT = f"p must be between 1 and {MAX_P}"
 BLOCK_LIMIT = f"--plus and --minus each take at most {MAX_P} dimensions"
 
@@ -572,8 +584,10 @@ def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
     )
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
-    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 83), (4, 104)]
-    assert [(line["head_keys"], line["walked_sectors"]) for line in lines] == [(71, 12), (86, 18)]
+    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 107), (4, 113)]
+    assert [(line["head_keys"], line["walked_sectors"], line["walked_sums"]) for line in lines] == [
+        (95, 12, 11), (95, 18, 15)
+    ]
     assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
 
 
@@ -676,6 +690,20 @@ def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max
     assert f"--max-p must be between 1 and {MAX_CERT_P}" in script.stderr
     assert script.stdout == "" and not (tmp_path / "results").exists()
 
+
+def test_run_classification_script_reports_an_unwritable_directory(tmp_path):
+    # --out names a file: one error line and exit 2, as classify --emit-certs
+    root = BUNDLED.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    script = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", "1", "--out", str(taken)],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert (script.returncode, script.stdout) == (2, "")
+    assert len(script.stderr.splitlines()) == 1 and script.stderr.startswith(f"error: cannot write to {taken}: ")
+    assert taken.read_text() == "not a directory"
 
 def run_make_candidates(tmp_path, *args):
     """Run a copy of scripts/make_candidates.py under tmp_path/scripts, which

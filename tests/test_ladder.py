@@ -529,11 +529,12 @@ def traced_verify_theorem(monkeypatch, p, status=None):
 
 
 def test_verify_theorem_decides_each_head_key_once(monkeypatch):
-    # all the classes of a head shape are decided together, so p = 4 decides
-    # 86 keys (45 top windows and 41 small supports), each derived once, and
-    # the 18 sectors of the supports that are not infeasible; p = 5 decides
-    # 95 keys (54 windows, 41 supports) and derives 24 sectors
-    for p, enumerated, n_keys, n_derived in ((4, 533, 86, 104), (5, 2773, 95, 119)):
+    # every top window of a parity with a sum of top weight 3 or more is
+    # decided first, and all the classes of a head shape together, so p = 4
+    # decides 95 keys (54 top windows and 41 small supports), each derived
+    # once, and derives the 18 sectors of the supports that are not
+    # infeasible; p = 5 decides the same 95 keys and derives 24 sectors
+    for p, enumerated, n_keys, n_derived in ((4, 533, 95, 113), (5, 2773, 95, 119)):
         summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p)
         assert summary.enumerated == enumerated
         assert len(keys) == len(set(keys)) == n_keys

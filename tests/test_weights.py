@@ -9,10 +9,11 @@ import weights_reference as ref
 from geodesy.weights import (
     WeightData,
     _splits,
-    count_splits,
     enumerate_sectors,
     enumerate_weight_data,
+    iter_spectra,
     pair_sectors,
+    sector_counts,
 )
 
 
@@ -214,11 +215,31 @@ def bounded_compositions(totals, k):
 def test_count_splits_counts_what_splits_yields(totals):
     # multiplicities reach 16 at p = 16; past a few thousand tuples the
     # counts are checked by inclusion-exclusion instead of by enumeration
-    counts = count_splits(totals)
+    counts = ref.count_splits(totals)
     assert counts == [bounded_compositions(totals, k) for k in range(sum(totals) + 1)]
     if prod(t + 1 for t in totals) <= 5000:
         assert counts == [sum(1 for _ in _splits(totals, k)) for k in range(sum(totals) + 1)]
-    assert count_splits([]) == [1]
+    assert ref.count_splits([]) == [1]
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+def test_sector_counts_sum_the_split_counts_of_every_sum(p):
+    # the product over top weights against the splits of each sum of
+    # irreducibles, group by group and in the same group order
+    expected = ({}, {})  # by parity: dims -> sectors
+    for parity, size, dims, _, totals in iter_spectra(p):
+        splits = ref.count_splits(totals)
+        for d in dims:
+            group = expected[parity]
+            group[d, size - d] = group.get((d, size - d), 0) + splits[d]
+    odd, even = sector_counts(p)
+    assert list(odd.items()) == list(expected[1].items())
+    assert list(even.items()) == list(expected[0].items())
+
+
+def test_sector_counts_need_a_rank():
+    with pytest.raises(ValueError):
+        sector_counts(0)
 
 
 def test_bad_arguments():

@@ -5,10 +5,14 @@ used before it built sectors as plain multiplicity tables: every table
 goes through the validating WeightData constructor.  The equivalence tests
 hold ``geodesy.weights`` to these routines group by group and member by
 member; they share only the partition generator with the package.
+count_splits counts the splits of one sum of irreducibles, as the package
+did before it counted every group at once (weights.sector_counts).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from geodesy.weights import Dims, WeightData, _partitions
@@ -92,3 +96,15 @@ def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, 
                 for wd in _split_tables(partition, dims_plus):
                     groups.setdefault((wd.dim_plus, wd.dim_minus), []).append(wd)
     return sectors
+
+
+def count_splits(totals: Sequence[int]) -> List[int]:
+    """n[k] is the number of tuples weights._splits(totals, k) yields, for
+    k = 0 .. sum(totals): the coefficients of the product of 1 + x + ... +
+    x^t over the entries t of totals.  Each factor is (1 - x^(t+1)) /
+    (1 - x): a difference with the coefficients shifted by t + 1, then
+    running sums, so a factor costs O(len(n)) however large t is."""
+    n = [1]
+    for t in totals:
+        n = list(accumulate(map(sub, n + [0] * t, [0] * (t + 1) + n)))
+    return n
