@@ -5,11 +5,12 @@
 
 Prints one JSON line per rank: the best of --repeat wall times of
 verify_theorem(p) in seconds, the peak RSS of this process so far in MB
-(give the ranks in ascending order to read it per rank), and four counts
-taken on one more, untimed run: the constraint systems derived, the head
-keys decided, the sectors derived in full (walked_sectors) and the sums of
-irreducibles the walk reads (walked_sums).  Each head key and each walked
-sector derives one system.
+(give the ranks in ascending order to read it per rank), and counts taken
+on one more, untimed run: the constraint systems derived, the head keys
+decided, split into top windows (head_windows) and small supports
+(head_supports), the sectors derived in full (walked_sectors) and the sums
+of irreducibles the walk reads (walked_sums).  Each head key and each
+walked sector derives one system.
 """
 
 import argparse
@@ -22,16 +23,17 @@ import geodesy.ladder as ladder
 
 COUNTED = {  # output field -> the ladder function whose calls it counts
     "derived_systems": "derive_constraints",
-    "head_keys": "_head_status",
     "walked_sectors": "_open_sector",
 }
 
 
 def counts(p: int) -> dict:
     """verify_theorem(p) with the calls of each COUNTED function counted,
-    and the entries of ladder.iter_spectra read (walked_sums)."""
-    originals = {name: getattr(ladder, name) for name in [*COUNTED.values(), "iter_spectra"]}
-    calls = dict.fromkeys([*COUNTED, "walked_sums"], 0)
+    the head keys decided, also split into windows and supports, and the
+    entries of ladder.iter_spectra read (walked_sums)."""
+    originals = {name: getattr(ladder, name) for name in [*COUNTED.values(), "_head_status", "iter_spectra"]}
+    fields = ["derived_systems", "head_keys", "head_windows", "head_supports", "walked_sectors", "walked_sums"]
+    calls = dict.fromkeys(fields, 0)
 
     def counting(field, original):
         def counted(*args, **kwargs):
@@ -45,8 +47,14 @@ def counts(p: int) -> dict:
             calls["walked_sums"] += 1
             yield entry
 
+    def head_status(key):  # a window has the marker top 3, a support 1 or 2
+        calls["head_keys"] += 1
+        calls["head_windows" if key[0] == 3 else "head_supports"] += 1
+        return originals["_head_status"](key)
+
     for field, name in COUNTED.items():
         setattr(ladder, name, counting(field, originals[name]))
+    ladder._head_status = head_status
     ladder.iter_spectra = walked
     try:
         ladder.verify_theorem(p)

@@ -696,39 +696,41 @@ def _check_feasible_shape(wd: WeightData, system: SectorSystem, verdict: Verdict
 # where a head weight sits: on plus only, on minus only, or on both
 _SIDES = ((True, False), (False, True), (True, True))
 
+# the 27 top windows: each of W, W - 2 and W - 4 on plus, on minus or on
+# both, keyed at the marker 3 for every W >= 3 of either parity
+WINDOWS = tuple(
+    (3, *(plus for plus, _ in sides), *(minus for _, minus in sides)) for sides in product(_SIDES, repeat=3)
+)
 
-def head_keys(parity: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-    """The rank-free head keys of a parity (see verify_theorem), as
-    (windows, supports).  The 27 windows put each of W, W - 2 and W - 4 on
-    plus, on minus or on both, at the marker 3 (odd) or 4 (even).  The
-    supports are every pair of subsets of {1, -1} (16, odd) or of
-    {2, 0, -2} (64, even), one subset for each side, at the marker 1 or 2;
-    a weight the sum lacks is in neither subset."""
-    marker, top = 4 - parity, 2 - parity
-    windows = [
-        (parity, marker, *(plus for plus, _ in sides), *(minus for _, minus in sides))
-        for sides in product(_SIDES, repeat=3)
-    ]
-    supports = [(parity, top, *bits) for bits in product((False, True), repeat=2 * (top + 1))]
-    return windows, supports
+
+def head_keys() -> List[Tuple[int, ...]]:
+    """The 107 rank-free head keys (top, plus bits, minus bits) that
+    verify_theorem can decide: the 27 WINDOWS, then the supports, every
+    pair of subsets of {1, -1} (16, top 1) and then of {2, 0, -2} (64,
+    top 2), one subset for each side.  A weight the sum lacks is in
+    neither subset, and the parity of top is the parity of the sector."""
+    return [*WINDOWS, *((top, *bits) for top in (1, 2) for bits in product((False, True), repeat=2 * (top + 1)))]
 
 
 def _head_status(key: Tuple[int, ...]) -> str:
-    """The status of a head key (parity, top, plus bits, minus bits), see
+    """The status of a head key (top, plus bits, minus bits), see
     verify_theorem: eliminate(...).status on the multiplicity-1 table whose
-    side holds the weight top - 2i when its i-th bit is set.  When top is
-    at least 3 only the equations at top and top - 2, the top window, are
-    kept.  An infeasible key gets no certificate (_fire)."""
-    parity, top, *bits = key
+    side holds the weight top - 2i when its i-th bit is set, a sector of
+    the parity of top.  When top is at least 3 only the equations at top
+    and top - 2, the top window, are kept.  An infeasible key gets no
+    certificate (_fire)."""
+    top, *bits = key
     n = len(bits) // 2
-    head = range(top, top - 2 * n, -2)
-    table = WeightData._trusted(
-        {w: 1 for w, present in zip(head, bits[:n]) if present},
-        {w: 1 for w, present in zip(head, bits[n:]) if present},
-    )
-    system = derive_constraints(table, sector="odd" if parity else "even")
+    plus: Dict[int, int] = {}
+    minus: Dict[int, int] = {}
+    for i in range(n):
+        if bits[i]:
+            plus[top - 2 * i] = 1
+        if bits[n + i]:
+            minus[top - 2 * i] = 1
+    system = derive_constraints(WeightData._trusted(plus, minus), sector="odd" if top % 2 else "even")
     if top >= 3:
-        system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
+        system.equations, system.products = tuple(eq for eq in system.equations if eq[1] >= top - 2), ()
     fired = _fire(system)
     return "infeasible" if fired[2] else _verdict(system, *fired).status
 
@@ -745,42 +747,45 @@ def verify_theorem(p: int) -> ClassificationSummary:
     the per-group products, and a table is built only when both its sectors
     are feasible.
 
-    A sector's head key is its parity, a marker, and whether each head
-    weight is a plus weight and whether it is a minus weight.  Each key is
-    decided once per run (_head_status); head_keys lists them all.  Let W
-    be the sum's top weight.
+    A sector's head key is a marker top and whether each head weight is a
+    plus weight and whether it is a minus weight.  Each key is decided
+    once per run (_head_status); head_keys lists them all.  Let W be the
+    sum's top weight.
 
     - W >= 3: the head is W, W - 2 and W - 4, all present in the sum, and
-      the marker is 3 (odd) or 4 (even), not W.  W + 2 is absent, so a
+      the marker is 3, not W, at either parity.  W + 2 is absent, so a
       sector's equations at W and W - 2 have exactly the terms of the
       window's multiplicity-1 table there and the right sides W and W - 2;
       only dim differs, which the rules never read.  The terms follow from
-      the bits alone and both right sides are positive at every W >= 3, so
-      the window has one status at every W.  R3 cannot fire in it, so an
-      infeasible window is an R1 or R2 firing on terms one-signed against
-      the right side; in the full sector R3 only removes live terms, so
-      that equation stays one-signed and the sector is infeasible too.
+      the six bits alone and both right sides are positive at every
+      W >= 3, so R3 and R2 cannot fire in the window and R1 fires when an
+      equation has no positive live term: the window has one status at
+      every W, odd or even, and one set of 27 windows serves both
+      parities.  An infeasible window is an R1 firing on terms all
+      negated; in the full sector R3 only removes live terms, so that
+      equation stays negated and the sector is infeasible too.
     - W <= 2: the head is {1, -1} (odd) or {2, 0, -2} (even), the marker
-      its top, and a weight the sum lacks is on neither side.  So the key
-      is the sector's support and its whole system is eliminated; an
-      infeasible verdict reads only signs, so it holds for every
+      its top, 1 or 2, and a weight the sum lacks is on neither side.  So
+      the key is the sector's support and its whole system is eliminated;
+      an infeasible verdict reads only signs, so it holds for every
       multiplicity of the support (_rule).
 
     The sector count of each group comes from a product over the top
     weights (weights.sector_counts), not from the sums, and the groups are
-    made in the order of weights.enumerate_sectors.  The 27 windows of a
-    parity are decided first, if it has a sum with W >= 3 (an irreducible
-    of dimension 4 or more).  When all of them are infeasible, every
-    sector of such a sum is infeasible, so the walk reads only the sums of
+    made in the order of weights.enumerate_sectors.  The 27 windows are
+    decided first, if a sum has W >= 3 (an irreducible of dimension 4 or
+    more, from p = 2 on).  When all of them are infeasible, every sector of
+    such a sum is infeasible, so the walk reads only the sums of
     irreducibles of dimension at most 3 (top weight at most 2); otherwise
-    it reads every sum of the parity.  So the code assumes nothing of the
-    lemma: the window verdicts decide which sums are read.
+    it reads every sum.  So the code assumes nothing of the lemma: the
+    window verdicts decide which sums are read.
 
     A head weight sends none, some or all of its copies to plus, and all
     the picks of one such class share a key, so the classes whose key is
-    not infeasible are found once per head shape (parity, marker, min(t,
-    2) per head weight).  Only they are walked, one head pick at a time,
-    and each of their sectors goes through derivation and elimination in
+    not infeasible are found once per head shape (marker, min(t, 2) per
+    head weight).  Only they are walked, one head pick at a time, and the
+    rest of the sum is split only for the dimensions its copies can make
+    up; each of their sectors goes through derivation and elimination in
     full and is kept, with its system and verdict, unless it is
     infeasible: terminal recognition compares dimensions, and a feasible
     sector keeps its own system.  Every sector not kept is infeasible, so
@@ -788,9 +793,10 @@ def verify_theorem(p: int) -> ClassificationSummary:
     or unresolved, and every other table is infeasible; one pass over the
     pairs counts the tables, keeps the feasible ones and names the first
     unresolved one.  Every window is infeasible and 6 of the 80 supports
-    are feasible, so every rank from 5 on decides the same 95 keys, walks
-    the O(p^2) sums with W <= 2 and derives only the sectors of the
-    feasible supports.
+    are feasible, so rank 1 decides 9 keys (supports only), rank 2 decides
+    53 and every rank from 3 on the same 68 (27 windows and 41 supports);
+    each walks the O(p^2) sums with W <= 2 and derives only the sectors of
+    the feasible supports.
 
     Raises UnresolvedRemains if any table is unresolved, and then
     TheoremViolation if a kept feasible sector is not totally geodesic in
@@ -802,22 +808,22 @@ def verify_theorem(p: int) -> ClassificationSummary:
     head_status = cache(_head_status)
 
     @cache
-    def open_classes(parity: int, marker: int, shape: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    def open_classes(marker: int, shape: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         """The classes of a head shape whose key is not infeasible.  For a head
         weight of multiplicity t and s = min(t, 2), class 0 sends no copy to
         plus, class s every copy and class 1 < s some."""
         return [
             c for c in product(*(range(s + 1) for s in shape))
-            if head_status((parity, marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
+            if head_status((marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
         ]
 
     # the largest irreducible the walk reads, per parity, even first: a sum
-    # with W >= 3 holds one of dimension 4 or more.  The list decides all
-    # 27 windows, so a run's keys hang on no window's status.
+    # with W >= 3 holds one of dimension 4 or more, and the odd parity has
+    # one from p = 2 on.  The list decides all 27 windows, so a run's keys
+    # hang on no window's status.
     largest = [2 * p - 1, 2 * p]
-    for parity in (1, 0):
-        if largest[parity] > 3 and all([head_status(key) == "infeasible" for key in head_keys(parity)[0]]):
-            largest[parity] = 3
+    if largest[1] > 3 and all([head_status(key) == "infeasible" for key in WINDOWS]):
+        largest = [min(size, 3) for size in largest]
     for parity, size, dims, weights, totals in iter_spectra(p, largest):
         kept_in = [groups[parity][d, size - d][1] for d in dims]
         if not weights or weights[0] < 3:  # the support inside {1, -1} or {2, 0, -2}
@@ -825,12 +831,16 @@ def verify_theorem(p: int) -> ClassificationSummary:
             weights = range(2 - parity, parity - 3, -2)
             totals = [held.get(w, 0) for w in weights]
         shape, rest = tuple(min(t, 2) for t in totals[:3]), totals[3:]
-        for cls in open_classes(parity, min(weights[0], 4 - parity), shape):
+        room = sum(rest)
+        for cls in open_classes(min(weights[0], 3), shape):
             # no copy, every copy or 1..t - 1 of the t copies on plus
             picks = ((0,) if c == 0 else (t,) if c == s else range(1, t) for c, s, t in zip(cls, shape, totals))
             for head in product(*picks):
+                low = sum(head)
                 for d, kept in zip(dims, kept_in):
-                    for tail in _splits(rest, d - sum(head)):
+                    if not low <= d <= low + room:  # no split of the rest puts d - low on plus
+                        continue
+                    for tail in _splits(rest, d - low):
                         pick = head + tail
                         wd = WeightData._trusted(
                             {w: a for w, a in zip(weights, pick) if a},

@@ -151,17 +151,18 @@ def check_witness_lift(p: int = 2) -> None:
 
 
 def check_head_keys() -> None:
-    """The rank-free head keys, the only keys verify_theorem decides: all
-    27 top windows of each parity are infeasible, and exactly 6 of the 80
-    small supports are feasible."""
-    feasible = supports_seen = 0
-    for parity in (1, 0):
-        windows, supports = head_keys(parity)
-        if len(windows) != 27: raise AssertionError(f"{len(windows)} top windows of parity {parity}")
-        if not all(_head_status(key) == "infeasible" for key in windows): raise AssertionError(f"a top window of parity {parity} is not infeasible")
-        supports_seen += len(supports)
-        feasible += sum(_head_status(key) == "feasible" for key in supports)
-    if (feasible, supports_seen) != (6, 80): raise AssertionError(f"{feasible} of {supports_seen} small supports are feasible")
+    """The rank-free head keys, the only keys verify_theorem decides: each
+    of the 27 top windows is infeasible at its marker W = 3 and at W = 4,
+    so at both parities, and exactly 6 of the 80 small supports are
+    feasible."""
+    keys = head_keys()
+    windows, supports = [key for key in keys if key[0] == 3], [key for key in keys if key[0] < 3]
+    if len(windows) != 27: raise AssertionError(f"{len(windows)} top windows")
+    for key in windows:
+        for top in (3, 4):
+            if _head_status((top, *key[1:])) != "infeasible": raise AssertionError(f"window {key} is not infeasible at W = {top}")
+    feasible = sum(_head_status(key) == "feasible" for key in supports)
+    if (feasible, len(supports)) != (6, 80): raise AssertionError(f"{feasible} of {len(supports)} small supports are feasible")
 
 
 def check_oracle_gradient(tol: float = 1e-5) -> None:

@@ -1,9 +1,11 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import diagonal_candidate
-from geodesy.cli import COMMANDS, MAX_CERT_P, MAX_P, run
+from geodesy.cli import COMMANDS, MAX_CERT_P, MAX_P, MAX_WEIGHT_DIGITS, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.selftest import CHECKS
 from geodesy.weights import WeightData, enumerate_weight_data
@@ -368,6 +370,38 @@ def test_oracle_rejects_a_weight_too_large_for_a_float(flag):
     pattern[flag] = f"{10**20}:1"
     assert _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])[0] == 0
 
+
+def _run_without_warnings(argv):
+    """_run(argv) with every warning, numpy's overflow ones included, raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run(argv)
+
+
+@pytest.mark.parametrize("weight", [10**200, 10**159 + 7], ids=["201_digits", "160_digits"])
+def test_oracle_rejects_a_weight_whose_square_overflows_a_float(weight):
+    # the weight fits a float, but the residual holds its square: exit 2
+    # with one error line before any matrix is built, not an overflow
+    # warning and a residual of inf
+    code, out, err = _run_without_warnings(["oracle", "--plus", f"{weight}:1", "--minus", "-1:1", "--restarts", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --plus: a weight of {len(str(weight))} digits is too large for a float\n"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracle_residual_is_finite_at_the_largest_accepted_weight(sign):
+    w = sign * (10**MAX_WEIGHT_DIGITS - 1)
+    # a table without blocks, and one with blocks between w and w -/+ 4, so a descent runs
+    high, mid, low = sorted((w, w - 2 * sign, w - 4 * sign), reverse=True)
+    for plus, minus in ((f"{w}:1", "-1:1"), (f"{high}:2,{mid}:2", f"{mid}:2,{low}:2")):
+        code, out, err = _run_without_warnings(["oracle", "--plus", plus, "--minus", minus, "--restarts", "3"])
+        assert (code, err) == (0, "")
+        residual = float(out.splitlines()[-1].removeprefix("final residual: "))
+        assert float(w) ** 2 / 2 <= residual < math.inf  # about the square of the weight, and finite
+    # one more digit is refused
+    code, _, err = _run(["oracle", "--plus", f"{sign * 10**MAX_WEIGHT_DIGITS}:1", "--minus", "-1:1"])
+    assert code == 2 and err == f"error: --plus: a weight of {MAX_WEIGHT_DIGITS + 1} digits is too large for a float\n"
+
 RANK_LIMIT = f"p must be between 1 and {MAX_P}"
 BLOCK_LIMIT = f"--plus and --minus each take at most {MAX_P} dimensions"
 
@@ -584,10 +618,11 @@ def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
     )
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
-    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 107), (4, 113)]
+    assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 80), (4, 86)]
     assert [(line["head_keys"], line["walked_sectors"], line["walked_sums"]) for line in lines] == [
-        (95, 12, 11), (95, 18, 15)
+        (68, 12, 11), (68, 18, 15)
     ]
+    assert [(line["head_windows"], line["head_supports"]) for line in lines] == [(27, 41), (27, 41)]
     assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
 
 

@@ -529,12 +529,13 @@ def traced_verify_theorem(monkeypatch, p, status=None):
 
 
 def test_verify_theorem_decides_each_head_key_once(monkeypatch):
-    # every top window of a parity with a sum of top weight 3 or more is
-    # decided first, and all the classes of a head shape together, so p = 4
-    # decides 95 keys (54 top windows and 41 small supports), each derived
-    # once, and derives the 18 sectors of the supports that are not
-    # infeasible; p = 5 decides the same 95 keys and derives 24 sectors
-    for p, enumerated, n_keys, n_derived in ((4, 533, 95, 113), (5, 2773, 95, 119)):
+    # the 27 top windows, shared by both parities, are decided first when a
+    # sum has top weight 3 or more, and all the classes of a head shape
+    # together, so p = 4 decides 68 keys (27 top windows and 41 small
+    # supports), each derived once, and derives the 18 sectors of the
+    # supports that are not infeasible; p = 5 decides the same 68 keys and
+    # derives 24 sectors
+    for p, enumerated, n_keys, n_derived in ((4, 533, 68, 86), (5, 2773, 68, 92)):
         summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p)
         assert summary.enumerated == enumerated
         assert len(keys) == len(set(keys)) == n_keys
@@ -547,14 +548,15 @@ def test_verify_theorem_decides_each_head_key_once(monkeypatch):
 def test_verify_theorem_decides_only_the_keys_of_head_keys(monkeypatch, p):
     # a sum with top weight W <= 2 is keyed by its support inside {1, -1} or
     # {2, 0, -2}, a weight it lacks on neither side, so every key decided is
-    # one of the 54 windows and 80 supports; from p = 5 on they are all the
-    # windows and the 41 supports of sums
+    # one of the 27 windows and 80 supports: 9 supports at p = 1, 53 keys
+    # at p = 2, and from p = 3 on all the windows and the 41 supports of sums
     _, _, keys, _ = traced_verify_theorem(monkeypatch, p)
-    windows, supports = (set(head_keys(1)[i] + head_keys(0)[i]) for i in range(2))
-    assert len(keys) == len(set(keys))
+    windows = {key for key in head_keys() if key[0] >= 3}
+    supports = {key for key in head_keys() if key[0] < 3}
+    assert len(keys) == len(set(keys)) == {1: 9, 2: 53}.get(p, 68)
     assert set(keys) <= windows | supports
-    if p >= 5:
-        assert (len(set(keys) & windows), len(set(keys) & supports)) == (54, 41)
+    if p >= 3:
+        assert (len(set(keys) & windows), len(set(keys) & supports)) == (27, 41)
 
 
 def all_sectors(p):
@@ -569,20 +571,22 @@ def top_weight(wd):
     return max(wd.all_weights(), default=0)
 
 
-def window_key(parity, wd):
-    """The head key of a sector whose top weight W is 3 or more."""
+def window_key(wd):
+    """The head key of a sector whose top weight W is 3 or more, at either parity."""
     head = [top_weight(wd) - 2 * i for i in range(3)]
-    return (parity, 4 - parity, *(w in wd.plus for w in head), *(w in wd.minus for w in head))
+    return (3, *(w in wd.plus for w in head), *(w in wd.minus for w in head))
 
 
 @pytest.mark.parametrize("parity", [1, 0])
 @pytest.mark.parametrize("p", range(2, 7))
 def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible(monkeypatch, p, parity):
-    # one window of one parity is reported feasible: its classes are walked
-    # pick by pick and the sectors under that window derived in full; every
-    # other sector is counted
-    window = (parity, 4 - parity, True, True, False, False, False, True)  # W, W - 2 plus; W - 4 minus
-    assert window in head_keys(parity)[0]
+    # one window is reported feasible: its classes are walked pick by pick
+    # and the sectors under that window derived in full, at both parities,
+    # since the window is shared; every other sector is counted.  Each case
+    # lists the walked sectors of one parity, and the count of derived
+    # systems covers both.
+    window = (3, True, True, False, False, False, True)  # W, W - 2 plus; W - 4 minus
+    assert window in head_keys()
 
     def one_feasible_window(key):
         status = _head_status(key)
@@ -593,18 +597,17 @@ def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
 
-    under_window = [
-        wd for sector_parity, _, wd in all_sectors(p)
-        if sector_parity == parity and top_weight(wd) >= 3 and window_key(parity, wd) == window
-    ]
-    assert under_window or (p, parity) == (2, 0)  # no even sum has W >= 3 at p = 2
+    under_window = {1: [], 0: []}
+    for sector_parity, _, wd in all_sectors(p):
+        if top_weight(wd) >= 3 and window_key(wd) == window:
+            under_window[sector_parity].append(wd)
+    assert under_window[parity] or (p, parity) == (2, 0)  # no even sum has W >= 3 at p = 2
     assert keys == expected_keys and len(keys) == len(set(keys))
     # the keys, the sectors of the supports that are not infeasible, and the
-    # sectors under the window
-    assert len(derived) == len(expected_derived) + len(under_window)
-    walked = [(sector, wd) for sector, wd in sectors if top_weight(wd) >= 3]
-    assert sorted(wd.key() for _, wd in walked) == sorted(wd.key() for wd in under_window)
-    assert all(sector == ("odd" if parity else "even") for sector, _ in walked)
+    # sectors under the window at both parities
+    assert len(derived) == len(expected_derived) + len(under_window[1]) + len(under_window[0])
+    walked = [wd for sector, wd in sectors if top_weight(wd) >= 3 and sector == ("odd" if parity else "even")]
+    assert sorted(wd.key() for wd in walked) == sorted(wd.key() for wd in under_window[parity])
 
 
 @pytest.mark.parametrize("p", range(1, 6), ids="{}-None".format)
@@ -868,16 +871,16 @@ def test_top_equations_depend_only_on_the_top_window(wd):
 
 @pytest.mark.parametrize("parity", [1, 0])
 def test_a_top_window_has_one_status_at_every_top_weight(parity, monkeypatch):
-    # the 27 windows of a parity, decided at the marker W = 3 or 4, have the
-    # same status at every W of that parity, and all are infeasible
-    marker = 4 - parity
-    windows = set(head_keys(parity)[0])
+    # the 27 windows, keyed at the marker W = 3 and shared by both parities,
+    # have the same status at every W of this parity, odd from 3 or even
+    # from 4, and all are infeasible
+    windows = {key for key in head_keys() if key[0] >= 3}
     assert len(windows) == 27
     # each of W, W - 2 and W - 4 on plus, on minus or on both
-    assert all(key[:2] == (parity, marker) and all(key[2:5][i] or key[5:][i] for i in range(3)) for key in windows)
+    assert all(key[0] == 3 and all(key[1:4][i] or key[4:][i] for i in range(3)) for key in windows)
     for key in windows:
-        for top in (*range(marker, 2 * MAX_P, 2), 102 - parity):
-            assert _head_status((parity, top, *key[2:])) == _head_status(key) == "infeasible"
+        for top in (*range(4 - parity, 2 * MAX_P + 1, 2), 102 - parity):
+            assert _head_status((top, *key[1:])) == _head_status(key) == "infeasible"
 
     # and they are exactly the windows verify_theorem decides
     import geodesy.ladder as ladder_mod
@@ -890,7 +893,7 @@ def test_a_top_window_has_one_status_at_every_top_weight(parity, monkeypatch):
 
     monkeypatch.setattr(ladder_mod, "_head_status", recording)
     ladder_mod.verify_theorem(5)
-    assert {key for key in keys if key[0] == parity and key[1] >= 3} == windows
+    assert {key for key in keys if key[0] >= 3} == windows
 
 
 def test_exactly_six_small_supports_are_feasible():
@@ -898,11 +901,10 @@ def test_exactly_six_small_supports_are_feasible():
     statuses, feasible = Counter(), set()
     for parity, top in ((1, 1), (0, 2)):
         head = range(top, -top - 1, -2)
-        supports = head_keys(parity)[1]
+        supports = [key for key in head_keys() if key[0] == top]
         assert len(set(supports)) == len(supports) == 4 ** len(head)
         for key in supports:
-            assert key[:2] == (parity, top)
-            bits = key[2:]
+            bits = key[1:]
             status = _head_status(key)
             statuses[status] += 1
             if status == "feasible":
@@ -926,24 +928,23 @@ def test_exactly_six_small_supports_are_feasible():
 def test_head_status_matches_full_elimination_on_every_head_key():
     # _head_status reads the status without writing a certificate; the full
     # path derives the key's table, keeps the top window when top >= 3 and
-    # reads eliminate(...).status
+    # reads eliminate(...).status.  Each window is also decided at W = 4.
     statuses = Counter()
-    for parity in (1, 0):
-        windows, supports = head_keys(parity)
-        for key in windows + supports:
-            _, top, *bits = key
-            n = len(bits) // 2
-            head = range(top, top - 2 * n, -2)
-            table = WeightData(
-                {w: 1 for w, present in zip(head, bits[:n]) if present},
-                {w: 1 for w, present in zip(head, bits[n:]) if present},
-            )
-            system = derive_constraints(table, sector="odd" if parity else "even")
-            if top >= 3:
-                system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
-            status = eliminate(system).status
-            assert _head_status(key) == status, key
-            statuses[status] += 1
+    keys = head_keys()
+    for key in keys + [(4, *key[1:]) for key in keys if key[0] == 3]:
+        top, *bits = key
+        n = len(bits) // 2
+        head = range(top, top - 2 * n, -2)
+        table = WeightData(
+            {w: 1 for w, present in zip(head, bits[:n]) if present},
+            {w: 1 for w, present in zip(head, bits[n:]) if present},
+        )
+        system = derive_constraints(table, sector="odd" if top % 2 else "even")
+        if top >= 3:
+            system = SectorSystem(table, system.sector, tuple(eq for eq in system.equations if eq[1] >= top - 2))
+        status = eliminate(system).status
+        assert _head_status(key) == status, key
+        statuses[status] += 1
     assert statuses == {"infeasible": 128, "feasible": 6}
 
 
@@ -953,12 +954,13 @@ def test_selftest_head_keys_check_fails_when_one_key_changes_status(parity, whic
     import geodesy.selftest as selftest_mod
 
     selftest_mod.check_head_keys()
-    windows, supports = head_keys(parity)
-    # a window, or an infeasible support: a seventh feasible one
+    # a window at the marker W = 3 or at W = 4, or an infeasible support of
+    # the parity: a seventh feasible one
     if which == "window":
-        changed = windows[len(windows) // 2]
+        windows = [key for key in head_keys() if key[0] >= 3]
+        changed = (4 - parity, *windows[len(windows) // 2][1:])
     else:
-        changed = next(key for key in supports if _head_status(key) == "infeasible")
+        changed = next(key for key in head_keys() if key[0] == 2 - parity and _head_status(key) == "infeasible")
     monkeypatch.setattr(selftest_mod, "_head_status", lambda key: "feasible" if key == changed else _head_status(key))
     with pytest.raises(AssertionError):
         selftest_mod.check_head_keys()
