@@ -8,9 +8,10 @@ verify_theorem(p) in seconds, the peak RSS of this process so far in MB
 (give the ranks in ascending order to read it per rank), and counts taken
 on one more, untimed run: the constraint systems derived, the head keys
 decided, split into top windows (head_windows) and small supports
-(head_supports), the sectors derived in full (walked_sectors) and the sums
-of irreducibles the walk reads (walked_sums).  Each head key and each
-walked sector derives one system.
+(head_supports), the sectors the walk derives and eliminates in full
+(walked_sectors, its calls of ladder._derive_and_eliminate) and the sums
+of irreducibles it reads (walked_sums).  Each head key and each walked
+sector derives one system.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import geodesy.ladder as ladder
 
 COUNTED = {  # output field -> the ladder function whose calls it counts
     "derived_systems": "derive_constraints",
-    "walked_sectors": "_open_sector",
+    "walked_sectors": "_derive_and_eliminate",
 }
 
 

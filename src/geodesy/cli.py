@@ -26,11 +26,11 @@ from .weights import DECIMAL, WeightData
 MAX_P = 16
 # --emit-certs writes one file per table (1,553,816 at p = 9), so it stops lower
 MAX_CERT_P = 9
-# The oracle works in floating point: its residual holds the squares of the
-# weights and its exact line search their fourth powers, so a weight of
-# --plus/--minus takes at most 75 digits, and below 10**75 the fourth power
-# stays far inside the float range (about 1.8e308).
-MAX_WEIGHT_DIGITS = 75
+# The oracle computes in floats, which hold every integer up to 2**53 in
+# magnitude exactly; past it neighbouring weights round to one float, and
+# the oracle would minimize another table than the one it prints.  The
+# fourth powers its line search takes stay far inside the float range.
+MAX_WEIGHT = 2**53
 
 # command -> (help, positionals, options).  A positional is (name, type,
 # required, help); an option maps its flag to (type, default, metavar,
@@ -170,8 +170,8 @@ def _parse_weight_list(raw: str, flag: str) -> dict:
             weight, mult = int(w), int(m)
         except ValueError:  # more digits than int() converts
             raise ValueError(f"{flag}: too many digits in {piece!r}") from None
-        if abs(weight) >= 10**MAX_WEIGHT_DIGITS:
-            raise ValueError(f"{flag}: a weight of {len(str(abs(weight)))} digits is too large for a float")
+        if abs(weight) > MAX_WEIGHT:
+            raise ValueError(f"{flag}: weight {weight} is past 2**53 in magnitude, so a float cannot hold it exactly")
         if mult < 1:
             raise ValueError(f"{flag}: multiplicity for weight {weight} must be positive")
         if weight in table:

@@ -56,7 +56,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussmat import GaussMatrix
-from .weights import Layout, WeightData, _splits, enumerate_sectors, iter_spectra, pair_sectors, sector_counts
+from .weights import Layout, WeightData, enumerate_sectors, iter_spectra, pair_sectors, sector_counts
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -595,14 +595,6 @@ def _derive_and_eliminate(wd: WeightData, sector: str) -> Tuple[SectorSystem, Ve
     return system, eliminate(system)
 
 
-def _open_sector(wd: WeightData, sector: str) -> Optional[Tuple[SectorSystem, Verdict]]:
-    """The system and verdict of a sector that is not infeasible, else
-    None: an infeasible sector gets no certificate."""
-    system = derive_constraints(wd, sector=sector)
-    fired = _fire(system)
-    return None if fired[2] else (system, _verdict(system, *fired))
-
-
 def classify_weight_data(wd: WeightData) -> DatumClassification:
     odd_system, odd = _derive_and_eliminate(wd.odd_sector(), "odd")
     even_system, even = _derive_and_eliminate(wd.even_sector(), "even")
@@ -772,33 +764,32 @@ def verify_theorem(p: int) -> ClassificationSummary:
 
     The sector count of each group comes from a product over the top
     weights (weights.sector_counts), not from the sums, and the groups are
-    made in the order of weights.enumerate_sectors.  The 27 windows are
-    decided first, if a sum has W >= 3 (an irreducible of dimension 4 or
-    more, from p = 2 on).  When all of them are infeasible, every sector of
-    such a sum is infeasible, so the walk reads only the sums of
-    irreducibles of dimension at most 3 (top weight at most 2); otherwise
-    it reads every sum.  So the code assumes nothing of the lemma: the
-    window verdicts decide which sums are read.
+    made in the order of weights.enumerate_sectors.  From p = 2 on a sum
+    can hold an irreducible of dimension 4 or more, so W >= 3, and the 27
+    windows are decided first.  All of them are infeasible, so every sector
+    of such a sum is infeasible; a window that is not is refused with
+    UnresolvedRemains, before any sector is derived, and never walked.  So
+    the walk reads only the sums of irreducibles of dimension at most 3
+    (weights.iter_spectra(p, 3)), whose sectors have W <= 2.
 
     A head weight sends none, some or all of its copies to plus, and all
     the picks of one such class share a key, so the classes whose key is
     not infeasible are found once per head shape (marker, min(t, 2) per
-    head weight).  Only they are walked, one head pick at a time, and the
-    rest of the sum is split only for the dimensions its copies can make
-    up; each of their sectors goes through derivation and elimination in
-    full and is kept, with its system and verdict, unless it is
-    infeasible: terminal recognition compares dimensions, and a feasible
-    sector keeps its own system.  Every sector not kept is infeasible, so
-    each pair of kept sectors of a group pair is a table that is feasible
-    or unresolved, and every other table is infeasible; one pass over the
-    pairs counts the tables, keeps the feasible ones and names the first
-    unresolved one.  Every window is infeasible and 6 of the 80 supports
+    head weight).  Only they are walked, one head pick at a time, each pick
+    a whole sector with d = sum(pick) on plus; each of their sectors goes
+    through derivation and elimination in full and is kept, with its system
+    and verdict, unless it is infeasible: terminal recognition compares
+    dimensions, and a feasible sector keeps its own system.  Every sector
+    not kept is infeasible, so each pair of kept sectors of a group pair is
+    a table that is feasible or unresolved, and every other table is
+    infeasible; one pass over the pairs counts the tables, keeps the
+    feasible ones and names the first unresolved one.  6 of the 80 supports
     are feasible, so rank 1 decides 9 keys (supports only), rank 2 decides
     53 and every rank from 3 on the same 68 (27 windows and 41 supports);
     each walks the O(p^2) sums with W <= 2 and derives only the sectors of
     the feasible supports.
 
-    Raises UnresolvedRemains if any table is unresolved, and then
+    Raises UnresolvedRemains if a window or any table is unresolved, and then
     TheoremViolation if a kept feasible sector is not totally geodesic in
     shape (nonzero raising block, wrong odd pattern, or nontrivial even
     sector; _check_feasible_shape, once per sector).
@@ -817,38 +808,32 @@ def verify_theorem(p: int) -> ClassificationSummary:
             if head_status((marker, *(a > 0 for a in c), *(a < s for a, s in zip(c, shape)))) != "infeasible"
         ]
 
-    # the largest irreducible the walk reads, per parity, even first: a sum
-    # with W >= 3 holds one of dimension 4 or more, and the odd parity has
-    # one from p = 2 on.  The list decides all 27 windows, so a run's keys
-    # hang on no window's status.
-    largest = [2 * p - 1, 2 * p]
-    if largest[1] > 3 and all([head_status(key) == "infeasible" for key in WINDOWS]):
-        largest = [min(size, 3) for size in largest]
-    for parity, size, dims, weights, totals in iter_spectra(p, largest):
-        kept_in = [groups[parity][d, size - d][1] for d in dims]
-        if not weights or weights[0] < 3:  # the support inside {1, -1} or {2, 0, -2}
-            held = dict(zip(weights, totals))
-            weights = range(2 - parity, parity - 3, -2)
-            totals = [held.get(w, 0) for w in weights]
-        shape, rest = tuple(min(t, 2) for t in totals[:3]), totals[3:]
-        room = sum(rest)
-        for cls in open_classes(min(weights[0], 3), shape):
+    # a sum with top weight W >= 3 holds an irreducible of dimension 4 or
+    # more, from p = 2 on, and its sectors are infeasible when their window is
+    if p >= 2:
+        for key in WINDOWS:
+            status = head_status(key)
+            if status != "infeasible":
+                raise UnresolvedRemains(f"top window {key} is {status}, so no sum with top weight 3 or more is decided")
+    for parity, size, dims, weights, totals in iter_spectra(p, 3):
+        held = dict(zip(weights, totals))
+        weights = range(2 - parity, parity - 3, -2)  # the support inside {1, -1} or {2, 0, -2}
+        totals = [held.get(w, 0) for w in weights]
+        shape = tuple(min(t, 2) for t in totals)
+        for cls in open_classes(weights[0], shape):
             # no copy, every copy or 1..t - 1 of the t copies on plus
             picks = ((0,) if c == 0 else (t,) if c == s else range(1, t) for c, s, t in zip(cls, shape, totals))
-            for head in product(*picks):
-                low = sum(head)
-                for d, kept in zip(dims, kept_in):
-                    if not low <= d <= low + room:  # no split of the rest puts d - low on plus
-                        continue
-                    for tail in _splits(rest, d - low):
-                        pick = head + tail
-                        wd = WeightData._trusted(
-                            {w: a for w, a in zip(weights, pick) if a},
-                            {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
-                        )
-                        opened = _open_sector(wd, "odd" if parity else "even")
-                        if opened:
-                            kept.append((wd, *opened))
+            for pick in product(*picks):
+                d = sum(pick)
+                if d not in dims:
+                    continue
+                wd = WeightData._trusted(
+                    {w: a for w, a in zip(weights, pick) if a},
+                    {w: t - a for w, a, t in zip(weights, pick, totals) if a < t},
+                )
+                system, verdict = _derive_and_eliminate(wd, "odd" if parity else "even")
+                if verdict.status != "infeasible":
+                    groups[parity][d, size - d][1].append((wd, system, verdict))
 
     enumerated = unresolved = 0
     first = None

@@ -319,7 +319,7 @@ def enumerate_weight_data(p: int) -> Iterator[WeightData]:
     yield from found
 
 
-def iter_spectra(p: int, largest: Sequence[int] = ()) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
+def iter_spectra(p: int, largest: int | None = None) -> Iterator[Tuple[int, int, range, List[int], List[int]]]:
     """One entry per sum of irreducibles whose sectors can pair into rank p:
     (parity, size, dims, weights, totals), the odd ones (parity 1) first.
 
@@ -327,16 +327,15 @@ def iter_spectra(p: int, largest: Sequence[int] = ()) -> Iterator[Tuple[int, int
     their multiplicities (_spectrum).  Its sectors put d of the size
     dimensions on the plus side, for each d in dims: both blocks of a
     sector have dimension at most p.  Every weight of the sum's parity from
-    weights[0] down to -weights[0] is present.  largest, if given, holds
-    the largest dimension of an irreducible to read for each parity, the
-    even one first; by default every irreducible that fits is read.
+    weights[0] down to -weights[0] is present.  Only the sums of
+    irreducibles of dimension at most largest are read, by default 2p, so
+    every irreducible that fits.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    top = largest or 2 * p  # every irreducible up to dimension 2p fits
     for parity in (1, 0):
-        # an irreducible of dimension d has weights of the parity of d - 1,
-        # and every one up to dimension 2p fits
-        top = largest[parity] if largest else 2 * p
+        # an irreducible of dimension d has weights of the parity of d - 1
         parts = [d for d in range(top, 0, -1) if (d - 1) % 2 == parity]
         for size in range(0, 2 * p + 1, 2):
             dims = range(max(0, size - p), min(p, size) + 1)

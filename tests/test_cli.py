@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodesy.candidates import diagonal_candidate
-from geodesy.cli import COMMANDS, MAX_CERT_P, MAX_P, MAX_WEIGHT_DIGITS, run
+from geodesy.cli import COMMANDS, MAX_CERT_P, MAX_P, MAX_WEIGHT, run
 from geodesy.ladder import CertificateStep, Verdict, derive_constraints, replay_certificate
 from geodesy.selftest import CHECKS
 from geodesy.weights import WeightData, enumerate_weight_data
@@ -305,6 +305,22 @@ def test_certificate_write_is_atomic(tmp_path, monkeypatch, capsys):
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("emit", [False, True], ids=["plain", "emit_certs"])
+def test_classify_exits_3_on_a_top_window_that_is_not_infeasible(tmp_path, monkeypatch, emit):
+    import geodesy.ladder as ladder_mod
+
+    window, status = ladder_mod.WINDOWS[5], ladder_mod._head_status
+    monkeypatch.setattr(ladder_mod, "_head_status", lambda key: "feasible" if key == window else status(key))
+    target = tmp_path / "certs"
+    code, out, err = _run(["classify", "3", *(["--emit-certs", str(target)] if emit else [])])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: unresolved weight tables remain: top window {window} is feasible, "
+        "so no sum with top weight 3 or more is decided\n"
+    )
+    assert not target.exists()
+
+
 def test_classify_unwritable_certificate_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("not a directory")
@@ -359,16 +375,24 @@ def test_oracle_rejects_bad_weight_lists(plus, capsys):
 
 
 
+def too_large(flag, weight):
+    """The error line of a weight past MAX_WEIGHT."""
+    return f"error: {flag}: weight {weight} is past 2**53 in magnitude, so a float cannot hold it exactly\n"
+
+
 @pytest.mark.parametrize("flag", ["--plus", "--minus"])
 def test_oracle_rejects_a_weight_too_large_for_a_float(flag):
-    # 400 digits overflow a float before any matrix is built; 10**20 does not
-    pattern = {"--plus": "1:1", "--minus": "-1:1"}
-    pattern[flag] = f"{'9' * 400}:1"
-    code, out, err = _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])
-    assert (code, out) == (2, "")
-    assert err == f"error: {flag}: a weight of 400 digits is too large for a float\n"
-    pattern[flag] = f"{10**20}:1"
-    assert _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])[0] == 0
+    # 400 digits overflow a float, and 10**20 and 10**20 - 2 round to one
+    # float: both exit 2 before any matrix is built
+    for weight in ("9" * 400, 10**20):
+        pattern = {"--plus": "1:1", "--minus": "-1:1"}
+        pattern[flag] = f"{weight}:1"
+        code, out, err = _run(["oracle", *(arg for item in pattern.items() for arg in item), "--restarts", "1"])
+        assert (code, out, err) == (2, "", too_large(flag, weight))
+    # a table whose weights would round together: one error line, no minimization
+    w = 10**20
+    code, out, err = _run(["oracle", "--plus", f"{w}:2,{w - 2}:3", "--minus", f"{w - 2}:2,{w - 4}:3", "--restarts", "1"])
+    assert (code, out, err) == (2, "", too_large("--plus", w))
 
 
 def _run_without_warnings(argv):
@@ -384,13 +408,12 @@ def test_oracle_rejects_a_weight_whose_square_overflows_a_float(weight):
     # with one error line before any matrix is built, not an overflow
     # warning and a residual of inf
     code, out, err = _run_without_warnings(["oracle", "--plus", f"{weight}:1", "--minus", "-1:1", "--restarts", "1"])
-    assert (code, out) == (2, "")
-    assert err == f"error: --plus: a weight of {len(str(weight))} digits is too large for a float\n"
+    assert (code, out, err) == (2, "", too_large("--plus", weight))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_oracle_residual_is_finite_at_the_largest_accepted_weight(sign):
-    w = sign * (10**MAX_WEIGHT_DIGITS - 1)
+    w = sign * MAX_WEIGHT
     # a table without blocks, and one with blocks between w and w -/+ 4, so a descent runs
     high, mid, low = sorted((w, w - 2 * sign, w - 4 * sign), reverse=True)
     for plus, minus in ((f"{w}:1", "-1:1"), (f"{high}:2,{mid}:2", f"{mid}:2,{low}:2")):
@@ -398,9 +421,9 @@ def test_oracle_residual_is_finite_at_the_largest_accepted_weight(sign):
         assert (code, err) == (0, "")
         residual = float(out.splitlines()[-1].removeprefix("final residual: "))
         assert float(w) ** 2 / 2 <= residual < math.inf  # about the square of the weight, and finite
-    # one more digit is refused
-    code, _, err = _run(["oracle", "--plus", f"{sign * 10**MAX_WEIGHT_DIGITS}:1", "--minus", "-1:1"])
-    assert code == 2 and err == f"error: --plus: a weight of {MAX_WEIGHT_DIGITS + 1} digits is too large for a float\n"
+    # one more is refused
+    code, _, err = _run(["oracle", "--plus", f"{w + sign}:1", "--minus", "-1:1"])
+    assert (code, err) == (2, too_large("--plus", w + sign))
 
 RANK_LIMIT = f"p must be between 1 and {MAX_P}"
 BLOCK_LIMIT = f"--plus and --minus each take at most {MAX_P} dimensions"

@@ -18,6 +18,7 @@ from geodesy.ladder import (
     SectorSystem,
     TheoremViolation,
     UnresolvedRemains,
+    WINDOWS,
     Verdict,
     WitnessClass,
     WitnessError,
@@ -497,14 +498,14 @@ def test_verify_theorem_results_match_per_table_classification():
             assert result.even_system == derive_constraints(wd.even_sector(), sector="even")
 
 
-def traced_verify_theorem(monkeypatch, p, status=None):
-    """verify_theorem(p) with status(key) in place of
-    _head_status, if given: (summary, systems derived, head keys decided,
-    sectors derived as (sector, table))."""
+def trace_ladder(monkeypatch, status=None):
+    """Make verify_theorem record what it does, with status(key) in place of
+    _head_status, if given: returns (systems derived, head keys decided,
+    sectors walked as (sector, table)), filled as it runs."""
     import geodesy.ladder as ladder_mod
 
     derived, keys, sectors = [], [], []
-    original_derive, original_sector = ladder_mod.derive_constraints, ladder_mod._open_sector
+    original_derive, original_walk = ladder_mod.derive_constraints, ladder_mod._derive_and_eliminate
     status = status or _head_status
 
     def counting(wd, sector=None):
@@ -517,13 +518,21 @@ def traced_verify_theorem(monkeypatch, p, status=None):
 
     def recording_sector(wd, sector):
         sectors.append((sector, wd))
-        return original_sector(wd, sector)
+        return original_walk(wd, sector)
 
     monkeypatch.setattr(ladder_mod, "derive_constraints", counting)
     monkeypatch.setattr(ladder_mod, "_head_status", recording)
-    monkeypatch.setattr(ladder_mod, "_open_sector", recording_sector)
+    monkeypatch.setattr(ladder_mod, "_derive_and_eliminate", recording_sector)
+    return derived, keys, sectors
+
+
+def traced_verify_theorem(monkeypatch, p, status=None):
+    """verify_theorem(p) under trace_ladder: (summary, *what it recorded)."""
+    import geodesy.ladder as ladder_mod
+
+    traced = trace_ladder(monkeypatch, status)
     try:
-        return ladder_mod.verify_theorem(p), derived, keys, sectors
+        return (ladder_mod.verify_theorem(p), *traced)
     finally:
         monkeypatch.undo()
 
@@ -571,58 +580,43 @@ def top_weight(wd):
     return max(wd.all_weights(), default=0)
 
 
-def window_key(wd):
-    """The head key of a sector whose top weight W is 3 or more, at either parity."""
-    head = [top_weight(wd) - 2 * i for i in range(3)]
-    return (3, *(w in wd.plus for w in head), *(w in wd.minus for w in head))
-
-
-@pytest.mark.parametrize("parity", [1, 0])
+@pytest.mark.parametrize("window, status", [(WINDOWS[0], "feasible"), (WINDOWS[-1], "unresolved")], ids=["first", "last"])
 @pytest.mark.parametrize("p", range(2, 7))
-def test_verify_theorem_walks_only_the_parity_of_a_window_that_is_not_infeasible(monkeypatch, p, parity):
-    # one window is reported feasible: its classes are walked pick by pick
-    # and the sectors under that window derived in full, at both parities,
-    # since the window is shared; every other sector is counted.  Each case
-    # lists the walked sectors of one parity, and the count of derived
-    # systems covers both.
-    window = (3, True, True, False, False, False, True)  # W, W - 2 plus; W - 4 minus
-    assert window in head_keys()
+def test_verify_theorem_refuses_a_window_that_is_not_infeasible(monkeypatch, p, window, status):
+    # the walk reads only the sums with top weight W <= 2, which holds only
+    # while every window is infeasible: an open window is named, and nothing
+    # past the windows is decided or derived
+    import geodesy.ladder as ladder_mod
 
-    def one_feasible_window(key):
+    def one_open_window(key):
+        real = _head_status(key)
+        return status if key == window else real
+
+    derived, keys, sectors = trace_ladder(monkeypatch, one_open_window)
+    with pytest.raises(UnresolvedRemains) as err:
+        ladder_mod.verify_theorem(p)
+    assert str(err.value) == f"top window {window} is {status}, so no sum with top weight 3 or more is decided"
+    assert keys == list(WINDOWS[: WINDOWS.index(window) + 1])
+    assert sectors == [] and len(derived) == len(keys)
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_verify_theorem_derives_every_sector_of_top_weight_2_when_no_support_is_infeasible(monkeypatch, p):
+    # the windows keep their status and every support is reported open, so
+    # the walk derives each sector with top weight W <= 2 in full, once,
+    # and still reaches the same summary
+    def open_supports(key):
         status = _head_status(key)
-        return "feasible" if key == window else status
-
-    expected, expected_derived, expected_keys, _ = traced_verify_theorem(monkeypatch, p)
-    summary, derived, keys, sectors = traced_verify_theorem(monkeypatch, p, status=one_feasible_window)
-    assert summary.to_json_dict() == expected.to_json_dict()
-    assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
-
-    under_window = {1: [], 0: []}
-    for sector_parity, _, wd in all_sectors(p):
-        if top_weight(wd) >= 3 and window_key(wd) == window:
-            under_window[sector_parity].append(wd)
-    assert under_window[parity] or (p, parity) == (2, 0)  # no even sum has W >= 3 at p = 2
-    assert keys == expected_keys and len(keys) == len(set(keys))
-    # the keys, the sectors of the supports that are not infeasible, and the
-    # sectors under the window at both parities
-    assert len(derived) == len(expected_derived) + len(under_window[1]) + len(under_window[0])
-    walked = [wd for sector, wd in sectors if top_weight(wd) >= 3 and sector == ("odd" if parity else "even")]
-    assert sorted(wd.key() for wd in walked) == sorted(wd.key() for wd in under_window[parity])
-
-
-@pytest.mark.parametrize("p", range(1, 6), ids="{}-None".format)
-def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p):
-    # no top window is feasible at any rank, so force the path that derives each sector in full
-    def feasible_head(key):
-        _head_status(key)
-        return "feasible"
+        return status if key[0] >= 3 else "feasible"
 
     expected = verify_theorem(p)
-    summary, derived, keys, _ = traced_verify_theorem(monkeypatch, p, feasible_head)
+    summary, derived, keys, sectors = traced_verify_theorem(monkeypatch, p, open_supports)
     assert summary.to_json_dict() == expected.to_json_dict()
     assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
     assert len(keys) == len(set(keys))
-    assert len(derived) == len(keys) + sum(1 for _ in all_sectors(p))
+    low = [("odd" if parity else "even", wd.key()) for parity, _, wd in all_sectors(p) if top_weight(wd) <= 2]
+    assert sorted((sector, wd.key()) for sector, wd in sectors) == sorted(low)
+    assert len(set(low)) == len(low) and len(derived) == len(keys) + len(low)
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -683,16 +677,19 @@ def test_verify_theorem_flags_unresolved(monkeypatch):
     def no_results(self):
         raise AssertionError("the unresolved count and the first table come from the kept sectors")
 
-    # every head key and every sector, through eliminate or not, is unresolved
-    monkeypatch.setattr(ladder_mod, "_fire", no_contradiction)
-    monkeypatch.setattr(ladder_mod, "_verdict", fake_verdict)
     # naming the first unresolved table must not decide every sector again
     monkeypatch.setattr(ladder_mod.ClassificationSummary, "results", no_results)
+    # every sector that is not infeasible is unresolved: the windows stay
+    # infeasible, and the walk of the sums with top weight W <= 2 names the tables
+    monkeypatch.setattr(ladder_mod, "_verdict", fake_verdict)
+    with pytest.raises(UnresolvedRemains) as err:
+        ladder_mod.verify_theorem(3)
+    assert str(err.value) == "4 weight table(s) unresolved, first: plus {0:3} minus {0:3}"
+    # every head key and every sector, through eliminate or not, is unresolved
+    monkeypatch.setattr(ladder_mod, "_fire", no_contradiction)
     with pytest.raises(UnresolvedRemains) as err:
         ladder_mod.verify_theorem(1)
     assert str(err.value) == "3 weight table(s) unresolved, first: plus {0:1} minus {0:1}"
-    with pytest.raises(UnresolvedRemains, match=r"^99 weight table\(s\) unresolved, first: "):
-        ladder_mod.verify_theorem(3)
 
 
 def test_feasible_shape_check_rejects_surviving_raising_block():

@@ -237,6 +237,17 @@ def test_sector_counts_sum_the_split_counts_of_every_sum(p):
     assert list(even.items()) == list(expected[0].items())
 
 
+@pytest.mark.parametrize("p", range(1, 11))
+def test_iter_spectra_reads_only_the_irreducibles_up_to_largest(p):
+    # the sums of irreducibles of dimension at most 3 are the entries whose
+    # weights are empty or top out at 2, in the same order
+    def entries(spectra):
+        return [(parity, size, list(dims), weights, totals) for parity, size, dims, weights, totals in spectra]
+
+    small = [entry for entry in entries(iter_spectra(p)) if not entry[3] or entry[3][0] <= 2]
+    assert entries(iter_spectra(p, 3)) == small
+
+
 def test_sector_counts_need_a_rank():
     with pytest.raises(ValueError):
         sector_counts(0)
