@@ -600,6 +600,34 @@ def test_verify_theorem_refuses_a_window_that_is_not_infeasible(monkeypatch, p, 
     assert sectors == [] and len(derived) == len(keys)
 
 
+@pytest.mark.parametrize("p", range(1, 6), ids="{}-None".format)
+def test_verify_theorem_derives_every_sector_when_no_window_is_infeasible(monkeypatch, p):
+    # every head key is reported feasible. At p = 1 no window is decided and
+    # every sector has top weight <= 2, so each is derived in full, once, and
+    # the summary is unchanged; from p = 2 on the first window stops the run
+    # before any sector is derived
+    import geodesy.ladder as ladder_mod
+
+    def feasible_head(key):
+        _head_status(key)
+        return "feasible"
+
+    expected = verify_theorem(p)
+    derived, keys, sectors = trace_ladder(monkeypatch, feasible_head)
+    if p >= 2:
+        with pytest.raises(UnresolvedRemains) as err:
+            ladder_mod.verify_theorem(p)
+        assert str(err.value) == f"top window {WINDOWS[0]} is feasible, so no sum with top weight 3 or more is decided"
+        assert keys == [WINDOWS[0]] and sectors == [] and len(derived) == 1
+        return
+    summary = ladder_mod.verify_theorem(p)
+    assert summary.to_json_dict() == expected.to_json_dict()
+    assert [c.terminal for c in summary.classes] == [c.terminal for c in expected.classes]
+    assert len(keys) == len(set(keys)) and not set(keys) & set(WINDOWS)
+    assert len(sectors) == sum(1 for _ in all_sectors(p))
+    assert len(derived) == len(keys) + sum(1 for _ in all_sectors(p))
+
+
 @pytest.mark.parametrize("p", range(1, 6))
 def test_verify_theorem_derives_every_sector_of_top_weight_2_when_no_support_is_infeasible(monkeypatch, p):
     # the windows keep their status and every support is reported open, so
