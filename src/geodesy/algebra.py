@@ -19,17 +19,16 @@ The Cartan involution negates the off-diagonal blocks; the k and p parts
 zero the off-diagonal or the diagonal blocks; and the complex structure
 sends an entry x + yi to -y + xi above the diagonal blocks and to y - xi
 below them.  Every sign pattern is one multiplication of the numerators
-by a cached mask of quadrant signs.
+by a cached mask of quadrant signs; the masks and the adjoint test live in
+``gaussmat``, whose ``bracket`` uses the same test for u(p,p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import itemgetter, mul
 
-from .gaussmat import GaussMatrix, I, bracket
+from .gaussmat import K_PART, P_PART, THETA, U_PP, GaussMatrix, I, _is_signed_adjoint, _signed, bracket
 
 
 class MembershipError(ValueError):
@@ -68,32 +67,6 @@ def _check_shape(a: GaussMatrix, shape: SuPQShape) -> None:
         raise ValueError(f"expected a {n}x{n} matrix, got {a.rows}x{a.cols}")
 
 
-# quadrant signs (upper left, upper right, lower left, lower right)
-_THETA = (1, -1, -1, 1)  # J . J
-_SU = (-1, 1, 1, -1)  # -J . J
-_K = (1, 0, 0, 1)
-_P = (0, 1, 1, 0)
-
-
-@cache
-def _transposer(n: int) -> itemgetter:
-    """Takes the row-major numerators of an n x n matrix, n >= 2, to those
-    of its transpose."""
-    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
-
-
-@cache
-def _mask(p: int, signs: tuple) -> tuple:
-    """Per entry of a row-major 2p x 2p matrix, the sign of its quadrant."""
-    ul, ur, ll, lr = signs
-    return tuple(([ul] * p + [ur] * p) * p + ([ll] * p + [lr] * p) * p)
-
-
-def _signed(xs, p: int, signs: tuple) -> tuple:
-    """The numerators xs with each quadrant multiplied by its sign."""
-    return tuple(map(mul, xs, _mask(p, signs)))
-
-
 def _blockwise(a: GaussMatrix, p: int, signs: tuple) -> GaussMatrix:
     """a with each quadrant multiplied by its sign."""
     return GaussMatrix._from_ints(a.rows, a.cols, a.den, _signed(a.re_num, p, signs), _signed(a.im_num, p, signs))
@@ -102,35 +75,31 @@ def _blockwise(a: GaussMatrix, p: int, signs: tuple) -> GaussMatrix:
 def _equals_signed_adjoint(a: GaussMatrix, shape: SuPQShape, signs: tuple) -> bool:
     """Whether a equals a* with each quadrant multiplied by its sign."""
     _check_shape(a, shape)
-    transpose, p = _transposer(shape.size), shape.p
-    return (
-        _signed(transpose(a.re_num), p, signs) == a.re_num
-        and _signed(transpose(a.im_num), p, tuple(-s for s in signs)) == a.im_num
-    )
+    return _is_signed_adjoint(a, shape.p, signs)
 
 
 def in_su_pp(a: GaussMatrix, shape: SuPQShape) -> bool:
     """Exact membership test for su(p,p): a = -J a* J and tr a = 0."""
     # a = -J a* J leaves the real part of the diagonal zero
-    return _equals_signed_adjoint(a, shape, _SU) and not sum(a.im_num[:: shape.size + 1])
+    return _equals_signed_adjoint(a, shape, U_PP) and not sum(a.im_num[:: shape.size + 1])
 
 
 def cartan_involution(a: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
     """theta(X) = J X J: +1 on block-diagonal, -1 on off-diagonal."""
     _check_shape(a, shape)
-    return _blockwise(a, shape.p, _THETA)
+    return _blockwise(a, shape.p, THETA)
 
 
 def cartan_decompose(a: GaussMatrix, shape: SuPQShape) -> CartanSplit:
     """Split an su(p,p) element into its k and p components."""
     if not in_su_pp(a, shape):
         raise MembershipError("element is not in su(p,p)")
-    return CartanSplit(k_part=_blockwise(a, shape.p, _K), p_part=_blockwise(a, shape.p, _P))
+    return CartanSplit(k_part=_blockwise(a, shape.p, K_PART), p_part=_blockwise(a, shape.p, P_PART))
 
 
 def in_p_part(a: GaussMatrix, shape: SuPQShape) -> bool:
     """True iff a = (0 Z; Z* 0) exactly: a is the off-diagonal part of a*."""
-    return _equals_signed_adjoint(a, shape, _P)
+    return _equals_signed_adjoint(a, shape, P_PART)
 
 
 def complex_structure(p_elem: GaussMatrix, shape: SuPQShape) -> GaussMatrix:

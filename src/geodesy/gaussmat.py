@@ -9,6 +9,13 @@ multiples work on plain Python ints and reduce once per matrix, and the
 entries come back as ``GaussRational``s in lowest terms only when asked
 for.
 
+A commutator ab - ba of two elements of u(p,p), the X with X = -J X* J
+for J = diag(I_p, -I_p), takes one product: then a* = -J a J, so
+(ab)* = b* a* = (-J b J)(-J a J) = J ba J and ba = J (ab)* J, which is
+ab's numerators transposed, the imaginary ones negated, and the
+off-diagonal quadrants negated.  The test for u(p,p) is O(n^2) integer
+comparisons; any other pair of square matrices takes both products.
+
 The inverse is a fraction-free Gauss-Jordan elimination over the Gaussian
 integers (Bareiss 1968): every division in it is exact.  The
 characteristic polynomial is the division-free Samuelson-Berkowitz
@@ -20,8 +27,9 @@ produced downstream trustworthy.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, neg, sub
+from functools import cache, reduce
+from math import gcd, lcm, prod
+from operator import add, itemgetter, matmul, mul, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -502,17 +510,76 @@ def _product(a: GaussMatrix, b: GaussMatrix) -> tuple:
     return out_re, out_im
 
 
+# ----------------------------------------------------------------------
+# Quadrant signs and the adjoint test of u(p,p).
+#
+# A sign tuple (upper left, upper right, lower left, lower right) scales
+# each p x p quadrant of a 2p x 2p matrix.
+
+THETA = (1, -1, -1, 1)  # J . J
+U_PP = (-1, 1, 1, -1)  # -J . J
+K_PART = (1, 0, 0, 1)
+P_PART = (0, 1, 1, 0)
+
+
+@cache
+def _transposer(n: int) -> itemgetter:
+    """Takes the row-major numerators of an n x n matrix, n >= 2, to those
+    of its transpose."""
+    return itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+
+
+@cache
+def _mask(p: int, signs: tuple) -> tuple:
+    """Per entry of a row-major 2p x 2p matrix, the sign of its quadrant."""
+    ul, ur, ll, lr = signs
+    return tuple(([ul] * p + [ur] * p) * p + ([ll] * p + [lr] * p) * p)
+
+
+def _signed(xs, p: int, signs: tuple) -> tuple:
+    """The numerators xs with each quadrant multiplied by its sign."""
+    return tuple(map(mul, xs, _mask(p, signs)))
+
+
+@cache
+def _adjoint_masks(p: int, signs: tuple) -> tuple:
+    """The transposer of 2p x 2p numerators and the real and imaginary
+    quadrant masks that make a* with each quadrant multiplied by its sign."""
+    return _transposer(2 * p), _mask(p, signs), _mask(p, tuple(-s for s in signs))
+
+
+def _signed_adjoint(re, im, p: int, signs: tuple) -> tuple:
+    """The real and imaginary numerators, as iterators, of m* with each
+    quadrant multiplied by its sign, for the 2p x 2p m with numerators re, im."""
+    transpose, re_mask, im_mask = _adjoint_masks(p, signs)
+    return map(mul, transpose(re), re_mask), map(mul, transpose(im), im_mask)
+
+
+def _is_signed_adjoint(a: GaussMatrix, p: int, signs: tuple) -> bool:
+    """Whether the 2p x 2p matrix a equals a* with each quadrant multiplied
+    by its sign; with U_PP, whether a is in u(p,p)."""
+    re, im = _signed_adjoint(a.re_num, a.im_num, p, signs)
+    return tuple(re) == a.re_num and tuple(im) == a.im_num
+
+
 def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Commutator ab - ba, exact; both arguments must be square and same size.
 
     Both products lie over a.den * b.den, so they are subtracted as
-    integers and the difference is reduced once."""
+    integers and the difference is reduced once.  When n = 2p and both
+    arguments are in u(p,p), ba = J (ab)* J is taken from ab's numerators
+    instead of a second product (see the module docstring)."""
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("bracket needs square matrices of equal size")
+    n = a.rows
     ab_re, ab_im = _product(a, b)
-    ba_re, ba_im = _product(b, a)
+    p = n // 2
+    if n % 2 == 0 and _is_signed_adjoint(a, p, U_PP) and _is_signed_adjoint(b, p, U_PP):
+        ba_re, ba_im = _signed_adjoint(ab_re, ab_im, p, THETA)
+    else:
+        ba_re, ba_im = _product(b, a)
     return GaussMatrix._from_ints(
-        a.rows, a.rows, a.den * b.den, map(sub, ab_re, ba_re), map(sub, ab_im, ba_im)
+        n, n, a.den * b.den, map(sub, ab_re, ba_re), map(sub, ab_im, ba_im)
     )
 
 
@@ -632,24 +699,20 @@ def integer_spectrum(a: GaussMatrix) -> dict:
     return spectrum
 
 
-def eigenprojection(a: GaussMatrix, lam: int, spectrum: Mapping[int, int]) -> GaussMatrix:
-    """Exact spectral projector onto the lam-eigenspace of a semisimple matrix.
+def eigenprojections(a: GaussMatrix, spectrum: Mapping[int, int]) -> dict:
+    """Exact spectral projectors of a semisimple matrix, one per eigenvalue.
 
-    P = prod over mu != lam of (a - mu I) / (lam - mu).  The caller's spectrum
-    is certified first: prod over distinct mu of (a - mu I) must be zero.
+    P_lam = prod over mu != lam of (a - mu I) / (lam - mu).  The caller's
+    spectrum is certified first, once: prod over distinct mu of (a - mu I)
+    must be zero.  Each a - mu I is formed once and shared by every product.
     """
-    if lam not in spectrum:
-        raise ValueError(f"{lam} is not in the given spectrum")
-    n = a.rows
-    ident = GaussMatrix.identity(n)
-    minimal = ident
-    for mu in sorted(spectrum):
-        minimal = minimal @ (a - ident * mu)
-    if not minimal.is_zero():
+    ident = GaussMatrix.identity(a.rows)
+    shifted = {mu: a - ident * mu for mu in sorted(spectrum)}
+    if not reduce(matmul, shifted.values(), ident).is_zero():
         raise NotSemisimple("matrix fails the semisimplicity product test")
-    proj = ident
-    for mu in sorted(spectrum):
-        if mu == lam:
-            continue
-        proj = proj @ (a - ident * mu) * (Fraction(1, lam - mu))
-    return proj
+    projections = {}
+    for lam in spectrum:
+        others = [mu for mu in shifted if mu != lam]
+        scale = Fraction(1, prod(lam - mu for mu in others))
+        projections[lam] = reduce(matmul, (shifted[mu] for mu in others), ident) * scale
+    return projections

@@ -3,7 +3,7 @@
 Everything here produces Gaussian rational data from a stdlib Random
 stream, so the property checks downstream run at zero tolerance.
 
-Every entry is drawn as four ``randint`` calls, in this order: the real
+Every entry takes four draws of ``randint``'s stream, in this order: the real
 numerator in [-SPAN, SPAN], its denominator in [1, MAX_DEN], then the
 imaginary numerator and its denominator; a matrix draws its entries row
 by row.  The numerators are brought straight over ``DEN``, the lcm of
@@ -25,12 +25,16 @@ DEN = lcm(*range(1, MAX_DEN + 1))
 
 
 def _draw(rng: random.Random, count: int) -> tuple:
-    """The real and imaginary numerators over DEN of count drawn entries."""
-    draw = rng.randint
+    """The real and imaginary numerators over DEN of count drawn entries.
+
+    ``a + below(b - a + 1)`` is what ``rng.randint(a, b)`` returns, with the
+    same draws from the stream, at about half the cost of the public call;
+    the tests hold the two streams equal."""
+    below = rng._randbelow
     re, im = [], []
     for _ in range(count):
-        re.append(draw(-SPAN, SPAN) * (DEN // draw(1, MAX_DEN)))
-        im.append(draw(-SPAN, SPAN) * (DEN // draw(1, MAX_DEN)))
+        re.append((below(2 * SPAN + 1) - SPAN) * (DEN // (1 + below(MAX_DEN))))
+        im.append((below(2 * SPAN + 1) - SPAN) * (DEN // (1 + below(MAX_DEN))))
     return re, im
 
 

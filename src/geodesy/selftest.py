@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .candidates import lift_classification
 from .checker import check_conditions, equivariance_test
-from .gaussmat import GaussMatrix, I, bracket, char_poly, eigenprojection, integer_spectrum, poly_eval
+from .gaussmat import GaussMatrix, I, bracket, char_poly, eigenprojections, integer_spectrum, poly_eval
 from .ladder import _head_status, classify_weight_data, head_keys, replay_certificate, verify_witness
 from .numeric import gradient_check
 from .weights import WeightData, enumerate_weight_data
@@ -113,7 +113,7 @@ def check_eigenprojections(samples: int = 100, seed: int = 107) -> None:
         spectrum = integer_spectrum(a)
         if spectrum != expected: raise AssertionError
         total = GaussMatrix.zeros(n, n)
-        projections = {lam: eigenprojection(a, lam, spectrum) for lam in spectrum}
+        projections = eigenprojections(a, spectrum)
         for lam, proj in projections.items():
             if proj @ proj != proj: raise AssertionError("projector is not idempotent")
             total = total + proj

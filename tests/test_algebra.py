@@ -92,6 +92,20 @@ def test_su_pp_keeps_its_stream():
             assert rng.getstate() == old.getstate()
 
 
+def test_draw_keeps_the_randint_stream():
+    # _draw reads the stream through Random._randbelow; it must return what
+    # four randint calls an entry return and leave the same state behind
+    for seed in range(20):
+        rng, old = random.Random(seed), random.Random(seed)
+        re, im = sampling._draw(rng, 5000)
+        want_re, want_im = [], []
+        for _ in range(5000):
+            for out in (want_re, want_im):
+                out.append(old.randint(-sampling.SPAN, sampling.SPAN) * (sampling.DEN // old.randint(1, sampling.MAX_DEN)))
+        assert (re, im) == (want_re, want_im)
+        assert rng.getstate() == old.getstate()
+
+
 def test_cartan_split_reassembles():
     rng = random.Random(21)
     for p in (1, 2, 3):

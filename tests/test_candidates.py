@@ -27,9 +27,10 @@ from geodesy.candidates import (
     save_candidate,
     standard_trivial_candidate,
 )
-from geodesy.checker import check_conditions
+from geodesy.checker import check_conditions, equivariance_test
+from geodesy.cli import MAX_P, run
 from geodesy.gaussmat import GaussMatrix
-from geodesy.ladder import block_cells, classify_weight_data
+from geodesy.ladder import block_cells, classify_weight_data, verify_theorem
 from geodesy.weights import enumerate_weight_data
 from kernel_strategies import SIZES, matrices
 
@@ -314,21 +315,31 @@ def test_json_text_rejects_what_json_rejects():
             json_text(doc)
 
 
-def test_lift_of_every_feasible_class_passes(tmp_path):
-    for p in (1, 2, 3):
-        for wd in enumerate_weight_data(p):
-            result = classify_weight_data(wd)
-            if result.status != "feasible":
-                continue
-            candidate = lift_classification(result)
+def test_lift_of_every_feasible_class_passes(tmp_path, capsys):
+    # every feasible class that classify reports, at every rank it takes,
+    # goes through check's own algebra, which shares no code with the
+    # elimination that found it
+    path = tmp_path / "lift.json"
+    for p in range(1, MAX_P + 1):
+        classes = verify_theorem(p).classes
+        assert sorted((c.standard_copies, c.trivial_dim) for c in classes) == [(m, 2 * p - 2 * m) for m in range(p + 1)]
+        for cls in classes:
+            assert cls.non_embedding == (cls.standard_copies == 0)
+            candidate = lift_classification(cls)
             report = check_conditions(candidate)
-            assert report.passed, wd.describe()
+            assert report.passed, cls.weight_data.describe()
             assert report.totally_geodesic
-            assert report.h_spectrum == wd
+            assert equivariance_test(candidate, report)
+            assert report.h_spectrum == cls.weight_data
             # the lift survives a trip through the wire format
-            path = tmp_path / "lift.json"
             save_candidate(candidate, path)
             assert load_candidate(path).f_u == candidate.f_u
+    # and the CLI passes the largest standard lift, standard^MAX_P
+    assert classes[0].standard_copies == MAX_P
+    save_candidate(lift_classification(classes[0]), path)
+    capsys.readouterr()
+    assert run(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["totally_geodesic"] is True
 
 
 def feasible_results(max_p: int) -> list:

@@ -14,7 +14,7 @@ from geodesy.gaussmat import (
     NotSemisimple,
     bracket,
     char_poly,
-    eigenprojection,
+    eigenprojections,
     integer_spectrum,
     poly_eval,
 )
@@ -189,13 +189,13 @@ def test_integer_spectrum_of_conjugated_matrix():
 
 def test_eigenprojection_examples():
     d = GaussMatrix.diagonal([1, -1])
-    assert eigenprojection(d, 1, {1: 1, -1: 1}) == GaussMatrix.diagonal([1, 0])
+    assert eigenprojections(d, {1: 1, -1: 1}) == {1: GaussMatrix.diagonal([1, 0]), -1: GaussMatrix.diagonal([0, 1])}
     ident = GaussMatrix.identity(3)
-    assert eigenprojection(ident, 1, {1: 3}) == ident
+    assert eigenprojections(ident, {1: 3}) == {1: ident}
     d3 = GaussMatrix.diagonal([1, 1, -1])
-    p1 = eigenprojection(d3, 1, {1: 2, -1: 1})
-    pm1 = eigenprojection(d3, -1, {1: 2, -1: 1})
-    assert (p1 @ pm1).is_zero()
+    projections = eigenprojections(d3, {1: 2, -1: 1})
+    assert list(projections) == [1, -1]
+    assert (projections[1] @ projections[-1]).is_zero()
 
 
 def test_eigenprojection_resolution_of_identity():
@@ -204,10 +204,12 @@ def test_eigenprojection_resolution_of_identity():
         n = 2 + i % 3
         a, _ = sampling.integer_diagonalizable(rng, n)
         spectrum = integer_spectrum(a)
+        projections = eigenprojections(a, spectrum)
+        assert list(projections) == list(spectrum)
         total = GaussMatrix.zeros(n, n)
-        for lam in spectrum:
-            proj = eigenprojection(a, lam, spectrum)
+        for lam, proj in projections.items():
             assert proj @ proj == proj
+            assert a @ proj == proj * lam
             total = total + proj
         assert total == GaussMatrix.identity(n)
 
@@ -215,12 +217,14 @@ def test_eigenprojection_resolution_of_identity():
 def test_eigenprojection_rejects_nilpotent():
     nilpotent = GaussMatrix([[0, 1], [0, 0]])
     with pytest.raises(NotSemisimple):
-        eigenprojection(nilpotent, 0, {0: 2})
+        eigenprojections(nilpotent, {0: 2})
 
 
-def test_eigenprojection_unknown_eigenvalue():
-    with pytest.raises(ValueError):
-        eigenprojection(GaussMatrix.identity(2), 5, {1: 2})
+def test_eigenprojections_refuse_a_spectrum_the_matrix_lacks():
+    # the semisimplicity product certifies the caller's spectrum too
+    for spectrum in ({5: 2}, {-1: 1, 2: 1}, {}):
+        with pytest.raises(NotSemisimple):
+            eigenprojections(GaussMatrix.identity(2), spectrum)
 
 
 # -- misc matrix ops ----------------------------------------------------

@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
 from geodesy.gaussmat import GaussMatrix, GaussRational, bracket, char_poly
-from kernel_strategies import SIZES, ZERO, gaussians, matrices, rationals
+from kernel_strategies import SIZES, ZERO, gaussians, matrices, near_misses, rationals, upp_elements
 
 scalars = st.one_of(st.integers(-7, 7), rationals, gaussians)
 
@@ -70,17 +70,52 @@ def test_matmul_matches_reference(n, k, m, data):
     assert_canonical(a @ b, ref.matmul(ref.unpack(a), ref.unpack(b)))
 
 
+@st.composite
+def bracket_pairs(draw):
+    """Pairs of equal-size square matrices: generic ones; two elements of
+    u(p,p), which take one product, both of size 2 included; one element
+    and one near miss, in either order; skew-Hermitian ones of odd size."""
+    kind = draw(st.sampled_from(["generic", "members", "near miss", "odd"]))
+    if kind == "generic":
+        n = draw(SIZES)
+        return draw(matrices(n, n)), draw(matrices(n, n))
+    p = draw(st.integers(1, 3))
+    if kind == "members":
+        return draw(upp_elements(p)), draw(upp_elements(p))
+    if kind == "near miss":
+        pair = draw(upp_elements(p)), draw(near_misses(p))
+        return pair if draw(st.booleans()) else pair[::-1]
+    n = 2 * p - 1
+    a, b = draw(matrices(n, n)), draw(matrices(n, n))
+    return a - a.conj_transpose(), b - b.conj_transpose()
+
+
+def _gauss(re, im) -> GaussRational:
+    return GaussRational(Fraction(re), Fraction(im))
+
+
+# (i/2, 1/3 + i; 1/3 - i, -2i) and (i/5, 2 - i/5; 2 + i/5, 3i) lie in
+# u(1,1); adding 1 to the lower left entry of the second takes it out
+U11_A = GaussMatrix([[_gauss(0, "1/2"), _gauss("1/3", 1)], [_gauss("1/3", -1), _gauss(0, -2)]])
+U11_B = GaussMatrix([[_gauss(0, "1/5"), _gauss(2, "-1/5")], [_gauss(2, "1/5"), _gauss(0, 3)]])
+U11_OFF = GaussMatrix([[_gauss(0, "1/5"), _gauss(2, "-1/5")], [_gauss(3, "1/5"), _gauss(0, 3)]])
+
+
 @settings(deadline=None)
-@given(SIZES, st.data())
-def test_bracket_matches_reference(n, data):
-    # the two products are subtracted as integers over a.den * b.den and
-    # reduced once; unequal denominators make that reduction do work
-    a, b = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+@given(bracket_pairs())
+@example((U11_A, U11_B))
+@example((U11_A, U11_OFF))
+@example((U11_OFF, U11_A))
+def test_bracket_matches_reference(pair):
+    # the two products, or one and its J (ab)* J, are subtracted as
+    # integers over a.den * b.den and reduced once; unequal denominators
+    # make that reduction do work
+    a, b = pair
     assume(a.den != b.den)
     ra, rb = ref.unpack(a), ref.unpack(b)
     assert_canonical(bracket(a, b), ref.sub(ref.matmul(ra, rb), ref.matmul(rb, ra)))
     zero = bracket(a, a)
-    assert zero == GaussMatrix.zeros(n, n) and zero.den == 1
+    assert zero == GaussMatrix.zeros(a.rows, a.rows) and zero.den == 1
 
 
 @settings(deadline=None)
