@@ -17,7 +17,6 @@ one format per matrix, without building the nested lists of strings.
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from json.encoder import INFINITY
 from json.encoder import encode_basestring_ascii as _quote
@@ -29,10 +28,7 @@ from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import GaussMatrix, I
 from .ladder import DatumClassification, WitnessError, block_cells, instantiate_witness
-from .weights import DECIMAL
-
-# decimal integer pieces of the wire format joined by commas
-_DECIMALS = re.compile(f"{DECIMAL.pattern}(?:,{DECIMAL.pattern})*")
+from .weights import DECIMAL, DECIMALS
 
 
 class CandidateFormatError(ValueError):
@@ -158,9 +154,7 @@ def _pieces(raw: list, n: int):
         return None
     pieces = list(chain.from_iterable(entries))
     try:
-        # int() refuses a piece that holds a comma, so with it the joined
-        # pieces match exactly when every piece is a decimal
-        if _DECIMALS.fullmatch(",".join(pieces)) is None:
+        if DECIMALS.fullmatch(",".join(pieces)) is None:
             return None
         ints = list(map(int, pieces))
     except (TypeError, ValueError):  # a piece that is no string, or more digits than int() converts

@@ -163,12 +163,17 @@ class CertificateStep:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CertificateStep":
-        """A step as written by to_json_dict; raises ValueError on a weight
-        or trace value that is not an integer, rather than coercing it."""
+        """A step as written by to_json_dict; raises ValueError on a rule,
+        sector, side or conclusion that is not a string and on a weight or
+        trace value that is not an integer, rather than coercing it."""
+        texts = doc["rule"], doc["sector"], doc["side"], doc["conclusion"]
+        if set(map(type, texts)) != {str}:
+            raise ValueError(f"step rule, sector, side and conclusion {texts!r} must be strings")
         weight, trace_values = doc["weight"], doc["trace_values"]
         if not isinstance(trace_values, list) or any(type(v) is not int for v in [weight, *trace_values]):
             raise ValueError(f"step weight {weight!r} and trace_values {trace_values!r} must be integers")
-        return cls(doc["rule"], doc["sector"], doc["side"], weight, doc["conclusion"], tuple(trace_values))
+        rule, sector, side, conclusion = texts
+        return cls(rule, sector, side, weight, conclusion, tuple(trace_values))
 
 
 @dataclass(frozen=True)
@@ -311,20 +316,25 @@ def _rule(eq: Equation, live: Sequence[Term]) -> Optional[str]:
     return "R2" if all(t[0] > 0 for t in live) else None
 
 
+def _conclusion(rule: str, eq: Equation, live: Sequence[Term]) -> Tuple[str, Tuple[int, int]]:
+    """The conclusion and trace values of the step of rule firing on eq
+    with these live terms: what the engine writes (_step) and what replay
+    compares a recorded step with."""
+    if rule == "R3":
+        labels = ", ".join(block_label(*t[1]) for t in live)
+        return "one-signed left side with zero right side forces zero: " + labels, (0, 0)
+    terms, multiple, relation = _CONTRADICTION[rule]
+    trace = eq[3] * eq[2]  # rhs * dim
+    return (
+        f"{len(live)} {terms} Gram term(s) equal a {multiple} multiple "
+        f"of the identity: left trace {relation} {trace}",
+        (0, trace),
+    )
+
+
 def _step(rule: str, sector: str, eq: Equation, live: Sequence[Term]) -> CertificateStep:
     """The certificate step of rule firing on eq with these live terms."""
-    side, weight, dim, rhs, _ = eq
-    if rule == "R3":
-        conclusion = "one-signed left side with zero right side forces zero: " + ", ".join(
-            block_label(*t[1]) for t in live
-        )
-        return CertificateStep(rule, sector, side, weight, conclusion, (0, 0))
-    terms, multiple, relation = _CONTRADICTION[rule]
-    conclusion = (
-        f"{len(live)} {terms} Gram term(s) equal a {multiple} multiple "
-        f"of the identity: left trace {relation} {rhs * dim}"
-    )
-    return CertificateStep(rule, sector, side, weight, conclusion, (0, rhs * dim))
+    return CertificateStep(rule, sector, eq[0], eq[1], *_conclusion(rule, eq, live))
 
 
 Firing = Tuple[str, Equation, Sequence[Term]]  # (rule, equation, live terms)
@@ -438,91 +448,134 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
     """Re-execute an infeasibility certificate step by step.
 
     Every step is recomputed from the state the previous steps produced and
-    must match the recorded step exactly; the final step, and only it, must
-    be an R1 or R2 contradiction.  Raises ReplayError otherwise.
+    must match the recorded step exactly: its equation, named by side and
+    weight, must fire its rule, and its sector, conclusion and trace values
+    must be the system's sector and what _conclusion writes.  The final
+    step, and only it, must be an R1 or R2 contradiction.  Raises
+    ReplayError otherwise.
     """
     if verdict.status != "infeasible":
         raise ReplayError("only infeasible verdicts carry step certificates")
-    if not verdict.certificate:
+    certificate = verdict.certificate
+    if not certificate:
         raise ReplayError("empty certificate")
     by_key = {(eq[0], eq[1]): eq for eq in system.equations}
     forced: set = set()
-    for i, step in enumerate(verdict.certificate):
-        last = i == len(verdict.certificate) - 1
+    final = len(certificate) - 1
+    for i, step in enumerate(certificate):
+        rule = step.rule
         eq = by_key.get((step.side, step.weight))
         if eq is None:
             raise ReplayError(f"step {i}: no equation at {step.side} weight {step.weight}")
-        if step.rule not in ("R1", "R2", "R3"):
-            raise ReplayError(f"step {i}: unknown rule {step.rule}")
-        if step.rule == "R3" and last:
+        if rule not in ("R1", "R2", "R3"):
+            raise ReplayError(f"step {i}: unknown rule {rule}")
+        if rule == "R3" and i == final:
             raise ReplayError("certificate ends on a zero-forcing step")
         live = _live(eq, forced)
-        if _rule(eq, live) != step.rule:
-            raise ReplayError(f"step {i}: {step.rule} precondition fails at {step.side} {step.weight}")
-        if _step(step.rule, system.sector, eq, live) != step:
-            raise ReplayError(f"step {i}: recorded {step.rule} step differs from recomputation")
-        if step.rule == "R3":
+        if _rule(eq, live) != rule:
+            raise ReplayError(f"step {i}: {rule} precondition fails at {step.side} {step.weight}")
+        if step.sector != system.sector or (step.conclusion, step.trace_values) != _conclusion(rule, eq, live):
+            raise ReplayError(f"step {i}: recorded {rule} step differs from recomputation")
+        if rule == "R3":
             forced.update(t[1] for t in live)
-        elif not last:
+        elif i != final:
             raise ReplayError("contradiction reached before the final step")
 
 
-def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
-    """Exact block values realizing a witness class: zero on a forced block,
-    the identity on a terminal one, which must be "paired" with scale_sq 1
-    and square of its dim (module docstring).  Raises WitnessError otherwise
-    and on a label that names no block or names one twice."""
+def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tuple[str, int, int, bool]]:
+    """Every block of the system, key -> (label, rows, cols, whether the
+    witness makes it the identity rather than zero), its forced blocks
+    first, then its terminal ones, each in the witness's order.
+
+    A terminal block must be "paired" with scale_sq 1 and square of its dim
+    (module docstring).  Raises WitnessError otherwise, on a label or flavor
+    that is not a string, on a scale_sq or dim that is not an int (a bool
+    or a float is not), and on a label that names no block or names one
+    twice or leaves one out."""
     blocks = system.blocks()
     layout = system.weight_data.layout()
-    values: Dict[str, GaussMatrix] = {}
+    out: Dict[Key, Tuple[str, int, int, bool]] = {}
 
-    def place(label: str) -> Tuple[int, int]:
-        if label not in blocks:
+    def place(label: str, identity: bool) -> Tuple[int, int]:
+        if not isinstance(label, str) or label not in blocks:
             raise WitnessError(f"witness names {label!r}, which is no block of the system")
-        if label in values:
+        key = blocks[label]
+        if key in out:
             raise WitnessError(f"witness names block {label} twice")
-        (r0, r1), (c0, c1), _ = block_slot(blocks[label], layout)
+        (r0, r1), (c0, c1), _ = block_slot(key, layout)
+        out[key] = (label, r1 - r0, c1 - c0, identity)
         return r1 - r0, c1 - c0
 
     for label in witness.forced_zero:
-        values[label] = GaussMatrix.zeros(*place(label))
+        place(label, False)
     for tb in witness.terminal:
-        rows, cols = place(tb.label)
-        if (tb.flavor, tb.scale_sq, tb.dim, tb.dim) != ("paired", 1, rows, cols):
+        rows, cols = place(tb.label, True)
+        fields = (tb.flavor, type(tb.scale_sq), tb.scale_sq, type(tb.dim), tb.dim, tb.dim)
+        if fields != ("paired", int, 1, int, rows, cols):
             raise WitnessError(
                 f"terminal block {tb.label} is {rows}x{cols}, but the witness has flavor "
-                f"{tb.flavor!r}, scale_sq {tb.scale_sq} and dim {tb.dim}"
+                f"{tb.flavor!r}, scale_sq {tb.scale_sq!r} and dim {tb.dim!r}"
             )
-        values[tb.label] = GaussMatrix.identity(rows)
-    missing = set(blocks) - set(values)
-    if missing:
-        raise WitnessError(f"witness leaves blocks unassigned: {sorted(missing)}")
-    return values
+    if len(out) != len(blocks):
+        missing = [label for label, key in blocks.items() if key not in out]
+        raise WitnessError(f"witness leaves blocks unassigned: {missing}")
+    return out
+
+
+def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
+    """Exact block values realizing a witness class, label -> value: zero
+    on a forced block, the identity on a terminal one.  Raises WitnessError
+    on a witness that _witness_blocks refuses."""
+    return {
+        label: GaussMatrix.identity(rows) if identity else GaussMatrix.zeros(rows, cols)
+        for label, rows, cols, identity in _witness_blocks(system, witness).values()
+    }
 
 
 def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
-    """Substitute a witness into every original equation and demand equality."""
-    values = instantiate_witness(system, witness)
+    """Substitute a witness into every original equation and demand
+    equality, in integers.
+
+    Every block is 0 or I (_witness_blocks).  A Gram term's block must span
+    its equation's dim, its rows for U U* and its columns for U* U, and
+    then a diagonal equation holds exactly when the signs of its identity
+    terms sum to its right side.  The pair of a product equation that
+    stands for E* Z must agree in rows, the one for -Z F* in columns, and
+    every pair must give a product of one shape; then the equation holds
+    exactly when its identity pairs cancel, each E* Z counting +1 and each
+    -Z F* -1.  Raises WitnessError otherwise."""
+    blocks = _witness_blocks(system, witness)
     for side, w, dim, rhs, terms in system.equations:
-        acc = GaussMatrix.zeros(dim, dim)
+        total = 0
         for sign, key, flavor in terms:
-            v = values[block_label(*key)]
-            gram = v @ v.conj_transpose() if flavor == OUTER else v.conj_transpose() @ v
-            acc = acc + gram * sign
-        if acc != GaussMatrix.identity(dim) * rhs:
+            label, rows, cols, identity = blocks[key]
+            if (rows if flavor == OUTER else cols) != dim:
+                raise WitnessError(
+                    f"block {label} is {rows}x{cols}, which does not fit the equation at {side} weight {w} on dim {dim}"
+                )
+            if identity:
+                total += sign
+        if total != rhs and dim:  # on no dimensions every equation holds
             raise WitnessError(f"diagonal equation at {side} weight {w} is not satisfied")
     for w, pairs in system.products:
-        acc = None
+        total, shape = 0, None
         for left, right in pairs:
-            lv = values[block_label(*left)]
-            rv = values[block_label(*right)]
+            l_label, l_rows, l_cols, l_identity = blocks[left]
+            r_label, r_rows, r_cols, r_identity = blocks[right]
             # E* Z for the blocks leaving w, -Z F* for the blocks entering it
             if left[0] == PLUS_RAISE:
-                prod = lv.conj_transpose() @ rv
+                inner, outer, sign = (l_rows, r_rows), (l_cols, r_cols), 1
             else:
-                prod = (lv @ rv.conj_transpose()) * -1
-            acc = prod if acc is None else acc + prod
-        if acc is not None and not acc.is_zero():
+                inner, outer, sign = (l_cols, r_cols), (l_rows, r_rows), -1
+            if inner[0] != inner[1] or shape not in (None, outer):
+                raise WitnessError(
+                    f"blocks {l_label} ({l_rows}x{l_cols}) and {r_label} ({r_rows}x{r_cols}) "
+                    f"do not fit the product equation at weight {w}"
+                )
+            shape = outer
+            if l_identity and r_identity:
+                total += sign
+        if total:
             raise WitnessError(f"product equation at weight {w} is not satisfied")
 
 

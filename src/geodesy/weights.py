@@ -16,7 +16,6 @@ sector, combine) are made clean and in order, and are not checked again.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from itertools import accumulate
 from operator import add, sub
@@ -28,6 +27,10 @@ Dims = Tuple[int, int]  # (dim_plus, dim_minus)
 # digits after an optional minus, nothing else (int() also takes blanks,
 # underscores, '+' and non-ASCII digits); use it with fullmatch
 DECIMAL = re.compile(r"-?[0-9]+")
+# decimal integers joined by commas; int() refuses a piece that holds a
+# comma, so the joined pieces match exactly when every piece is a decimal
+# that int() converts
+DECIMALS = re.compile(f"{DECIMAL.pattern}(?:,{DECIMAL.pattern})*")
 
 
 def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
@@ -131,21 +134,35 @@ class WeightData:
     def from_json_dict(cls, doc: dict) -> "WeightData":
         """A table as to_json_dict writes it.  Nothing is coerced: raises
         ValueError unless doc, plus and minus are objects, the latter keyed by
-        -?[0-9]+, each weight once, with integer multiplicities >= 1."""
+        -?[0-9]+, each weight once, with integer multiplicities >= 1.  A
+        side's keys are checked by one match over them all (DECIMALS)."""
         if not isinstance(doc, dict):
             raise ValueError("weight data is not an object")
-        sides = [doc.get("plus", {}), doc.get("minus", {})]
-        for name, table in zip(("plus", "minus"), sides):
-            if not isinstance(table, dict) or not all(isinstance(w, str) and DECIMAL.fullmatch(w) for w in table):
-                raise ValueError(f"{name} is not an object keyed by decimal integer weights")
-            if len({int(w) for w in table}) != len(table):
+        sides = []
+        for name in ("plus", "minus"):
+            table = doc.get(name, {})
+            try:
+                if not isinstance(table, dict) or table and DECIMALS.fullmatch(",".join(table)) is None:
+                    raise ValueError
+                side = dict(zip(map(int, table), table.values()))
+            except (TypeError, ValueError):  # a key that is no string, or one int() refuses
+                raise ValueError(f"{name} is not an object keyed by decimal integer weights") from None
+            if len(side) != len(table):
                 raise ValueError(f"{name} names a weight twice")
-        return cls(*({int(w): m for w, m in table.items()} for table in sides))
+            sides.append(side)
+        return cls(*sides)
 
     def digest(self) -> str:
-        """Canonical hash of the multiplicity tables; names certificate files."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """Canonical hash of the multiplicity tables; names certificate files.
+
+        The hashed text is ``json.dumps(self.to_json_dict(), sort_keys=True)``,
+        written directly: each side's weights as strings, in string order
+        ("-10" before "-3"), each with its multiplicity."""
+        text = '{"minus": {%s}, "plus": {%s}}' % tuple(
+            ", ".join(['"%s": %d' % item for item in sorted(zip(map(str, table), table.values()))])
+            for table in (self.minus, self.plus)
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def layout(self) -> "Layout":
         return Layout(self)

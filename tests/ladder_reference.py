@@ -11,6 +11,13 @@ the placement that ``geodesy.ladder.block_slot`` must reproduce.  The
 equivalence tests hold ``geodesy.ladder`` to these routines sector by
 sector; they share only the kind and flavor names, ``block_label`` and
 the certificate and verdict types with the package.
+
+``instantiate_witness`` and ``verify_witness`` are the witness check the
+package used before it checked witnesses in integers: every block value
+is built as a ``GaussMatrix`` and substituted into every equation of the
+lean ``SectorSystem``, placed by ``geodesy.ladder.block_slot``.  A block
+that does not fit its equation fails there on a shape mismatch, as a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,11 +33,15 @@ from geodesy.ladder import (
     PLUS_RAISE,
     CertificateStep,
     ReplayError,
+    SectorSystem,
     TerminalBlock,
     Verdict,
     WitnessClass,
+    WitnessError,
     block_label,
+    block_slot,
 )
+from geodesy.gaussmat import GaussMatrix
 from geodesy.weights import Layout, WeightData
 
 
@@ -430,3 +441,65 @@ def _recompute_r4(sector, forced, label, eq, partner) -> CertificateStep:
         return _r4_mismatch_step(sector, label, eq, a, eq.dim, b, partner.dim)
     return _r4_mismatch_step(sector, label, partner, b, partner.dim, a, eq.dim)
 
+
+# ----------------------------------------------------------------------
+# Witness substitution in matrices, on the lean SectorSystem
+
+
+def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
+    """Exact block values realizing a witness class: zero on a forced block,
+    the identity on a terminal one, which must be "paired" with scale_sq 1
+    and square of its dim.  Raises WitnessError otherwise and on a label
+    that names no block or names one twice."""
+    blocks = system.blocks()
+    layout = system.weight_data.layout()
+    values: Dict[str, GaussMatrix] = {}
+
+    def place(label: str) -> Tuple[int, int]:
+        if label not in blocks:
+            raise WitnessError(f"witness names {label!r}, which is no block of the system")
+        if label in values:
+            raise WitnessError(f"witness names block {label} twice")
+        (r0, r1), (c0, c1), _ = block_slot(blocks[label], layout)
+        return r1 - r0, c1 - c0
+
+    for label in witness.forced_zero:
+        values[label] = GaussMatrix.zeros(*place(label))
+    for tb in witness.terminal:
+        rows, cols = place(tb.label)
+        if (tb.flavor, tb.scale_sq, tb.dim, tb.dim) != ("paired", 1, rows, cols):
+            raise WitnessError(
+                f"terminal block {tb.label} is {rows}x{cols}, but the witness has flavor "
+                f"{tb.flavor!r}, scale_sq {tb.scale_sq} and dim {tb.dim}"
+            )
+        values[tb.label] = GaussMatrix.identity(rows)
+    missing = set(blocks) - set(values)
+    if missing:
+        raise WitnessError(f"witness leaves blocks unassigned: {sorted(missing)}")
+    return values
+
+
+def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
+    """Substitute a witness into every original equation and demand equality."""
+    values = instantiate_witness(system, witness)
+    for side, w, dim, rhs, terms in system.equations:
+        acc = GaussMatrix.zeros(dim, dim)
+        for sign, key, flavor in terms:
+            v = values[block_label(*key)]
+            gram = v @ v.conj_transpose() if flavor == OUTER else v.conj_transpose() @ v
+            acc = acc + gram * sign
+        if acc != GaussMatrix.identity(dim) * rhs:
+            raise WitnessError(f"diagonal equation at {side} weight {w} is not satisfied")
+    for w, pairs in system.products:
+        acc = None
+        for left, right in pairs:
+            lv = values[block_label(*left)]
+            rv = values[block_label(*right)]
+            # E* Z for the blocks leaving w, -Z F* for the blocks entering it
+            if left[0] == PLUS_RAISE:
+                prod = lv.conj_transpose() @ rv
+            else:
+                prod = (lv @ rv.conj_transpose()) * -1
+            acc = prod if acc is None else acc + prod
+        if acc is not None and not acc.is_zero():
+            raise WitnessError(f"product equation at weight {w} is not satisfied")

@@ -441,6 +441,44 @@ def test_step_reader_rejects_what_it_used_to_coerce():
             CertificateStep.from_json_dict({**docs[0], field: value})
 
 
+def test_witness_fields_must_have_their_types():
+    # a certificate file can hold any JSON value in a witness field; one
+    # that equals the right value without being of its type (True == 1,
+    # 1.0 == 1) is refused, and so is a label that cannot be looked up
+    from geodesy.ladder import TerminalBlock, WitnessClass
+
+    system = derive_constraints(WeightData({1: 1}, {-1: 1}))
+    block = "cross[-1->1]"
+    for terminal in (
+        TerminalBlock(block, "paired", True, 1.0),
+        TerminalBlock(block, "paired", True, 1),
+        TerminalBlock(block, "paired", 1.0, 1),
+        TerminalBlock(block, "paired", 1, 1.0),
+        TerminalBlock(block, "paired", 1, True),
+        TerminalBlock(block, ["paired"], 1, 1),
+        TerminalBlock(block, None, 1, 1),
+        TerminalBlock([block], "paired", 1, 1),
+        TerminalBlock(None, "paired", 1, 1),
+    ):
+        for check in (verify_witness, instantiate_witness):
+            with pytest.raises(WitnessError):
+                check(system, WitnessClass(forced_zero=(), terminal=(terminal,)))
+    for label in ([block], None, 1, ("cross", -1)):
+        for check in (verify_witness, instantiate_witness):
+            with pytest.raises(WitnessError, match="no block"):
+                check(system, WitnessClass(forced_zero=(label,), terminal=()))
+    verify_witness(system, WitnessClass(forced_zero=(), terminal=(TerminalBlock(block, "paired", 1, 1),)))
+
+
+def test_step_reader_refuses_fields_that_are_not_strings():
+    system = derive_constraints(WeightData({2: 1}, {0: 1, -2: 1}))
+    docs = [step.to_json_dict() for step in eliminate(system).certificate]
+    for field in ("rule", "sector", "side", "conclusion"):
+        for value in ([docs[0][field]], None, 1, {"x": 1}):
+            with pytest.raises(ValueError, match="must be strings"):
+                CertificateStep.from_json_dict({**docs[0], field: value})
+
+
 def test_witness_instantiation_shapes():
     system = derive_constraints(WeightData({1: 3}, {-1: 3}))
     verdict = eliminate(system)

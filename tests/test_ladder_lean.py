@@ -12,24 +12,44 @@ positions of those spans in X and, mirrored, in Y.  On arbitrary tables,
 inadmissible ones included, the two must agree except where the reference
 ends in its R4 mismatch contradiction, which the lean engine reports as
 unresolved.
+
+The package checks a witness in integers; ``ladder_reference`` keeps the
+check that substituted it as matrices.  The two must accept and refuse
+the same witnesses: on every feasible sector of rank p <= 5 its own
+witness and the witnesses one change away, on every sector of rank p <= 4
+and on arbitrary tables the block assignments of zero and identity
+blocks, and on hand-built systems with product equations or with blocks
+that do not fit their equations.  Where the matrix check fails on a shape
+mismatch, the integer check must raise WitnessError.
 """
 
 import dataclasses
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladder_reference as ref
 from geodesy.ladder import (
+    CROSS,
+    INNER,
+    MINUS_RAISE,
+    OUTER,
     PLUS_RAISE,
     ReplayError,
+    SectorSystem,
+    TerminalBlock,
     Verdict,
+    WitnessClass,
+    WitnessError,
     block_cells,
+    block_label,
     block_slot,
     derive_constraints,
     eliminate,
     replay_certificate,
+    verify_witness,
 )
 from geodesy.weights import WeightData, enumerate_sectors, enumerate_weight_data
 
@@ -200,3 +220,162 @@ def test_reference_r4_conclusion_ends_with_the_mismatch_tail():
     old = ref.eliminate(ref.derive_constraints(WeightData({1: 2}, {-1: 1})))
     assert [s.rule for s in old.certificate] == ["R4"]
     assert old.certificate[0].conclusion.endswith(R4_TAIL)
+
+
+# -- the integer witness check against the matrix substitution ---------
+
+
+def _witness_accepts(verify, system, witness) -> bool:
+    try:
+        verify(system, witness)
+    except WitnessError:
+        return False
+    return True
+
+
+def assert_witness_check_equals_reference(system, witness):
+    new = _witness_accepts(verify_witness, system, witness)
+    assert new == _witness_accepts(ref.verify_witness, system, witness), (system, witness)
+    return new
+
+
+def _identity(system, label) -> TerminalBlock:
+    """The block as a paired terminal block, dim its rows."""
+    (r0, r1), _, _ = block_slot(system.blocks()[label], system.weight_data.layout())
+    return TerminalBlock(label, "paired", 1, r1 - r0)
+
+
+def _assignments(system) -> list:
+    """Witnesses that make every block zero, every block the identity
+    (dim its rows), and each block alone the identity."""
+    labels = tuple(system.blocks())
+    out = [WitnessClass(labels, ()), WitnessClass((), tuple(_identity(system, label) for label in labels))]
+    for label in labels:
+        out.append(WitnessClass(tuple(other for other in labels if other != label), (_identity(system, label),)))
+    return out
+
+
+def _witness_variants(system, witness) -> list:
+    """The witness and the witnesses one change away from it: a forced
+    block made terminal, a terminal block made forced or dropped, and a
+    terminal block with a wrong scale_sq, dim or flavor."""
+    forced, terminal = witness.forced_zero, witness.terminal
+    out = [witness]
+    for i, label in enumerate(forced):
+        out.append(WitnessClass(forced[:i] + forced[i + 1 :], terminal + (_identity(system, label),)))
+    for i, tb in enumerate(terminal):
+        rest = terminal[:i] + terminal[i + 1 :]
+        out += [WitnessClass(forced + (tb.label,), rest), WitnessClass(forced, rest)]
+        for change in ({"scale_sq": 2}, {"dim": tb.dim + 1}, {"flavor": "bogus"}):
+            out.append(WitnessClass(forced, rest[:i] + (dataclasses.replace(tb, **change),) + rest[i:]))
+    return out
+
+
+def test_witness_check_equals_reference_on_every_feasible_sector():
+    feasible = 0
+    for name, wd in sectors(5):
+        system = derive_constraints(wd, sector=name)
+        verdict = eliminate(system)
+        if verdict.status != "feasible":
+            continue
+        feasible += 1
+        variants = _witness_variants(system, verdict.witness)
+        accepted = [assert_witness_check_equals_reference(system, witness) for witness in variants]
+        # the witness itself holds; every change of a block breaks an equation
+        assert accepted == [True] + [False] * (len(variants) - 1), (name, wd)
+    # {1:m} / {-1:m} for m = 0..5, and {0:a} / {0:b} for a, b = 0..5 with a + b even
+    assert feasible == 6 + 18
+
+
+def test_witness_check_equals_reference_on_every_sector():
+    accepted = 0
+    for name, wd in sectors(4):
+        system = derive_constraints(wd, sector=name)
+        for witness in _assignments(system):
+            accepted += assert_witness_check_equals_reference(system, witness)
+    assert accepted > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_witness_check_equals_reference_on_arbitrary_tables(wd):
+    system = derive_constraints(wd)
+    for witness in _assignments(system):
+        assert_witness_check_equals_reference(system, witness)
+
+
+def _product_systems() -> list:
+    """(system, witness) pairs of the hand-built product-equation systems
+    of test_ladder: a crossing block tied by a product equation to a forced
+    raising block, the same with the raising block's equation relaxed so
+    that only the product equation fails, and the pairs E* Z_out and
+    -Z_in F* at one weight, together and each alone."""
+    e, z = (PLUS_RAISE, -1), (CROSS, -1)
+    wd = WeightData({1: 1, -1: 1}, {1: 1, -1: 1})
+    products = ((-1, ((e, z),)),)
+    tied = SectorSystem(
+        wd, "odd",
+        (("plus", 1, 1, 1, ((+1, z, OUTER),)), ("plus", -1, 1, 0, ((+1, e, INNER),)), ("minus", -1, 1, -1, ((-1, z, INNER),))),
+        products,
+    )
+    relaxed = SectorSystem(
+        wd, "odd",
+        (("plus", 1, 1, 1, ((+1, z, OUTER),)), ("plus", -1, 1, 1, ((+1, e, INNER),)), ("minus", -1, 1, -1, ((-1, z, INNER),))),
+        products,
+    )
+    both_identity = WitnessClass((), tuple(TerminalBlock(block_label(*key), "paired", 1, 1) for key in (e, z)))
+    out = [(tied, eliminate(tied).witness), (relaxed, both_identity)]
+
+    e, z_out, z_in, f = (PLUS_RAISE, 1), (CROSS, 1), (CROSS, -1), (MINUS_RAISE, -1)
+    gram = (
+        ("plus", 3, e, OUTER), ("plus", 1, e, INNER),
+        ("plus", 3, z_out, OUTER), ("minus", 1, z_out, INNER),
+        ("plus", 1, z_in, OUTER), ("minus", -1, z_in, INNER),
+        ("minus", 1, f, OUTER), ("minus", -1, f, INNER),
+    )
+    equations = tuple((side, w, 1, 1, ((+1, key, flavor),)) for side, w, key, flavor in gram)
+    wd = WeightData({3: 1, 1: 1}, {1: 1, -1: 1})
+    every_identity = WitnessClass(
+        (), tuple(TerminalBlock(block_label(*key), "paired", 1, 1) for key in (e, z_out, z_in, f))
+    )
+    for pairs in (((e, z_out), (z_in, f)), ((e, z_out),), ((z_in, f),)):
+        out.append((SectorSystem(wd, "mixed", equations, ((1, pairs),)), every_identity))
+    return out
+
+
+def test_witness_check_equals_reference_on_hand_built_product_equations():
+    accepted = []
+    for system, witness in _product_systems():
+        accepted.append(assert_witness_check_equals_reference(system, witness))
+        for other in _assignments(system) + _witness_variants(system, witness):
+            assert_witness_check_equals_reference(system, other)
+    assert accepted == [True, False, True, False, False]
+
+
+def test_a_block_that_does_not_fit_its_equation_is_refused():
+    # cross[-1->1] of {1: 2} / {-1: 2} is 2x2, but these equations are on
+    # one dimension: the matrix substitution fails on a shape mismatch, for
+    # the identity and for zero alike, and the integer check refuses both
+    z = (CROSS, -1)
+    label = block_label(*z)
+    system = SectorSystem(
+        WeightData({1: 2}, {-1: 2}), "odd", (("plus", 1, 1, 1, ((+1, z, OUTER),)), ("minus", -1, 1, -1, ((-1, z, INNER),)))
+    )
+    # in a product equation: plus_raise[1->3] is 1x2 and cross[-1->1] is
+    # 2x1, so E* Z, which needs equal rows, is no product
+    e, z = (PLUS_RAISE, 1), (CROSS, -1)
+    product = SectorSystem(WeightData({3: 1, 1: 2}, {1: 1, -1: 1}), "mixed", (), ((1, ((e, z),)),))
+    # two products that each exist but differ in shape: E* Z is 2x1 for
+    # the blocks leaving 1 and 1x1 for those leaving -1, and no sum
+    leaving = ((PLUS_RAISE, 1), (CROSS, 1)), ((PLUS_RAISE, -1), (CROSS, -1))
+    mixed = SectorSystem(WeightData({3: 1, 1: 2, -1: 1}, {1: 1, -1: 1}), "mixed", (), ((1, leaving),))
+    for system, witness in (
+        (system, WitnessClass((), (TerminalBlock(label, "paired", 1, 2),))),
+        (system, WitnessClass((label,), ())),
+        (product, WitnessClass((block_label(*e), block_label(*z)), ())),
+        (mixed, WitnessClass(tuple(mixed.blocks()), ())),
+    ):
+        with pytest.raises(ValueError, match="shape mismatch|cannot multiply"):
+            ref.verify_witness(system, witness)
+        with pytest.raises(WitnessError, match="fit"):
+            verify_witness(system, witness)

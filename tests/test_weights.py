@@ -54,7 +54,7 @@ def test_readers_reject_what_they_used_to_coerce():
     for multiplicity in (1.5, True, "1", None):
         with pytest.raises(ValueError, match="positive integer"):
             WeightData.from_json_dict({"plus": {"1": multiplicity}, "minus": {"-1": 1}})
-    for weight in (" 1", "1 ", "+1", "1_0", "\u0661", ""):
+    for weight in (" 1", "1 ", "+1", "1_0", "\u0661", "", "1,2", "-", "--1", "1-", "1,", ",1"):
         with pytest.raises(ValueError, match="decimal integer weights"):
             WeightData.from_json_dict({"plus": {weight: 1}, "minus": {"-1": 1}})
     for table in ([], [["1", 1]], "1", 1, None):
@@ -267,6 +267,31 @@ def test_layout_spans():
     assert layout.span("minus", 0) == (3, 4)
     assert layout.span("minus", -1) == (4, 6)
     assert layout.weight_vector() == [1, 1, 0, 0, -1, -1]
+
+
+def test_one_match_over_a_side_lets_no_bad_key_through():
+    # a side's keys are matched joined by commas: among other keys, one
+    # holding a comma must not pass as two weights, nor an empty one or one
+    # that is no string
+    for keys in (["1", "2,3"], ["1", ""], ["", "1"], ["1", ","], ["1", 2]):
+        with pytest.raises(ValueError, match="decimal integer weights"):
+            WeightData.from_json_dict({"plus": dict.fromkeys(keys, 1), "minus": {}})
+
+
+def test_digest_equals_reference_on_every_table():
+    for p in range(1, 6):
+        for wd in enumerate_weight_data(p):
+            assert wd.digest() == ref.digest(wd), wd
+
+
+@given(
+    st.dictionaries(st.integers(-12, 12), st.integers(1, 12), max_size=8),
+    st.dictionaries(st.integers(-12, 12), st.integers(1, 12), max_size=8),
+)
+def test_digest_equals_reference_where_string_order_is_not_numeric(plus, minus):
+    # "-10" < "-3" and "10" < "3": json.dumps sorts the keys as strings
+    wd = WeightData(plus, minus)
+    assert wd.digest() == ref.digest(wd)
 
 
 def test_digest_and_json_round_trip():

@@ -7,10 +7,14 @@ hold ``geodesy.weights`` to these routines group by group and member by
 member; they share only the partition generator with the package.
 count_splits counts the splits of one sum of irreducibles, as the package
 did before it counted every group at once (weights.sector_counts).
+digest is the table digest as the package computed it before it wrote the
+hashed text itself (WeightData.digest).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import accumulate
 from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -108,3 +112,8 @@ def count_splits(totals: Sequence[int]) -> List[int]:
     for t in totals:
         n = list(accumulate(map(sub, n + [0] * t, [0] * (t + 1) + n)))
     return n
+
+
+def digest(wd: WeightData) -> str:
+    """The first 16 hex digits of the sha256 of the canonical JSON text."""
+    return hashlib.sha256(json.dumps(wd.to_json_dict(), sort_keys=True).encode()).hexdigest()[:16]
