@@ -3,17 +3,22 @@
 
     PYTHONPATH=src python scripts/time_exact.py --seed 1 --repeat 5
 
-Writes the seeded candidate files of the benchmark's ``exact`` workload
-(``bench/exact_inputs.py``) to a temporary directory.  For each file it
-prints one JSON line per phase of ``geodesy check --json``: ``parse``
-(``load_candidate``), ``check_conditions``, ``equivariance_test`` (only
-for a candidate that passes, as the CLI does) and ``report``
-(``_report_json`` and its JSON text).  Then it prints one ``lift`` line,
-``lift_classification`` of every feasible table of rank p <= 4, and one
-line per ``selftest`` check, run with the workload's 6 samples where the
-check takes a sample count.  Each line gives the best of --repeat wall
-times in seconds.  The output ends with one ``{"phase": ..., "total_s":
-...}`` line per phase, the sum of its best times over all lines.
+Runs the phases in the order of the benchmark's ``exact`` workload.
+First one line per ``selftest`` check, run with the workload's 6 samples
+where the check takes a sample count.  Then it writes the seeded
+candidate files of the workload (``bench/exact_inputs.py``) to a
+temporary directory and prints, for each file, one JSON line per phase of
+``geodesy check --json``: ``parse`` (``load_candidate``),
+``check_conditions``, ``equivariance_test`` (only for a candidate that
+passes, as the CLI does) and ``report`` (``_report_json`` and its JSON
+text).  Last comes one ``lift`` line, ``lift_classification`` of every
+feasible table of rank p <= 4, which the workload does not run.  Each
+line gives ``best_s``, the best of --repeat wall times in seconds, and
+``first_s``, the first of them: the line's first call in this process,
+which also pays any per-process cost (a lazy import, a cache filled on
+first use) that the lines before it did not.  The output ends with one
+``{"phase": ..., "total_s": ..., "first_s": ...}`` line per phase, the
+sums of its best and of its first times over all lines.
 """
 
 import argparse
@@ -38,14 +43,14 @@ SELFTEST_SAMPLES = 6
 LIFT_MAX_P = 4
 
 
-def best_of(repeat: int, fn):
-    """(the best wall time of repeat calls of fn, the last call's result)."""
-    best = float("inf")
+def timed(repeat: int, fn):
+    """(the best and the first wall time of repeat calls of fn, the last call's result)."""
+    times = []
     for _ in range(repeat):
         start = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - start)
-    return round(best, 7), result
+        times.append(time.perf_counter() - start)
+    return round(min(times), 7), round(times[0], 7), result
 
 
 def main() -> None:
@@ -58,34 +63,33 @@ def main() -> None:
 
     totals = {}
 
-    def emit(**line) -> None:
-        totals[line["phase"]] = totals.get(line["phase"], 0.0) + line["best_s"]
-        print(json.dumps(line), flush=True)
+    def run(phase: str, fn, **where):
+        """Time fn, print its line and add it to the phase's totals; fn's result."""
+        best, first, result = timed(args.repeat, fn)
+        total = totals.setdefault(phase, [0.0, 0.0])
+        total[0] += best
+        total[1] += first
+        print(json.dumps({"phase": phase, **where, "best_s": best, "first_s": first}), flush=True)
+        return result
 
+    for name, fn in CHECKS:
+        kwargs = {"samples": SELFTEST_SAMPLES} if "samples" in inspect.signature(fn).parameters else {}
+        run("selftest", lambda: fn(**kwargs), check=name)
     with tempfile.TemporaryDirectory() as tmp:
         for entry in exact_inputs.generate(args.seed, Path(tmp)):
             path = str(Path(tmp) / entry["file"])
             where = {"p": entry["p"], "kind": entry["kind"]}
-            best, candidate = best_of(args.repeat, lambda: load_candidate(path))
-            emit(phase="parse", **where, best_s=best)
-            best, report = best_of(args.repeat, lambda: check_conditions(candidate))
-            emit(phase="check_conditions", **where, best_s=best)
+            candidate = run("parse", lambda: load_candidate(path), **where)
+            report = run("check_conditions", lambda: check_conditions(candidate), **where)
             equivariant = False
             if report.passed:
-                best, equivariant = best_of(args.repeat, lambda: equivariance_test(candidate, report))
-                emit(phase="equivariance_test", **where, best_s=best)
-            best, _ = best_of(args.repeat, lambda: json_text(_report_json(path, entry["p"], report, equivariant)))
-            emit(phase="report", **where, best_s=best)
+                equivariant = run("equivariance_test", lambda: equivariance_test(candidate, report), **where)
+            run("report", lambda: json_text(_report_json(path, entry["p"], report, equivariant)), **where)
     results = [classify_weight_data(wd) for p in range(1, LIFT_MAX_P + 1) for wd in enumerate_weight_data(p)]
     feasible = [r for r in results if r.status == "feasible"]
-    best, _ = best_of(args.repeat, lambda: [lift_classification(r) for r in feasible])
-    emit(phase="lift", max_p=LIFT_MAX_P, tables=len(feasible), best_s=best)
-    for name, fn in CHECKS:
-        kwargs = {"samples": SELFTEST_SAMPLES} if "samples" in inspect.signature(fn).parameters else {}
-        best, _ = best_of(args.repeat, lambda: fn(**kwargs))
-        emit(phase="selftest", check=name, best_s=best)
-    for phase, total in totals.items():
-        print(json.dumps({"phase": phase, "total_s": round(total, 7)}), flush=True)
+    run("lift", lambda: [lift_classification(r) for r in feasible], max_p=LIFT_MAX_P, tables=len(feasible))
+    for phase, (best, first) in totals.items():
+        print(json.dumps({"phase": phase, "total_s": round(best, 7), "first_s": round(first, 7)}), flush=True)
 
 
 if __name__ == "__main__":

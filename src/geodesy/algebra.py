@@ -20,7 +20,9 @@ zero the off-diagonal or the diagonal blocks; and the complex structure
 sends an entry x + yi to -y + xi above the diagonal blocks and to y - xi
 below them.  Every sign pattern is one multiplication of the numerators
 by a cached mask of quadrant signs; the masks and the adjoint test live in
-``gaussmat``, whose ``bracket`` uses the same test for u(p,p).
+``gaussmat``.  Membership of u(p,p) is ``gaussmat.in_u_pp``, the test that
+``bracket`` uses, remembered on the matrix; the k and p parts of a member
+are members, and ``cartan_decompose`` marks them so without a test.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussmat import K_PART, P_PART, THETA, U_PP, GaussMatrix, I, _is_signed_adjoint, _signed, bracket
+from .gaussmat import K_PART, P_PART, THETA, GaussMatrix, I, _is_signed_adjoint, _member, _signed, bracket, in_u_pp
 
 
 class MembershipError(ValueError):
@@ -72,16 +74,11 @@ def _blockwise(a: GaussMatrix, p: int, signs: tuple) -> GaussMatrix:
     return GaussMatrix._from_ints(a.rows, a.cols, a.den, _signed(a.re_num, p, signs), _signed(a.im_num, p, signs))
 
 
-def _equals_signed_adjoint(a: GaussMatrix, shape: SuPQShape, signs: tuple) -> bool:
-    """Whether a equals a* with each quadrant multiplied by its sign."""
-    _check_shape(a, shape)
-    return _is_signed_adjoint(a, shape.p, signs)
-
-
 def in_su_pp(a: GaussMatrix, shape: SuPQShape) -> bool:
     """Exact membership test for su(p,p): a = -J a* J and tr a = 0."""
+    _check_shape(a, shape)
     # a = -J a* J leaves the real part of the diagonal zero
-    return _equals_signed_adjoint(a, shape, U_PP) and not sum(a.im_num[:: shape.size + 1])
+    return in_u_pp(a) and not sum(a.im_num[:: shape.size + 1])
 
 
 def cartan_involution(a: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
@@ -94,12 +91,15 @@ def cartan_decompose(a: GaussMatrix, shape: SuPQShape) -> CartanSplit:
     """Split an su(p,p) element into its k and p components."""
     if not in_su_pp(a, shape):
         raise MembershipError("element is not in su(p,p)")
-    return CartanSplit(k_part=_blockwise(a, shape.p, K_PART), p_part=_blockwise(a, shape.p, P_PART))
+    return CartanSplit(
+        k_part=_member(_blockwise(a, shape.p, K_PART)), p_part=_member(_blockwise(a, shape.p, P_PART))
+    )
 
 
 def in_p_part(a: GaussMatrix, shape: SuPQShape) -> bool:
     """True iff a = (0 Z; Z* 0) exactly: a is the off-diagonal part of a*."""
-    return _equals_signed_adjoint(a, shape, P_PART)
+    _check_shape(a, shape)
+    return _is_signed_adjoint(a, shape.p, P_PART)
 
 
 def complex_structure(p_elem: GaussMatrix, shape: SuPQShape) -> GaussMatrix:

@@ -14,7 +14,10 @@ for J = diag(I_p, -I_p), takes one product: then a* = -J a J, so
 (ab)* = b* a* = (-J b J)(-J a J) = J ba J and ba = J (ab)* J, which is
 ab's numerators transposed, the imaginary ones negated, and the
 off-diagonal quadrants negated.  The test for u(p,p) is O(n^2) integer
-comparisons; any other pair of square matrices takes both products.
+comparisons, and a matrix remembers its answer (``in_u_pp``), so each is
+tested at most once; a bracket of two members is marked a member without a
+test, since u(p,p) is closed under the bracket.  Any other pair of square
+matrices takes both products.
 
 The inverse is a fraction-free Gauss-Jordan elimination over the Gaussian
 integers (Bareiss 1968): every division in it is exact.  The
@@ -206,9 +209,10 @@ class GaussMatrix:
     factor with all the numerators.  ``entries``, ``m[i, j]`` and ``row``
     give GaussRationals in lowest terms, built from the integers each time
     they are asked for; ``row`` and ``m[i, j]`` build only what they return.
+    ``_u_pp`` memoizes ``in_u_pp``: None until the matrix is tested.
     """
 
-    __slots__ = ("rows", "cols", "den", "re_num", "im_num")
+    __slots__ = ("rows", "cols", "den", "re_num", "im_num", "_u_pp")
 
     def __init__(self, data: Sequence[Sequence[Entry]]):
         rows = len(data)
@@ -229,6 +233,7 @@ class GaussMatrix:
         setattr_(self, "den", den)
         setattr_(self, "re_num", re_num)
         setattr_(self, "im_num", im_num)
+        setattr_(self, "_u_pp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussMatrix is immutable")
@@ -562,25 +567,44 @@ def _is_signed_adjoint(a: GaussMatrix, p: int, signs: tuple) -> bool:
     return tuple(re) == a.re_num and tuple(im) == a.im_num
 
 
+def in_u_pp(a: GaussMatrix) -> bool:
+    """Whether a is in u(p,p), 2p = a.rows: a square matrix of even size
+    with a = -J a* J.  The answer is remembered on a, so a matrix is tested
+    at most once."""
+    member = a._u_pp
+    if member is None:
+        n = a.rows
+        member = n == a.cols and n % 2 == 0 and _is_signed_adjoint(a, n // 2, U_PP)
+        object.__setattr__(a, "_u_pp", member)
+    return member
+
+
+def _member(m: GaussMatrix) -> GaussMatrix:
+    """m, marked as an element of u(p,p) without a test; only for a matrix
+    that is one by construction."""
+    object.__setattr__(m, "_u_pp", True)
+    return m
+
+
 def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Commutator ab - ba, exact; both arguments must be square and same size.
 
     Both products lie over a.den * b.den, so they are subtracted as
-    integers and the difference is reduced once.  When n = 2p and both
-    arguments are in u(p,p), ba = J (ab)* J is taken from ab's numerators
-    instead of a second product (see the module docstring)."""
+    integers and the difference is reduced once.  When both arguments are
+    in u(p,p), ba = J (ab)* J is taken from ab's numerators instead of a
+    second product (see the module docstring), and the result is marked a
+    member."""
     if not (a.is_square() and b.is_square() and a.rows == b.rows):
         raise ValueError("bracket needs square matrices of equal size")
     n = a.rows
     ab_re, ab_im = _product(a, b)
-    p = n // 2
-    if n % 2 == 0 and _is_signed_adjoint(a, p, U_PP) and _is_signed_adjoint(b, p, U_PP):
-        ba_re, ba_im = _signed_adjoint(ab_re, ab_im, p, THETA)
+    members = in_u_pp(a) and in_u_pp(b)
+    if members:
+        ba_re, ba_im = _signed_adjoint(ab_re, ab_im, n // 2, THETA)
     else:
         ba_re, ba_im = _product(b, a)
-    return GaussMatrix._from_ints(
-        n, n, a.den * b.den, map(sub, ab_re, ba_re), map(sub, ab_im, ba_im)
-    )
+    out = GaussMatrix._from_ints(n, n, a.den * b.den, map(sub, ab_re, ba_re), map(sub, ab_im, ba_im))
+    return _member(out) if members else out
 
 
 # ----------------------------------------------------------------------

@@ -91,15 +91,17 @@ def block_label(kind: str, source_weight: int) -> str:
     return f"{kind}[{source_weight}->{source_weight + 2}]"
 
 
+# per kind: the side of its target eigenspace, of its source eigenspace, and its partner sign
+_BLOCK_SIDES = {PLUS_RAISE: ("plus", "plus", -1), MINUS_RAISE: ("minus", "minus", -1), CROSS: ("plus", "minus", +1)}
+
+
 def block_slot(key: Key, layout: Layout) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
     """Where the block sits in the assembled triple: its row span (the
     target eigenspace) and column span (the source eigenspace) inside X,
     and the partner sign.  The partner Y holds sign * U* at the mirrored
     slot, with sign -1 for the two raising kinds and +1 for crossing."""
     kind, src = key
-    target_side = "minus" if kind == MINUS_RAISE else "plus"
-    source_side = "plus" if kind == PLUS_RAISE else "minus"
-    sign = +1 if kind == CROSS else -1
+    target_side, source_side, sign = _BLOCK_SIDES[kind]
     return layout.span(target_side, src + 2), layout.span(source_side, src), sign
 
 
@@ -135,11 +137,15 @@ class SectorSystem:
     equations: Tuple[Equation, ...]
     products: Tuple[ProductEquation, ...] = ()
 
-    def blocks(self) -> Dict[str, Key]:
-        """Every block of these equations, label -> key, in label order."""
+    def keys(self) -> set:
+        """The key of every block of these equations."""
         keys = {key for eq in self.equations for _, key, _ in eq[4]}
         keys.update(key for _, pairs in self.products for pair in pairs for key in pair)
-        return dict(sorted((block_label(*key), key) for key in keys))
+        return keys
+
+    def blocks(self) -> Dict[str, Key]:
+        """Every block of these equations, label -> key, in label order."""
+        return dict(sorted((block_label(*key), key) for key in self.keys()))
 
 
 @dataclass(frozen=True)
@@ -452,7 +458,8 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
     weight, must fire its rule, and its sector, conclusion and trace values
     must be the system's sector and what _conclusion writes.  The final
     step, and only it, must be an R1 or R2 contradiction.  Raises
-    ReplayError otherwise.
+    ReplayError otherwise, also on a step built in code whose side is not
+    a str or whose weight is not an int, which from_json_dict refuses.
     """
     if verdict.status != "infeasible":
         raise ReplayError("only infeasible verdicts carry step certificates")
@@ -464,6 +471,10 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
     final = len(certificate) - 1
     for i, step in enumerate(certificate):
         rule = step.rule
+        if type(step.side) is not str or type(step.weight) is not int:
+            raise ReplayError(
+                f"step {i}: side {step.side!r} and weight {step.weight!r} must be a string and an integer"
+            )
         eq = by_key.get((step.side, step.weight))
         if eq is None:
             raise ReplayError(f"step {i}: no equation at {step.side} weight {step.weight}")
@@ -491,9 +502,13 @@ def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tu
     (module docstring).  Raises WitnessError otherwise, on a label or flavor
     that is not a string, on a scale_sq or dim that is not an int (a bool
     or a float is not), and on a label that names no block or names one
-    twice or leaves one out."""
-    blocks = system.blocks()
-    layout = system.weight_data.layout()
+    twice or leaves one out.
+
+    It builds no layout: a named block (kind, w) is the multiplicity of
+    w + 2 on its target side by that of w on its source side (_BLOCK_SIDES)."""
+    blocks = {block_label(*key): key for key in system.keys()}
+    wd = system.weight_data
+    dims = {"plus": wd.plus, "minus": wd.minus}
     out: Dict[Key, Tuple[str, int, int, bool]] = {}
 
     def place(label: str, identity: bool) -> Tuple[int, int]:
@@ -502,9 +517,11 @@ def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tu
         key = blocks[label]
         if key in out:
             raise WitnessError(f"witness names block {label} twice")
-        (r0, r1), (c0, c1), _ = block_slot(key, layout)
-        out[key] = (label, r1 - r0, c1 - c0, identity)
-        return r1 - r0, c1 - c0
+        kind, src = key
+        target_side, source_side, _ = _BLOCK_SIDES[kind]
+        rows, cols = dims[target_side][src + 2], dims[source_side][src]
+        out[key] = (label, rows, cols, identity)
+        return rows, cols
 
     for label in witness.forced_zero:
         place(label, False)
@@ -517,7 +534,7 @@ def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tu
                 f"{tb.flavor!r}, scale_sq {tb.scale_sq!r} and dim {tb.dim!r}"
             )
     if len(out) != len(blocks):
-        missing = [label for label, key in blocks.items() if key not in out]
+        missing = sorted(label for label, key in blocks.items() if key not in out)
         raise WitnessError(f"witness leaves blocks unassigned: {missing}")
     return out
 

@@ -33,6 +33,14 @@ the benchmark's ``oracle`` tables (17 of 20 run three restarts to the
 end) this takes a pass of criterion 6's ``minimize`` calls from about 36
 to 26 ms in process (2 cores).
 
+Starting points are seeded normals placed by ``_Problem.draws``.  Restart
+k of ``minimize`` draws them from ``np.random.default_rng([seed, k])``;
+point k of ``gradient_check`` draws them from Python's ``random.Random``,
+seeded by the text "seed 7919 k", which is hashed by SHA-512 and so does
+not depend on ``PYTHONHASHSEED``.  A gradient check thus never imports
+``numpy.random``, a package that costs a fresh process several
+milliseconds.
+
 The line search is exact.  Assembly is real-linear, so along the descent
 direction X and Y move linearly in the step size a, the relation residual
 is quadratic in a and the objective is a quartic in a.  Its five
@@ -44,6 +52,7 @@ form, with the lowest quartic value.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -196,9 +205,14 @@ def _grad_norm(problem: _Problem, grad: np.ndarray) -> np.ndarray:
     return np.sqrt(problem.block_sum(np.abs(grad) ** 2))
 
 
-def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
-    re, im = rng.standard_normal(2 * problem.size)[problem.draws]
+def _place(problem: _Problem, normals) -> np.ndarray:
+    """The point whose parts are read from 2 * size normals by ``draws``."""
+    re, im = np.asarray(normals)[problem.draws]
     return re + 1j * im
+
+
+def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
+    return _place(problem, rng.standard_normal(2 * problem.size))
 
 
 def _line_coefficients(
@@ -428,15 +442,16 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     """Worst relative disagreement between the analytic gradient and
     central finite differences over random structured points.
 
-    The four points that move one entry by +-step and by +-i step are the
-    four lanes of one evaluation."""
+    Point k is drawn from ``random.Random("seed 7919 k")`` (module
+    docstring).  The four points that move one entry by +-step and by +-i
+    step are the four lanes of one evaluation."""
     problem = _Problem(wd)
     if not problem.blocks:
         return 0.0
     worst = 0.0
     for k in range(points):
-        rng = np.random.default_rng([seed, 7919, k])
-        v = _random_point(problem, rng)
+        gauss = random.Random(f"{seed} 7919 {k}").gauss
+        v = _place(problem, [gauss(0.0, 1.0) for _ in range(2 * problem.size)])
         _, xy, r, _ = _evaluate(problem, v[None])
         analytic = _gradient(problem, xy, r)
         fd = np.zeros_like(analytic)

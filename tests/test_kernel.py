@@ -4,15 +4,28 @@ Every property compares exact results entry by entry and demands that
 every entry the kernel hands out is a Fraction in lowest terms.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from geodesy.gaussmat import GaussMatrix, GaussRational, bracket, char_poly
+from geodesy import gaussmat
+from geodesy.algebra import Su11Basis
+from geodesy.candidates import embedding_with_rank
+from geodesy.checker import EmbeddingCandidate, check_conditions, equivariance_test
+from geodesy.gaussmat import U_PP, GaussMatrix, GaussRational, _is_signed_adjoint, bracket, char_poly
+from geodesy.selftest import (
+    check_antisymmetry,
+    check_cartan_inclusions,
+    check_complex_structure,
+    check_involution,
+    check_jacobi,
+)
 from kernel_strategies import SIZES, ZERO, gaussians, matrices, near_misses, rationals, upp_elements
 
 scalars = st.one_of(st.integers(-7, 7), rationals, gaussians)
@@ -179,3 +192,80 @@ def test_large_unequal_denominators_reduce():
     assert product[0, 0] == GaussRational(Fraction(1, 5))
     assert product[0, 1] == GaussRational(1)
     assert_canonical(a.inverse() @ a, ref.unpack(GaussMatrix.identity(2)))
+
+
+# -- the remembered u(p,p) test ------------------------------------------
+
+
+def _fresh_member(m: GaussMatrix) -> bool:
+    n = m.rows
+    return n == m.cols and n % 2 == 0 and _is_signed_adjoint(m, n // 2, U_PP)
+
+
+@contextmanager
+def _watch():
+    """Every matrix built inside, and a one-element list counting the
+    exact products that brackets take."""
+    made, products = [], [0]
+    set_, product = GaussMatrix._set, gaussmat._product
+
+    def tracking_set(self, *args):
+        made.append(self)
+        set_(self, *args)
+
+    def counting_product(a, b):
+        products[0] += 1
+        return product(a, b)
+
+    with patch.object(GaussMatrix, "_set", tracking_set), patch.object(gaussmat, "_product", counting_product):
+        yield made, products
+
+
+@settings(deadline=None)
+@given(bracket_pairs())
+@example((U11_A, U11_B))
+@example((U11_A, U11_OFF))
+def test_bracket_marks_its_result_a_member_only_for_two_members(pair):
+    a, b = pair
+    members = _fresh_member(a) and _fresh_member(b)
+    with _watch() as (_, products):
+        c = bracket(a, b)
+    # a member's bracket is one product and a member; any other takes two
+    # products and leaves the result untested
+    assert products == [1 if members else 2]
+    assert c._u_pp is (True if members else None)
+    for m in (a, b, c):
+        assert m._u_pp is None or m._u_pp == _fresh_member(m)
+
+
+def test_the_sl2_triple_is_no_member_and_its_brackets_take_two_products():
+    basis = Su11Basis()
+    for a, b in ((basis.h, basis.x), (basis.h, basis.y), (basis.x, basis.y)):
+        with _watch() as (_, products):
+            c = bracket(a, b)
+        assert products == [2] and c._u_pp is None
+    # a bracket tests its second argument only after a member first one
+    assert [m._u_pp for m in (basis.h, basis.x, basis.y)] == [False, False, None]
+    assert [m._u_pp for m in (basis.u, basis.v, basis.w)] == [True] * 3
+
+
+def test_every_remembered_membership_agrees_with_a_fresh_test():
+    # sampled su(p,p) elements through the selftest checks, the sl(2)
+    # triple, and passing and broken candidates through the checker: no
+    # matrix may remember a membership its numerators do not have
+    with _watch() as (made, _):
+        Su11Basis()
+        checks = check_jacobi, check_antisymmetry, check_involution, check_cartan_inclusions, check_complex_structure
+        for check in checks:
+            check(samples=12)
+        for p, m in ((2, 1), (3, 2)):
+            c = embedding_with_rank(p, m)
+            shift = GaussMatrix.diagonal([1j] + [0] * (p - 1) + [-1j] + [0] * (p - 1))
+            broken = EmbeddingCandidate(c.shape, c.f_u + shift, c.f_v, c.f_w)
+            for candidate in (c, broken):
+                report = check_conditions(candidate)
+                assert report.passed == (candidate is c)
+                assert equivariance_test(candidate, report) == (candidate is c)
+    remembered = [m for m in made if m._u_pp is not None]
+    assert {m._u_pp for m in remembered} == {True, False}
+    assert all(m._u_pp == _fresh_member(m) for m in remembered)

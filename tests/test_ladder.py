@@ -308,6 +308,19 @@ def test_replay_rejects_tampered_certificate():
         replay_certificate(system, Verdict("feasible", system.sector))
 
 
+@pytest.mark.parametrize("field", ["side", "weight"])
+def test_replay_refuses_an_unhashable_side_or_weight_by_step(field):
+    # a step built in code, not read through from_json_dict, may carry a
+    # list; replay names the step instead of failing on the equation lookup
+    system = derive_constraints(WeightData({3: 1, 1: 1}, {-1: 1, -3: 1}))
+    good = eliminate(system).certificate
+    last = good[-1]
+    bad = dataclasses.replace(last, **{field: [getattr(last, field)]})
+    message = f"step {len(good) - 1}: side .* and weight .* must be a string and an integer"
+    with pytest.raises(ReplayError, match=message):
+        replay_certificate(system, Verdict("infeasible", system.sector, certificate=(*good[:-1], bad)))
+
+
 def test_witness_substitution_checks_all_equations():
     system = derive_constraints(WeightData({1: 2}, {-1: 2}))
     verdict = eliminate(system)
@@ -468,6 +481,41 @@ def test_witness_fields_must_have_their_types():
             with pytest.raises(WitnessError, match="no block"):
                 check(system, WitnessClass(forced_zero=(label,), terminal=()))
     verify_witness(system, WitnessClass(forced_zero=(), terminal=(TerminalBlock(block, "paired", 1, 1),)))
+
+
+def test_witness_validator_messages_name_labels_in_label_order():
+    from geodesy.ladder import TerminalBlock
+
+    system = derive_constraints(WeightData({1: 2}, {-1: 2}))
+    block = "cross[-1->1]"
+    for witness, message in (
+        (WitnessClass(("bogus",), ()), "witness names 'bogus', which is no block of the system"),
+        (WitnessClass((block, block), ()), "witness names block cross[-1->1] twice"),
+        (
+            WitnessClass((), (TerminalBlock(block, "paired", 1.0, 2),)),
+            "terminal block cross[-1->1] is 2x2, but the witness has flavor 'paired', scale_sq 1.0 and dim 2",
+        ),
+        (WitnessClass((), ()), "witness leaves blocks unassigned: ['cross[-1->1]']"),
+    ):
+        for check in (verify_witness, instantiate_witness):
+            with pytest.raises(WitnessError) as err:
+                check(system, witness)
+            assert str(err.value) == message
+    # the blocks a witness leaves out are listed in label order, whatever
+    # order the system's equations meet them in
+    listed = 0
+    for p in (1, 2, 3, 4):
+        for wd in enumerate_weight_data(p):
+            for sector in (wd.odd_sector(), wd.even_sector()):
+                system = derive_constraints(sector)
+                labels = list(system.blocks())
+                if len(labels) < 2:
+                    continue
+                listed += 1
+                with pytest.raises(WitnessError) as err:
+                    verify_witness(system, WitnessClass(tuple(labels[::2]), ()))
+                assert str(err.value) == f"witness leaves blocks unassigned: {labels[1::2]}"
+    assert listed > 0
 
 
 def test_step_reader_refuses_fields_that_are_not_strings():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -497,3 +502,38 @@ def test_block_sum_adds_each_blocks_sum_left_to_right():
 def test_gradient_check_matches_reference():
     for wd in (STANDARD2, WeightData({3: 1, 1: 1}, {-1: 1, -3: 1})):
         assert gradient_check(wd, seed=7, points=2).hex() == ref.gradient_check(wd, seed=7, points=2).hex()
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _child(code: str, hash_seed: str = "0") -> str:
+    """stdout of a fresh interpreter running code against this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_selftest_checks_never_import_numpy_random():
+    # numpy imports numpy.random lazily, and a fresh process pays several
+    # milliseconds for it; the gradient check draws from Python's generator
+    out = _child(
+        "import sys\n"
+        "from geodesy.selftest import CHECKS\n"
+        "for _, check in CHECKS:\n"
+        "    check()\n"
+        "print('numpy.random' in sys.modules, 'geodesy.numeric' in sys.modules)\n"
+    )
+    assert out == "False True\n"
+
+
+def test_gradient_check_draws_do_not_depend_on_the_hash_seed():
+    code = (
+        "from geodesy.numeric import gradient_check\n"
+        "from geodesy.weights import WeightData\n"
+        "print(gradient_check(WeightData({3: 1, 1: 1}, {-1: 1, -3: 1}), seed=11, points=3).hex())\n"
+    )
+    first, second = _child(code, "1"), _child(code, "2")
+    assert first == second
+    assert float.fromhex(first) == gradient_check(WeightData({3: 1, 1: 1}, {-1: 1, -3: 1}), seed=11, points=3)
