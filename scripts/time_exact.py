@@ -11,8 +11,9 @@ temporary directory and prints, for each file, one JSON line per phase of
 ``geodesy check --json``: ``parse`` (``load_candidate``),
 ``check_conditions``, ``equivariance_test`` (only for a candidate that
 passes, as the CLI does) and ``report`` (``_report_json`` and its JSON
-text).  Last comes one ``lift`` line, ``lift_classification`` of every
-feasible table of rank p <= 4, which the workload does not run.  Each
+text).  Last comes one ``lift`` line, ``lift_classification`` of the 152
+feasible classes of ``verify_theorem(p)`` for p <= ``MAX_P`` (16), the set
+the lift tests use; the workload lifts only in ``selftest``.  Each
 line gives ``best_s``, the best of --repeat wall times in seconds, and
 ``first_s``, the first of them: the line's first call in this process,
 which also pays any per-process cost (a lazy import, a cache filled on
@@ -34,13 +35,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import exact_inputs  # noqa: E402
 from geodesy.candidates import json_text, lift_classification, load_candidate  # noqa: E402
 from geodesy.checker import check_conditions, equivariance_test  # noqa: E402
-from geodesy.cli import _report_json  # noqa: E402
-from geodesy.ladder import classify_weight_data  # noqa: E402
+from geodesy.cli import MAX_P, _report_json  # noqa: E402
+from geodesy.ladder import verify_theorem  # noqa: E402
 from geodesy.selftest import CHECKS  # noqa: E402
-from geodesy.weights import enumerate_weight_data  # noqa: E402
 
 SELFTEST_SAMPLES = 6
-LIFT_MAX_P = 4
 
 
 def timed(repeat: int, fn):
@@ -85,9 +84,8 @@ def main() -> None:
             if report.passed:
                 equivariant = run("equivariance_test", lambda: equivariance_test(candidate, report), **where)
             run("report", lambda: json_text(_report_json(path, entry["p"], report, equivariant)), **where)
-    results = [classify_weight_data(wd) for p in range(1, LIFT_MAX_P + 1) for wd in enumerate_weight_data(p)]
-    feasible = [r for r in results if r.status == "feasible"]
-    run("lift", lambda: [lift_classification(r) for r in feasible], max_p=LIFT_MAX_P, tables=len(feasible))
+    classes = [cls for p in range(1, MAX_P + 1) for cls in verify_theorem(p).classes]
+    run("lift", lambda: [lift_classification(cls) for cls in classes], max_p=MAX_P, tables=len(classes))
     for phase, (best, first) in totals.items():
         print(json.dumps({"phase": phase, "total_s": round(best, 7), "first_s": round(first, 7)}), flush=True)
 

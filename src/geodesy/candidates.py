@@ -12,6 +12,10 @@ that form, each part in lowest terms with a positive denominator:
 ``json_text`` writes every JSON document of the package, and a
 ``GaussMatrix`` placed in a document is written from its integers with
 one format per matrix, without building the nested lists of strings.
+
+The lift of a feasible classification reads its witnesses through
+``ladder.witness_blocks`` alone and writes the triple in integers over
+den 1; this module is the only place a witness takes matrix form.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from itertools import chain
 from json.encoder import INFINITY
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from operator import floordiv
-from typing import Dict, List
+from operator import add, floordiv, sub
+from typing import List
 
 from .algebra import SuPQShape
 from .checker import EmbeddingCandidate
 from .gaussmat import GaussMatrix, I
-from .ladder import DatumClassification, WitnessError, block_cells, instantiate_witness
+from .ladder import DatumClassification, WitnessError, block_cells, witness_blocks
 from .weights import DECIMAL, DECIMALS
 
 
@@ -263,9 +267,11 @@ def standard_trivial_candidate(p: int) -> EmbeddingCandidate:
 def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
     """Assemble the candidate realized by a feasible classification.
 
-    Raising blocks are zero, crossing blocks are exact unitary multiples;
-    the resulting triple is F(u) = X + Y, F(v) = i(X - Y), F(w) = i H with
-    H the diagonal weight operator.
+    A witness makes every block 0 or I (ladder.witness_blocks), so the lift
+    is integers over den 1: X holds a 1 on the diagonal cells of each
+    identity block and Y the partner sign at the mirrored cells
+    (ladder.block_cells).  The triple is F(u) = X + Y, F(v) = i(X - Y),
+    F(w) = i H with H the diagonal weight operator.
     """
     if result.status != "feasible":
         raise WitnessError("only feasible classifications lift to a candidate")
@@ -276,29 +282,16 @@ def lift_classification(result: DatumClassification) -> EmbeddingCandidate:
     n = 2 * p
     layout = wd.layout()
 
-    values: Dict[str, GaussMatrix] = {}
-    for system, verdict in (
-        (result.odd_system, result.odd),
-        (result.even_system, result.even),
-    ):
-        values.update(instantiate_witness(system, verdict.witness))
-    blocks = {**result.odd_system.blocks(), **result.even_system.blocks()}
-
-    # the integer numerators of X and Y over the lcm of the block denominators
-    den = lcm(*(value.den for value in values.values()))
-    x_re, x_im, y_re, y_im = ([0] * (n * n) for _ in range(4))
-    for label, value in values.items():
-        _, x_cells, y_cells, sign = block_cells(blocks[label], layout)
-        f = den // value.den
-        for kx, ky, a, b in zip(x_cells, y_cells, value.re_num, value.im_num):
-            x_re[kx], x_im[kx] = a * f, b * f
-            # the partner matrix carries sign * U* at the mirrored slot
-            y_re[ky], y_im[ky] = sign * a * f, -sign * b * f
-
-    x = GaussMatrix._from_ints(n, n, den, x_re, x_im)
-    y = GaussMatrix._from_ints(n, n, den, y_re, y_im)
-    h = GaussMatrix.diagonal(layout.weight_vector())
-    f_u = x + y
-    f_v = (x - y) * I
-    f_w = h * I
+    x, y, h, zero = ([0] * (n * n) for _ in range(4))
+    for system, verdict in ((result.odd_system, result.odd), (result.even_system, result.even)):
+        for key, (_, rows, _, identity) in witness_blocks(system, verdict.witness).items():
+            if identity:
+                _, x_cells, y_cells, sign = block_cells(key, layout)
+                for kx, ky in zip(x_cells[:: rows + 1], y_cells[:: rows + 1]):
+                    # the partner matrix carries sign * U* at the mirrored slot
+                    x[kx], y[ky] = 1, sign
+    h[:: n + 1] = layout.weight_vector()
+    f_u = GaussMatrix._from_ints(n, n, 1, map(add, x, y), zero)
+    f_v = GaussMatrix._from_ints(n, n, 1, zero, map(sub, x, y))
+    f_w = GaussMatrix._from_ints(n, n, 1, zero, h)
     return EmbeddingCandidate(shape=SuPQShape(p), f_u=f_u, f_v=f_v, f_w=f_w)

@@ -38,7 +38,12 @@ asks that no product equation keeps a live term and that every remaining
 diagonal equation is a single Gram term a*I with a > 0, each block held by
 one U U* = a*I and one U* U = b*I equation with a = b = 1 on equal
 dimensions.  The witness is the identity on such a block and zero on every
-forced one.  In a derived system only cross[-1->1] can pass: a block
+forced one.  witness_blocks is the one reader of a witness: it gives each
+block its shape and whether the witness makes it I or 0.  verify_witness
+substitutes that into the equations in integers, and
+candidates.lift_classification writes the 1s of the identity blocks into
+the triple, so this module does no matrix arithmetic and imports only
+weights.  In a derived system only cross[-1->1] can pass: a block
 leaving w has a = w + 2 and b = -w if it crosses, a = -(w + 2) and b = w if
 it raises, so a = b > 0 already forces a crossing block with w = -1 and
 a = 1.  On an admissible table a terminal sector always agrees: the odd one
@@ -55,7 +60,6 @@ from functools import cache
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gaussmat import GaussMatrix
 from .weights import Layout, WeightData, enumerate_sectors, iter_spectra, pair_sectors, sector_counts
 
 PLUS_RAISE = "plus_raise"
@@ -493,7 +497,7 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
             raise ReplayError("contradiction reached before the final step")
 
 
-def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tuple[str, int, int, bool]]:
+def witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tuple[str, int, int, bool]]:
     """Every block of the system, key -> (label, rows, cols, whether the
     witness makes it the identity rather than zero), its forced blocks
     first, then its terminal ones, each in the witness's order.
@@ -539,21 +543,11 @@ def _witness_blocks(system: SectorSystem, witness: WitnessClass) -> Dict[Key, Tu
     return out
 
 
-def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:
-    """Exact block values realizing a witness class, label -> value: zero
-    on a forced block, the identity on a terminal one.  Raises WitnessError
-    on a witness that _witness_blocks refuses."""
-    return {
-        label: GaussMatrix.identity(rows) if identity else GaussMatrix.zeros(rows, cols)
-        for label, rows, cols, identity in _witness_blocks(system, witness).values()
-    }
-
-
 def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
     """Substitute a witness into every original equation and demand
     equality, in integers.
 
-    Every block is 0 or I (_witness_blocks).  A Gram term's block must span
+    Every block is 0 or I (witness_blocks).  A Gram term's block must span
     its equation's dim, its rows for U U* and its columns for U* U, and
     then a diagonal equation holds exactly when the signs of its identity
     terms sum to its right side.  The pair of a product equation that
@@ -561,7 +555,7 @@ def verify_witness(system: SectorSystem, witness: WitnessClass) -> None:
     every pair must give a product of one shape; then the equation holds
     exactly when its identity pairs cancel, each E* Z counting +1 and each
     -Z F* -1.  Raises WitnessError otherwise."""
-    blocks = _witness_blocks(system, witness)
+    blocks = witness_blocks(system, witness)
     for side, w, dim, rhs, terms in system.equations:
         total = 0
         for sign, key, flavor in terms:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import add, sub
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -240,33 +240,6 @@ def _spectrum(partition: List[int]) -> Tuple[List[int], List[int]]:
     return weights, [table[w] for w in weights]
 
 
-def _splits(totals: Sequence[int], target: int) -> Iterator[Tuple[int, ...]]:
-    """Every tuple a with 0 <= a[i] <= totals[i] and sum(a) = target, in
-    lexicographic order (bounded compositions; Knuth, TAOCP 4A, 7.2.1.4):
-    raise the rightmost entry that can take a unit from the entries after
-    it, then refill those entries as far right as they go."""
-    n = len(totals)
-    room = [sum(totals[i:]) for i in range(n + 1)]  # what the entries from i on can hold
-    if not 0 <= target <= room[0]:
-        return
-    a = [0] * n
-    i, rest = -1, target
-    while True:
-        for j in range(i + 1, n):
-            take = rest - room[j + 1]
-            a[j] = take if take > 0 else 0
-            rest -= a[j]
-        yield tuple(a)
-        rest, i = 0, n - 1
-        while i >= 0 and (rest == 0 or a[i] == totals[i]):
-            rest += a[i]
-            i -= 1
-        if i < 0:
-            return
-        a[i] += 1
-        rest -= 1
-
-
 def sector_counts(p: int) -> Tuple[Dict[Dims, int], Dict[Dims, int]]:
     """The number of sectors in each (dim_plus, dim_minus) group of
     enumerate_sectors(p), as (odd, even), the groups in the same order,
@@ -364,7 +337,9 @@ def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, 
     """The admissible single-parity tables that can pair into rank p, as
     (odd, even), each mapping (dim_plus, dim_minus) to its sectors: the
     sectors of each entry of iter_spectra in turn, for each d in its dims
-    the splits of its totals with d on the plus side, in _splits order.
+    the splits of its totals with d on the plus side: the tuples a with
+    0 <= a[i] <= totals[i] and sum(a) = d, in lexicographic order, the
+    order in which itertools.product yields them.
 
     Admissibility only links weights of the same parity, so a table of rank
     p is exactly one odd sector with dimensions (a, b) joined with one even
@@ -379,7 +354,11 @@ def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, 
         # pick[i] copies of weights[i] go to plus and the rest to minus.  The
         # rest is the complement pick of dimension size - d, and complements
         # run in reverse order, so each block dict is built once and shared.
-        blocks = {d: [{w: a for w, a in zip(weights, pick) if a} for pick in _splits(totals, d)] for d in dims}
+        blocks: Dict[int, List[Dict[int, int]]] = {d: [] for d in dims}
+        for pick in product(*(range(t + 1) for t in totals)):
+            picks = blocks.get(sum(pick))
+            if picks is not None:
+                picks.append({w: a for w, a in zip(weights, pick) if a})
         for d in dims:
             group = sectors[1 - parity].setdefault((d, size - d), [])
             group += map(WeightData._trusted, blocks[d], reversed(blocks[size - d]))

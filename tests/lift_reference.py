@@ -4,8 +4,10 @@ This is the lift the package used before it placed blocks through
 ``geodesy.ladder.block_cells`` on integer numerators: every entry of X
 and of its partner Y was a ``GaussRational``, and each witness block was
 copied in entry by entry at the spans of ``block_slot``, conjugated,
-transposed and negated by hand for Y.  ``test_candidates`` holds
-``geodesy.candidates.lift_classification`` to it on every feasible table.
+transposed and negated by hand for Y.  The block values come from the
+matrix witness check of ``ladder_reference``, not from the package.
+``test_candidates`` holds ``geodesy.candidates.lift_classification`` to
+it on every feasible class of rank up to ``MAX_P``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Dict
 from geodesy.algebra import SuPQShape
 from geodesy.checker import EmbeddingCandidate
 from geodesy.gaussmat import GaussMatrix, GaussRational, I
-from geodesy.ladder import DatumClassification, block_slot, instantiate_witness
+from geodesy.ladder import DatumClassification, block_slot
+from ladder_reference import instantiate_witness
 
 ZERO = GaussRational(0)
 

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 import algebra_reference
 import lift_reference
 import wire_reference as ref
-from geodesy import candidates
 from geodesy.candidates import (
     CandidateFormatError,
     _entry_from_json,
@@ -30,7 +28,7 @@ from geodesy.candidates import (
 from geodesy.checker import check_conditions, equivariance_test
 from geodesy.cli import MAX_P, run
 from geodesy.gaussmat import GaussMatrix
-from geodesy.ladder import block_cells, classify_weight_data, verify_theorem
+from geodesy.ladder import block_cells, block_slot, classify_weight_data, derive_constraints, verify_theorem
 from geodesy.weights import enumerate_weight_data
 from kernel_strategies import SIZES, matrices
 
@@ -342,46 +340,40 @@ def test_lift_of_every_feasible_class_passes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["totally_geodesic"] is True
 
 
-def feasible_results(max_p: int) -> list:
-    results = [classify_weight_data(wd) for p in range(1, max_p + 1) for wd in enumerate_weight_data(p)]
-    return [r for r in results if r.status == "feasible"]
-
-
 def assert_same_candidate(a, b):
     assert (a.shape, a.f_u, a.f_v, a.f_w) == (b.shape, b.f_u, b.f_v, b.f_w)
 
 
 def test_lift_matches_reference_on_every_feasible_table():
-    results = feasible_results(4)
-    assert len(results) == 14
-    for result in results:
-        assert_same_candidate(lift_classification(result), lift_reference.lift_classification(result))
+    classes = [cls for p in range(1, MAX_P + 1) for cls in verify_theorem(p).classes]
+    assert len(classes) == sum(p + 1 for p in range(1, MAX_P + 1))
+    for cls in classes:
+        assert_same_candidate(lift_classification(cls), lift_reference.lift_classification(cls))
 
 
-def test_lift_places_dense_blocks_as_the_reference_does(monkeypatch):
-    # witness blocks are identities and zeros; dense Gaussian blocks with
-    # unequal denominators, on every block of every table, also exercise
-    # the conjugate, the partner sign and the common denominator
+def test_block_cells_place_dense_blocks_as_the_reference_does():
+    # witness blocks are identities and zeros, but the oracle scatters dense
+    # blocks through block_cells: Gaussian blocks with mixed denominators,
+    # on every block of every table, exercise the conjugate and both
+    # partner signs
     rng = random.Random(5)
-
-    def dense_blocks(system, witness):
-        layout = system.weight_data.layout()
-        values = {}
-        for label, key in system.blocks().items():
-            (rows, cols), _, _, _ = block_cells(key, layout)
-            values[label] = algebra_reference.matrix(rng, rows, cols) * Fraction(1, rng.choice((1, 2, 5, 7)))
-        return values
-
+    signs = set()
     for p in (1, 2, 3):
         for wd in enumerate_weight_data(p):
-            posed = SimpleNamespace(**vars(classify_weight_data(wd)), status="feasible")
-            state = rng.getstate()
-            monkeypatch.setattr(candidates, "instantiate_witness", dense_blocks)
-            lifted = lift_classification(posed)
-            rng.setstate(state)
-            monkeypatch.setattr(lift_reference, "instantiate_witness", dense_blocks)
-            assert_same_candidate(lifted, lift_reference.lift_classification(posed))
-            monkeypatch.undo()
+            layout = wd.layout()
+            n = layout.size
+            x, y, ref_x, ref_y = ([lift_reference.ZERO] * (n * n) for _ in range(4))
+            for key in derive_constraints(wd).blocks().values():
+                (rows, cols), x_cells, y_cells, sign = block_cells(key, layout)
+                value = algebra_reference.matrix(rng, rows, cols) * Fraction(1, rng.choice((1, 2, 5, 7)))
+                for kx, ky, entry in zip(x_cells, y_cells, value.entries):
+                    x[kx], y[ky] = entry, entry.conjugate() * sign
+                (r0, _), (c0, _), _ = block_slot(key, layout)
+                lift_reference._place(ref_x, n, r0, c0, value, conj=False, negate=False)
+                lift_reference._place(ref_y, n, c0, r0, value, conj=True, negate=sign < 0)
+                signs.add(sign)
+            assert (x, y) == (ref_x, ref_y), wd.describe()
+    assert signs == {-1, 1}
 
 
 def test_lift_rejects_infeasible_results():

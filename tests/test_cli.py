@@ -674,7 +674,9 @@ def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
     for line in totals:
         for key, total in (("best_s", "total_s"), ("first_s", "first_s")):
             assert line[total] == pytest.approx(sum(x[key] for x in lines if x["phase"] == line["phase"]), abs=1e-6)
-    assert [(line["max_p"], line["tables"]) for line in lines if line["phase"] == "lift"] == [(4, 14)]
+    # the lift line lifts every feasible class of rank up to MAX_P, p + 1 per rank
+    classes = sum(p + 1 for p in range(1, MAX_P + 1))
+    assert [(line["max_p"], line["tables"]) for line in lines if line["phase"] == "lift"] == [(MAX_P, classes)]
     assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 
 

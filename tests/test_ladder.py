@@ -1,12 +1,18 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter, defaultdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodesy.candidates import lift_classification
 from geodesy.ladder import (
     CROSS,
     INNER,
@@ -30,7 +36,6 @@ from geodesy.ladder import (
     classify_weight_data,
     derive_constraints,
     eliminate,
-    instantiate_witness,
     replay_certificate,
     verify_theorem,
     verify_witness,
@@ -416,6 +421,14 @@ def test_witness_product_equation_has_both_signs():
             verify_witness(SectorSystem(wd, "mixed", equations, ((1, pairs),)), witness)
 
 
+def lift_with(system: SectorSystem, witness: WitnessClass):
+    """lift_classification of the system's table, posed as feasible, with
+    witness in place of the verdict of the system's sector."""
+    result = classify_weight_data(system.weight_data)
+    verdict = dataclasses.replace(getattr(result, system.sector), witness=witness)
+    return lift_classification(SimpleNamespace(**{**vars(result), system.sector: verdict}, status="feasible"))
+
+
 def test_witness_fields_are_checked():
     from geodesy.ladder import TerminalBlock, WitnessClass
 
@@ -435,7 +448,7 @@ def test_witness_fields_are_checked():
     with pytest.raises(WitnessError, match="twice"):
         verify_witness(system, WitnessClass(forced_zero=(block,), terminal=(paired,)))
     with pytest.raises(WitnessError, match="no block"):
-        instantiate_witness(system, WitnessClass(forced_zero=("plus_raise[-1->1]",), terminal=()))
+        lift_with(system, WitnessClass(forced_zero=("plus_raise[-1->1]",), terminal=()))
 
 
 def test_step_reader_rejects_what_it_used_to_coerce():
@@ -473,11 +486,11 @@ def test_witness_fields_must_have_their_types():
         TerminalBlock([block], "paired", 1, 1),
         TerminalBlock(None, "paired", 1, 1),
     ):
-        for check in (verify_witness, instantiate_witness):
+        for check in (verify_witness, lift_with):
             with pytest.raises(WitnessError):
                 check(system, WitnessClass(forced_zero=(), terminal=(terminal,)))
     for label in ([block], None, 1, ("cross", -1)):
-        for check in (verify_witness, instantiate_witness):
+        for check in (verify_witness, lift_with):
             with pytest.raises(WitnessError, match="no block"):
                 check(system, WitnessClass(forced_zero=(label,), terminal=()))
     verify_witness(system, WitnessClass(forced_zero=(), terminal=(TerminalBlock(block, "paired", 1, 1),)))
@@ -497,7 +510,7 @@ def test_witness_validator_messages_name_labels_in_label_order():
         ),
         (WitnessClass((), ()), "witness leaves blocks unassigned: ['cross[-1->1]']"),
     ):
-        for check in (verify_witness, instantiate_witness):
+        for check in (verify_witness, lift_with):
             with pytest.raises(WitnessError) as err:
                 check(system, witness)
             assert str(err.value) == message
@@ -527,13 +540,16 @@ def test_step_reader_refuses_fields_that_are_not_strings():
                 CertificateStep.from_json_dict({**docs[0], field: value})
 
 
-def test_witness_instantiation_shapes():
-    system = derive_constraints(WeightData({1: 3}, {-1: 3}))
-    verdict = eliminate(system)
-    values = instantiate_witness(system, verdict.witness)
-    block = values["cross[-1->1]"]
-    assert block.rows == 3 and block.cols == 3
-    assert (block @ block.conj_transpose()) == block.conj_transpose() @ block
+def test_ladder_imports_only_weights():
+    # the engine, replay and the witness check need no matrix kernel; a
+    # witness takes matrix form only in candidates
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, geodesy.ladder; print(sorted(m for m in sys.modules if m.split('.')[0] in ('geodesy', 'numpy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "['geodesy', 'geodesy.ladder', 'geodesy.weights']\n"
 
 
 def test_certificates_replay_for_all_small_ranks():

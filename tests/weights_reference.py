@@ -103,7 +103,8 @@ def enumerate_sectors(p: int) -> Tuple[Dict[Dims, List[WeightData]], Dict[Dims, 
 
 
 def count_splits(totals: Sequence[int]) -> List[int]:
-    """n[k] is the number of tuples weights._splits(totals, k) yields, for
+    """n[k] is the number of tuples a with 0 <= a[i] <= totals[i] and
+    sum(a) = k, the splits that weights.enumerate_sectors makes, for
     k = 0 .. sum(totals): the coefficients of the product of 1 + x + ... +
     x^t over the entries t of totals.  Each factor is (1 - x^(t+1)) /
     (1 - x): a difference with the coefficients shifted by t + 1, then
