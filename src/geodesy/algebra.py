@@ -22,7 +22,8 @@ below them.  Every sign pattern is one multiplication of the numerators
 by a cached mask of quadrant signs; the masks and the adjoint test live in
 ``gaussmat``.  Membership of u(p,p) is ``gaussmat.in_u_pp``, the test that
 ``bracket`` uses, remembered on the matrix; the k and p parts of a member
-are members, and ``cartan_decompose`` marks them so without a test.
+are members, and ``cartan_decompose`` marks them so without a test, as
+``cartan_involution`` marks the image of a known member.
 """
 
 from __future__ import annotations
@@ -82,9 +83,13 @@ def in_su_pp(a: GaussMatrix, shape: SuPQShape) -> bool:
 
 
 def cartan_involution(a: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
-    """theta(X) = J X J: +1 on block-diagonal, -1 on off-diagonal."""
+    """theta(X) = J X J: +1 on block-diagonal, -1 on off-diagonal.
+
+    theta is an automorphism of u(p,p), so the image of a matrix known to
+    be a member is marked one."""
     _check_shape(a, shape)
-    return _blockwise(a, shape.p, THETA)
+    out = _blockwise(a, shape.p, THETA)
+    return _member(out) if a._u_pp is True else out
 
 
 def cartan_decompose(a: GaussMatrix, shape: SuPQShape) -> CartanSplit:

@@ -28,18 +28,25 @@ own entries in the same order (``_lane_sum``, ``_Problem.block_sum``), and
 the step and the cubic roots solved for it alone in Python.  A batch holds
 at most ``LANES`` restarts, fewer for a large table (``LANE_ENTRIES``).
 With a target, a restart runs only if the earlier ones missed it, so the
-restarts run one lane at a time.  ``gradient_check`` runs four lanes.  On
-the benchmark's ``oracle`` tables (17 of 20 run three restarts to the
-end) this takes a pass of criterion 6's ``minimize`` calls from about 36
-to 26 ms in process (2 cores).
+restarts run one lane at a time.  ``gradient_check`` evaluates the 4 *
+size moved copies of a point as the lanes of one call.  On the
+benchmark's ``oracle`` tables (17 of 20 run three restarts to the end) a
+pass of criterion 6's ``minimize`` calls takes about 26-28 ms in process
+once warm, and 29-31 ms when each table's call is the first in its
+process (``scripts/time_oracle.py --repeat 5``, 2 cores, Python 3.11.7).
 
 Starting points are seeded normals placed by ``_Problem.draws``.  Restart
-k of ``minimize`` draws them from ``np.random.default_rng([seed, k])``;
-point k of ``gradient_check`` draws them from Python's ``random.Random``,
-seeded by the text "seed 7919 k", which is hashed by SHA-512 and so does
-not depend on ``PYTHONHASHSEED``.  A gradient check thus never imports
-``numpy.random``, a package that costs a fresh process several
-milliseconds.
+k of ``minimize`` draws them from ``normals.standard_normal([seed, k],
+...)``, which computes in the standard library, bit for bit, the floats
+of numpy 2.4.6's ``np.random.default_rng([seed, k]).standard_normal``:
+SeedSequence, PCG64 and numpy's ziggurat, with the ziggurat tables read
+from numpy's compiled module and carried under numpy's BSD-3 licence
+(see ``normals``).  Point k of ``gradient_check`` draws them from
+Python's ``random.Random``, seeded by the text "seed 7919 k", which is
+hashed by SHA-512 and so does not depend on ``PYTHONHASHSEED``.  So no
+oracle run imports ``numpy.random``, a package that costs a fresh
+process 6 to 15 ms, and the starts do not move with numpy's Generator
+stream, which numpy does not promise to keep across versions.
 
 The line search is exact.  Assembly is real-linear, so along the descent
 direction X and Y move linearly in the step size a, the relation residual
@@ -59,6 +66,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ladder import block_cells, derive_constraints
+from .normals import standard_normal
 from .weights import WeightData
 
 StructuredPoint = Dict[str, np.ndarray]
@@ -211,8 +219,9 @@ def _place(problem: _Problem, normals) -> np.ndarray:
     return re + 1j * im
 
 
-def _random_point(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
-    return _place(problem, rng.standard_normal(2 * problem.size))
+def _random_point(problem: _Problem, seed: int, k: int) -> np.ndarray:
+    """Restart k's starting point: the normals of ``default_rng([seed, k])``."""
+    return _place(problem, standard_normal([seed, k], 2 * problem.size))
 
 
 def _line_coefficients(
@@ -414,7 +423,7 @@ def minimize(
     reasons: List[str] = []
     for first in range(0, restarts, batch):
         ks = range(first, min(first + batch, restarts))
-        starts = np.array([_random_point(problem, np.random.default_rng([seed, k])) for k in ks])
+        starts = np.array([_random_point(problem, seed, k) for k in ks])
         run = _descend(problem, starts, max_iter, grad_tol)
         for k, v, value, iters in zip(ks, run.points, run.values, run.steps):
             if value < best_value:
@@ -443,23 +452,27 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     central finite differences over random structured points.
 
     Point k is drawn from ``random.Random("seed 7919 k")`` (module
-    docstring).  The four points that move one entry by +-step and by +-i
-    step are the four lanes of one evaluation."""
+    docstring).  The 4 * size points that move one entry by +-step and by
+    +-i step are the lanes of one evaluation, four lanes per entry."""
     problem = _Problem(wd)
     if not problem.blocks:
         return 0.0
+    size = problem.size
+    lanes, entries = np.arange(4 * size), np.repeat(np.arange(size), 4)
+    shifts = [step * direction for direction in (1.0, -1.0, 1.0j, -1.0j)]
     worst = 0.0
     for k in range(points):
         gauss = random.Random(f"{seed} 7919 {k}").gauss
-        v = _place(problem, [gauss(0.0, 1.0) for _ in range(2 * problem.size)])
+        v = _place(problem, [gauss(0.0, 1.0) for _ in range(2 * size)])
         _, xy, r, _ = _evaluate(problem, v[None])
         analytic = _gradient(problem, xy, r)
+        moved = np.repeat(v[None], 4 * size, axis=0)
+        moved[lanes, entries] = [v[i] + shift for i in range(size) for shift in shifts]
+        values = _evaluate(problem, moved)[0].tolist()
         fd = np.zeros_like(analytic)
-        for i in range(problem.size):
-            moved = np.repeat(v[None], 4, axis=0)
-            moved[:, i] = [v[i] + step * direction for direction in (1.0, -1.0, 1.0j, -1.0j)]
-            values = _evaluate(problem, moved)[0].tolist()
-            for direction, plus, minus in ((1.0, *values[:2]), (1.0j, *values[2:])):
+        for i in range(size):
+            four = values[4 * i : 4 * i + 4]
+            for direction, plus, minus in ((1.0, *four[:2]), (1.0j, *four[2:])):
                 fd[0, i] += (plus - minus) / (2 * step) * direction
         num_sq = float(problem.block_sum(np.abs(analytic - fd) ** 2)[0])
         den_sq = float(problem.block_sum(np.abs(fd) ** 2)[0])

@@ -8,7 +8,10 @@ numerator in [-SPAN, SPAN], its denominator in [1, MAX_DEN], then the
 imaginary numerator and its denominator; a matrix draws its entries row
 by row.  The numerators are brought straight over ``DEN``, the lcm of
 every denominator that can be drawn, and the matrix is reduced once.
-Skew-Hermitian, k and p elements are assembled from these integers.
+Skew-Hermitian, k and p elements are assembled from these integers.  The
+k, p and su(p,p) elements are members of u(p,p) by construction, so they
+carry the member mark (``gaussmat._member``) and ``bracket`` never tests
+them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from math import lcm
 
 from .algebra import SuPQShape
-from .gaussmat import GaussMatrix
+from .gaussmat import GaussMatrix, _member
 
 SPAN = 3
 MAX_DEN = 3
@@ -56,7 +59,7 @@ def skew_hermitian(rng: random.Random, n: int) -> GaussMatrix:
 
 def su_pp(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
     """A random element of su(p,p): a random k part plus a random p part."""
-    return k_part(rng, shape) + p_part(rng, shape)
+    return _member(k_part(rng, shape) + p_part(rng, shape))
 
 
 def _quadrants(p: int, ul, ur, ll, lr) -> list:
@@ -81,7 +84,7 @@ def p_part(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
     adj_im = [-x for j in range(p) for x in zi[j::p]]
     re = _quadrants(p, None, zr, adj_re, None)
     im = _quadrants(p, None, zi, adj_im, None)
-    return GaussMatrix._from_ints(2 * p, 2 * p, DEN, re, im)
+    return _member(GaussMatrix._from_ints(2 * p, 2 * p, DEN, re, im))
 
 
 def k_part(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
@@ -94,7 +97,7 @@ def k_part(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
     bi[0] -= sum(ai[:: p + 1]) + sum(bi[:: p + 1])
     re = _quadrants(p, ar, None, None, br)
     im = _quadrants(p, ai, None, None, bi)
-    return GaussMatrix._from_ints(2 * p, 2 * p, 2 * DEN, re, im)
+    return _member(GaussMatrix._from_ints(2 * p, 2 * p, 2 * DEN, re, im))
 
 
 def invertible(rng: random.Random, n: int) -> GaussMatrix:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra_reference as ref
-from geodesy import algebra, sampling
+from geodesy import algebra, sampling, selftest
 from geodesy.algebra import (
     CartanSplit,
     MembershipError,
@@ -19,7 +19,7 @@ from geodesy.algebra import (
     in_su_pp,
     su11_basis,
 )
-from geodesy.gaussmat import GaussMatrix, I, bracket
+from geodesy.gaussmat import U_PP, GaussMatrix, I, _is_signed_adjoint, bracket
 
 
 def test_shape_validation():
@@ -126,6 +126,40 @@ def test_involution_is_automorphism():
         assert cartan_involution(bracket(a, b), shape) == bracket(
             cartan_involution(a, shape), cartan_involution(b, shape)
         )
+
+
+def test_marked_members_pass_the_full_test(monkeypatch):
+    # the sampled k, p and su(p,p) elements and the involution's images of
+    # members are marked as members of u(p,p) untested, and bracket trusts
+    # the mark; each one the sampled selftest checks meet is tested in full
+    made = []
+
+    def recording(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            made.append((fn.__name__, out))
+            return out
+
+        return wrapper
+
+    for name in ("su_pp", "k_part", "p_part"):
+        monkeypatch.setattr(sampling, name, recording(getattr(sampling, name)))
+    monkeypatch.setattr(selftest, "cartan_involution", recording(cartan_involution))
+    for check in (
+        selftest.check_jacobi,
+        selftest.check_antisymmetry,
+        selftest.check_involution,
+        selftest.check_cartan_inclusions,
+        selftest.check_complex_structure,
+    ):
+        check()
+    assert {name for name, _ in made} == {"su_pp", "k_part", "p_part", "cartan_involution"}
+    for name, m in made:
+        assert m._u_pp is True, name
+        assert _is_signed_adjoint(m, m.rows // 2, U_PP), name
+    # the image of a matrix not known to be a member is left untested
+    image = cartan_involution(sampling.matrix(random.Random(5), 4), SuPQShape(2))
+    assert image._u_pp is None
 
 
 def test_cartan_bracket_inclusions():

@@ -692,12 +692,15 @@ def test_time_oracle_script_prints_one_json_line_per_table(tmp_path):
     # the oracle workload's tables: every 6th of the 120 with p <= 3
     tables = [wd for p in (1, 2, 3) for wd in enumerate_weight_data(p)][::6]
     assert [line["table"] for line in lines] == [wd.describe() for wd in tables]
-    keys = ["table", "feasible", "best_s", "restarts", "descend_calls", "steps"]
-    assert all(list(line) == keys and line["best_s"] > 0 for line in lines)
-    assert list(total) == ["tables", *keys[2:]] and total["tables"] == len(tables)
-    for key in keys[3:]:
+    keys = ["table", "feasible", "best_s", "first_s", "restarts", "descend_calls", "steps"]
+    assert all(list(line) == keys and 0 < line["best_s"] <= line["first_s"] for line in lines)
+    assert list(total) == ["tables", *keys[2:], "numpy_random_loaded"] and total["tables"] == len(tables)
+    for key in keys[4:]:
         assert total[key] == sum(line[key] for line in lines)
-    assert total["best_s"] == pytest.approx(sum(line["best_s"] for line in lines), abs=1e-6)
+    for key in ("best_s", "first_s"):
+        assert total[key] == pytest.approx(sum(line[key] for line in lines), abs=1e-6)
+    # the starting points are drawn without numpy's Generator
+    assert total["numpy_random_loaded"] is False
     # the restarts that ran, and the benchmark's traced numeric.restarts and
     # numeric.iterations; the two tables without unknowns run no restart
     assert (total["restarts"], total["descend_calls"], total["steps"]) == (52, 18, 409)

@@ -130,7 +130,7 @@ def test_descents_end_within_fifty_iterations():
     for wd in CRITERION_6_TABLES:
         problem = numeric._Problem(wd)
         for k in range(3):
-            v = numeric._random_point(problem, np.random.default_rng([7, k]))
+            v = numeric._random_point(problem, 7, k)
             run = numeric._descend(problem, v[None], 100_000, 1e-10)
             iters, reason = run.steps[0], run.reasons[0]
             assert iters <= 50 and reason != numeric.MAX_ITER, (wd.describe(), k)
@@ -160,7 +160,7 @@ LANE_CASES = [
 
 
 def _starts(problem, count, seed=5):
-    return np.array([numeric._random_point(problem, np.random.default_rng([seed, k])) for k in range(count)])
+    return np.array([numeric._random_point(problem, seed, k) for k in range(count)])
 
 
 def _alone(problem, starts, max_iter):
@@ -439,7 +439,7 @@ def test_flat_kernel_matches_reference_on_oracle_tables():
     for wd in ORACLE_TABLES:
         problem, reference = numeric._Problem(wd), ref.Problem(wd)
         for k in range(3):
-            v = numeric._random_point(problem, np.random.default_rng([7, k]))
+            v = numeric._random_point(problem, 7, k)
             start = ref.random_point(reference, np.random.default_rng([7, k]))
             assert v.tobytes() == problem.flatten(start).tobytes()
             _assert_same_point(problem, reference, v)
@@ -526,6 +526,18 @@ def test_selftest_checks_never_import_numpy_random():
         "print('numpy.random' in sys.modules, 'geodesy.numeric' in sys.modules)\n"
     )
     assert out == "False True\n"
+
+
+def test_oracle_never_imports_numpy_random():
+    # minimize's starts come from geodesy.normals, not from numpy's Generator
+    out = _child(
+        "import contextlib, io, sys\n"
+        "from geodesy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "    code = cli.run(['oracle', '2'])\n"
+        "print(code, 'final residual' in text.getvalue(), 'numpy.random' in sys.modules)\n"
+    )
+    assert out == "0 True False\n"
 
 
 def test_gradient_check_draws_do_not_depend_on_the_hash_seed():
