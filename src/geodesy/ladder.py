@@ -403,15 +403,11 @@ def _verdict(system: SectorSystem, forced: set, firings: List[Firing], contradic
                 detail=f"equation at {side} weight {w} is not a single "
                 f"Gram term ({len(live)} terms, right side {rhs})",
             )
+        # with no contradiction from _fire, one live term never stands alone
+        # on a zero right side (R3) and has the sign of a nonzero one (R1,
+        # R2), so sign * rhs > 0
         sign, key, flavor = live[0]
-        a = sign * rhs
-        if a <= 0:
-            return Verdict(
-                "unresolved",
-                sector,
-                detail=f"equation at {side} weight {w} normalizes to a non-positive Gram multiple {a}",
-            )
-        singles.setdefault(key, {})[flavor] = (a, dim)
+        singles.setdefault(key, {})[flavor] = (sign * rhs, dim)
 
     terminal: List[TerminalBlock] = []
     for label, occ in sorted((block_label(*key), occ) for key, occ in singles.items()):

@@ -33,7 +33,7 @@ size moved copies of a point as the lanes of one call.  On the
 benchmark's ``oracle`` tables (17 of 20 run three restarts to the end) a
 pass of criterion 6's ``minimize`` calls takes about 26-28 ms in process
 once warm, and 29-31 ms when each table's call is the first in its
-process (``scripts/time_oracle.py --repeat 5``, 2 cores, Python 3.11.7).
+process (``scripts/measure.py oracle``, 2 cores, Python 3.11.7).
 
 Starting points are seeded normals placed by ``_Problem.draws``.  Restart
 k of ``minimize`` draws them from ``normals.standard_normal([seed, k],
@@ -78,9 +78,11 @@ LANES = 32
 LANE_ENTRIES = 8192
 
 # why a descent stopped
-GRAD_TOL = "grad_tol"  # the gradient norm fell below the tolerance
+GRAD_TOL = "grad_tol"  # the gradient norm fell below GRADIENT_FLOOR
 NO_DECREASE = "no_decrease"  # the exact step along the gradient does not lower the residual
 MAX_ITER = "max_iter"  # the iteration budget ran out
+
+GRADIENT_FLOOR = 1e-10  # the gradient norm below which minimize's descents stop
 
 
 @dataclass
@@ -383,7 +385,6 @@ def minimize(
     restarts: int,
     seed: int,
     max_iter: int = 100_000,
-    grad_tol: float = 1e-10,
     target: Optional[float] = None,
 ) -> ResidualReport:
     """Best structured point over seeded multistart gradient descent.
@@ -424,7 +425,7 @@ def minimize(
     for first in range(0, restarts, batch):
         ks = range(first, min(first + batch, restarts))
         starts = np.array([_random_point(problem, seed, k) for k in ks])
-        run = _descend(problem, starts, max_iter, grad_tol)
+        run = _descend(problem, starts, max_iter, GRADIENT_FLOOR)
         for k, v, value, iters in zip(ks, run.points, run.values, run.steps):
             if value < best_value:
                 best, best_value, best_iters, best_restart = v, value, iters, k

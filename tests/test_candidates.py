@@ -383,3 +383,6 @@ def test_lift_rejects_infeasible_results():
     result = classify_weight_data(WeightData({-1: 1}, {1: 1}))
     with pytest.raises(WitnessError):
         lift_classification(result)
+    # feasible, but its plus and minus parts differ in dimension, so it is no su(p,p) table
+    with pytest.raises(WitnessError, match="lift needs equal block dimensions"):
+        lift_classification(classify_weight_data(WeightData({0: 2}, {0: 1})))

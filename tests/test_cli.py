@@ -321,6 +321,17 @@ def test_classify_exits_3_on_a_top_window_that_is_not_infeasible(tmp_path, monke
     assert not target.exists()
 
 
+def test_classify_exits_1_on_a_violated_classification(monkeypatch):
+    import geodesy.cli as cli_mod
+    from geodesy.ladder import TheoremViolation
+
+    def violated(p):
+        raise TheoremViolation("a feasible table is not totally geodesic")
+
+    monkeypatch.setattr(cli_mod, "verify_theorem", violated)
+    assert _run(["classify", "1"]) == (1, "", "error: classification violated: a feasible table is not totally geodesic\n")
+
+
 def test_classify_unwritable_certificate_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("not a directory")
@@ -365,9 +376,9 @@ def test_oracle_malformed_pattern(capsys):
     assert capsys.readouterr() == ("", "error: give either p or --plus/--minus\n")
 
 
-@pytest.mark.parametrize("plus", ["true:1", "1.5:1", "1:0", "1:1,0:0"])
+@pytest.mark.parametrize("plus", ["true:1", "1.5:1", "1:0", "1:1,0:0", "1:1,1:1"])
 def test_oracle_rejects_bad_weight_lists(plus, capsys):
-    # a bool or non-integer weight, or a multiplicity below 1
+    # a bool or non-integer weight, a multiplicity below 1, or a weight given twice
     assert run(["oracle", "--plus", plus, "--minus", "-1:1", "--restarts", "1", "--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -514,11 +525,13 @@ def _run(argv):
         ["oracle", "1", "--restarts", "3.0"],
         ["oracle", "1", "--seed", "x"],
         ["classify", "9" * 5000],  # more digits than int() converts
+        ["oracle", "1", "--restarts", "0"],
     ],
     ids=[
         "no_command", "unknown_command", "unknown_option", "missing_value", "missing_value_before_option",
         "missing_value_at_end", "missing_positional", "missing_path", "extra_positional", "extra_positional_selftest",
         "flag_with_value", "bad_integer", "bad_integer_option", "bad_integer_seed", "huge_integer",
+        "restarts_0",
     ],
 )
 def test_usage_error_returns_2_with_one_error_line(argv):
@@ -603,42 +616,50 @@ def test_help_prints_usage_and_returns_0(command, flag):
     assert all(name in out for name in names)
 
 
-def test_run_classification_script_matches_classify(tmp_path):
-    # the script archives what `classify p --json` prints and the files that
-    # `classify p --emit-certs` writes, for every p up to --max-p
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", "3"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert script.returncode == 0, script.stderr
-    results = tmp_path / "results"
-    assert sorted(f.name for f in results.iterdir()) == [
-        f"{kind}_p{p}{ext}" for kind, ext in (("certificates", ""), ("summary", ".json")) for p in (1, 2, 3)
-    ]
+def test_classify_json_with_certificates_prints_and_writes_what_each_alone_does(tmp_path):
+    # `classify p --json --emit-certs DIR > summary_p.json` archives a rank:
+    # the summary `classify p --json` prints and the files `classify p
+    # --emit-certs` writes
     for p in (1, 2, 3):
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            assert run(["classify", str(p), "--json"]) == 0
-        assert (results / f"summary_p{p}.json").read_text(encoding="utf-8") == out.getvalue()
-        emitted = tmp_path / f"emitted_p{p}"
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert run(["classify", str(p), "--emit-certs", str(emitted)]) == 0
-        archived = results / f"certificates_p{p}"
+        both, emitted = tmp_path / f"both_p{p}", tmp_path / f"emitted_p{p}"
+        code, out, _ = _run(["classify", str(p), "--json", "--emit-certs", str(both)])
+        assert (code, out) == _run(["classify", str(p), "--json"])[:2]
+        assert _run(["classify", str(p), "--emit-certs", str(emitted)])[0] == 0
         names = sorted(f.name for f in emitted.iterdir())
-        assert names and sorted(f.name for f in archived.iterdir()) == names
+        assert names and sorted(f.name for f in both.iterdir()) == names
         for name in names:
-            assert (archived / name).read_bytes() == (emitted / name).read_bytes()
+            assert (both / name).read_bytes() == (emitted / name).read_bytes()
 
 
-def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "time_ranks.py"), "3", "4", "--repeat", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+@pytest.mark.parametrize("argv", [["classify", "2", "--json"], ["selftest"]])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv):
+    # the reader is gone before the first write, as in `geodesy ... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(BUNDLED.parent / "src")}
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "from geodesy.cli import main; main()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: cannot write to stdout: ") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
+
+
+MEASURE = BUNDLED.parent / "scripts" / "measure.py"
+
+
+def _measure(tmp_path, *args):
+    """Run scripts/measure.py with args, from tmp_path."""
+    env = {**os.environ, "PYTHONPATH": str(BUNDLED.parent / "src")}
+    return subprocess.run([sys.executable, str(MEASURE), *args], capture_output=True, text=True, cwd=tmp_path, env=env)
+
+
+def test_measure_ranks_prints_one_json_line_per_rank(tmp_path):
+    script = _measure(tmp_path, "--repeat", "1", "ranks", "3", "4")
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
     assert [(line["p"], line["derived_systems"]) for line in lines] == [(3, 80), (4, 86)]
@@ -649,13 +670,8 @@ def test_time_ranks_script_prints_one_json_line_per_rank(tmp_path):
     assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
 
 
-def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "time_exact.py"), "--seed", "3", "--repeat", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+def test_measure_exact_prints_one_json_line_per_phase(tmp_path):
+    script = _measure(tmp_path, "--repeat", "1", "exact", "--seed", "3")
     assert script.returncode == 0, script.stderr
     lines = [json.loads(line) for line in script.stdout.splitlines()]
     # the output ends with one total per phase, in the order phases first appear
@@ -680,13 +696,8 @@ def test_time_exact_script_prints_one_json_line_per_phase(tmp_path):
     assert [line["check"] for line in lines if line["phase"] == "selftest"] == [name for name, _ in CHECKS]
 
 
-def test_time_oracle_script_prints_one_json_line_per_table(tmp_path):
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "time_oracle.py"), "--repeat", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+def test_measure_oracle_prints_one_json_line_per_table(tmp_path):
+    script = _measure(tmp_path, "--repeat", "1", "oracle")
     assert script.returncode == 0, script.stderr
     *lines, total = [json.loads(line) for line in script.stdout.splitlines()]
     # the oracle workload's tables: every 6th of the 120 with p <= 3
@@ -710,13 +721,17 @@ def test_time_oracle_script_prints_one_json_line_per_table(tmp_path):
             assert line["descend_calls"] == (line["restarts"] if line["feasible"] else 1)
 
 
-def test_time_cli_script_prints_one_json_line(tmp_path):
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "time_cli.py"), "classify", "2", "--json", "--repeat", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+def test_measure_certify_prints_the_audit_and_each_layer(tmp_path):
+    script = _measure(tmp_path, "--repeat", "1", "certify")
+    assert script.returncode == 0, script.stderr
+    audit, *layers = [json.loads(line) for line in script.stdout.splitlines()]
+    assert list(audit) == ["files", "best_s"] and audit["files"] == 533 and audit["best_s"] > 0
+    assert [line["layer"] for line in layers] == ["read", "parse", "digest", "derive", "replay", "witness", "lift"]
+    assert all(list(line) == ["layer", "best_s"] and line["best_s"] > 0 for line in layers)
+
+
+def test_measure_cli_prints_one_json_line(tmp_path):
+    script = _measure(tmp_path, "--repeat", "1", "cli", "classify", "2", "--json")
     assert script.returncode == 0, script.stderr
     (line,) = [json.loads(line) for line in script.stdout.splitlines()]
     phases = ["import_s", "first_run_s", "second_run_s"]
@@ -728,48 +743,42 @@ def test_time_cli_script_prints_one_json_line(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["classify", "2", "--repeat", "0"], "error: --repeat takes a count of at least 1, got '0'"),
-        (["--repeat", "1"], "usage: time_cli.py [--repeat N] ARGV..."),
+        (["--repeat", "0", "cli", "classify", "2"], "--repeat must be at least 1"),
+        (["--repeat", "1", "cli"], "cli needs a geodesy command line"),
     ],
     ids=["repeat_0", "no_argv"],
 )
-def test_time_cli_script_exits_2_on_a_usage_error(tmp_path, args, message):
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "time_cli.py"), *args],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert (script.returncode, script.stdout, script.stderr) == (2, "", message + "\n")
-
-
-@pytest.mark.parametrize("max_p", [0, MAX_CERT_P + 1])
-def test_run_classification_script_refuses_a_rank_classify_refuses(tmp_path, max_p):
-    # the script writes certificates, so it stops where --emit-certs does
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", str(max_p)],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert script.returncode == 2
-    assert f"--max-p must be between 1 and {MAX_CERT_P}" in script.stderr
-    assert script.stdout == "" and not (tmp_path / "results").exists()
-
-
-def test_run_classification_script_reports_an_unwritable_directory(tmp_path):
-    # --out names a file: one error line and exit 2, as classify --emit-certs
-    root = BUNDLED.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    taken = tmp_path / "taken"
-    taken.write_text("not a directory")
-    script = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_classification.py"), "--max-p", "1", "--out", str(taken)],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+def test_measure_exits_2_on_a_usage_error(tmp_path, args, message):
+    script = _measure(tmp_path, *args)
     assert (script.returncode, script.stdout) == (2, "")
-    assert len(script.stderr.splitlines()) == 1 and script.stderr.startswith(f"error: cannot write to {taken}: ")
-    assert taken.read_text() == "not a directory"
+    assert script.stderr.startswith("usage: measure.py ") and script.stderr.endswith(f"measure.py: error: {message}\n")
+
+
+# Run measure.py as __main__ in a fresh interpreter, then list the numpy and
+# geodesy modules that process loaded.
+IMPORT_PROBE = """
+import json, runpy, sys
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "geodesy"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [(["ranks", "3"], ["geodesy", "geodesy.ladder", "geodesy.weights"]), (["cli", "classify", "1"], [])],
+    ids=["ranks", "cli"],
+)
+def test_measure_commands_import_only_what_they_measure(tmp_path, args, loaded):
+    # ranks' peak_rss_mb holds no numpy, and cli's parent process no geodesy module
+    env = {**os.environ, "PYTHONPATH": str(BUNDLED.parent / "src")}
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(MEASURE), "--repeat", "1", *args],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout.splitlines()[-1]) == loaded
+
 
 def run_make_candidates(tmp_path, *args):
     """Run a copy of scripts/make_candidates.py under tmp_path/scripts, which

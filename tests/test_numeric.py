@@ -60,6 +60,8 @@ def test_perturbation_is_second_order():
 def test_gradient_matches_finite_differences():
     for wd in (STANDARD2, WeightData({3: 1, 1: 1}, {-1: 1, -3: 1})):
         assert gradient_check(wd, seed=5, points=10) < 1e-5
+    # a table without unknowns has no gradient to check
+    assert gradient_check(WeightData({0: 2}, {0: 2}), seed=1) == 0.0
 
 
 def test_minimize_feasible_pattern():
