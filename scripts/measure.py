@@ -11,8 +11,10 @@ untimed run.  Each command imports only what it measures, so
 ``peak_rss_mb`` holds no module it does not use.
 
 ranks P...    per rank: verify_theorem(p), the peak RSS so far in MB (give
-              ranks in ascending order), the systems derived, head keys
-              decided, sectors walked in full and sums of irreducibles read.
+              ranks in ascending order) and the peak before the first rank
+              (the interpreter, the script's compilation and the imports),
+              the systems derived, head keys decided, sectors walked in
+              full and sums of irreducibles read.
 exact [--seed S]
               the ``exact`` workload's phases: each selftest check; parse,
               check_conditions, equivariance_test and report of each seeded
@@ -98,6 +100,7 @@ def ranks(repeat: int, ps: list) -> None:
             yield entry
 
     fields = ["derived_systems", "head_keys", "head_windows", "head_supports", "walked_sectors", "walked_sums"]
+    base_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
     for p in ps:
         best, _, _ = timed(repeat, lambda: ladder.verify_theorem(p))
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
@@ -109,7 +112,7 @@ def ranks(repeat: int, ps: list) -> None:
             (ladder, "iter_spectra", walked),
         ):
             ladder.verify_theorem(p)
-        emit({"p": p, "best_s": best, "peak_rss_mb": round(peak_mb, 1), **calls})
+        emit({"p": p, "best_s": best, "peak_rss_mb": round(peak_mb, 1), "base_rss_mb": round(base_mb, 1), **calls})
 
 
 def exact(repeat: int, seed: int) -> None:

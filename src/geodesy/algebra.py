@@ -1,4 +1,4 @@
-"""Structure of su(1,1) and su(p,p) as matrix Lie algebras.
+"""Structure of su(p,p) as a matrix Lie algebra.
 
 su(p,p) is realized with respect to the indefinite form J = diag(I_p, -I_p):
 
@@ -29,9 +29,8 @@ are members, and ``cartan_decompose`` marks them so without a test, as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .gaussmat import K_PART, P_PART, THETA, GaussMatrix, I, _is_signed_adjoint, _member, _signed, bracket, in_u_pp
+from .gaussmat import K_PART, P_PART, THETA, GaussMatrix, _is_signed_adjoint, _member, _signed, in_u_pp
 
 
 class MembershipError(ValueError):
@@ -116,66 +115,3 @@ def complex_structure(p_elem: GaussMatrix, shape: SuPQShape) -> GaussMatrix:
     return GaussMatrix._from_ints(
         p_elem.rows, p_elem.cols, p_elem.den, _signed(im, p, (0, -1, 1, 0)), _signed(re, p, (0, 1, -1, 0)), reduced=True
     )
-
-
-class Su11Basis:
-    """The fixed 2x2 basis of su(1,1) and of its complexification sl(2,C).
-
-    u = (0 1; 1 0), v = (0 i; -i 0), w = (i 0; 0 -i) span the real form;
-    x = (u - iv)/2, y = (u + iv)/2, h = -i w form the usual sl(2) triple
-    with [h,x] = 2x, [h,y] = -2y, [x,y] = h.  The bracket tables are
-    verified on construction, so a corrupted build fails immediately.
-    """
-
-    def __init__(self):
-        self.u = GaussMatrix([[0, 1], [1, 0]])
-        self.v = GaussMatrix([[0, 1j], [-1j, 0]])
-        self.w = GaussMatrix([[1j, 0], [0, -1j]])
-        half = Fraction(1, 2)
-        self.x = (self.u - self.v * I) * half
-        self.y = (self.u + self.v * I) * half
-        self.h = self.w * (-I)
-        table = [
-            (bracket(self.w, self.u), self.v * 2),
-            (bracket(self.w, self.v), self.u * (-2)),
-            (bracket(self.u, self.v), self.w * (-2)),
-            (bracket(self.h, self.x), self.x * 2),
-            (bracket(self.h, self.y), self.y * (-2)),
-            (bracket(self.x, self.y), self.h),
-        ]
-        for got, want in table:
-            if got != want: raise AssertionError("su(1,1) bracket table failed at construction")
-
-
-_BASIS = None
-
-
-def su11_basis() -> Su11Basis:
-    global _BASIS
-    if _BASIS is None:
-        _BASIS = Su11Basis()
-    return _BASIS
-
-
-def check_kH_irreducible() -> bool:
-    """Confirm that ad(w) acts on span{u, v} with no real eigenvector.
-
-    The matrix of ad(w) in the (u, v) coordinates is computed from exact
-    brackets; irreducibility of the 2-dimensional real representation is
-    equivalent to its characteristic polynomial having no real root.
-    """
-    basis = su11_basis()
-
-    def coords(m: GaussMatrix):
-        # an element a*u + b*v has upper-right entry a + b*i
-        z = m[0, 1]
-        return (z.re, z.im)
-
-    col_u = coords(bracket(basis.w, basis.u))
-    col_v = coords(bracket(basis.w, basis.v))
-    trace = col_u[0] + col_v[1]
-    det = col_u[0] * col_v[1] - col_v[0] * col_u[1]
-    if col_u == (0, 0) and col_v == (0, 0):
-        return False
-    discriminant = trace * trace - 4 * det
-    return discriminant < 0

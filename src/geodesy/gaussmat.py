@@ -68,15 +68,13 @@ class GaussRational:
 
     @classmethod
     def of(cls, value) -> "GaussRational":
-        """Coerce an int, Fraction, complex with integral parts, or pair."""
+        """Coerce an int, Fraction or complex with integral parts."""
         if isinstance(value, GaussRational):
             return value
         if isinstance(value, (int, Fraction)):
             return cls(value)
         if isinstance(value, complex):
             return cls(_as_fraction(value.real), _as_fraction(value.imag))
-        if isinstance(value, tuple) and len(value) == 2:
-            return cls(value[0], value[1])
         raise TypeError(f"cannot coerce {value!r} to GaussRational")
 
     @classmethod
@@ -179,7 +177,7 @@ class GaussRational:
 
 I = GaussRational(0, 1)
 
-Entry = Union[GaussRational, int, Fraction, complex, tuple]
+Entry = Union[GaussRational, int, Fraction, complex]
 
 
 def _pack(entries: Sequence[GaussRational]) -> tuple:

@@ -448,9 +448,10 @@ def minimize(
     )
 
 
-def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e-6) -> float:
-    """Worst relative disagreement between the analytic gradient and
-    central finite differences over random structured points.
+def gradient_check(wd: WeightData, seed: int, points: int = 10) -> float:
+    """The worst relative distance, over the first ``points`` points drawn
+    for seed, between the analytic gradient and central differences of
+    step 1e-6.
 
     Point k is drawn from ``random.Random("seed 7919 k")`` (module
     docstring).  The 4 * size points that move one entry by +-step and by
@@ -458,7 +459,7 @@ def gradient_check(wd: WeightData, seed: int, points: int = 10, step: float = 1e
     problem = _Problem(wd)
     if not problem.blocks:
         return 0.0
-    size = problem.size
+    size, step = problem.size, 1e-6
     lanes, entries = np.arange(4 * size), np.repeat(np.arange(size), 4)
     shifts = [step * direction for direction in (1.0, -1.0, 1.0j, -1.0j)]
     worst = 0.0

@@ -8,7 +8,7 @@ numerator in [-SPAN, SPAN], its denominator in [1, MAX_DEN], then the
 imaginary numerator and its denominator; a matrix draws its entries row
 by row.  The numerators are brought straight over ``DEN``, the lcm of
 every denominator that can be drawn, and the matrix is reduced once.
-Skew-Hermitian, k and p elements are assembled from these integers.  The
+The k and p elements are assembled from these integers.  The
 k, p and su(p,p) elements are members of u(p,p) by construction, so they
 carry the member mark (``gaussmat._member``) and ``bracket`` never tests
 them.
@@ -51,10 +51,6 @@ def _skew(rng: random.Random, n: int) -> tuple:
 def matrix(rng: random.Random, rows: int, cols: int | None = None) -> GaussMatrix:
     cols = rows if cols is None else cols
     return GaussMatrix._from_ints(rows, cols, DEN, *_draw(rng, rows * cols))
-
-
-def skew_hermitian(rng: random.Random, n: int) -> GaussMatrix:
-    return GaussMatrix._from_ints(n, n, 2 * DEN, *_skew(rng, n))
 
 
 def su_pp(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
@@ -110,9 +106,10 @@ def invertible(rng: random.Random, n: int) -> GaussMatrix:
             continue
 
 
-def integer_diagonalizable(rng: random.Random, n: int, spread: int = 2):
-    """A matrix with known integer spectrum: S diag(d) S^-1, plus the spectrum."""
-    diag = [rng.randint(-spread, spread) for _ in range(n)]
+def integer_diagonalizable(rng: random.Random, n: int):
+    """A matrix with known integer spectrum: S diag(d) S^-1 for d drawn
+    from [-2, 2], plus the spectrum."""
+    diag = [rng.randint(-2, 2) for _ in range(n)]
     s = invertible(rng, n)
     a = s @ GaussMatrix.diagonal(diag) @ s.inverse()
     spectrum: dict = {}

@@ -8,19 +8,13 @@ failure by name.  All randomness is seeded, so repeated runs are identical.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import sampling
-from .algebra import (
-    SuPQShape,
-    cartan_decompose,
-    cartan_involution,
-    check_kH_irreducible,
-    complex_structure,
-    su11_basis,
-)
-from .candidates import lift_classification
-from .checker import check_conditions, equivariance_test
+from .algebra import SuPQShape, cartan_decompose, cartan_involution, complex_structure
+from .candidates import embedding_with_rank, lift_classification
+from .checker import check_conditions, equivariance_test, violated_brackets
 from .gaussmat import GaussMatrix, I, bracket, char_poly, eigenprojections, integer_spectrum, poly_eval
 from .ladder import _head_status, classify_weight_data, head_keys, replay_certificate, verify_witness
 from .numeric import gradient_check
@@ -32,16 +26,29 @@ def _shapes(count: int):
 
 
 def check_bracket_table() -> None:
-    basis = su11_basis()
-    if bracket(basis.w, basis.u) != basis.v * 2: raise AssertionError
-    if bracket(basis.w, basis.v) != basis.u * (-2): raise AssertionError
-    if bracket(basis.u, basis.v) != basis.w * (-2): raise AssertionError
-    if basis.h != basis.w * (-I): raise AssertionError
-    if not check_kH_irreducible(): raise AssertionError
+    """su(1,1)'s basis u, v, w is the image of the rank-1 standard
+    embedding, and ``check``'s own bracket table (``violated_brackets``)
+    holds on it.  Over C, x = (u - iv)/2, y = (u + iv)/2 and h = -iw form
+    the sl(2) triple: [h,x] = 2x, [h,y] = -2y, [x,y] = h.  ad(w) acts on
+    span{u, v} with no real eigenvector: its matrix in the (u, v)
+    coordinates, read off the upper-right entry a + bi of a*u + b*v, has a
+    characteristic polynomial with no real root."""
+    c = embedding_with_rank(1, 1)
+    broken = violated_brackets(c)
+    if broken: raise AssertionError(f"bracket {', '.join(broken)} violated")
+    u, v, w = c.f_u, c.f_v, c.f_w
+    half = Fraction(1, 2)
+    x, y, h = (u - v * I) * half, (u + v * I) * half, w * (-I)
+    if bracket(h, x) != x * 2: raise AssertionError("[h,x] = 2x violated")
+    if bracket(h, y) != y * (-2): raise AssertionError("[h,y] = -2y violated")
+    if bracket(x, y) != h: raise AssertionError("[x,y] = h violated")
+    wu, wv = bracket(w, u)[0, 1], bracket(w, v)[0, 1]
+    trace, det = wu.re + wv.im, wu.re * wv.im - wv.re * wu.im
+    if not trace * trace < 4 * det: raise AssertionError("ad(w) has a real eigenvector on span{u, v}")
 
 
-def check_jacobi(samples: int = 100, seed: int = 101) -> None:
-    rng = random.Random(seed)
+def check_jacobi(samples: int = 100) -> None:
+    rng = random.Random(101)
     for shape in _shapes(samples):
         a = sampling.su_pp(rng, shape)
         b = sampling.su_pp(rng, shape)
@@ -54,8 +61,8 @@ def check_jacobi(samples: int = 100, seed: int = 101) -> None:
         if not total.is_zero(): raise AssertionError("Jacobi identity failed")
 
 
-def check_antisymmetry(samples: int = 100, seed: int = 102) -> None:
-    rng = random.Random(seed)
+def check_antisymmetry(samples: int = 100) -> None:
+    rng = random.Random(102)
     for shape in _shapes(samples):
         a = sampling.su_pp(rng, shape)
         b = sampling.su_pp(rng, shape)
@@ -63,8 +70,8 @@ def check_antisymmetry(samples: int = 100, seed: int = 102) -> None:
         if not bracket(a, a).is_zero(): raise AssertionError
 
 
-def check_involution(samples: int = 100, seed: int = 103) -> None:
-    rng = random.Random(seed)
+def check_involution(samples: int = 100) -> None:
+    rng = random.Random(103)
     for shape in _shapes(samples):
         a = sampling.su_pp(rng, shape)
         b = sampling.su_pp(rng, shape)
@@ -74,8 +81,8 @@ def check_involution(samples: int = 100, seed: int = 103) -> None:
         if got != want: raise AssertionError("involution is not an automorphism")
 
 
-def check_cartan_inclusions(samples: int = 100, seed: int = 104) -> None:
-    rng = random.Random(seed)
+def check_cartan_inclusions(samples: int = 100) -> None:
+    rng = random.Random(104)
     for shape in _shapes(samples):
         k1 = sampling.k_part(rng, shape)
         k2 = sampling.k_part(rng, shape)
@@ -86,8 +93,8 @@ def check_cartan_inclusions(samples: int = 100, seed: int = 104) -> None:
         if not cartan_decompose(bracket(p1, p2), shape).p_part.is_zero(): raise AssertionError("[p,p] left k")
 
 
-def check_complex_structure(samples: int = 100, seed: int = 105) -> None:
-    rng = random.Random(seed)
+def check_complex_structure(samples: int = 100) -> None:
+    rng = random.Random(105)
     for shape in _shapes(samples):
         a = sampling.p_part(rng, shape)
         if complex_structure(complex_structure(a, shape), shape) != -a: raise AssertionError
@@ -97,16 +104,16 @@ def check_complex_structure(samples: int = 100, seed: int = 105) -> None:
         if got != want: raise AssertionError("complex structure does not commute with the center")
 
 
-def check_cayley_hamilton(samples: int = 100, seed: int = 106) -> None:
-    rng = random.Random(seed)
+def check_cayley_hamilton(samples: int = 100) -> None:
+    rng = random.Random(106)
     for i in range(samples):
         n = 1 + (i % 6)
         a = sampling.matrix(rng, n)
         if not poly_eval(char_poly(a), a).is_zero(): raise AssertionError("Cayley-Hamilton failed")
 
 
-def check_eigenprojections(samples: int = 100, seed: int = 107) -> None:
-    rng = random.Random(seed)
+def check_eigenprojections(samples: int = 100) -> None:
+    rng = random.Random(107)
     for i in range(samples):
         n = 2 + (i % 3)
         a, expected = sampling.integer_diagonalizable(rng, n)
@@ -124,8 +131,8 @@ def check_eigenprojections(samples: int = 100, seed: int = 107) -> None:
         if total != GaussMatrix.identity(n): raise AssertionError("projectors do not resolve the identity")
 
 
-def check_certificate_replay(p: int = 2) -> None:
-    for wd in enumerate_weight_data(p):
+def check_certificate_replay() -> None:
+    for wd in enumerate_weight_data(2):
         result = classify_weight_data(wd)
         for system, verdict in (
             (result.odd_system, result.odd),
@@ -139,8 +146,8 @@ def check_certificate_replay(p: int = 2) -> None:
                 raise AssertionError(f"unresolved verdict for {wd.describe()}")
 
 
-def check_witness_lift(p: int = 2) -> None:
-    for wd in enumerate_weight_data(p):
+def check_witness_lift() -> None:
+    for wd in enumerate_weight_data(2):
         result = classify_weight_data(wd)
         if result.status != "feasible":
             continue
@@ -165,14 +172,14 @@ def check_head_keys() -> None:
     if (feasible, len(supports)) != (6, 80): raise AssertionError(f"{feasible} of {len(supports)} small supports are feasible")
 
 
-def check_oracle_gradient(tol: float = 1e-5) -> None:
+def check_oracle_gradient() -> None:
     patterns = [
         WeightData({1: 2}, {-1: 2}),
         WeightData({3: 1, 1: 1}, {-1: 1, -3: 1}),
     ]
     for wd in patterns:
         err = gradient_check(wd, seed=11, points=3)
-        if not err < tol: raise AssertionError(f"gradient mismatch {err} for {wd.describe()}")
+        if not err < 1e-5: raise AssertionError(f"gradient mismatch {err} for {wd.describe()}")
 
 
 CHECKS: List[Tuple[str, Callable[[], None]]] = [

@@ -74,26 +74,11 @@ class WeightData:
     def dim_minus(self) -> int:
         return sum(self.minus.values())
 
-    def total(self, w: int) -> int:
-        return self.plus.get(w, 0) + self.minus.get(w, 0)
-
     def all_weights(self) -> List[int]:
         return sorted(set(self.plus) | set(self.minus), reverse=True)
 
     def is_empty(self) -> bool:
         return not self.plus and not self.minus
-
-    def is_admissible(self) -> bool:
-        weights = self.all_weights()
-        if not weights:
-            return True
-        top = max(abs(w) for w in weights)
-        for w in range(0, top + 1):
-            if self.total(w) != self.total(-w):
-                return False
-            if self.total(w) < self.total(w + 2):
-                return False
-        return True
 
     def sector(self, parity: int) -> "WeightData":
         """Restriction to the weights of the given parity (0 even, 1 odd)."""

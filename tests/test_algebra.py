@@ -13,12 +13,11 @@ from geodesy.algebra import (
     SuPQShape,
     cartan_decompose,
     cartan_involution,
-    check_kH_irreducible,
     complex_structure,
     in_p_part,
     in_su_pp,
-    su11_basis,
 )
+from geodesy.candidates import embedding_with_rank
 from geodesy.gaussmat import U_PP, GaussMatrix, I, _is_signed_adjoint, bracket
 
 
@@ -28,17 +27,22 @@ def test_shape_validation():
         SuPQShape(0)
 
 
+def su11_images():
+    """su(1,1)'s basis u, v, w: the images of the rank-1 standard embedding."""
+    c = embedding_with_rank(1, 1)
+    return c.f_u, c.f_v, c.f_w
+
+
 def test_basis_constants():
-    basis = su11_basis()
-    assert basis.u == GaussMatrix([[0, 1], [1, 0]])
-    assert basis.v == GaussMatrix([[0, 1j], [-1j, 0]])
-    assert basis.w == GaussMatrix([[1j, 0], [0, -1j]])
+    u, v, w = su11_images()
+    assert u == GaussMatrix([[0, 1], [1, 0]])
+    assert v == GaussMatrix([[0, 1j], [-1j, 0]])
+    assert w == GaussMatrix([[1j, 0], [0, -1j]])
     half = Fraction(1, 2)
-    assert basis.x == (basis.u - basis.v * I) * half
-    assert basis.y == (basis.u + basis.v * I) * half
-    assert basis.h == basis.w * (-I)
-    assert basis.x == GaussMatrix([[0, 1], [0, 0]])
-    assert basis.h == GaussMatrix.diagonal([1, -1])
+    x, y, h = (u - v * I) * half, (u + v * I) * half, w * (-I)
+    assert x == GaussMatrix([[0, 1], [0, 0]])
+    assert y == GaussMatrix([[0, 0], [1, 0]])
+    assert h == GaussMatrix.diagonal([1, -1])
 
 
 def test_membership_examples():
@@ -67,11 +71,11 @@ def test_membership_trace_balance():
 
 def test_cartan_decompose_examples():
     shape = SuPQShape(1)
-    basis = su11_basis()
-    split = cartan_decompose(basis.w, shape)
-    assert split.k_part == basis.w and split.p_part.is_zero()
-    split_u = cartan_decompose(basis.u, shape)
-    assert split_u.k_part.is_zero() and split_u.p_part == basis.u
+    u, _, w = su11_images()
+    split = cartan_decompose(w, shape)
+    assert split.k_part == w and split.p_part.is_zero()
+    split_u = cartan_decompose(u, shape)
+    assert split_u.k_part.is_zero() and split_u.p_part == u
     with pytest.raises(MembershipError):
         cartan_decompose(GaussMatrix.diagonal([1, -1]), shape)
 
@@ -84,7 +88,7 @@ def test_su_pp_keeps_its_stream():
         shape = SuPQShape(p)
         for seed in range(200):
             rng, old = random.Random(seed), random.Random(seed)
-            a, b = sampling.skew_hermitian(old, p), sampling.skew_hermitian(old, p)
+            a, b = ref.skew_hermitian(old, p), ref.skew_hermitian(old, p)
             rows = [list(b.row(i)) for i in range(p)]
             rows[0][0] -= a.trace() + b.trace()
             b, z = GaussMatrix(rows), sampling.matrix(old, p)
@@ -175,11 +179,11 @@ def test_cartan_bracket_inclusions():
 
 def test_complex_structure_examples():
     shape = SuPQShape(1)
-    basis = su11_basis()
-    assert complex_structure(basis.u, shape) == basis.v
+    u, v, w = su11_images()
+    assert complex_structure(u, shape) == v
     assert complex_structure(GaussMatrix.zeros(2, 2), shape).is_zero()
     with pytest.raises(MembershipError):
-        complex_structure(basis.w, shape)
+        complex_structure(w, shape)
 
 
 def test_complex_structure_squares_to_minus_one():
@@ -203,11 +207,11 @@ def test_complex_structure_commutes_with_center():
 
 
 def test_rotation_action_has_no_real_eigenvector():
-    assert check_kH_irreducible()
+    selftest.check_bracket_table()
     # the action matrix itself, recomputed here: [w,u] = 2v, [w,v] = -2u
-    basis = su11_basis()
-    wu = bracket(basis.w, basis.u)
-    wv = bracket(basis.w, basis.v)
+    u, v, w = su11_images()
+    wu = bracket(w, u)
+    wv = bracket(w, v)
     assert (wu[0, 1].re, wu[0, 1].im) == (0, 2)
     assert (wv[0, 1].re, wv[0, 1].im) == (-2, 0)
     trace = 0 + 0
@@ -221,7 +225,10 @@ def test_rotation_action_has_no_real_eigenvector():
 SAMPLERS = {
     "matrix": lambda mod, rng, p: mod.matrix(rng, p),
     "matrix_wide": lambda mod, rng, p: mod.matrix(rng, p, p + 2),
-    "skew_hermitian": lambda mod, rng, p: mod.skew_hermitian(rng, p),
+    # the package draws skew-Hermitian blocks, for k_part, with _skew alone
+    "skew_hermitian": lambda mod, rng, p: (
+        ref.skew_hermitian(rng, p) if mod is ref else GaussMatrix._from_ints(p, p, 2 * mod.DEN, *mod._skew(rng, p))
+    ),
     "su_pp": lambda mod, rng, p: mod.su_pp(rng, SuPQShape(p)),
     "k_part": lambda mod, rng, p: mod.k_part(rng, SuPQShape(p)),
     "p_part": lambda mod, rng, p: mod.p_part(rng, SuPQShape(p)),

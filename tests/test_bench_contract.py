@@ -1,20 +1,29 @@
 """What the benchmark under bench/ and the scripts under scripts/ use of
 the package: every name they import or read off it, the functions that
-bench/tracing.py wraps, the constructors behind bench/exact_inputs.py and
-the certify workload's audit.  A change under src/ that breaks the
-benchmark fails here."""
+bench/tracing.py wraps, the selftest checks that take ``samples``, the
+constructors behind bench/exact_inputs.py and the certify workload's
+audit.  A change under src/ that breaks the benchmark fails here.
+
+Two scans keep the package free of what only tests use: every function
+and class it defines is named by the package, bench/ or scripts/, and
+every defaulted parameter is set by some caller, tests included."""
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from geodesy.candidates import load_candidate
+from geodesy.selftest import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
+PACKAGE = sorted((ROOT / "src" / "geodesy").glob("*.py"))
+USERS = [*PACKAGE, *sorted(BENCH.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.fixture
@@ -41,6 +50,19 @@ def test_exact_inputs_write_their_candidates(bench, tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(entry["file"] for entry in manifest)
     for entry in manifest:
         assert load_candidate(tmp_path / entry["file"]).shape.p == entry["p"]
+
+
+def test_exactly_the_sampled_checks_take_samples():
+    # bench/workloads.Exact passes samples only to a check whose signature
+    # shows it: a sampled check that lost it would run its 100 samples
+    # inside the timed exact pass
+    sampled = [
+        "jacobi identity", "bracket antisymmetry", "cartan involution automorphism", "cartan bracket inclusions",
+        "complex structure", "cayley-hamilton", "eigenprojections",
+    ]
+    for name, fn in CHECKS:
+        params = [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+        assert params == ([("samples", 100)] if name in sampled else []), name
 
 
 def test_minimize_hands_the_tracer_its_descent_steps(bench, monkeypatch, tmp_path):
@@ -141,3 +163,95 @@ def test_certify_audits_every_certificate(bench, tmp_path):
     problems = [op.check(op.run()) for op in certify.ops({}, tmp_path, tmp_path, {})]
     assert len(problems) == 1 + certify.TABLES
     assert problems == [None] * len(problems)
+
+
+# -- what only tests use stays out of the package
+
+
+def _trees(paths) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _names(node) -> Counter:
+    """How often node reads each name: as a name, an attribute, an imported
+    name or a string that is an identifier (bench/tracing.py lists the
+    functions it wraps as strings)."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.split(".")[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names[sub.value] += 1
+    return names
+
+
+def _definitions(node, prefix: str = ""):
+    """(qualified name, node) of each function and class defined in node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+
+
+def test_every_package_definition_is_named_outside_itself():
+    # special methods are called by the language, so they need no name
+    trees = _trees(USERS)
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    unnamed = [
+        f"{path.stem}.{qualified}"
+        for path in PACKAGE
+        for qualified, node in _definitions(trees[path])
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] <= _names(node)[node.name]
+    ]
+    assert unnamed == []
+
+
+def _calls(tree):
+    """(callee name, positional arguments or None after a *args, keyword names) of each call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, None if starred else len(node.args), {kw.arg for kw in node.keywords}
+
+
+def _defaulted(path: Path, tree):
+    """(label, callee names, parameter, positional index or None) of each
+    defaulted parameter of each function in tree.  A method's index does
+    not count self or cls, and a class's name calls its __init__."""
+    for qualified, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            continue
+        args = node.args
+        positional = [arg.arg for arg in (*args.posonlyargs, *args.args)]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        owner = qualified.split(".")[-2] if "." in qualified and not static else None
+        callees = {node.name, owner} if node.name == "__init__" else {node.name}
+        first, shift = len(positional) - len(args.defaults), 0 if owner is None else 1
+        for index, name in enumerate(positional[first:], first):
+            yield f"{path.stem}.{qualified}", callees, name, index - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{path.stem}.{qualified}", callees, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a default no caller overrides is a constant, and belongs in the body
+    calls = [call for tree in _trees([*USERS, *TESTS]).values() for call in _calls(tree)]
+    trees = _trees(PACKAGE)
+    unset = [
+        f"{label}({param})"
+        for path in PACKAGE
+        for label, callees, param, index in _defaulted(path, trees[path])
+        if not any(
+            name in callees and (param in keywords or index is not None and (count is None or count > index))
+            for name, count, keywords in calls
+        )
+    ]
+    assert unset == []

@@ -5,7 +5,7 @@ import pytest
 
 import kernel_reference as ref
 from geodesy import sampling
-from geodesy.algebra import SuPQShape, cartan_decompose, su11_basis
+from geodesy.algebra import SuPQShape, cartan_decompose
 from geodesy.candidates import diagonal_candidate, embedding_with_rank, lift_classification, standard_trivial_candidate
 from geodesy.checker import (
     EmbeddingCandidate,
@@ -18,11 +18,12 @@ from geodesy.checker import (
 from geodesy.gaussmat import GaussMatrix, I, NonIntegerSpectrum
 from geodesy.ladder import classify_weight_data
 from geodesy.weights import WeightData, enumerate_weight_data
+from weights_reference import is_admissible
 
 
 def identity_candidate() -> EmbeddingCandidate:
-    basis = su11_basis()
-    return EmbeddingCandidate(SuPQShape(1), f_u=basis.u, f_v=basis.v, f_w=basis.w)
+    # su(1,1) itself: its basis u, v, w is the rank-1 standard embedding
+    return embedding_with_rank(1, 1)
 
 
 def test_candidate_validation_rejects_non_members():
@@ -116,14 +117,14 @@ def test_perturbed_candidate_fails_brackets():
 def conjugated_identity_candidate() -> EmbeddingCandidate:
     # conjugation by a hyperbolic rotation of su(1,1): still a homomorphism,
     # but the image of w leaves the block-diagonal subalgebra
-    basis = su11_basis()
+    basis = identity_candidate()
     g = GaussMatrix([[Fraction(5, 4), Fraction(3, 4)], [Fraction(3, 4), Fraction(5, 4)]])
     g_inv = g.inverse()
     return EmbeddingCandidate(
         SuPQShape(1),
-        f_u=g @ basis.u @ g_inv,
-        f_v=g @ basis.v @ g_inv,
-        f_w=g @ basis.w @ g_inv,
+        f_u=g @ basis.f_u @ g_inv,
+        f_v=g @ basis.f_v @ g_inv,
+        f_w=g @ basis.f_w @ g_inv,
     )
 
 
@@ -139,9 +140,9 @@ def test_conjugated_candidate_is_homomorphism_but_fails_condition_1():
 def test_antiholomorphic_twist_fails_condition_3():
     # u -> u, v -> -v, w -> -w is an automorphism of su(1,1) that reverses
     # the complex structure; it must pass (1) and fail (3)
-    basis = su11_basis()
+    basis = identity_candidate()
     candidate = EmbeddingCandidate(
-        SuPQShape(1), f_u=basis.u, f_v=-basis.v, f_w=-basis.w
+        SuPQShape(1), f_u=basis.f_u, f_v=-basis.f_v, f_w=-basis.f_w
     )
     assert not violated_brackets(candidate)
     report = check_conditions(candidate)
@@ -203,7 +204,7 @@ def test_totally_geodesic_iff_raising_diagonal_blocks_vanish():
 def test_accepted_spectra_are_ladder_complete():
     for candidate in (identity_candidate(), diagonal_candidate(3), standard_trivial_candidate(2)):
         spectrum = check_conditions(candidate).h_spectrum
-        assert spectrum.is_admissible()
+        assert is_admissible(spectrum)
 
 
 def test_weight_operator_and_analysis():

@@ -667,7 +667,7 @@ def test_measure_ranks_prints_one_json_line_per_rank(tmp_path):
         (68, 12, 11), (68, 18, 15)
     ]
     assert [(line["head_windows"], line["head_supports"]) for line in lines] == [(27, 41), (27, 41)]
-    assert all(line["best_s"] > 0 and line["peak_rss_mb"] > 0 for line in lines)
+    assert all(line["best_s"] > 0 and 0 < line["base_rss_mb"] <= line["peak_rss_mb"] for line in lines)
 
 
 def test_measure_exact_prints_one_json_line_per_phase(tmp_path):
@@ -844,3 +844,16 @@ def test_selftest_names_first_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL jacobi identity" in out
     assert "first failing invariant: jacobi identity" in out
+
+
+def test_selftest_checks_the_bracket_table_that_check_applies(monkeypatch):
+    # a bracket broken only where check tests the table must stop selftest
+    # at its first check, not later when a lifted witness meets the checker
+    import geodesy.checker as checker
+    from geodesy.selftest import run_selftest
+
+    bracket = checker.bracket
+    monkeypatch.setattr(checker, "bracket", lambda a, b: bracket(a, b) * 3)
+    lines = []
+    assert run_selftest(lines.append) == "bracket table"
+    assert lines == ["FAIL bracket table: bracket [w,u]=2v, [w,v]=-2u, [u,v]=-2w violated"]

@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geodesy import sampling
-from geodesy.algebra import su11_basis
+from geodesy.candidates import embedding_with_rank
 from geodesy.gaussmat import (
     GaussMatrix,
     GaussRational,
+    I,
     NonIntegerSpectrum,
     NotSemisimple,
     bracket,
@@ -62,10 +63,19 @@ def test_lowest_terms_after_arithmetic():
 # -- brackets ----------------------------------------------------------
 
 
+def su11_and_sl2():
+    """su(1,1)'s basis u, v, w, read off the rank-1 standard embedding, and
+    the sl(2) triple x = (u - iv)/2, y = (u + iv)/2, h = -iw."""
+    c = embedding_with_rank(1, 1)
+    u, v, w = c.f_u, c.f_v, c.f_w
+    half = Fraction(1, 2)
+    return u, v, w, (u - v * I) * half, (u + v * I) * half, w * (-I)
+
+
 def test_bracket_on_basis():
-    basis = su11_basis()
-    assert bracket(basis.w, basis.u) == basis.v * 2
-    assert bracket(basis.x, basis.y) == basis.h
+    u, v, w, x, y, h = su11_and_sl2()
+    assert bracket(w, u) == v * 2
+    assert bracket(x, y) == h
 
 
 def test_bracket_self_vanishes():
@@ -119,8 +129,8 @@ def test_identity_is_the_diagonal_of_ones(n):
 def test_conj_transpose_examples():
     d = GaussMatrix.diagonal([1j, -1j])
     assert d.conj_transpose() == GaussMatrix.diagonal([-1j, 1j])
-    basis = su11_basis()
-    assert basis.x.conj_transpose() == basis.y
+    _, _, _, x, y, _ = su11_and_sl2()
+    assert x.conj_transpose() == y
 
 
 def test_conj_transpose_involution():

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from geodesy import gaussmat
-from geodesy.algebra import Su11Basis
 from geodesy.candidates import embedding_with_rank
 from geodesy.checker import EmbeddingCandidate, check_conditions, equivariance_test
-from geodesy.gaussmat import U_PP, GaussMatrix, GaussRational, _is_signed_adjoint, bracket, char_poly
+from geodesy.gaussmat import U_PP, GaussMatrix, GaussRational, I, _is_signed_adjoint, bracket, char_poly
 from geodesy.selftest import (
     check_antisymmetry,
     check_cartan_inclusions,
@@ -238,15 +237,25 @@ def test_bracket_marks_its_result_a_member_only_for_two_members(pair):
         assert m._u_pp is None or m._u_pp == _fresh_member(m)
 
 
+def _su11_and_sl2():
+    """su(1,1)'s basis u, v, w, read off the rank-1 standard embedding, and
+    the sl(2) triple x = (u - iv)/2, y = (u + iv)/2, h = -iw."""
+    c = embedding_with_rank(1, 1)
+    u, v, w = c.f_u, c.f_v, c.f_w
+    half = Fraction(1, 2)
+    return u, v, w, (u - v * I) * half, (u + v * I) * half, w * (-I)
+
+
 def test_the_sl2_triple_is_no_member_and_its_brackets_take_two_products():
-    basis = Su11Basis()
-    for a, b in ((basis.h, basis.x), (basis.h, basis.y), (basis.x, basis.y)):
+    u, v, w, x, y, h = _su11_and_sl2()
+    for a, b in ((h, x), (h, y), (x, y)):
         with _watch() as (_, products):
             c = bracket(a, b)
         assert products == [2] and c._u_pp is None
     # a bracket tests its second argument only after a member first one
-    assert [m._u_pp for m in (basis.h, basis.x, basis.y)] == [False, False, None]
-    assert [m._u_pp for m in (basis.u, basis.v, basis.w)] == [True] * 3
+    assert [m._u_pp for m in (h, x, y)] == [False, False, None]
+    # the embedding's members were tested when the candidate was built
+    assert [m._u_pp for m in (u, v, w)] == [True] * 3
 
 
 def test_every_remembered_membership_agrees_with_a_fresh_test():
@@ -254,7 +263,9 @@ def test_every_remembered_membership_agrees_with_a_fresh_test():
     # triple, and passing and broken candidates through the checker: no
     # matrix may remember a membership its numerators do not have
     with _watch() as (made, _):
-        Su11Basis()
+        _, _, _, x, y, h = _su11_and_sl2()
+        for a, b in ((h, x), (h, y), (x, y)):
+            bracket(a, b)
         checks = check_jacobi, check_antisymmetry, check_involution, check_cartan_inclusions, check_complex_structure
         for check in checks:
             check(samples=12)

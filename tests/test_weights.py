@@ -69,13 +69,13 @@ def test_readers_reject_what_they_used_to_coerce():
 
 
 def test_admissibility():
-    assert WeightData({1: 1}, {-1: 1}).is_admissible()
-    assert WeightData({0: 2}, {0: 2}).is_admissible()
-    assert not WeightData({3: 1}, {-1: 1}).is_admissible()  # not negation-symmetric
-    assert not WeightData({2: 1}, {-2: 1}).is_admissible()  # missing the weight-0 rung
-    assert not WeightData({2: 1}, {0: 1}).is_admissible()
-    assert WeightData({2: 1}, {0: 1, -2: 1}).is_admissible()
-    assert WeightData({}, {}).is_admissible()
+    assert ref.is_admissible(WeightData({1: 1}, {-1: 1}))
+    assert ref.is_admissible(WeightData({0: 2}, {0: 2}))
+    assert not ref.is_admissible(WeightData({3: 1}, {-1: 1}))  # not negation-symmetric
+    assert not ref.is_admissible(WeightData({2: 1}, {-2: 1}))  # missing the weight-0 rung
+    assert not ref.is_admissible(WeightData({2: 1}, {0: 1}))
+    assert ref.is_admissible(WeightData({2: 1}, {0: 1, -2: 1}))
+    assert ref.is_admissible(WeightData({}, {}))
 
 
 def test_sectors():
@@ -144,7 +144,7 @@ def test_enumeration_invariants(p):
     seen = set()
     for wd in enumerate_weight_data(p):
         assert wd.dim_plus == p and wd.dim_minus == p
-        assert wd.is_admissible()
+        assert ref.is_admissible(wd)
         assert all(abs(w) <= 2 * p - 1 for w in wd.all_weights())
         assert wd.key() not in seen
         seen.add(wd.key())
@@ -192,7 +192,7 @@ def test_sector_invariants(p):
             assert a <= p and b <= p and (a + b) % 2 == 0
             for wd in group:
                 assert (wd.dim_plus, wd.dim_minus) == (a, b)
-                assert wd.is_admissible() and wd.sector(parity) == wd
+                assert ref.is_admissible(wd) and wd.sector(parity) == wd
     assert odd[0, 0] == [WeightData({}, {})] and even[0, 0] == [WeightData({}, {})]
 
 

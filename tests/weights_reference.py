@@ -8,7 +8,9 @@ member; they share only the partition generator with the package.
 count_splits counts the splits of one sum of irreducibles, as the package
 did before it counted every group at once (weights.sector_counts).
 digest is the table digest as the package computed it before it wrote the
-hashed text itself (WeightData.digest).
+hashed text itself (WeightData.digest).  is_admissible is the oracle the
+enumeration tests check every table against: the combined multiset is
+the weight multiset of an sl(2) representation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from geodesy.weights import Dims, WeightData, _partitions
+
+
+def is_admissible(wd: WeightData) -> bool:
+    """m(w) = plus(w) + minus(w) is symmetric under negation and m(w) >= m(w + 2) for w >= 0."""
+
+    def total(w: int) -> int:
+        return wd.plus.get(w, 0) + wd.minus.get(w, 0)
+
+    top = max((abs(w) for w in wd.all_weights()), default=-1)
+    return all(total(w) == total(-w) and total(w) >= total(w + 2) for w in range(top + 1))
 
 
 def _total_spectrum(partition: List[int]) -> Dict[int, int]:
