@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Scalars are ``GaussRational`` a + b*i with a, b arbitrary-precision
-rationals.  A ``GaussMatrix`` stores one positive common denominator and
-the real and imaginary integer numerators of its entries, reduced so that
-the denominator and all numerators share no factor; that form is unique,
-so matrix equality is equality of integers.  Products, sums and scalar
-multiples work on plain Python ints and reduce once per matrix, and the
-entries come back as ``GaussRational``s in lowest terms only when asked
-for.
+A ``GaussMatrix`` stores one positive common denominator and the real and
+imaginary integer numerators of its entries, reduced so that the
+denominator and all numerators share no factor; that form is unique, so
+matrix equality is equality of integers.  Products, sums, scalar
+multiples, inverses and characteristic polynomials work on plain Python
+ints and reduce once per matrix.  ``GaussRational`` a + b*i, with a, b
+arbitrary-precision rationals, is only the type of an entry handed in
+(``GaussMatrix(rows)``, ``diagonal``, a scalar such as ``I``) or read out
+(``row``, ``m[i, j]``); an int or ``Fraction`` scalar never becomes one.
 
 A commutator ab - ba of two elements of u(p,p), the X with X = -J X* J
 for J = diag(I_p, -I_p), takes one product: then a* = -J a J, so
@@ -22,9 +23,9 @@ matrices takes both products.
 The inverse is a fraction-free Gauss-Jordan elimination over the Gaussian
 integers (Bareiss 1968): every division in it is exact.  The
 characteristic polynomial is the division-free Samuelson-Berkowitz
-recurrence on the numerators.  Nothing in this module rounds: every
-operation is exact, which is what makes the infeasibility certificates
-produced downstream trustworthy.
+recurrence on the numerators, and its coefficients stay Gaussian-integer
+pairs.  Nothing in this module rounds: every operation is exact, which is
+what makes the infeasibility certificates produced downstream trustworthy.
 """
 
 from __future__ import annotations
@@ -146,9 +147,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -196,6 +194,8 @@ def _scalar_ints(value) -> tuple:
     """(den, re, im) with value == (re + im*i) / den in reduced form."""
     if type(value) is int:
         return 1, value, 0
+    if isinstance(value, Fraction):
+        return value.denominator, value.numerator, 0
     den, (re,), (im,) = _pack((GaussRational.of(value),))
     return den, re, im
 
@@ -204,9 +204,9 @@ class GaussMatrix:
     """Immutable dense matrix of Gaussian rationals, row-major.
 
     Entry k is (re_num[k] + im_num[k]*i) / den, with den > 0 sharing no
-    factor with all the numerators.  ``entries``, ``m[i, j]`` and ``row``
-    give GaussRationals in lowest terms, built from the integers each time
-    they are asked for; ``row`` and ``m[i, j]`` build only what they return.
+    factor with all the numerators.  ``m[i, j]`` and ``row`` give
+    GaussRationals in lowest terms, built from the integers each time they
+    are asked for, and build only what they return.
     ``_u_pp`` memoizes ``in_u_pp``: None until the matrix is tested.
     """
 
@@ -304,19 +304,10 @@ class GaussMatrix:
         # the lcm of reduced denominators keeps the form reduced (see _pack)
         return cls._from_ints(rows, width, den, re, im, reduced=True)
 
-    def _rationals(self, re, im) -> tuple:
-        """GaussRationals in lowest terms of the numerators re, im over den."""
-        d = self.den
-        return tuple(GaussRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im))
-
-    @property
-    def entries(self) -> tuple:
-        """The row-major GaussRational entries, in lowest terms."""
-        return self._rationals(self.re_num, self.im_num)
-
     def row(self, i: int) -> tuple:
-        c = self.cols
-        return self._rationals(self.re_num[i * c : (i + 1) * c], self.im_num[i * c : (i + 1) * c])
+        c, d = self.cols, self.den
+        re, im = self.re_num[i * c : (i + 1) * c], self.im_num[i * c : (i + 1) * c]
+        return tuple(GaussRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im))
 
     def __getitem__(self, key) -> GaussRational:
         i, j = key
@@ -392,15 +383,6 @@ class GaussMatrix:
             re.extend(self.re_num[j::c])
             im.extend(self.im_num[j::c])
         return GaussMatrix._from_ints(c, self.rows, self.den, re, map(neg, im), reduced=True)
-
-    def trace(self) -> GaussRational:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        step = self.cols + 1
-        return GaussRational(
-            Fraction(sum(self.re_num[::step]), self.den),
-            Fraction(sum(self.im_num[::step]), self.den),
-        )
 
     def is_zero(self) -> bool:
         return not (any(self.re_num) or any(self.im_num))
@@ -544,17 +526,11 @@ def _signed(xs, p: int, signs: tuple) -> tuple:
     return tuple(map(mul, xs, _mask(p, signs)))
 
 
-@cache
-def _adjoint_masks(p: int, signs: tuple) -> tuple:
-    """The transposer of 2p x 2p numerators and the real and imaginary
-    quadrant masks that make a* with each quadrant multiplied by its sign."""
-    return _transposer(2 * p), _mask(p, signs), _mask(p, tuple(-s for s in signs))
-
-
 def _signed_adjoint(re, im, p: int, signs: tuple) -> tuple:
     """The real and imaginary numerators, as iterators, of m* with each
     quadrant multiplied by its sign, for the 2p x 2p m with numerators re, im."""
-    transpose, re_mask, im_mask = _adjoint_masks(p, signs)
+    transpose = _transposer(2 * p)
+    re_mask, im_mask = _mask(p, signs), _mask(p, tuple(-s for s in signs))
     return map(mul, transpose(re), re_mask), map(mul, transpose(im), im_mask)
 
 
@@ -608,16 +584,17 @@ def bracket(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
 # ----------------------------------------------------------------------
 # Characteristic polynomial and integer spectra.
 #
-# Polynomials are tuples of GaussRational coefficients in ascending order,
-# (c0, c1, ..., 1) for the monic det(tI - a).
+# Polynomials are tuples of Gaussian-integer coefficients, each a pair
+# (re, im) of ints, in ascending order.  char_poly gives den^n det(tI - a)
+# for an n x n a over den, so its leading pair is (den^n, 0).
 
 
 def char_poly(a: GaussMatrix) -> tuple:
-    """Coefficients of det(tI - a), ascending and exact; the leading one is 1.
+    """The (re, im) integer pairs of den^n det(tI - a), ascending.
 
     Samuelson-Berkowitz, which needs no division, on the numerator matrix
-    N = den * a: det(tI - a) = den^-n det((den*t)I - N), so the coefficient
-    of t^j is that of N's polynomial over den^(n-j).
+    N = den * a: den^n det(tI - a) = det((den*t)I - N), so the coefficient
+    of t^j is that of N's polynomial times den^j.
     """
     if not a.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -648,31 +625,24 @@ def char_poly(a: GaussMatrix) -> tuple:
             ni.append(si)
         vr, vi = nr, ni
     d = a.den
-    return tuple(
-        GaussRational(Fraction(vr[n - j], d ** (n - j)), Fraction(vi[n - j], d ** (n - j)))
-        for j in range(n + 1)
-    )
+    return tuple((vr[n - j] * d**j, vi[n - j] * d**j) for j in range(n + 1))
 
 
-def poly_eval(coeffs: Sequence[GaussRational], a: GaussMatrix) -> GaussMatrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+def poly_eval(coeffs: Sequence[tuple], a: GaussMatrix) -> GaussMatrix:
+    """Evaluate at a square matrix the polynomial with the ascending
+    (re, im) integer coefficient pairs coeffs (Horner): each step adds a
+    pair, brought over the denominator of acc @ a, to its diagonal."""
     if not a.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
     n = a.rows
     acc = GaussMatrix.zeros(n, n)
-    ident = GaussMatrix.identity(n)
-    for c in reversed(coeffs):
-        acc = acc @ a + ident * c
+    for x, y in reversed(coeffs):
+        re, im = _product(acc, a)
+        den = acc.den * a.den
+        re[:: n + 1] = [v + x * den for v in re[:: n + 1]]
+        im[:: n + 1] = [v + y * den for v in im[:: n + 1]]
+        acc = GaussMatrix._from_ints(n, n, den, re, im)
     return acc
-
-
-def _integer_coefficients(coeffs: Sequence[GaussRational]) -> list:
-    out = []
-    for c in coeffs:
-        if not c.is_integer():
-            raise NonIntegerSpectrum(f"non-integer coefficient {c} in characteristic polynomial")
-        out.append(int(c.re))
-    return out
 
 
 def _deflate(desc: list, root: int) -> list:
@@ -686,12 +656,20 @@ def _deflate(desc: list, root: int) -> list:
 
 
 def integer_spectrum(a: GaussMatrix) -> dict:
-    """Map eigenvalue -> multiplicity when char_poly splits over the integers.
+    """Map eigenvalue -> multiplicity when det(tI - a) splits over the integers.
 
-    Candidate roots are the integer divisors of the constant coefficient
-    (after stripping t^m).  Any failure to split raises NonIntegerSpectrum.
+    Its coefficients are char_poly's pairs over den^n: each must have a
+    zero imaginary part and a real part divisible by den^n.  Candidate
+    roots are the integer divisors of the constant coefficient (after
+    stripping t^m).  Any failure to split raises NonIntegerSpectrum.
     """
-    coeffs = _integer_coefficients(char_poly(a))
+    scale = a.den ** a.rows
+    coeffs = []
+    for re, im in char_poly(a):
+        if im or re % scale:
+            c = GaussRational(Fraction(re, scale), Fraction(im, scale))
+            raise NonIntegerSpectrum(f"non-integer coefficient {c} in characteristic polynomial")
+        coeffs.append(re // scale)
     spectrum: dict = {}
     first_nonzero = next(i for i, c in enumerate(coeffs) if c != 0)
     if first_nonzero > 0:

@@ -11,7 +11,8 @@ every denominator that can be drawn, and the matrix is reduced once.
 The k and p elements are assembled from these integers.  The
 k, p and su(p,p) elements are members of u(p,p) by construction, so they
 carry the member mark (``gaussmat._member``) and ``bracket`` never tests
-them.
+them.  ``integer_diagonalizable`` draws matrices until one inverts and
+keeps the inverse that showed it, so each draw is inverted once.
 """
 
 from __future__ import annotations
@@ -96,22 +97,19 @@ def k_part(rng: random.Random, shape: SuPQShape) -> GaussMatrix:
     return _member(GaussMatrix._from_ints(2 * p, 2 * p, 2 * DEN, re, im))
 
 
-def invertible(rng: random.Random, n: int) -> GaussMatrix:
-    while True:
-        m = matrix(rng, n)
-        try:
-            m.inverse()
-            return m
-        except ValueError:
-            continue
-
-
 def integer_diagonalizable(rng: random.Random, n: int):
     """A matrix with known integer spectrum: S diag(d) S^-1 for d drawn
-    from [-2, 2], plus the spectrum."""
+    from [-2, 2], plus the spectrum.  S is the first drawn matrix that
+    inverts; the inverse that tests it is the one used."""
     diag = [rng.randint(-2, 2) for _ in range(n)]
-    s = invertible(rng, n)
-    a = s @ GaussMatrix.diagonal(diag) @ s.inverse()
+    while True:
+        s = matrix(rng, n)
+        try:
+            inverse = s.inverse()
+            break
+        except ValueError:
+            continue
+    a = s @ GaussMatrix.diagonal(diag) @ inverse
     spectrum: dict = {}
     for d in diag:
         spectrum[d] = spectrum.get(d, 0) + 1

@@ -5,8 +5,10 @@ constructors behind bench/exact_inputs.py and the certify workload's
 audit.  A change under src/ that breaks the benchmark fails here.
 
 Two scans keep the package free of what only tests use: every function
-and class it defines is named by the package, bench/ or scripts/, and
-every defaulted parameter is set by some caller, tests included."""
+and class it defines is named by the package, bench/ or scripts/, every
+method is read as an attribute by a file that imports geodesy or named
+``Class.method`` under bench/, and every defaulted parameter is set by
+some caller, tests included."""
 
 import ast
 import importlib
@@ -197,17 +199,56 @@ def _definitions(node, prefix: str = ""):
             yield from _definitions(child, f"{prefix}{child.name}.")
 
 
+def _imports_geodesy(tree) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "geodesy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "geodesy"
+        for node in ast.walk(tree)
+    )
+
+
+def _attributes(node) -> Counter:
+    """How often node reads each name as an attribute."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _methods(tree):
+    """(class name, node) of each function defined directly in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, child
+
+
 def test_every_package_definition_is_named_outside_itself():
-    # special methods are called by the language, so they need no name
+    # special methods are called by the language, so they need no name.  A
+    # method is used only where a file that imports geodesy reads it as an
+    # attribute outside its own body, or where bench/ names it in a dotted
+    # "Class.method" string, as bench/tracing.py's TARGETS do: a local
+    # variable or a mode string of the same name calls nothing
     trees = _trees(USERS)
     named = sum((_names(tree) for tree in trees.values()), Counter())
-    unnamed = [
-        f"{path.stem}.{qualified}"
-        for path in PACKAGE
-        for qualified, node in _definitions(trees[path])
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and named[node.name] <= _names(node)[node.name]
-    ]
+    read = sum((_attributes(t) for path, t in trees.items() if path in PACKAGE or _imports_geodesy(t)), Counter())
+    dotted = {
+        sub.value
+        for path in USERS
+        if path.parent == BENCH
+        for sub in ast.walk(trees[path])
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    }
+    owners = {node: owner for path in PACKAGE for owner, node in _methods(trees[path])}
+    unnamed = []
+    for path in PACKAGE:
+        for qualified, node in _definitions(trees[path]):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if node in owners:
+                used = read[node.name] > _attributes(node)[node.name] or f"{owners[node]}.{node.name}" in dotted
+            else:
+                used = named[node.name] > _names(node)[node.name]
+            if not used:
+                unnamed.append(f"{path.stem}.{qualified}")
     assert unnamed == []
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra_reference
+import kernel_reference
 import lift_reference
 import wire_reference as ref
 from geodesy.candidates import (
@@ -366,7 +367,7 @@ def test_block_cells_place_dense_blocks_as_the_reference_does():
             for key in derive_constraints(wd).blocks().values():
                 (rows, cols), x_cells, y_cells, sign = block_cells(key, layout)
                 value = algebra_reference.matrix(rng, rows, cols) * Fraction(1, rng.choice((1, 2, 5, 7)))
-                for kx, ky, entry in zip(x_cells, y_cells, value.entries):
+                for kx, ky, entry in zip(x_cells, y_cells, kernel_reference.unpack(value)[2]):
                     x[kx], y[ky] = entry, entry.conjugate() * sign
                 (r0, _), (c0, _), _ = block_slot(key, layout)
                 lift_reference._place(ref_x, n, r0, c0, value, conj=False, negate=False)

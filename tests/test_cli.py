@@ -167,6 +167,39 @@ def test_check_fuzz_base_document_is_valid(tmp_path):
     assert _check_file(path)[0] == 0
 
 
+def test_candidate_schema_matches_the_reader(tmp_path):
+    # pieces are decimal strings, as save_candidate writes them, or JSON
+    # integers, as load_candidate also takes them
+    import jsonschema
+
+    from geodesy.candidates import CandidateFormatError, embedding_with_rank, load_candidate, save_candidate
+
+    schema = json.loads((DOCS / "candidate.schema.json").read_text())
+    saved = tmp_path / "saved.json"
+    save_candidate(embedding_with_rank(3, 2), saved)
+    integers = {key: [[[int(x) for x in e] for e in row] for row in VALID_P1[key]] for key in MATRICES}
+    docs = [json.loads(path.read_text()) for path in (*sorted(BUNDLED.glob("*.json")), saved)]
+    docs.append({"p": 1, **integers})
+    assert len(docs) == 4
+    for k, doc in enumerate(docs):
+        jsonschema.validate(doc, schema)
+        path = tmp_path / f"accepted{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load_candidate(path)
+    # JSON Schema's integer type admits 1.0, which load_candidate refuses
+    # (the schema's description says so), so only the reader is asked
+    for piece in (True, "+1", 1.0):
+        doc = json.loads(json.dumps({"p": 1, **integers}))
+        doc["f_w"][0][0] = [piece, 1, 0, 1]
+        if type(piece) is not float:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schema)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CandidateFormatError):
+            load_candidate(path)
+
+
 def test_check_json_output_validates(capsys):
     import jsonschema
 

@@ -1,12 +1,17 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import algebra_reference
 from geodesy import sampling
-from geodesy.candidates import embedding_with_rank
+from geodesy.candidates import embedding_with_rank, load_candidate
+from geodesy.checker import weight_operator
 from geodesy.gaussmat import (
     GaussMatrix,
     GaussRational,
@@ -144,12 +149,14 @@ def test_conj_transpose_involution():
 
 
 def test_char_poly_examples():
-    one = GaussRational(1)
-    zero = GaussRational(0)
-    assert char_poly(GaussMatrix.diagonal([1, -1])) == (-one, zero, one)
+    # den^n det(tI - a) as (re, im) pairs, ascending
+    one, zero = (1, 0), (0, 0)
+    assert char_poly(GaussMatrix.diagonal([1, -1])) == ((-1, 0), zero, one)
     assert char_poly(GaussMatrix.zeros(3, 3)) == (zero, zero, zero, one)
     u = GaussMatrix([[0, 1], [1, 0]])
-    assert char_poly(u) == (-one, zero, one)
+    assert char_poly(u) == ((-1, 0), zero, one)
+    # t^2 - 1/4 over den = 2: 4t^2 - 1
+    assert char_poly(GaussMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)])) == ((-1, 0), zero, (4, 0))
 
 
 def test_char_poly_berkowitz_matches_cofactor():
@@ -158,7 +165,8 @@ def test_char_poly_berkowitz_matches_cofactor():
     rng = random.Random(14)
     for n in (1, 2, 3, 4, 5, 6):
         a = sampling.matrix(rng, n)
-        assert char_poly(a) == char_poly_cofactor(a)
+        scale = a.den**n
+        assert char_poly(a) == tuple((c.re * scale, c.im * scale) for c in char_poly_cofactor(a))
 
 
 def test_cayley_hamilton_sampled():
@@ -192,6 +200,54 @@ def test_integer_spectrum_of_conjugated_matrix():
     for _ in range(20):
         a, expected = sampling.integer_diagonalizable(rng, 3)
         assert integer_spectrum(a) == expected
+
+
+# -- the kernel stays on integers ---------------------------------------
+
+
+@contextmanager
+def _counting(cls, name):
+    """A one-element list counting the calls of cls.name made inside."""
+    calls, original = [0], getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    with patch.object(cls, name, counted):
+        yield calls
+
+
+def test_weight_spectra_build_no_gauss_rational():
+    # the weight blocks of H = -iF(w) that check reads: char_poly and
+    # integer_spectrum work on integer pairs from the numerators to the
+    # spectrum
+    blocks = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "candidates").glob("*.json")):
+        c = load_candidate(path)
+        h, p = weight_operator(c), c.shape.p
+        blocks += [h.submatrix(0, p, 0, p), h.submatrix(p, 2 * p, p, 2 * p)]
+    assert len(blocks) == 4
+    with _counting(GaussRational, "__init__") as built:
+        spectra = [integer_spectrum(b) for b in blocks]
+    assert built == [0] and all(sum(s.values()) == 2 for s in spectra)
+
+
+def test_cayley_hamilton_builds_no_gauss_rational():
+    # poly_eval adds char_poly's integer pairs to diagonal numerators
+    from geodesy.selftest import check_cayley_hamilton
+
+    with _counting(GaussRational, "__init__") as built:
+        check_cayley_hamilton(samples=6)
+    assert built == [0]
+
+
+def test_integer_diagonalizable_inverts_each_draw_once():
+    rng = random.Random(107)
+    with _counting(sampling, "matrix") as drawn, _counting(GaussMatrix, "inverse") as inverted:
+        for i in range(6):
+            sampling.integer_diagonalizable(rng, 2 + i % 3)
+    assert drawn[0] >= 6 and inverted == drawn
 
 
 # -- eigenprojections ---------------------------------------------------
@@ -243,7 +299,7 @@ def test_eigenprojections_refuse_a_spectrum_the_matrix_lacks():
 def test_inverse_round_trip():
     rng = random.Random(18)
     for n in (1, 2, 3, 4):
-        a = sampling.invertible(rng, n)
+        a = algebra_reference.invertible(rng, n)
         assert a @ a.inverse() == GaussMatrix.identity(n)
 
 

@@ -58,13 +58,14 @@ def assert_canonical(m: GaussMatrix, expected: tuple) -> None:
     """m's entries equal the reference's and every one is in lowest terms.
 
     Entries are built when asked for, so ``row(i)`` must equal the slice
-    of ``entries`` and ``m[i, j]`` the matching entry, on m and on the
+    of the entries and ``m[i, j]`` the matching entry, on m and on the
     same integers passed to ``_from_ints``.
     """
     rows, cols, entries = expected
     assert (m.rows, m.cols) == (rows, cols)
-    assert m.entries == entries
-    for e in m.entries:
+    got = ref.unpack(m)[2]
+    assert got == entries
+    for e in got:
         assert in_lowest_terms(e.re) and in_lowest_terms(e.im)
     fresh = GaussMatrix._from_ints(m.rows, m.cols, m.den, m.re_num, m.im_num, reduced=True)
     for x in (m, fresh):
@@ -145,7 +146,7 @@ def test_linear_operations_match_reference(pair, s):
     assert_canonical(GaussMatrix.block([[a], [b]]), (2 * a.rows, a.cols, ra[2] + rb[2]))
     k = len(ra[2])
     diagonal = tuple(e if i == j else ZERO for i, e in enumerate(ra[2]) for j in range(k))
-    assert_canonical(GaussMatrix.diagonal(a.entries), (k, k, diagonal))
+    assert_canonical(GaussMatrix.diagonal(ra[2]), (k, k, diagonal))
 
 
 @settings(deadline=None)
@@ -178,9 +179,11 @@ def test_inverse_matches_reference(a):
 @settings(deadline=None)
 @given(squares(max_size=5))
 def test_char_poly_matches_cofactor(a):
+    # char_poly gives den^n det(tI - a) as Gaussian-integer pairs
     coeffs = char_poly(a)
-    assert coeffs == ref.char_poly_cofactor(a)
-    assert all(in_lowest_terms(c.re) and in_lowest_terms(c.im) for c in coeffs)
+    scale = a.den**a.rows
+    assert coeffs == tuple((c.re * scale, c.im * scale) for c in ref.char_poly_cofactor(a))
+    assert all(type(re) is int and type(im) is int for re, im in coeffs)
 
 
 def test_large_unequal_denominators_reduce():
