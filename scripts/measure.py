@@ -20,8 +20,11 @@ exact [--seed S]
               check_conditions, equivariance_test and report of each seeded
               candidate; the lift of 152 classes; each phase's totals.
 oracle        per table of the ``oracle`` workload: minimize, its restarts,
-              _descend calls and accepted steps; then the totals and
-              whether numpy.random was loaded.
+              _descend calls and accepted steps; then the totals, the
+              normals streams seeded and whether numpy.random was loaded.
+              The process seeds restart k's stream once for all tables,
+              so a table's first_s finds the streams that earlier tables
+              drew already.
 certify       the audit of the 533 certificates of rank 4, then per layer
               the best over --repeat audits with each layer's calls timed.
 cli ARGV...   in --repeat fresh interpreters, ``import geodesy.cli`` and
@@ -158,7 +161,7 @@ def exact(repeat: int, seed: int) -> None:
 
 def oracle(repeat: int) -> None:
     import workloads
-    from geodesy import numeric
+    from geodesy import normals, numeric
     from geodesy.weights import WeightData
 
     def descend(fn, *args):
@@ -166,29 +169,36 @@ def oracle(repeat: int) -> None:
         accepted.append(result[2])
         return result
 
+    def seed(fn, entropy):
+        seeded.append(entropy)
+        return fn(entropy)
+
     workload = workloads.Oracle()
     patterns = workload.generate(workload.SEED, Path())["patterns"]
     totals = {"best_s": 0.0, "first_s": 0.0, "restarts": 0, "descend_calls": 0, "steps": 0}
-    for pattern in patterns:
-        wd = WeightData.from_json_dict(pattern["weight_data"])
-        feasible = pattern["feasible"]
-        best, first, _ = timed(repeat, lambda: workloads._minimize(wd, feasible, workload.SEED))
-        accepted = []
-        with wrapped((numeric, "_descend", descend)):
-            _, report = workloads._minimize(wd, feasible, workload.SEED)
-        line = {
-            "table": wd.describe(),
-            "feasible": feasible,
-            "best_s": best,
-            "first_s": first,
-            "restarts": len(report.stop_reasons),
-            "descend_calls": len(accepted),
-            "steps": sum(accepted),
-        }
-        for key in totals:
-            totals[key] += line[key]
-        emit(line)
-    emit({"tables": len(patterns), **totals, "numpy_random_loaded": "numpy.random" in sys.modules})
+    seeded = []
+    with wrapped((normals, "_seed", seed)):
+        for pattern in patterns:
+            wd = WeightData.from_json_dict(pattern["weight_data"])
+            feasible = pattern["feasible"]
+            best, first, _ = timed(repeat, lambda: workloads._minimize(wd, feasible, workload.SEED))
+            accepted = []
+            with wrapped((numeric, "_descend", descend)):
+                _, report = workloads._minimize(wd, feasible, workload.SEED)
+            line = {
+                "table": wd.describe(),
+                "feasible": feasible,
+                "best_s": best,
+                "first_s": first,
+                "restarts": len(report.stop_reasons),
+                "descend_calls": len(accepted),
+                "steps": sum(accepted),
+            }
+            for key in totals:
+                totals[key] += line[key]
+            emit(line)
+    loaded = "numpy.random" in sys.modules
+    emit({"tables": len(patterns), **totals, "streams_seeded": len(seeded), "numpy_random_loaded": loaded})
 
 
 def certify(repeat: int) -> None:

@@ -59,14 +59,24 @@ from numpy's ``random/src/distributions/ziggurat_constants.h``:
 numpy's NEP 19 does not promise the ``Generator`` stream across numpy
 versions; this module keeps it fixed whatever numpy is installed.  It
 imports only the standard library.
+
+A process seeds each stream once while it stays among the ``STREAMS``
+(64) entropies drawn most recently: ``standard_normal`` keeps PCG64's
+state after the last draw and the normals drawn so far, answers a
+shorter request from them and draws a longer one on from that state.
+This is exact because the ziggurat reads the stream strictly in order,
+so the first count normals never depend on count.  Restart k of every
+table of ``numeric.minimize`` draws from ``[seed, k]``, so the 20 tables
+of the benchmark's ``oracle`` pass seed 3 streams, not 52.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from binascii import a2b_base64
 from struct import unpack
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 TABLES = a2b_base64(
     """
@@ -270,14 +280,34 @@ def _double(state: int, inc: int) -> Tuple[int, float]:
     return state, (((word >> rot | word << (64 - rot)) & _M64) >> 11) * (1.0 / 9007199254740992.0)
 
 
+# The streams drawn in this process (module docstring), by entropy: PCG64's
+# (state, increment) after the last draw and the normals drawn so far, the
+# most recently drawn last.  At most STREAMS entropies are kept.
+STREAMS = 64
+_streams: Dict[Tuple[int, ...], Tuple[int, int, List[float]]] = {}
+
+
 def standard_normal(entropy: Sequence[int], count: int) -> List[float]:
     """The floats of ``numpy.random.default_rng(entropy).standard_normal(count)``.
 
-    Each step of PCG64 is written out: its state times the multiplier plus
-    the increment, then XSL-RR, as ``_double`` does for the rare draws that
-    fall outside a layer's box."""
-    state, inc = _seed(entropy)
-    out: List[float] = []
+    A count that numpy refuses is refused with numpy's exception type.  The
+    list is the caller's own; the stream behind it is kept (module
+    docstring).  Each step of PCG64 is written out: its state times the
+    multiplier plus the increment, then XSL-RR, as ``_double`` does for
+    the rare draws that fall outside a layer's box."""
+    if isinstance(count, bool):
+        raise TypeError(f"expected a single integer, got {count!r}")
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("negative dimensions are not allowed")
+    key = tuple(entropy)
+    # taken out while drawing: put back last, or lost, never half drawn, if the draw is interrupted
+    stream = _streams.pop(key, None)
+    if stream is None:
+        state, inc = _seed(entropy)
+        out: List[float] = []
+    else:
+        state, inc, out = stream
     while len(out) < count:
         state = (state * _MULTIPLIER + inc) & _M128
         rot = state >> 122
@@ -303,4 +333,7 @@ def standard_normal(entropy: Sequence[int], count: int) -> List[float]:
             state, u = _double(state, inc)
             if (_FI[idx - 1] - _FI[idx]) * u + _FI[idx] < math.exp(-0.5 * x * x):
                 out.append(x)
-    return out
+    _streams[key] = state, inc, out
+    if len(_streams) > STREAMS:
+        del _streams[next(iter(_streams))]
+    return out[:count]

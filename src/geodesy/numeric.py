@@ -31,9 +31,9 @@ With a target, a restart runs only if the earlier ones missed it, so the
 restarts run one lane at a time.  ``gradient_check`` evaluates the 4 *
 size moved copies of a point as the lanes of one call.  On the
 benchmark's ``oracle`` tables (17 of 20 run three restarts to the end) a
-pass of criterion 6's ``minimize`` calls takes about 26-28 ms in process
-once warm, and 29-31 ms when each table's call is the first in its
-process (``scripts/measure.py oracle``, 2 cores, Python 3.11.7).
+pass of criterion 6's ``minimize`` calls takes about 22-24 ms in process
+once warm, and 25-28 ms when each table's first call is timed
+(``scripts/measure.py oracle``, 2 cores, Python 3.11.7).
 
 Starting points are seeded normals placed by ``_Problem.draws``.  Restart
 k of ``minimize`` draws them from ``normals.standard_normal([seed, k],
@@ -41,7 +41,9 @@ k of ``minimize`` draws them from ``normals.standard_normal([seed, k],
 of numpy 2.4.6's ``np.random.default_rng([seed, k]).standard_normal``:
 SeedSequence, PCG64 and numpy's ziggurat, with the ziggurat tables read
 from numpy's compiled module and carried under numpy's BSD-3 licence
-(see ``normals``).  Point k of ``gradient_check`` draws them from
+(see ``normals``).  Restart k of every table reads the same stream,
+which ``normals`` seeds once per process and keeps while it is among
+the ``normals.STREAMS`` (64) entropies drawn last.  Point k of ``gradient_check`` draws them from
 Python's ``random.Random``, seeded by the text "seed 7919 k", which is
 hashed by SHA-512 and so does not depend on ``PYTHONHASHSEED``.  So no
 oracle run imports ``numpy.random``, a package that costs a fresh
@@ -173,7 +175,7 @@ class _Problem:
             return np.zeros(len(values))
         padded = np.zeros((len(values), self.size + len(self.blocks)))
         padded[:, self.sum_cells] = values
-        return np.cumsum(np.add.reduceat(padded, self.sum_starts, axis=1), axis=1)[:, -1]
+        return np.add.accumulate(np.add.reduceat(padded, self.sum_starts, axis=1), axis=1)[:, -1]
 
 
 def _lane_sum(a: np.ndarray) -> np.ndarray:
@@ -243,13 +245,14 @@ def _line_coefficients(
     r2 = g_g[:, 0] - g_g[:, 1]
     w1 = _weight_term(problem, g)
 
-    def dot(a, b):  # Re <a, b>; np.vdot's BLAS call costs peak memory
-        return _lane_sum((a.conj() * b).real)
+    def dot(a_conj, b):  # Re <a, b> from a's conjugate; np.vdot's BLAS call costs peak memory
+        return _lane_sum((a_conj * b).real)
 
-    c1 = -2.0 * (dot(r, r1) + dot(w0, w1))
-    c2 = dot(r1, r1) + 2.0 * dot(r, r2) + dot(w1, w1)
-    c3 = -2.0 * dot(r1, r2)
-    c4 = dot(r2, r2)
+    r_conj, r1_conj, w1_conj = r.conj(), r1.conj(), w1.conj()  # each on the left of two dots
+    c1 = -2.0 * (dot(r_conj, r1) + dot(w0.conj(), w1))
+    c2 = dot(r1_conj, r1) + 2.0 * dot(r_conj, r2) + dot(w1_conj, w1)
+    c3 = -2.0 * dot(r1_conj, r2)
+    c4 = dot(r2.conj(), r2)
     return c1, c2, c3, c4
 
 
@@ -266,6 +269,9 @@ def _quadratic_roots(a: float, b: float, c: float) -> List[float]:
         return []
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+_TURNS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))  # the trigonometric form's three turns
 
 
 def _cubic_roots(a: float, b: float, c: float, d: float) -> List[float]:
@@ -290,7 +296,7 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> List[float]:
     if disc < 0.0:  # then p < 0
         m = 2.0 * math.sqrt(-third_p)
         theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
-        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+        ts = [m * math.cos(theta - turn) for turn in _TURNS]
     else:
         u = _cbrt(-half_q - math.copysign(math.sqrt(disc), q))
         w = -third_p / u if u != 0.0 else 0.0
@@ -299,7 +305,7 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> List[float]:
             ts.append(-(u + w) / 2.0)
     # Next to a double root the slope is nearly zero and a Newton step can
     # jump to another root, so only a small correction that lowers |f| is taken.
-    limit = 1e-6 * (max(abs(t) for t in ts) + abs(shift))
+    limit = 1e-6 * (max(map(abs, ts)) + abs(shift))
     roots = []
     for t in ts:
         x = t - shift

@@ -738,13 +738,16 @@ def test_measure_oracle_prints_one_json_line_per_table(tmp_path):
     assert [line["table"] for line in lines] == [wd.describe() for wd in tables]
     keys = ["table", "feasible", "best_s", "first_s", "restarts", "descend_calls", "steps"]
     assert all(list(line) == keys and 0 < line["best_s"] <= line["first_s"] for line in lines)
-    assert list(total) == ["tables", *keys[2:], "numpy_random_loaded"] and total["tables"] == len(tables)
+    assert list(total) == ["tables", *keys[2:], "streams_seeded", "numpy_random_loaded"]
+    assert total["tables"] == len(tables)
     for key in keys[4:]:
         assert total[key] == sum(line[key] for line in lines)
     for key in ("best_s", "first_s"):
         assert total[key] == pytest.approx(sum(line[key] for line in lines), abs=1e-6)
-    # the starting points are drawn without numpy's Generator
+    # the starting points are drawn without numpy's Generator, restart k's
+    # from the stream of [7, k], seeded once for all tables
     assert total["numpy_random_loaded"] is False
+    assert total["streams_seeded"] == 3
     # the restarts that ran, and the benchmark's traced numeric.restarts and
     # numeric.iterations; the two tables without unknowns run no restart
     assert (total["restarts"], total["descend_calls"], total["steps"]) == (52, 18, 409)

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numeric_reference as ref
-from geodesy import numeric
+from geodesy import normals, numeric
+from geodesy.ladder import classify_weight_data
 from geodesy.numeric import gradient_check, minimize
 from geodesy.weights import WeightData, enumerate_weight_data
 
@@ -485,6 +486,24 @@ def test_flat_kernel_matches_reference_on_random_points(case):
         problem.h_rows, problem.h_cols = w[:, None], w[None, :]
     _assert_same_point(problem, reference, v)
     _assert_quartic_line(problem, v)
+
+
+def test_an_oracle_pass_seeds_each_restarts_stream_once(monkeypatch):
+    # restart k of every table starts from the stream of [7, k], which the
+    # process seeds once; the 20 tables run 52 restarts, none beyond k = 2
+    monkeypatch.setattr(normals, "_streams", {})
+    seeded = []
+    seed = normals._seed
+    monkeypatch.setattr(normals, "_seed", lambda entropy: seeded.append(list(entropy)) or seed(entropy))
+    descents = 0
+    for wd in ORACLE_TABLES:  # as the oracle workload runs criterion 6
+        if classify_weight_data(wd).status == "feasible":
+            report = minimize(wd, restarts=20, seed=7, target=1e-18)
+        else:
+            report = minimize(wd, restarts=3, seed=7)
+        descents += len(report.stop_reasons)
+    assert descents == 52
+    assert seeded == [[7, 0], [7, 1], [7, 2]]
 
 
 def test_block_sum_adds_each_blocks_sum_left_to_right():
