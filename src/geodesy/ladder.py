@@ -60,7 +60,7 @@ from functools import cache
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .weights import Layout, WeightData, enumerate_sectors, iter_spectra, pair_sectors, sector_counts
+from .weights import Layout, WeightData, enumerate_sectors, fields_fault, iter_spectra, pair_sectors, sector_counts
 
 PLUS_RAISE = "plus_raise"
 MINUS_RAISE = "minus_raise"
@@ -152,7 +152,18 @@ class SectorSystem:
         return dict(sorted((block_label(*key), key) for key in self.keys()))
 
 
-@dataclass(frozen=True)
+# the fields of a step, in the order to_json_dict writes them
+STEP_FIELDS = ("rule", "sector", "side", "weight", "conclusion", "trace_values")
+_INT = {int}
+
+# The four records below are frozen dataclasses whose __init__ fills the
+# instance dict in one update, where the generated one makes an
+# object.__setattr__ call per field; equality, hashing, repr,
+# dataclasses.replace and the refusal of assignment stay the dataclass's.
+# An __init__ takes the fields in their declared order, with their defaults.
+
+
+@dataclass(frozen=True, init=False)
 class CertificateStep:
     rule: str  # R1 | R2 | R3
     sector: str
@@ -160,6 +171,11 @@ class CertificateStep:
     weight: int
     conclusion: str
     trace_values: Tuple[int, ...]
+
+    def __init__(self, rule, sector, side, weight, conclusion, trace_values):
+        self.__dict__.update(
+            rule=rule, sector=sector, side=side, weight=weight, conclusion=conclusion, trace_values=trace_values
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,40 +189,60 @@ class CertificateStep:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CertificateStep":
-        """A step as written by to_json_dict; raises ValueError on a rule,
-        sector, side or conclusion that is not a string and on a weight or
-        trace value that is not an integer, rather than coercing it."""
-        texts = doc["rule"], doc["sector"], doc["side"], doc["conclusion"]
-        if set(map(type, texts)) != {str}:
-            raise ValueError(f"step rule, sector, side and conclusion {texts!r} must be strings")
-        weight, trace_values = doc["weight"], doc["trace_values"]
-        if not isinstance(trace_values, list) or any(type(v) is not int for v in [weight, *trace_values]):
-            raise ValueError(f"step weight {weight!r} and trace_values {trace_values!r} must be integers")
+        """A step as written by to_json_dict.  Raises ValueError, rather than
+        coercing anything, on a doc that is not an object, that lacks one of
+        STEP_FIELDS or has a field beyond them (weights.fields_fault), then
+        on a rule, sector, side or conclusion that is not a string, then on
+        a weight or trace value that is not an integer.  What the fields
+        say is replay_certificate's to check."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"step is a {type(doc).__name__}, not an object")
+        try:
+            texts = doc["rule"], doc["sector"], doc["side"], doc["conclusion"]
+            weight, trace_values = doc["weight"], doc["trace_values"]
+        except KeyError:
+            raise ValueError(fields_fault(doc, STEP_FIELDS, "step")) from None
+        if len(doc) != len(STEP_FIELDS):
+            raise ValueError(fields_fault(doc, STEP_FIELDS, "step"))
         rule, sector, side, conclusion = texts
+        if not type(rule) is type(sector) is type(side) is type(conclusion) is str:
+            raise ValueError(f"step rule, sector, side and conclusion {texts!r} must be strings")
+        integers = type(weight) is int and isinstance(trace_values, list) and _INT.issuperset(map(type, trace_values))
+        if not integers:
+            raise ValueError(f"step weight {weight!r} and trace_values {trace_values!r} must be integers")
         return cls(rule, sector, side, weight, conclusion, tuple(trace_values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TerminalBlock:
     label: str
     flavor: str      # always "paired": one U U* and one U* U equation hold the block
     scale_sq: int    # the Gram equations read  U U* = scale_sq * I
     dim: int
 
+    def __init__(self, label, flavor, scale_sq, dim):
+        self.__dict__.update(label=label, flavor=flavor, scale_sq=scale_sq, dim=dim)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WitnessClass:
     forced_zero: Tuple[str, ...]
     terminal: Tuple[TerminalBlock, ...]
 
+    def __init__(self, forced_zero, terminal):
+        self.__dict__.update(forced_zero=forced_zero, terminal=terminal)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Verdict:
     status: str  # "feasible" | "infeasible" | "unresolved"
     sector: str
     certificate: Tuple[CertificateStep, ...] = ()
     witness: Optional[WitnessClass] = None
     detail: str = ""
+
+    def __init__(self, status, sector, certificate=(), witness=None, detail=""):
+        self.__dict__.update(status=status, sector=sector, certificate=certificate, witness=witness, detail=detail)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"status": self.status, "sector": self.sector}
@@ -262,36 +298,27 @@ def derive_constraints(wd: WeightData, sector: str | None = None) -> SectorSyste
         sector = _infer_sector(wd)
     plus, minus = wd.plus, wd.minus
     equations: List[Equation] = []
+    products: List[ProductEquation] = []
     for w, dim in plus.items():
-        terms = []
-        if w - 2 in plus:
-            terms.append((-1, (PLUS_RAISE, w - 2), OUTER))
+        terms: Tuple[Term, ...] = ((-1, (PLUS_RAISE, w - 2), OUTER),) if w - 2 in plus else ()
         if w + 2 in plus:
-            terms.append((+1, (PLUS_RAISE, w), INNER))
+            terms += ((+1, (PLUS_RAISE, w), INNER),)
         if w - 2 in minus:
-            terms.append((+1, (CROSS, w - 2), OUTER))
-        equations.append(("plus", w, dim, w, tuple(terms)))
+            terms += ((+1, (CROSS, w - 2), OUTER),)
+        equations.append(("plus", w, dim, w, terms))
     for w, dim in minus.items():
-        terms = []
-        if w - 2 in minus:
-            terms.append((-1, (MINUS_RAISE, w - 2), OUTER))
+        terms = ((-1, (MINUS_RAISE, w - 2), OUTER),) if w - 2 in minus else ()
         if w + 2 in minus:
-            terms.append((+1, (MINUS_RAISE, w), INNER))
+            terms += ((+1, (MINUS_RAISE, w), INNER),)
         if w + 2 in plus:
-            terms.append((-1, (CROSS, w), INNER))
-        equations.append(("minus", w, dim, w, tuple(terms)))
-
-    products = []
-    for w in minus:
-        if w not in plus:
-            continue
-        pairs = []
-        if w + 2 in plus:
-            pairs.append(((PLUS_RAISE, w), (CROSS, w)))
-        if w - 2 in minus:
-            pairs.append(((CROSS, w - 2), (MINUS_RAISE, w - 2)))
-        if pairs:
-            products.append((w, tuple(pairs)))
+            terms += ((-1, (CROSS, w), INNER),)
+        equations.append(("minus", w, dim, w, terms))
+        if w in plus:  # a product equation, if a pair of blocks meets at w
+            pairs: Tuple[Tuple[Key, Key], ...] = (((PLUS_RAISE, w), (CROSS, w)),) if w + 2 in plus else ()
+            if w - 2 in minus:
+                pairs += (((CROSS, w - 2), (MINUS_RAISE, w - 2)),)
+            if pairs:
+                products.append((w, pairs))
     return SectorSystem(wd, sector, tuple(equations), tuple(products))
 
 
@@ -466,25 +493,27 @@ def replay_certificate(system: SectorSystem, verdict: Verdict) -> None:
     certificate = verdict.certificate
     if not certificate:
         raise ReplayError("empty certificate")
-    by_key = {(eq[0], eq[1]): eq for eq in system.equations}
+    equations = system.equations
     forced: set = set()
     final = len(certificate) - 1
     for i, step in enumerate(certificate):
-        rule = step.rule
-        if type(step.side) is not str or type(step.weight) is not int:
-            raise ReplayError(
-                f"step {i}: side {step.side!r} and weight {step.weight!r} must be a string and an integer"
-            )
-        eq = by_key.get((step.side, step.weight))
-        if eq is None:
-            raise ReplayError(f"step {i}: no equation at {step.side} weight {step.weight}")
+        rule, side, weight = step.rule, step.side, step.weight
+        if type(side) is not str or type(weight) is not int:
+            raise ReplayError(f"step {i}: side {side!r} and weight {weight!r} must be a string and an integer")
+        # a certificate names one or two equations, so a scan costs less
+        # than a lookup table; a derived system has one equation per key
+        for eq in equations:
+            if eq[1] == weight and eq[0] == side:
+                break
+        else:
+            raise ReplayError(f"step {i}: no equation at {side} weight {weight}")
         if rule not in ("R1", "R2", "R3"):
             raise ReplayError(f"step {i}: unknown rule {rule}")
         if rule == "R3" and i == final:
             raise ReplayError("certificate ends on a zero-forcing step")
         live = _live(eq, forced)
         if _rule(eq, live) != rule:
-            raise ReplayError(f"step {i}: {rule} precondition fails at {step.side} {step.weight}")
+            raise ReplayError(f"step {i}: {rule} precondition fails at {side} {weight}")
         if step.sector != system.sector or (step.conclusion, step.trace_values) != _conclusion(rule, eq, live):
             raise ReplayError(f"step {i}: recorded {rule} step differs from recomputation")
         if rule == "R3":

@@ -33,6 +33,22 @@ DECIMAL = re.compile(r"-?[0-9]+")
 DECIMALS = re.compile(f"{DECIMAL.pattern}(?:,{DECIMAL.pattern})*")
 
 
+SIDES = ("plus", "minus")  # the keys of a table's JSON object, in the order it is read
+
+# one entry of a side in the digest's hashed text
+_ENTRY = '"%d": %d'
+
+
+def fields_fault(doc: dict, fields: Tuple[str, ...], what: str) -> str:
+    """Why a doc whose keys are not exactly fields is refused: the first of
+    fields that it lacks, else the first of its keys beyond them."""
+    for field in fields:
+        if field not in doc:
+            return f"{what} lacks the field {field!r}"
+    unknown = next(key for key in doc if key not in fields)
+    return f"{what} has the field {unknown!r}, which is not one of {', '.join(fields)}"
+
+
 def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
     out = {}
     for w, m in sorted(table.items(), reverse=True):
@@ -50,15 +66,15 @@ class WeightData:
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: Mapping[int, int], minus: Mapping[int, int]):
-        object.__setattr__(self, "plus", _clean(plus, "plus"))
-        object.__setattr__(self, "minus", _clean(minus, "minus"))
+        _set_plus(self, _clean(plus, "plus"))
+        _set_minus(self, _clean(minus, "minus"))
 
     @classmethod
     def _trusted(cls, plus: Dict[int, int], minus: Dict[int, int]) -> "WeightData":
         """A table from dicts already clean: int weights descending, multiplicities >= 1."""
         wd = object.__new__(cls)
-        object.__setattr__(wd, "plus", plus)
-        object.__setattr__(wd, "minus", minus)
+        _set_plus(wd, plus)
+        _set_minus(wd, minus)
         return wd
 
     def __setattr__(self, name, value):
@@ -83,8 +99,8 @@ class WeightData:
     def sector(self, parity: int) -> "WeightData":
         """Restriction to the weights of the given parity (0 even, 1 odd)."""
         return WeightData._trusted(
-            {w: m for w, m in self.plus.items() if w % 2 == parity},
-            {w: m for w, m in self.minus.items() if w % 2 == parity},
+            {w: m for w, m in self.plus.items() if w & 1 == parity},
+            {w: m for w, m in self.minus.items() if w & 1 == parity},
         )
 
     def odd_sector(self) -> "WeightData":
@@ -118,14 +134,18 @@ class WeightData:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightData":
         """A table as to_json_dict writes it.  Nothing is coerced: raises
-        ValueError unless doc, plus and minus are objects, the latter keyed by
-        -?[0-9]+, each weight once, with integer multiplicities >= 1.  A
-        side's keys are checked by one match over them all (DECIMALS)."""
+        ValueError unless doc is an object with the keys plus and minus and
+        no other (fields_fault), both objects keyed by -?[0-9]+, each weight
+        once, with integer multiplicities >= 1.  The keys of plus and then
+        of minus are checked first, each side's by one match over them all
+        (DECIMALS), then the multiplicities, by the constructor."""
         if not isinstance(doc, dict):
             raise ValueError("weight data is not an object")
+        if len(doc) != 2 or "plus" not in doc or "minus" not in doc:
+            raise ValueError(fields_fault(doc, SIDES, "weight data"))
         sides = []
-        for name in ("plus", "minus"):
-            table = doc.get(name, {})
+        for name in SIDES:
+            table = doc[name]
             try:
                 if not isinstance(table, dict) or table and DECIMALS.fullmatch(",".join(table)) is None:
                     raise ValueError
@@ -142,10 +162,13 @@ class WeightData:
 
         The hashed text is ``json.dumps(self.to_json_dict(), sort_keys=True)``,
         written directly: each side's weights as strings, in string order
-        ("-10" before "-3"), each with its multiplicity."""
-        text = '{"minus": {%s}, "plus": {%s}}' % tuple(
-            ", ".join(['"%s": %d' % item for item in sorted(zip(map(str, table), table.values()))])
-            for table in (self.minus, self.plus)
+        ("-10" before "-3"), each with its multiplicity.  The entries
+        '"w": m' are sorted as written: the quote that closes a key sorts
+        before '-' and every digit, so a key that is the prefix of another
+        comes first, as in string order, and no two keys are equal."""
+        text = '{"minus": {%s}, "plus": {%s}}' % (
+            ", ".join(sorted(map(_ENTRY.__mod__, self.minus.items()))),
+            ", ".join(sorted(map(_ENTRY.__mod__, self.plus.items()))),
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -168,6 +191,11 @@ class WeightData:
             return "{" + ", ".join(f"{w}:{m}" for w, m in sorted(table.items(), reverse=True)) + "}"
 
         return f"plus {side(self.plus)} minus {side(self.minus)}"
+
+
+# the slots' own setters, which WeightData.__setattr__ does not stop
+_set_plus = WeightData.plus.__set__
+_set_minus = WeightData.minus.__set__
 
 
 class Layout:

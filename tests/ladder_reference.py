@@ -12,6 +12,11 @@ equivalence tests hold ``geodesy.ladder`` to these routines sector by
 sector; they share only the kind and flavor names, ``block_label`` and
 the certificate and verdict types with the package.
 
+``step_from_json_dict`` is the step reader as it was before it refused a
+document that is not an object, lacks a field or has a field beyond the
+schema's: on those it raised TypeError or KeyError, or read the step.
+``step_corpus`` makes the documents the two readers are compared on.
+
 ``instantiate_witness`` and ``verify_witness`` are the witness check the
 package used before it checked witnesses in integers: every block value
 is built as a ``GaussMatrix`` and substituted into every equation of the
@@ -22,6 +27,7 @@ that does not fit its equation fails there on a shape mismatch, as a
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -31,6 +37,7 @@ from geodesy.ladder import (
     MINUS_RAISE,
     OUTER,
     PLUS_RAISE,
+    STEP_FIELDS,
     CertificateStep,
     ReplayError,
     SectorSystem,
@@ -42,7 +49,7 @@ from geodesy.ladder import (
     block_slot,
 )
 from geodesy.gaussmat import GaussMatrix
-from geodesy.weights import Layout, WeightData
+from geodesy.weights import Layout, WeightData, enumerate_weight_data
 
 
 @dataclass(frozen=True)
@@ -444,6 +451,51 @@ def _recompute_r4(sector, forced, label, eq, partner) -> CertificateStep:
 
 # ----------------------------------------------------------------------
 # Witness substitution in matrices, on the lean SectorSystem
+
+
+def step_from_json_dict(doc: dict) -> CertificateStep:
+    texts = doc["rule"], doc["sector"], doc["side"], doc["conclusion"]
+    if set(map(type, texts)) != {str}:
+        raise ValueError(f"step rule, sector, side and conclusion {texts!r} must be strings")
+    weight, trace_values = doc["weight"], doc["trace_values"]
+    if not isinstance(trace_values, list) or any(type(v) is not int for v in [weight, *trace_values]):
+        raise ValueError(f"step weight {weight!r} and trace_values {trace_values!r} must be integers")
+    rule, sector, side, conclusion = texts
+    return CertificateStep(rule, sector, side, weight, conclusion, tuple(trace_values))
+
+
+# values a step field may hold in a file: a string, an integer, a list of
+# integers, and what is none of these
+STEP_VALUES = ["R1", "odd", "plus", "", 0, 2, -3, True, 1.0, None, [0, 4], [], ["0", 0], [False], "00", {"0": 0}]
+
+
+def step_corpus(count: int, seed: int = 0) -> list:
+    """count step documents: the steps of every certificate of rank
+    p <= 3, each kept or changed in one way: a field given another value,
+    removed, or joined by one the schema does not allow, or the step
+    replaced by something that is no object."""
+    steps = [
+        step.to_json_dict()
+        for p in (1, 2, 3)
+        for wd in enumerate_weight_data(p)
+        for sector in (wd.odd_sector(), wd.even_sector())
+        for step in eliminate(derive_constraints(sector)).certificate
+    ]
+    rng = random.Random(seed)
+    docs = []
+    for k in range(count):
+        doc = dict(rng.choice(steps))
+        kind = k % 6
+        if kind in (1, 2):
+            doc[rng.choice(STEP_FIELDS)] = rng.choice(STEP_VALUES)
+        elif kind == 3:
+            del doc[rng.choice(STEP_FIELDS)]
+        elif kind == 4:
+            doc[rng.choice(["rules", "note", "weights"])] = rng.choice(STEP_VALUES)
+        elif kind == 5:
+            doc = rng.choice([list(doc.values()), "x", 1, None, [doc]])
+        docs.append(doc)
+    return docs
 
 
 def instantiate_witness(system: SectorSystem, witness: WitnessClass) -> Dict[str, GaussMatrix]:

@@ -200,6 +200,92 @@ def test_candidate_schema_matches_the_reader(tmp_path):
             load_candidate(path)
 
 
+def test_certificate_schema_matches_the_readers(tmp_path):
+    # every certificate of p <= 3 validates and reads; a malformed
+    # weight_data or step document is refused by the schema and the reader
+    # alike, but for what only one of them can tell
+    import jsonschema
+
+    import ladder_reference
+    import weights_reference
+
+    schema = json.loads((DOCS / "certificate.schema.json").read_text())
+    checks = {
+        name: (jsonschema.Draft202012Validator({"$ref": f"#/$defs/{name}", "$defs": schema["$defs"]}), reader)
+        for name, reader in (("weight_data", WeightData.from_json_dict), ("step", CertificateStep.from_json_dict))
+    }
+
+    def reads(name, doc) -> bool:
+        try:
+            checks[name][1](doc)
+        except ValueError:
+            return False
+        return True
+
+    files = 0
+    for p in (1, 2, 3):
+        target = tmp_path / f"p{p}"
+        with redirect_stdout(io.StringIO()):
+            assert run(["classify", str(p), "--emit-certs", str(target)]) == 0
+        for path in sorted(target.glob("*.json")):
+            doc = json.loads(path.read_text())
+            jsonschema.validate(doc, schema)
+            assert WeightData.from_json_dict(doc["weight_data"]).digest() == path.stem
+            for sector in doc["sectors"].values():
+                for step in sector.get("certificate", ()):
+                    CertificateStep.from_json_dict(step)
+            files += 1
+    assert files == 3 + 18 + 99
+    step = {"rule": "R1", "sector": "odd", "side": "plus", "weight": 1, "conclusion": "", "trace_values": [0, 1]}
+    malformed = {
+        "weight_data": [
+            {"plus": {"1": 1}},
+            {"plsu": {"1": 1}, "minus": {"-1": 1}},
+            {"plus": {"1": 1}, "minus": {"-1": 1}, "extra": {}},
+            {"plus": [], "minus": {}},
+            {"plus": {"+1": 1}, "minus": {}},
+            {"plus": {"1": 0}, "minus": {}},
+            {"plus": {"1": True}, "minus": {}},
+            {"plus": {"1": "1"}, "minus": {}},
+            "plus",
+        ],
+        "step": [
+            "x",
+            [step],
+            {"rule": "R1"},
+            {key: value for key, value in step.items() if key != "weight"},
+            {**step, "note": ""},
+            {**step, "rule": 1},
+            {**step, "conclusion": None},
+            {**step, "weight": "1"},
+            {**step, "weight": True},
+            {**step, "trace_values": "01"},
+            {**step, "trace_values": [0, False]},
+        ],
+    }
+    for name, docs in malformed.items():
+        for doc in docs:
+            assert not checks[name][0].is_valid(doc) and not reads(name, doc), doc
+    # JSON Schema's integer admits 1.0, and a schema cannot tell that "01"
+    # and "1" name one weight, which the readers refuse; which rule, sector
+    # and side a step names is replay_certificate's to check
+    enums = {field: schema["$defs"]["step"]["properties"][field]["enum"] for field in ("rule", "sector", "side")}
+    corpora = {"weight_data": weights_reference.weight_data_corpus(2000), "step": ladder_reference.step_corpus(3000)}
+    outcomes = Counter()
+    for name, docs in corpora.items():
+        for doc in docs:
+            valid, read = checks[name][0].is_valid(doc), reads(name, doc)
+            outcomes[name, valid, read] += 1
+            if valid and not read:
+                if name == "weight_data":
+                    assert any(len(set(map(int, side))) < len(side) for side in doc.values()), doc
+                else:
+                    assert float in map(type, [doc["weight"], *doc["trace_values"]]), doc
+            elif read and not valid:
+                assert name == "step" and any(doc[field] not in enums[field] for field in enums), doc
+    assert all(outcomes[name, True, True] > 500 and outcomes[name, False, False] > 500 for name in corpora), outcomes
+
+
 def test_check_json_output_validates(capsys):
     import jsonschema
 
@@ -760,10 +846,15 @@ def test_measure_oracle_prints_one_json_line_per_table(tmp_path):
 def test_measure_certify_prints_the_audit_and_each_layer(tmp_path):
     script = _measure(tmp_path, "--repeat", "1", "certify")
     assert script.returncode == 0, script.stderr
-    audit, *layers = [json.loads(line) for line in script.stdout.splitlines()]
+    audit, *layers, other = [json.loads(line) for line in script.stdout.splitlines()]
     assert list(audit) == ["files", "best_s"] and audit["files"] == 533 and audit["best_s"] > 0
-    assert [line["layer"] for line in layers] == ["read", "parse", "digest", "derive", "replay", "witness", "lift"]
-    assert all(list(line) == ["layer", "best_s"] and line["best_s"] > 0 for line in layers)
+    # per audit: 533 files, 1,066 sectors (667 replayed, 399 witnessed), 5 lifted tables
+    calls = {"read": 1066, "parse": 1599, "digest": 533, "split": 1066}
+    calls.update(derive=1066, replay=667, witness=399, lift=10)
+    assert [(line["layer"], line["calls"]) for line in layers] == list(calls.items())
+    assert all(list(line) == ["layer", "calls", "best_s"] and line["best_s"] > 0 for line in layers)
+    assert list(other) == ["layer", "best_s"] and other["layer"] == "other"
+    assert other["best_s"] == pytest.approx(audit["best_s"] - sum(line["best_s"] for line in layers), abs=1e-6)
 
 
 def test_measure_cli_prints_one_json_line(tmp_path):

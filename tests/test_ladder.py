@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from geodesy.ladder import (
     CertificateStep,
     ReplayError,
     SectorSystem,
+    TerminalBlock,
     TheoremViolation,
     UnresolvedRemains,
     WINDOWS,
@@ -538,6 +540,50 @@ def test_step_reader_refuses_fields_that_are_not_strings():
         for value in ([docs[0][field]], None, 1, {"x": 1}):
             with pytest.raises(ValueError, match="must be strings"):
                 CertificateStep.from_json_dict({**docs[0], field: value})
+
+
+def test_step_reader_refuses_a_malformed_step():
+    system = derive_constraints(WeightData({2: 1}, {0: 1, -2: 1}))
+    doc = eliminate(system).certificate[0].to_json_dict()
+    for step, message in (
+        ("x", "step is a str, not an object"),
+        ([doc], "step is a list, not an object"),
+        (None, "step is a NoneType, not an object"),
+        ({"rule": "R1"}, "step lacks the field 'sector'"),
+        ({key: value for key, value in doc.items() if key != "trace_values"}, "step lacks the field 'trace_values'"),
+        (
+            {**doc, "note": "extra"},
+            "step has the field 'note', which is not one of rule, sector, side, weight, conclusion, trace_values",
+        ),
+    ):
+        with pytest.raises(ValueError) as err:
+            CertificateStep.from_json_dict(step)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("record", [CertificateStep, TerminalBlock, WitnessClass, Verdict])
+def test_records_take_their_fields_and_stay_frozen(record):
+    # each record writes its own __init__: it must take the fields in their
+    # order with their defaults, so that keyword calls and
+    # dataclasses.replace build what the generated one built
+    fields = dataclasses.fields(record)
+    params = list(inspect.signature(record.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default for f in fields
+    ]
+    values = [f"value {k}" for k in range(len(fields))]
+    made = record(*values)
+    assert dataclasses.astuple(made) == tuple(values) and made == record(**{f.name: v for f, v in zip(fields, values)})
+    assert hash(made) == hash(record(*values))
+    changed = dataclasses.replace(made, **{fields[0].name: "changed"})
+    assert dataclasses.astuple(changed) == ("changed", *values[1:])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, fields[0].name, "changed")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(made, fields[-1].name)
+    if record is Verdict:
+        assert Verdict("feasible", "odd") == Verdict("feasible", "odd", (), None, "")
 
 
 def test_ladder_imports_only_weights():

@@ -21,9 +21,15 @@ and on arbitrary tables the block assignments of zero and identity
 blocks, and on hand-built systems with product equations or with blocks
 that do not fit their equations.  Where the matrix check fails on a shape
 mismatch, the integer check must raise WitnessError.
+
+The step reader must read every step of a generated corpus as the
+reference reader did, or refuse it with the same exception and message,
+except where a step is no object, lacks a field or has a field beyond
+the schema's: those the reader now refuses with ValueError.
 """
 
 import dataclasses
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -37,6 +43,8 @@ from geodesy.ladder import (
     MINUS_RAISE,
     OUTER,
     PLUS_RAISE,
+    STEP_FIELDS,
+    CertificateStep,
     ReplayError,
     SectorSystem,
     TerminalBlock,
@@ -379,3 +387,25 @@ def test_a_block_that_does_not_fit_its_equation_is_refused():
             ref.verify_witness(system, witness)
         with pytest.raises(WitnessError, match="fit"):
             verify_witness(system, witness)
+
+
+def _read_step(reader, doc):
+    """The reader's step with each field's type, or its exception's type and message."""
+    try:
+        step = reader(doc)
+    except Exception as err:  # noqa: BLE001 - what is raised is compared
+        return type(err), str(err)
+    return [(type(value), value) for value in dataclasses.astuple(step)]
+
+
+def test_step_reader_matches_the_reference_reader():
+    outcomes = Counter()
+    for doc in ref.step_corpus(3000):
+        got = _read_step(CertificateStep.from_json_dict, doc)
+        if not isinstance(doc, dict) or doc.keys() != set(STEP_FIELDS):
+            assert got[0] is ValueError and got[1].startswith("step "), doc
+            outcomes["newly refused"] += 1
+        else:
+            assert got == _read_step(ref.step_from_json_dict, doc), doc
+            outcomes["read" if isinstance(got, list) else "refused"] += 1
+    assert min(outcomes.values()) >= 400, outcomes

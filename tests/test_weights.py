@@ -312,3 +312,48 @@ def test_weight_data_equality_and_hash(plus, minus):
     b = WeightData(dict(plus), dict(minus))
     assert a == b and hash(a) == hash(b)
     assert WeightData.from_json_dict(a.to_json_dict()) == a
+
+
+def _read(reader, doc):
+    """A reader's table as item lists (so order counts), or its exception's type and message."""
+    try:
+        wd = reader(doc)
+    except Exception as err:  # noqa: BLE001 - what is raised is compared
+        return type(err), str(err)
+    return items(wd)
+
+
+def test_reader_matches_the_reference_reader():
+    # the reference reads a missing side as empty and ignores a key beyond
+    # plus and minus; the reader refuses both, and is otherwise unchanged
+    outcomes = Counter()
+    for doc in ref.weight_data_corpus(2000):
+        got = _read(WeightData.from_json_dict, doc)
+        if isinstance(doc, dict) and doc.keys() != {"plus", "minus"}:
+            assert got[0] is ValueError and got[1].startswith("weight data "), doc
+            outcomes["newly refused"] += 1
+        else:
+            assert got == _read(ref.from_json_dict, doc), doc
+            outcomes["read" if isinstance(got[0], list) else "refused"] += 1
+    assert min(outcomes.values()) >= 150, outcomes
+
+
+def test_reader_refuses_a_missing_side_and_an_unknown_key():
+    for doc, message in (
+        ({"plus": {"1": 1}}, "weight data lacks the field 'minus'"),
+        ({"minus": {"-1": 1}}, "weight data lacks the field 'plus'"),
+        ({}, "weight data lacks the field 'plus'"),
+        ({"plsu": {"1": 1}, "minus": {"-1": 1}}, "weight data lacks the field 'plus'"),
+        (
+            {"plus": {"1": 1}, "minus": {"-1": 1}, "plsu": {}},
+            "weight data has the field 'plsu', which is not one of plus, minus",
+        ),
+    ):
+        with pytest.raises(ValueError) as err:
+            WeightData.from_json_dict(doc)
+        assert str(err.value) == message
+
+
+def test_reader_gives_weights_descending_whatever_the_written_order():
+    doc = {"plus": {"-1": 1, "3": 2, "1": 1}, "minus": {"1": 1, "-3": 1, "-1": 2}}
+    assert items(WeightData.from_json_dict(doc)) == ([(3, 2), (1, 1), (-1, 1)], [(1, 1), (-1, 2), (-3, 1)])

@@ -8,20 +8,26 @@ member; they share only the partition generator with the package.
 count_splits counts the splits of one sum of irreducibles, as the package
 did before it counted every group at once (weights.sector_counts).
 digest is the table digest as the package computed it before it wrote the
-hashed text itself (WeightData.digest).  is_admissible is the oracle the
-enumeration tests check every table against: the combined multiset is
-the weight multiset of an sl(2) representation.
+hashed text itself (WeightData.digest).  from_json_dict is the table
+reader as it was before it refused a document that lacks a side or has a
+key beyond plus and minus, with the validating constructor of that time
+(_clean); it shares the key pattern DECIMALS with the package.
+weight_data_corpus makes the documents the two readers are compared on.
+is_admissible is the oracle the enumeration tests check every table
+against: the combined multiset is the weight multiset of an sl(2)
+representation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import accumulate
 from operator import sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from geodesy.weights import Dims, WeightData, _partitions
+from geodesy.weights import DECIMALS, Dims, WeightData, _partitions
 
 
 def is_admissible(wd: WeightData) -> bool:
@@ -130,3 +136,70 @@ def count_splits(totals: Sequence[int]) -> List[int]:
 def digest(wd: WeightData) -> str:
     """The first 16 hex digits of the sha256 of the canonical JSON text."""
     return hashlib.sha256(json.dumps(wd.to_json_dict(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _clean(table: Mapping[int, int], name: str) -> Dict[int, int]:
+    out = {}
+    for w, m in sorted(table.items(), reverse=True):
+        if type(w) is not int:
+            raise ValueError(f"{name} weight {w!r} is not an integer")
+        if type(m) is not int or m < 1:
+            raise ValueError(f"{name} multiplicity for weight {w} must be a positive integer")
+        out[w] = m
+    return out
+
+
+def from_json_dict(doc: dict) -> WeightData:
+    """A table as to_json_dict writes it; a missing side reads as empty and
+    a key other than plus and minus is ignored."""
+    if not isinstance(doc, dict):
+        raise ValueError("weight data is not an object")
+    sides = []
+    for name in ("plus", "minus"):
+        table = doc.get(name, {})
+        try:
+            if not isinstance(table, dict) or table and DECIMALS.fullmatch(",".join(table)) is None:
+                raise ValueError
+            side = dict(zip(map(int, table), table.values()))
+        except (TypeError, ValueError):  # a key that is no string, or one int() refuses
+            raise ValueError(f"{name} is not an object keyed by decimal integer weights") from None
+        if len(side) != len(table):
+            raise ValueError(f"{name} names a weight twice")
+        sides.append(side)
+    return WeightData._trusted(_clean(sides[0], "plus"), _clean(sides[1], "minus"))
+
+
+GOOD_KEYS = ["1", "-1", "0", "2", "-2", "3", "10", "-10"]
+BAD_KEYS = ["01", "-0", " 1", "+1", "1_0", "\u0661", "", "1,2", "x"]
+BAD_MULTIPLICITIES = [0, -1, True, False, 1.5, "1", None, [], {}]
+NOT_OBJECTS = [[], [["1", 1]], "1", 1, None]
+
+
+def weight_data_corpus(count: int, seed: int = 0) -> list:
+    """count weight_data documents: half hold two valid sides, the rest a
+    side with a bad key or multiplicity, a side that is no object, a side
+    missing, a key beyond plus and minus, or no object at all."""
+    rng = random.Random(seed)
+
+    def table(bad: bool) -> dict:
+        doc = {rng.choice(GOOD_KEYS): rng.randint(1, 3) for _ in range(rng.randint(0, 4))}
+        if bad:
+            key = rng.choice(GOOD_KEYS + BAD_KEYS)
+            doc[key] = rng.choice(BAD_MULTIPLICITIES) if key in GOOD_KEYS else rng.randint(1, 3)
+        return doc
+
+    docs = []
+    for k in range(count):
+        kind = k % 10
+        doc = {"plus": table(kind == 5), "minus": table(kind == 6)}
+        if kind == 7:
+            doc[rng.choice(["plus", "minus"])] = rng.choice(NOT_OBJECTS)
+        elif kind == 8:
+            if rng.random() < 0.5:
+                del doc[rng.choice(["plus", "minus"])]
+            else:
+                doc[rng.choice(["plsu", "minsu", "other"])] = table(False)
+        elif kind == 9:
+            doc = rng.choice(NOT_OBJECTS)
+        docs.append(doc)
+    return docs
